@@ -176,7 +176,7 @@ main()
             CompilerOptions copts;
             copts.layout = policy.layout;
             copts.layout_crosstalk_penalty = policy.penalty;
-            copts.scheduler = SchedulerPolicy::kXtalk;
+            copts.scheduler = "xtalk";
             const CompileResult out =
                 Compile(device, characterization, logical, copts);
             NoisySimOptions sim_options;

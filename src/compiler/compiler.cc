@@ -19,28 +19,6 @@ LayoutPolicyName(LayoutPolicy policy)
     return "?";
 }
 
-const char*
-SchedulerPolicyName(SchedulerPolicy policy)
-{
-    switch (policy) {
-      case SchedulerPolicy::kSerial:
-        return "serial";
-      case SchedulerPolicy::kParallel:
-        return "parallel";
-      case SchedulerPolicy::kGreedy:
-        return "greedy";
-      case SchedulerPolicy::kAnneal:
-        return "anneal";
-      case SchedulerPolicy::kXtalk:
-        return "xtalk";
-      case SchedulerPolicy::kXtalkAutoOmega:
-        return "auto";
-      case SchedulerPolicy::kPortfolio:
-        return "portfolio";
-    }
-    return "?";
-}
-
 bool
 ParseLayoutPolicy(const std::string& name, LayoutPolicy* policy)
 {
@@ -54,19 +32,13 @@ ParseLayoutPolicy(const std::string& name, LayoutPolicy* policy)
 }
 
 bool
-ParseSchedulerPolicy(const std::string& name, SchedulerPolicy* policy)
+ParseSchedulerPolicy(const std::string& name, std::string* policy)
 {
-    for (SchedulerPolicy p :
-         {SchedulerPolicy::kSerial, SchedulerPolicy::kParallel,
-          SchedulerPolicy::kGreedy, SchedulerPolicy::kAnneal,
-          SchedulerPolicy::kXtalk, SchedulerPolicy::kXtalkAutoOmega,
-          SchedulerPolicy::kPortfolio}) {
-        if (name == SchedulerPolicyName(p)) {
-            *policy = p;
-            return true;
-        }
+    if (!IsSchedulerPolicy(name)) {
+        return false;
     }
-    return false;
+    *policy = name;
+    return true;
 }
 
 CompileResult

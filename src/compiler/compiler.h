@@ -40,47 +40,38 @@ enum class LayoutPolicy {
     kNoiseAware,  ///< Greedy error/crosstalk-aware placement.
 };
 
-/** Scheduling policies (Table 1, the classical ablations, and the
- *  racing portfolio). Every policy is realized as a scheduler-portfolio
- *  run (scheduler/portfolio.h): single-member for the direct policies,
- *  primary-with-backups for the SMT policies when scheduler_fallback is
- *  on, and a full race for kPortfolio. */
-enum class SchedulerPolicy {
-    kSerial,
-    kParallel,
-    kGreedy,
-    kAnneal,          ///< Seeded simulated annealing (AnnealSched).
-    kXtalk,
-    kXtalkAutoOmega,  ///< XtalkSched with model-guided omega selection.
-    kPortfolio,       ///< Race members and keep the best candidate.
-};
-
-/** Stable policy names ("trivial"/"noise-aware"; "serial"/"parallel"/
- *  "greedy"/"anneal"/"xtalk"/"auto"/"portfolio") — the spellings
- *  `xtalkc --layout` and `--scheduler` accept and the service request
- *  schema uses. */
+/** Stable layout policy names ("trivial" / "noise-aware") — the
+ *  spellings `xtalkc --layout` accepts and the service request schema
+ *  uses. */
 const char* LayoutPolicyName(LayoutPolicy policy);
-const char* SchedulerPolicyName(SchedulerPolicy policy);
 
-/** Inverse of the name functions; false on an unknown name. */
+/** Inverse of LayoutPolicyName; false on an unknown name. */
 bool ParseLayoutPolicy(const std::string& name, LayoutPolicy* policy);
-bool ParseSchedulerPolicy(const std::string& name, SchedulerPolicy* policy);
+
+/**
+ * Scheduler policy keys (Table 1, the classical ablations, and the
+ * racing portfolio) are the portfolio registry's member keys plus
+ * "portfolio" (scheduler/portfolio.h); every policy is a portfolio
+ * run. Copies @p name into @p policy when it is one; false otherwise.
+ */
+bool ParseSchedulerPolicy(const std::string& name, std::string* policy);
 
 /** Pipeline configuration. */
 struct CompilerOptions {
     LayoutPolicy layout = LayoutPolicy::kNoiseAware;
-    SchedulerPolicy scheduler = SchedulerPolicy::kXtalk;
-    /** XtalkSched options (omega ignored under kXtalkAutoOmega). */
+    /** Scheduler policy key: a portfolio member key, which races that
+     *  member and its registry backups (LineupFor), or "portfolio". */
+    std::string scheduler = "xtalk";
+    /** XtalkSched options (omega ignored by the auto-omega member). */
     XtalkSchedulerOptions xtalk;
-    /** AnnealSched options (kAnneal and the portfolio's anneal member). */
+    /** AnnealSched options. */
     AnnealSchedulerOptions anneal;
-    /** Candidates for kXtalkAutoOmega. */
-    std::vector<double> omega_candidates{0.0, 0.05, 0.1, 0.2,
-                                         0.35, 0.5, 0.75, 1.0};
+    /** ω candidates for the auto-omega member. */
+    std::vector<double> omega_candidates = DefaultOmegaCandidates();
     /**
-     * Member keys to race under kPortfolio, in tie-break rank order
-     * (PortfolioMemberKeys() lists the valid keys). Empty = the default
-     * portfolio {"xtalk", "anneal", "greedy", "parallel", "serial"}.
+     * Member keys the "portfolio" policy races, in tie-break rank order
+     * (PortfolioRegistry() lists the valid keys). Empty =
+     * DefaultPortfolio().
      */
     std::vector<std::string> portfolio;
     /**
@@ -100,15 +91,6 @@ struct CompilerOptions {
      * process-wide by the environment variable XTALK_VERIFY_PASSES=1.
      */
     bool verify_passes = false;
-    /**
-     * Degrade gracefully when the SMT scheduler fails (SolverFailure or
-     * an injected transient fault): race the backup members (GreedySched
-     * and ParSched) and ship the best surviving candidate, recording the
-     * winner's key in CompileResult::degradation. false = such failures
-     * propagate out of Compile(). InternalError always propagates
-     * regardless — bugs are never degraded or raced around.
-     */
-    bool scheduler_fallback = true;
 };
 
 /** Everything the pipeline produces. */

@@ -17,48 +17,6 @@ namespace xtalk {
 
 namespace {
 
-/**
- * The member keys a scheduling policy races, in tie-break rank order.
- * Direct policies are single-member portfolios; the SMT policies gain
- * the legacy backup chain {greedy, parallel} in primary-first mode when
- * scheduler_fallback is on; kPortfolio races the configured (or
- * default) member list outright.
- */
-std::vector<std::string>
-PortfolioKeysFor(SchedulerPolicy policy, const CompilationState& state,
-                 bool* prefer_first)
-{
-    *prefer_first = false;
-    switch (policy) {
-      case SchedulerPolicy::kSerial:
-        return {"serial"};
-      case SchedulerPolicy::kParallel:
-        return {"parallel"};
-      case SchedulerPolicy::kGreedy:
-        return {"greedy"};
-      case SchedulerPolicy::kAnneal:
-        return {"anneal"};
-      case SchedulerPolicy::kXtalk:
-        if (state.options.scheduler_fallback) {
-            *prefer_first = true;
-            return {"xtalk", "greedy", "parallel"};
-        }
-        return {"xtalk"};
-      case SchedulerPolicy::kXtalkAutoOmega:
-        if (state.options.scheduler_fallback) {
-            *prefer_first = true;
-            return {"auto", "greedy", "parallel"};
-        }
-        return {"auto"};
-      case SchedulerPolicy::kPortfolio:
-        if (!state.options.portfolio.empty()) {
-            return state.options.portfolio;
-        }
-        return {"xtalk", "anneal", "greedy", "parallel", "serial"};
-    }
-    throw Error("unknown scheduler policy");
-}
-
 /** Member knobs from the pipeline options: GreedySched shares
  *  XtalkSched's omega/criteria so a user-set omega reaches it. */
 PortfolioMemberOptions
@@ -157,10 +115,7 @@ RoutingPass::Run(CompilationState& state)
 std::string
 SchedulePass::name() const
 {
-    if (!forced_) {
-        return "schedule";
-    }
-    return std::string("schedule:") + SchedulerPolicyName(*forced_);
+    return forced_ ? "schedule:" + *forced_ : "schedule";
 }
 
 std::string
@@ -169,41 +124,29 @@ SchedulePass::description() const
     if (!forced_) {
         return "scheduling with the policy from CompilerOptions";
     }
-    switch (*forced_) {
-      case SchedulerPolicy::kSerial:
-        return "SerialSched: one gate per time slot";
-      case SchedulerPolicy::kParallel:
-        return "ParSched: maximal-parallelism ALAP baseline";
-      case SchedulerPolicy::kGreedy:
-        return "GreedySched: polynomial crosstalk-aware list scheduling";
-      case SchedulerPolicy::kAnneal:
-        return "AnnealSched: seeded simulated-annealing scheduling";
-      case SchedulerPolicy::kXtalk:
-        return "XtalkSched: crosstalk-adaptive SMT scheduling";
-      case SchedulerPolicy::kXtalkAutoOmega:
-        return "XtalkSched with model-guided omega selection";
-      case SchedulerPolicy::kPortfolio:
+    if (*forced_ == kPortfolioPolicy) {
         return "race every portfolio member, keep the best candidate";
     }
-    return "?";
+    const PortfolioMemberInfo* row = FindPortfolioMember(*forced_);
+    XTALK_REQUIRE(row != nullptr,
+                  "unknown scheduler policy '" << *forced_ << "'");
+    return row->display_name + ": " + row->description;
 }
 
 void
 SchedulePass::Run(CompilationState& state)
 {
-    const SchedulerPolicy policy = forced_.value_or(state.options.scheduler);
     const Circuit& source = state.ScheduleSource();
 
-    // Every policy is a portfolio run: direct policies race a single
-    // member, the SMT policies run primary-first with the legacy backup
-    // chain, kPortfolio races the whole configured list.
-    bool prefer_first = false;
-    const std::vector<std::string> keys =
-        PortfolioKeysFor(policy, state, &prefer_first);
+    // Every policy is a portfolio run: a member key races that member
+    // and its registry backups, "portfolio" the whole configured list.
+    const PortfolioLineup lineup =
+        LineupFor(forced_.value_or(state.options.scheduler),
+                  state.options.portfolio);
     const PortfolioMemberOptions member_options = MemberOptionsFrom(state);
     std::vector<std::unique_ptr<PortfolioMember>> members;
-    members.reserve(keys.size());
-    for (const std::string& key : keys) {
+    members.reserve(lineup.members.size());
+    for (const std::string& key : lineup.members) {
         members.push_back(MakePortfolioMember(key, member_options));
     }
     SchedulerPortfolio portfolio(std::move(members));
@@ -212,7 +155,7 @@ SchedulePass::Run(CompilationState& state)
     ctx.device = &state.device();
     ctx.characterization = &state.characterization();
     PortfolioRunOptions run_options;
-    run_options.prefer_first = prefer_first;
+    run_options.prefer_first = lineup.prefer_first;
     run_options.budget_ms = state.options.portfolio_budget_ms;
     PortfolioResult raced = portfolio.Run(source, ctx, run_options);
 
@@ -319,28 +262,10 @@ RegisterBuiltinPasses()
     });
     add([] { return std::make_unique<RoutingPass>(); });
     add([] { return std::make_unique<SchedulePass>(); });
-    add([] {
-        return std::make_unique<SchedulePass>(SchedulerPolicy::kSerial);
-    });
-    add([] {
-        return std::make_unique<SchedulePass>(SchedulerPolicy::kParallel);
-    });
-    add([] {
-        return std::make_unique<SchedulePass>(SchedulerPolicy::kGreedy);
-    });
-    add([] {
-        return std::make_unique<SchedulePass>(SchedulerPolicy::kAnneal);
-    });
-    add([] {
-        return std::make_unique<SchedulePass>(SchedulerPolicy::kXtalk);
-    });
-    add([] {
-        return std::make_unique<SchedulePass>(
-            SchedulerPolicy::kXtalkAutoOmega);
-    });
-    add([] {
-        return std::make_unique<SchedulePass>(SchedulerPolicy::kPortfolio);
-    });
+    for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
+        add([key = row.key] { return std::make_unique<SchedulePass>(key); });
+    }
+    add([] { return std::make_unique<SchedulePass>(kPortfolioPolicy); });
     add([] { return std::make_unique<BarrierLoweringPass>(); });
     add([] { return std::make_unique<EstimatePass>(); });
     add([] { return std::make_unique<VerifyLayoutPass>(); });

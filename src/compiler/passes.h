@@ -2,8 +2,8 @@
  * @file
  * The built-in transform passes wrapping the existing toolflow layers
  * (paper Figure 2): placement (src/transpile/layout), SWAP routing
- * (src/transpile/routing), the four scheduling policies plus
- * model-guided auto-omega (src/scheduler), barrier lowering, and the
+ * (src/transpile/routing), scheduling with any policy of the portfolio
+ * registry (src/scheduler/portfolio.h), barrier lowering, and the
  * schedule quality estimate.
  *
  * Registered names (see pass_manager.h; `xtalkc --list-passes`):
@@ -12,11 +12,13 @@
  *   layout:noise-aware   NoiseAwareLayout regardless of options
  *   route                meet-in-the-middle SWAP routing
  *   schedule             scheduler policy from CompilerOptions
- *   schedule:serial      SerialSched
- *   schedule:parallel    ParSched
- *   schedule:greedy      GreedySched
- *   schedule:xtalk       XtalkSched at CompilerOptions::xtalk.omega
- *   schedule:auto        XtalkSched with model-guided omega selection
+ *   schedule:<key>       one forced policy per registry member key:
+ *                        schedule:serial, schedule:parallel,
+ *                        schedule:greedy, schedule:anneal,
+ *                        schedule:xtalk (at CompilerOptions::xtalk.omega),
+ *                        schedule:auto (model-guided omega selection)
+ *   schedule:portfolio   race CompilerOptions::portfolio (or the
+ *                        default list), keep the best candidate
  *   lower-barriers       executable from the schedule (+ SMT barriers)
  *   estimate             modeled success under the characterization
  * plus the verification passes listed in verification.h.
@@ -26,6 +28,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "compiler/pass.h"
 
@@ -59,10 +62,9 @@ class RoutingPass : public Pass {
  *  policies) the ordering artifacts consumed by BarrierLoweringPass. */
 class SchedulePass : public Pass {
   public:
-    /** No @p forced policy = follow CompilerOptions::scheduler. */
-    explicit SchedulePass(
-        std::optional<SchedulerPolicy> forced = std::nullopt)
-        : forced_(forced)
+    /** No @p forced policy key = follow CompilerOptions::scheduler. */
+    explicit SchedulePass(std::optional<std::string> forced = std::nullopt)
+        : forced_(std::move(forced))
     {
     }
     std::string name() const override;
@@ -70,7 +72,7 @@ class SchedulePass : public Pass {
     void Run(CompilationState& state) override;
 
   private:
-    std::optional<SchedulerPolicy> forced_;
+    std::optional<std::string> forced_;
 };
 
 /**

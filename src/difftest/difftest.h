@@ -61,8 +61,8 @@ struct OracleOptions {
     /** Extra slack for the stabilizer arm (Pauli-twirl is O(gamma^2)
      *  approximate per decoherence step). */
     double stabilizer_margin = 0.05;
-    /** Compile policy (greedy by default: fast and deterministic). */
-    SchedulerPolicy scheduler = SchedulerPolicy::kGreedy;
+    /** Compile policy key (greedy by default: fast and deterministic). */
+    std::string scheduler = "greedy";
     /**
      * Fault plan to re-run each case under (faults grammar); empty =
      * fault-free baseline only. Installed via ScopedFaultPlan, so an

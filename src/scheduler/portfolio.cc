@@ -51,92 +51,50 @@ ScoringData(const PortfolioContext& ctx)
     return ctx.characterization ? *ctx.characterization : empty;
 }
 
-const CrosstalkCharacterization&
-RequiredCharacterization(const PortfolioContext& ctx, const char* who)
-{
-    XTALK_REQUIRE(ctx.characterization,
-                  who << " needs crosstalk characterization data");
-    return *ctx.characterization;
-}
-
-class SerialMember : public PortfolioMember {
+/** A member whose scheduler needs only the device: SerialSched and
+ *  ParSched. */
+template <class DeviceScheduler>
+class DeviceOnlyMember : public PortfolioMember {
   public:
-    std::string key() const override { return "serial"; }
-    std::string display_name() const override { return "SerialSched"; }
-    std::string
-    description() const override
+    DeviceOnlyMember(const PortfolioMemberInfo& info,
+                     const PortfolioMemberOptions& /*options*/)
+        : PortfolioMember(info)
     {
-        return "one gate at a time: maximal crosstalk avoidance, maximal "
-               "decoherence (Table 1 baseline)";
     }
+
+  protected:
     ScheduleCandidate
-    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
+    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
     {
-        SerialScheduler scheduler(*ctx.device);
         ScheduleCandidate candidate;
-        candidate.schedule = scheduler.Schedule(circuit);
+        candidate.schedule = DeviceScheduler(*ctx.device).Schedule(circuit);
         candidate.estimate = EstimateScheduleError(
             candidate.schedule, *ctx.device, &ScoringData(ctx));
-        candidate.member = key();
-        candidate.scheduler_name = scheduler.name();
-        return candidate;
-    }
-};
-
-class ParallelMember : public PortfolioMember {
-  public:
-    std::string key() const override { return "parallel"; }
-    std::string display_name() const override { return "ParSched"; }
-    std::string
-    description() const override
-    {
-        return "maximal parallelism, right-aligned (the IBM hardware "
-               "scheduler baseline)";
-    }
-    ScheduleCandidate
-    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
-    {
-        ParallelScheduler scheduler(*ctx.device);
-        ScheduleCandidate candidate;
-        candidate.schedule = scheduler.Schedule(circuit);
-        candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, &ScoringData(ctx));
-        candidate.member = key();
-        candidate.scheduler_name = scheduler.name();
         return candidate;
     }
 };
 
 class GreedyMember : public PortfolioMember {
   public:
-    explicit GreedyMember(GreedySchedulerOptions options)
-        : options_(options)
+    GreedyMember(const PortfolioMemberInfo& info,
+                 const PortfolioMemberOptions& options)
+        : PortfolioMember(info), options_(options.greedy)
     {
     }
-    std::string key() const override { return "greedy"; }
-    std::string display_name() const override { return "GreedySched"; }
-    std::string
-    description() const override
-    {
-        return "single-pass list scheduler that delays gates past "
-               "high-crosstalk partners when the model favours it";
-    }
+
+  protected:
     ScheduleCandidate
-    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
+    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
     {
         // Fault point for exercising greedy losing the race (the second
         // hop of the legacy degradation chain).
         faults::MaybeInject("sched.greedy");
-        const CrosstalkCharacterization& characterization =
-            RequiredCharacterization(ctx, "GreedySched");
-        GreedyXtalkScheduler scheduler(*ctx.device, characterization,
+        GreedyXtalkScheduler scheduler(*ctx.device, *ctx.characterization,
                                        options_);
         ScheduleCandidate candidate;
         candidate.schedule = scheduler.Schedule(circuit);
         candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, &characterization);
-        candidate.member = key();
-        candidate.scheduler_name = scheduler.name();
+            candidate.schedule, *ctx.device, ctx.characterization);
         candidate.omega = options_.omega;
         return candidate;
     }
@@ -147,32 +105,24 @@ class GreedyMember : public PortfolioMember {
 
 class AnnealMember : public PortfolioMember {
   public:
-    explicit AnnealMember(AnnealSchedulerOptions options)
-        : options_(options)
+    AnnealMember(const PortfolioMemberInfo& info,
+                 const PortfolioMemberOptions& options)
+        : PortfolioMember(info), options_(options.anneal)
     {
     }
-    std::string key() const override { return "anneal"; }
-    std::string display_name() const override { return "AnnealSched"; }
-    std::string
-    description() const override
-    {
-        return "seeded simulated annealing over serialization decisions, "
-               "scored by the crosstalk cost model";
-    }
+
+  protected:
     ScheduleCandidate
-    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
+    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
     {
-        const CrosstalkCharacterization& characterization =
-            RequiredCharacterization(ctx, "AnnealSched");
         AnnealSchedulerOptions options = options_;
         options.budget_ms = MinBudget(options.budget_ms, ctx.budget_ms);
-        AnnealScheduler scheduler(*ctx.device, characterization, options);
+        AnnealScheduler scheduler(*ctx.device, *ctx.characterization,
+                                  options);
         ScheduleCandidate candidate;
         candidate.schedule = scheduler.Schedule(circuit, ctx.cancel);
         candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, &characterization);
-        candidate.member = key();
-        candidate.scheduler_name = scheduler.name();
+            candidate.schedule, *ctx.device, ctx.characterization);
         candidate.omega = options.omega;
         return candidate;
     }
@@ -183,32 +133,25 @@ class AnnealMember : public PortfolioMember {
 
 class XtalkMember : public PortfolioMember {
   public:
-    explicit XtalkMember(XtalkSchedulerOptions options) : options_(options)
+    XtalkMember(const PortfolioMemberInfo& info,
+                const PortfolioMemberOptions& options)
+        : PortfolioMember(info), options_(options.xtalk)
     {
     }
-    std::string key() const override { return "xtalk"; }
-    std::string display_name() const override { return "XtalkSched"; }
-    std::string
-    description() const override
-    {
-        return "exact SMT optimization of the crosstalk/decoherence "
-               "objective (the paper's scheduler)";
-    }
+
+  protected:
     ScheduleCandidate
-    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
+    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
     {
-        const CrosstalkCharacterization& characterization =
-            RequiredCharacterization(ctx, "XtalkSched");
         XtalkSchedulerOptions options = options_;
         options.total_budget_ms =
             MinBudget(options.total_budget_ms, ctx.budget_ms);
-        XtalkScheduler scheduler(*ctx.device, characterization, options);
+        XtalkScheduler scheduler(*ctx.device, *ctx.characterization,
+                                 options);
         ScheduleCandidate candidate;
         candidate.schedule = scheduler.Schedule(circuit, ctx.cancel);
         candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, &characterization);
-        candidate.member = key();
-        candidate.scheduler_name = scheduler.name();
+            candidate.schedule, *ctx.device, ctx.characterization);
         candidate.omega = options.omega;
         candidate.start_ns = scheduler.last_start_times();
         candidate.candidate_pairs = scheduler.last_candidate_pairs();
@@ -221,46 +164,35 @@ class XtalkMember : public PortfolioMember {
 
 class AutoOmegaMember : public PortfolioMember {
   public:
-    AutoOmegaMember(XtalkSchedulerOptions options,
-                    std::vector<double> candidates)
-        : options_(options), candidates_(std::move(candidates))
+    AutoOmegaMember(const PortfolioMemberInfo& info,
+                    const PortfolioMemberOptions& options)
+        : PortfolioMember(info),
+          options_(options.xtalk),
+          candidates_(options.omega_candidates)
     {
         XTALK_REQUIRE(!candidates_.empty(),
-                      "auto member needs at least one omega candidate");
+                      key() << " member needs at least one omega candidate");
     }
-    std::string key() const override { return "auto"; }
-    std::string
-    display_name() const override
-    {
-        return "XtalkSched(auto)";
-    }
-    std::string
-    description() const override
-    {
-        return "SMT scheduler with model-guided omega selection over a "
-               "warm-started candidate sweep";
-    }
+
+  protected:
     ScheduleCandidate
-    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
+    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
     {
-        const CrosstalkCharacterization& characterization =
-            RequiredCharacterization(ctx, "XtalkSched(auto)");
         XtalkSchedulerOptions options = options_;
         options.total_budget_ms =
             MinBudget(options.total_budget_ms, ctx.budget_ms);
-        XtalkScheduler scheduler(*ctx.device, characterization, options);
+        XtalkScheduler scheduler(*ctx.device, *ctx.characterization,
+                                 options);
         const std::vector<OmegaSolveResult> solved =
             scheduler.ScheduleForOmegas(circuit, candidates_, ctx.cancel);
         ScheduleCandidate candidate;
-        candidate.member = key();
-        candidate.scheduler_name = display_name();
         int best = -1;
         double best_success = 0.0;
         std::vector<ScheduleErrorEstimate> estimates;
         estimates.reserve(solved.size());
         for (size_t i = 0; i < solved.size(); ++i) {
             estimates.push_back(EstimateScheduleError(
-                solved[i].schedule, *ctx.device, &characterization));
+                solved[i].schedule, *ctx.device, ctx.characterization));
             candidate.sweep.push_back(
                 {solved[i].omega, estimates.back().success_probability});
             if (best < 0 ||
@@ -281,6 +213,13 @@ class AutoOmegaMember : public PortfolioMember {
     XtalkSchedulerOptions options_;
     std::vector<double> candidates_;
 };
+
+template <class Member>
+std::unique_ptr<PortfolioMember>
+Make(const PortfolioMemberInfo& info, const PortfolioMemberOptions& options)
+{
+    return std::make_unique<Member>(info, options);
+}
 
 /** One member's race bookkeeping. */
 struct MemberAttempt {
@@ -319,38 +258,121 @@ RunOne(PortfolioMember& member, const Circuit& circuit,
 
 }  // namespace
 
-const std::vector<std::string>&
-PortfolioMemberKeys()
+const std::vector<PortfolioMemberInfo>&
+PortfolioRegistry()
 {
-    static const std::vector<std::string> keys{
-        "serial", "parallel", "greedy", "anneal", "xtalk", "auto"};
+    // The SMT members keep the legacy degradation chain as backups.
+    static const std::vector<std::string> smt_backups{"greedy", "parallel"};
+    static const std::vector<PortfolioMemberInfo> rows{
+        {"serial", "SerialSched",
+         "one gate at a time: maximal crosstalk avoidance, maximal "
+         "decoherence (Table 1 baseline)",
+         false, {}, &Make<DeviceOnlyMember<SerialScheduler>>},
+        {"parallel", "ParSched",
+         "maximal parallelism, right-aligned (the IBM hardware "
+         "scheduler baseline)",
+         false, {}, &Make<DeviceOnlyMember<ParallelScheduler>>},
+        {"greedy", "GreedySched",
+         "single-pass list scheduler that delays gates past "
+         "high-crosstalk partners when the model favours it",
+         true, {}, &Make<GreedyMember>},
+        {"anneal", "AnnealSched",
+         "seeded simulated annealing over serialization decisions, "
+         "scored by the crosstalk cost model",
+         true, {}, &Make<AnnealMember>},
+        {"xtalk", "XtalkSched",
+         "exact SMT optimization of the crosstalk/decoherence "
+         "objective (the paper's scheduler)",
+         true, smt_backups, &Make<XtalkMember>},
+        {"auto", "XtalkSched(auto)",
+         "SMT scheduler with model-guided omega selection over a "
+         "warm-started candidate sweep",
+         true, smt_backups, &Make<AutoOmegaMember>},
+    };
+    return rows;
+}
+
+const std::vector<std::string>&
+DefaultPortfolio()
+{
+    static const std::vector<std::string> keys{"xtalk", "anneal", "greedy",
+                                               "parallel", "serial"};
     return keys;
+}
+
+const std::vector<double>&
+DefaultOmegaCandidates()
+{
+    static const std::vector<double> omegas{0.0,  0.05, 0.1,  0.2,
+                                            0.35, 0.5,  0.75, 1.0};
+    return omegas;
+}
+
+const PortfolioMemberInfo*
+FindPortfolioMember(const std::string& key)
+{
+    for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
+        if (row.key == key) {
+            return &row;
+        }
+    }
+    return nullptr;
 }
 
 std::unique_ptr<PortfolioMember>
 MakePortfolioMember(const std::string& key,
                     const PortfolioMemberOptions& options)
 {
-    if (key == "serial") {
-        return std::make_unique<SerialMember>();
+    const PortfolioMemberInfo* row = FindPortfolioMember(key);
+    if (row == nullptr) {
+        throw Error("unknown portfolio member '" + key + "'");
     }
-    if (key == "parallel") {
-        return std::make_unique<ParallelMember>();
+    return row->make(*row, options);
+}
+
+ScheduleCandidate
+PortfolioMember::Produce(const Circuit& circuit, const PortfolioContext& ctx)
+{
+    XTALK_REQUIRE(ctx.characterization || !info_.needs_characterization,
+                  info_.display_name
+                      << " needs crosstalk characterization data");
+    ScheduleCandidate candidate = Schedule(circuit, ctx);
+    candidate.member = info_.key;
+    candidate.scheduler_name = info_.display_name;
+    return candidate;
+}
+
+bool
+IsSchedulerPolicy(const std::string& key)
+{
+    return key == kPortfolioPolicy || FindPortfolioMember(key) != nullptr;
+}
+
+bool
+PortfolioLineup::NeedsCharacterization() const
+{
+    return std::any_of(
+        members.begin(), members.end(), [](const std::string& key) {
+            const PortfolioMemberInfo* row = FindPortfolioMember(key);
+            return row != nullptr && row->needs_characterization;
+        });
+}
+
+PortfolioLineup
+LineupFor(const std::string& policy,
+          const std::vector<std::string>& portfolio)
+{
+    if (policy == kPortfolioPolicy) {
+        return {portfolio.empty() ? DefaultPortfolio() : portfolio, false};
     }
-    if (key == "greedy") {
-        return std::make_unique<GreedyMember>(options.greedy);
+    const PortfolioMemberInfo* row = FindPortfolioMember(policy);
+    if (row == nullptr) {
+        throw Error("unknown scheduler policy '" + policy + "'");
     }
-    if (key == "anneal") {
-        return std::make_unique<AnnealMember>(options.anneal);
-    }
-    if (key == "xtalk") {
-        return std::make_unique<XtalkMember>(options.xtalk);
-    }
-    if (key == "auto") {
-        return std::make_unique<AutoOmegaMember>(options.xtalk,
-                                                 options.omega_candidates);
-    }
-    throw Error("unknown portfolio member '" + key + "'");
+    PortfolioLineup lineup{{row->key}, !row->backups.empty()};
+    lineup.members.insert(lineup.members.end(), row->backups.begin(),
+                          row->backups.end());
+    return lineup;
 }
 
 const char*

@@ -17,6 +17,10 @@
  * deterministic (seeded, no wall-clock dependence in its output), so
  * the winning schedule is bit-identical at any thread count.
  *
+ * The member registry (PortfolioRegistry) is the one place a scheduler
+ * is named. A scheduling policy is a member key or "portfolio", and
+ * LineupFor derives the members a policy races from the rows.
+ *
  * Cancellation is cooperative and bound-based: once a joined member's
  * score reaches the theoretical upper bound for the circuit
  * (UpperBoundSuccessProbability), members ranked after it are cancelled
@@ -56,9 +60,9 @@ namespace xtalk {
 struct PortfolioContext {
     const Device* device = nullptr;
     /**
-     * May be null only for members that schedule without crosstalk data
-     * (serial, parallel); those then score against calibration-only
-     * rates. Members that need it (greedy, anneal, xtalk, auto) throw.
+     * May be null only for members whose registry row does not need
+     * characterization; those then score against calibration-only
+     * rates. The others fail without it.
      */
     const CrosstalkCharacterization* characterization = nullptr;
     /** Cooperative cancellation; polled by anneal/xtalk. May be null. */
@@ -90,21 +94,8 @@ struct ScheduleCandidate {
     std::vector<std::pair<double, double>> sweep;
 };
 
-/** A scheduler wrapped as a candidate producer. */
-class PortfolioMember {
-  public:
-    virtual ~PortfolioMember() = default;
-    /** Stable policy key: "serial", "parallel", "greedy", "anneal",
-     *  "xtalk", "auto". Doubles as the degradation label. */
-    virtual std::string key() const = 0;
-    /** Scheduler display name, e.g. "XtalkSched". */
-    virtual std::string display_name() const = 0;
-    /** One-line description for `xtalkc --list-schedulers`. */
-    virtual std::string description() const = 0;
-    /** Produce the scored candidate; throws on failure. */
-    virtual ScheduleCandidate Produce(const Circuit& circuit,
-                                      const PortfolioContext& ctx) = 0;
-};
+/** ω candidates the "auto" member sweeps unless configured otherwise. */
+const std::vector<double>& DefaultOmegaCandidates();
 
 /** Per-scheduler knobs for MakePortfolioMember. */
 struct PortfolioMemberOptions {
@@ -112,19 +103,106 @@ struct PortfolioMemberOptions {
     GreedySchedulerOptions greedy;
     AnnealSchedulerOptions anneal;
     /** ω candidates for the "auto" member. */
-    std::vector<double> omega_candidates{0.0, 0.05, 0.1, 0.2,
-                                         0.35, 0.5, 0.75, 1.0};
+    std::vector<double> omega_candidates = DefaultOmegaCandidates();
 };
 
-/** Every registered member key, in default portfolio order. */
-const std::vector<std::string>& PortfolioMemberKeys();
+class PortfolioMember;
 
 /**
- * Construct the member registered under @p key; throws Error on an
- * unknown key. Keys are listed by PortfolioMemberKeys().
+ * One registry row: the single place a scheduler is named. Policy keys,
+ * `schedule:<key>` passes, `xtalkc --list-schedulers`, request
+ * validation and the service's characterization decision all derive
+ * from these rows.
  */
+struct PortfolioMemberInfo {
+    /** Stable policy key; doubles as the degradation label and the
+     *  wire name in xtalk.request.v1. */
+    std::string key;
+    /** Scheduler display name, e.g. "XtalkSched". */
+    std::string display_name;
+    /** One-line description for `xtalkc --list-schedulers`. */
+    std::string description;
+    /** True when the member cannot schedule without crosstalk data. */
+    bool needs_characterization = false;
+    /** Members the policy `key` races, in rank order, when this member
+     *  fails (prefer-first mode); empty = the member runs alone. */
+    std::vector<std::string> backups;
+    /** Builds the member; MakePortfolioMember's back end. */
+    std::unique_ptr<PortfolioMember> (*make)(
+        const PortfolioMemberInfo& info,
+        const PortfolioMemberOptions& options) = nullptr;
+};
+
+/** A scheduler wrapped as a candidate producer. */
+class PortfolioMember {
+  public:
+    virtual ~PortfolioMember() = default;
+    /** The registry row this member was built from. */
+    const PortfolioMemberInfo& info() const { return info_; }
+    const std::string& key() const { return info_.key; }
+    const std::string& display_name() const { return info_.display_name; }
+
+    /**
+     * Produce the scored candidate, stamped with this member's key and
+     * display name. Throws on failure, including when the member needs
+     * characterization data and @p ctx carries none.
+     */
+    ScheduleCandidate Produce(const Circuit& circuit,
+                              const PortfolioContext& ctx);
+
+  protected:
+    explicit PortfolioMember(const PortfolioMemberInfo& info) : info_(info)
+    {
+    }
+    /** The scheduler itself: schedule and estimate, plus ω and SMT
+     *  ordering artifacts where it has them. */
+    virtual ScheduleCandidate Schedule(const Circuit& circuit,
+                                       const PortfolioContext& ctx) = 0;
+
+  private:
+    const PortfolioMemberInfo& info_;
+};
+
+/** Every member's row, in `xtalkc --list-schedulers` order. */
+const std::vector<PortfolioMemberInfo>& PortfolioRegistry();
+
+/** The row registered under @p key, or null. */
+const PortfolioMemberInfo* FindPortfolioMember(const std::string& key);
+
+/** Construct the member registered under @p key; throws Error on an
+ *  unknown key. */
 std::unique_ptr<PortfolioMember> MakePortfolioMember(
     const std::string& key, const PortfolioMemberOptions& options = {});
+
+/** The policy key that races a member list instead of one member. */
+inline constexpr const char* kPortfolioPolicy = "portfolio";
+
+/** The members kPortfolioPolicy races when given no list, in tie-break
+ *  rank order. */
+const std::vector<std::string>& DefaultPortfolio();
+
+/** True when @p key is a member key or kPortfolioPolicy. */
+bool IsSchedulerPolicy(const std::string& key);
+
+/** The members one scheduling policy races. */
+struct PortfolioLineup {
+    /** Member keys in tie-break rank order. */
+    std::vector<std::string> members;
+    /** Run members[0] alone; race the rest only if it fails. */
+    bool prefer_first = false;
+
+    /** True when some member needs characterization data. */
+    bool NeedsCharacterization() const;
+};
+
+/**
+ * The lineup @p policy races. A member key races its own row followed
+ * by that row's backups, prefer-first when it has any;
+ * kPortfolioPolicy races @p portfolio outright, or DefaultPortfolio()
+ * when that is empty. Throws Error on an unknown policy.
+ */
+PortfolioLineup LineupFor(const std::string& policy,
+                          const std::vector<std::string>& portfolio = {});
 
 /** How one member's race ended. */
 struct PortfolioMemberOutcome {
@@ -174,7 +252,7 @@ struct PortfolioRunOptions {
      * Primary-first mode (the legacy degradation chain's semantics):
      * run the first member alone; it wins outright on success, and only
      * on failure are the remaining members raced. Keeps the common path
-     * of kXtalk/kXtalkAutoOmega byte-deterministic and wasted-work-free.
+     * of a policy with backups byte-deterministic and wasted-work-free.
      */
     bool prefer_first = false;
     /** Parent cancel token: chains into every member's token. */

@@ -1,6 +1,5 @@
 #include "service/api.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -88,18 +87,14 @@ TakeNumber(const telemetry::JsonValue& object, const char* key, double* out,
     return true;
 }
 
+/**
+ * Narrow a wire double to int. Casting a value outside int's range (or
+ * NaN) is undefined behaviour, so range-check first: both bounds are
+ * exactly representable as doubles, and NaN fails the comparison.
+ */
 bool
-TakeInt(const telemetry::JsonValue& object, const char* key, int* out,
-        std::string* error)
+WireInt(double d, const char* key, int* out, std::string* error)
 {
-    double d = static_cast<double>(*out);
-    if (!TakeNumber(object, key, &d, error)) {
-        return false;
-    }
-    // The double comes straight off the wire: casting a value outside
-    // int's range (or NaN) is undefined behavior, so range-check first.
-    // Both bounds are exactly representable as doubles, and the NaN
-    // case fails the comparison and lands in the error branch.
     if (!(d >= static_cast<double>(std::numeric_limits<int>::min()) &&
           d <= static_cast<double>(std::numeric_limits<int>::max()))) {
         *error = std::string("field '") + key +
@@ -112,6 +107,15 @@ TakeInt(const telemetry::JsonValue& object, const char* key, int* out,
     }
     *out = static_cast<int>(d);
     return true;
+}
+
+bool
+TakeInt(const telemetry::JsonValue& object, const char* key, int* out,
+        std::string* error)
+{
+    double d = static_cast<double>(*out);
+    return TakeNumber(object, key, &d, error) &&
+           WireInt(d, key, out, error);
 }
 
 bool
@@ -168,12 +172,16 @@ TakeIntArray(const telemetry::JsonValue& object, const char* key,
     }
     out->clear();
     for (const telemetry::JsonValue& item : v->items()) {
+        int value = 0;
         if (!item.is_number()) {
             *error = std::string("field '") + key +
                      "' must contain only numbers";
             return false;
         }
-        out->push_back(static_cast<int>(item.as_number()));
+        if (!WireInt(item.as_number(), key, &value, error)) {
+            return false;
+        }
+        out->push_back(value);
     }
     return true;
 }
@@ -244,21 +252,18 @@ ServiceRequest::Validate(std::string* error) const
     if (!ParseLayoutPolicy(layout, &layout_policy)) {
         return fail("unknown layout '" + layout + "'");
     }
-    SchedulerPolicy scheduler_policy;
-    if (!ParseSchedulerPolicy(scheduler, &scheduler_policy)) {
+    if (!IsSchedulerPolicy(scheduler)) {
         return fail("unknown scheduler '" + scheduler + "'");
     }
     if (!(omega >= 0.0 && omega <= 1.0)) {
         return fail("omega must be in [0, 1]");
     }
     if (!schedulers.empty()) {
-        if (scheduler != "portfolio") {
+        if (scheduler != kPortfolioPolicy) {
             return fail("'schedulers' requires scheduler 'portfolio'");
         }
-        const std::vector<std::string> known = PortfolioMemberKeys();
         for (const std::string& member : schedulers) {
-            if (std::find(known.begin(), known.end(), member) ==
-                known.end()) {
+            if (FindPortfolioMember(member) == nullptr) {
                 return fail("unknown portfolio member '" + member + "'");
             }
         }
@@ -279,35 +284,24 @@ ServiceRequest::Validate(std::string* error) const
 bool
 ServiceRequest::NeedsCharacterization() const
 {
-    auto charz_member = [](const std::string& member) {
-        return member == "xtalk" || member == "auto" ||
-               member == "greedy" || member == "anneal";
+    // A scheduling pass needs measured data when a member of its lineup
+    // does (the registry says which); a layout pass when it places
+    // noise-aware.
+    const auto policy_needs = [&](const std::string& policy) {
+        return IsSchedulerPolicy(policy) &&
+               LineupFor(policy, schedulers).NeedsCharacterization();
     };
-    // An explicit all-polynomial member list ({"serial","parallel"})
-    // races without measured data; the default list includes xtalk.
-    const bool charz_portfolio =
-        schedulers.empty() ||
-        std::any_of(schedulers.begin(), schedulers.end(), charz_member);
-    const bool charz_scheduler =
-        charz_member(scheduler) ||
-        (scheduler == "portfolio" && charz_portfolio);
-    const bool charz_layout = layout == "noise-aware";
+    const bool layout_needs = layout == "noise-aware";
     if (passes.empty()) {
-        return charz_scheduler || charz_layout;
+        return layout_needs || policy_needs(scheduler);
     }
+    const std::string forced_schedule = "schedule:";
     for (const std::string& name : passes) {
-        if (name == "layout" && charz_layout) {
-            return true;
-        }
-        if (name == "schedule" && charz_scheduler) {
-            return true;
-        }
-        if (name == "schedule:portfolio" && charz_portfolio) {
-            return true;
-        }
-        if (name == "layout:noise-aware" || name == "schedule:xtalk" ||
-            name == "schedule:auto" || name == "schedule:greedy" ||
-            name == "schedule:anneal") {
+        if ((name == "layout" && layout_needs) ||
+            name == "layout:noise-aware" ||
+            (name == "schedule" && policy_needs(scheduler)) ||
+            (name.rfind(forced_schedule, 0) == 0 &&
+             policy_needs(name.substr(forced_schedule.size())))) {
             return true;
         }
     }

@@ -86,12 +86,13 @@ struct ServiceRequest {
 
     /** Layout policy name (see LayoutPolicyName). */
     std::string layout = "noise-aware";
-    /** Scheduler policy name (see SchedulerPolicyName). */
+    /** Scheduler policy key: a portfolio member key or "portfolio"
+     *  (see scheduler/portfolio.h). */
     std::string scheduler = "xtalk";
     /**
      * Portfolio member keys to race, in tie-break rank order (see
-     * PortfolioMemberKeys). Only meaningful with scheduler "portfolio";
-     * empty = the compiler's default member list.
+     * PortfolioRegistry). Only meaningful with scheduler "portfolio";
+     * empty = the default member list.
      */
     std::vector<std::string> schedulers;
     /** Crosstalk weight factor omega in [0, 1]. */

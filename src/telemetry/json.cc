@@ -160,272 +160,6 @@ JsonWriter::Null()
     return *this;
 }
 
-namespace {
-
-/** Recursive-descent JSON parser used only for validation. */
-class Validator {
-  public:
-    explicit Validator(const std::string& text) : text_(text) {}
-
-    bool
-    Run(std::string* error)
-    {
-        SkipWs();
-        if (!Value()) {
-            Report(error);
-            return false;
-        }
-        SkipWs();
-        if (pos_ != text_.size()) {
-            message_ = "trailing data after JSON value";
-            Report(error);
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    void
-    SkipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    Fail(const char* why)
-    {
-        if (message_.empty()) {
-            message_ = why;
-        }
-        return false;
-    }
-
-    void
-    Report(std::string* error) const
-    {
-        if (error) {
-            *error = message_ + " at byte " + std::to_string(pos_);
-        }
-    }
-
-    bool
-    Literal(const char* word)
-    {
-        const size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) != 0) {
-            return Fail("bad literal");
-        }
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    Value()
-    {
-        if (++depth_ > 256) {
-            return Fail("nesting too deep");
-        }
-        bool ok = false;
-        if (pos_ >= text_.size()) {
-            ok = Fail("unexpected end of input");
-        } else {
-            switch (text_[pos_]) {
-              case '{':
-                ok = Object();
-                break;
-              case '[':
-                ok = Array();
-                break;
-              case '"':
-                ok = StringValue();
-                break;
-              case 't':
-                ok = Literal("true");
-                break;
-              case 'f':
-                ok = Literal("false");
-                break;
-              case 'n':
-                ok = Literal("null");
-                break;
-              default:
-                ok = NumberValue();
-                break;
-            }
-        }
-        --depth_;
-        return ok;
-    }
-
-    bool
-    Object()
-    {
-        ++pos_;  // '{'
-        SkipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            SkipWs();
-            if (pos_ >= text_.size() || text_[pos_] != '"' ||
-                !StringValue()) {
-                return Fail("expected object key");
-            }
-            SkipWs();
-            if (pos_ >= text_.size() || text_[pos_] != ':') {
-                return Fail("expected ':'");
-            }
-            ++pos_;
-            SkipWs();
-            if (!Value()) {
-                return false;
-            }
-            SkipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return Fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    Array()
-    {
-        ++pos_;  // '['
-        SkipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            SkipWs();
-            if (!Value()) {
-                return false;
-            }
-            SkipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return Fail("expected ',' or ']'");
-        }
-    }
-
-    bool
-    StringValue()
-    {
-        ++pos_;  // '"'
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (static_cast<unsigned char>(c) < 0x20) {
-                return Fail("unescaped control character in string");
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size()) {
-                    break;
-                }
-                const char e = text_[pos_];
-                if (e == 'u') {
-                    for (int k = 1; k <= 4; ++k) {
-                        if (pos_ + k >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[pos_ + k]))) {
-                            return Fail("bad \\u escape");
-                        }
-                    }
-                    pos_ += 4;
-                } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                           e != 'f' && e != 'n' && e != 'r' && e != 't') {
-                    return Fail("bad escape character");
-                }
-            }
-            ++pos_;
-        }
-        return Fail("unterminated string");
-    }
-
-    bool
-    NumberValue()
-    {
-        const size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-') {
-            ++pos_;
-        }
-        if (pos_ >= text_.size() ||
-            !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            return Fail("expected a JSON value");
-        }
-        if (text_[pos_] == '0') {
-            ++pos_;
-        } else {
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-            }
-        }
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                return Fail("bad number fraction");
-            }
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-            }
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-')) {
-                ++pos_;
-            }
-            if (pos_ >= text_.size() ||
-                !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                return Fail("bad number exponent");
-            }
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-            }
-        }
-        return pos_ > start;
-    }
-
-    const std::string& text_;
-    size_t pos_ = 0;
-    int depth_ = 0;
-    std::string message_;
-};
-
-}  // namespace
-
-bool
-ValidateJson(const std::string& text, std::string* error)
-{
-    return Validator(text).Run(error);
-}
-
 const JsonValue*
 JsonValue::Find(const std::string& key) const
 {
@@ -507,8 +241,7 @@ JsonValue::MakeObject(std::vector<std::pair<std::string, JsonValue>> members)
 
 namespace {
 
-/** Recursive-descent parser building the JsonValue DOM. Grammar is the
- *  Validator's; kept separate so validation stays allocation-free. */
+/** Recursive-descent parser building the JsonValue DOM. */
 class Parser {
   public:
     explicit Parser(const std::string& text) : text_(text) {}
@@ -885,6 +618,13 @@ bool
 ParseJsonValue(const std::string& text, JsonValue* out, std::string* error)
 {
     return Parser(text).Run(out, error);
+}
+
+bool
+ValidateJson(const std::string& text, std::string* error)
+{
+    JsonValue discarded;
+    return ParseJsonValue(text, &discarded, error);
 }
 
 }  // namespace xtalk::telemetry

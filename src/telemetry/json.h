@@ -2,11 +2,11 @@
  * @file
  * Minimal JSON utilities for the telemetry subsystem and the service
  * wire protocol: a streaming writer (handles commas, escaping, and
- * non-finite numbers), a strict syntax validator used by tests and
- * tool self-checks, and a small read-only DOM (JsonValue /
+ * non-finite numbers), a small read-only DOM (JsonValue /
  * ParseJsonValue) for the newline-delimited request/response messages
- * `xtalkd` exchanges with its clients. Not a general-purpose JSON
- * library — the DOM is parse-only and keeps every number as a double.
+ * `xtalkd` exchanges with its clients, and a syntax check built on the
+ * same parser for tests. Not a general-purpose JSON library — the DOM
+ * is parse-only and keeps every number as a double.
  */
 #ifndef XTALK_TELEMETRY_JSON_H
 #define XTALK_TELEMETRY_JSON_H
@@ -55,14 +55,6 @@ class JsonWriter {
     std::vector<bool> has_member_;
     bool after_key_ = false;
 };
-
-/**
- * Strict recursive-descent JSON syntax check (RFC 8259 grammar, no
- * extensions). Returns true when @p text is exactly one valid JSON
- * value; on failure @p error (if non-null) receives a description with
- * a byte offset.
- */
-bool ValidateJson(const std::string& text, std::string* error = nullptr);
 
 /**
  * Parsed JSON value. Objects keep their members in file order
@@ -120,13 +112,16 @@ class JsonValue {
 };
 
 /**
- * Parse exactly one JSON value (RFC 8259, same grammar the validator
- * accepts; \uXXXX escapes decode to UTF-8, surrogate pairs included).
- * False (with @p error set to a message with a byte offset) on
- * malformed input; @p out is untouched on failure.
+ * Parse exactly one JSON value (RFC 8259 grammar, no extensions;
+ * \uXXXX escapes decode to UTF-8, surrogate pairs included). False
+ * (with @p error set to a message with a byte offset) on malformed
+ * input; @p out is untouched on failure.
  */
 bool ParseJsonValue(const std::string& text, JsonValue* out,
                     std::string* error = nullptr);
+
+/** Syntax check: ParseJsonValue with the value discarded. */
+bool ValidateJson(const std::string& text, std::string* error = nullptr);
 
 }  // namespace xtalk::telemetry
 

@@ -92,15 +92,15 @@ TEST(Compiler, PolicySelectionIsHonored)
     const Device device = MakePoughkeepsie();
     const auto characterization = OracleCharacterization(device);
     CompilerOptions options;
-    options.scheduler = SchedulerPolicy::kSerial;
+    options.scheduler = "serial";
     EXPECT_EQ(Compile(device, characterization, LogicalWorkload(), options)
                   .scheduler_name,
               "SerialSched");
-    options.scheduler = SchedulerPolicy::kParallel;
+    options.scheduler = "parallel";
     EXPECT_EQ(Compile(device, characterization, LogicalWorkload(), options)
                   .scheduler_name,
               "ParSched");
-    options.scheduler = SchedulerPolicy::kGreedy;
+    options.scheduler = "greedy";
     EXPECT_EQ(Compile(device, characterization, LogicalWorkload(), options)
                   .scheduler_name,
               "GreedySched");
@@ -124,10 +124,10 @@ TEST(Compiler, XtalkNoWorseThanParallelOnModel)
     // drive through the public API with a custom circuit.
     Circuit mapped(20);
     mapped.AppendMapped(logical, {10, 15, 11, 12});
-    options.scheduler = SchedulerPolicy::kParallel;
+    options.scheduler = "parallel";
     const CompileResult parallel =
         Compile(device, characterization, mapped, options);
-    options.scheduler = SchedulerPolicy::kXtalk;
+    options.scheduler = "xtalk";
     const CompileResult xtalk =
         Compile(device, characterization, mapped, options);
     EXPECT_GE(xtalk.estimate.success_probability,
@@ -148,7 +148,7 @@ TEST(Compiler, AutoOmegaPicksFromCandidates)
     mapped.AppendMapped(logical, {10, 15, 11, 12});
     CompilerOptions options;
     options.layout = LayoutPolicy::kTrivial;
-    options.scheduler = SchedulerPolicy::kXtalkAutoOmega;
+    options.scheduler = "auto";
     options.omega_candidates = {0.0, 0.3, 0.7};
     const CompileResult result =
         Compile(device, characterization, mapped, options);
@@ -165,21 +165,21 @@ TEST(Compiler, OmegaReportedOnlyByOmegaSchedulers)
     const Device device = MakePoughkeepsie();
     const auto characterization = OracleCharacterization(device);
     CompilerOptions options;
-    options.scheduler = SchedulerPolicy::kSerial;
+    options.scheduler = "serial";
     EXPECT_FALSE(Compile(device, characterization, LogicalWorkload(),
                          options)
                      .omega.has_value());
-    options.scheduler = SchedulerPolicy::kParallel;
+    options.scheduler = "parallel";
     EXPECT_FALSE(Compile(device, characterization, LogicalWorkload(),
                          options)
                      .omega.has_value());
-    options.scheduler = SchedulerPolicy::kXtalk;
+    options.scheduler = "xtalk";
     options.xtalk.omega = 0.25;
     const CompileResult xtalk =
         Compile(device, characterization, LogicalWorkload(), options);
     ASSERT_TRUE(xtalk.omega.has_value());
     EXPECT_EQ(*xtalk.omega, 0.25);
-    options.scheduler = SchedulerPolicy::kGreedy;
+    options.scheduler = "greedy";
     const CompileResult greedy =
         Compile(device, characterization, LogicalWorkload(), options);
     ASSERT_TRUE(greedy.omega.has_value());
@@ -236,8 +236,10 @@ TEST(CompilerDegradation, FallbackDisabledPropagatesTheFailure)
     const Device device = MakePoughkeepsie();
     const auto characterization = OracleCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1");
+    // A one-member portfolio has no backups to race past the failure.
     CompilerOptions options;
-    options.scheduler_fallback = false;
+    options.scheduler = kPortfolioPolicy;
+    options.portfolio = {"xtalk"};
     // The pass manager wraps the fault in a contextual Error; what
     // matters is that it stays a user-facing Error (exit 2), never an
     // InternalError, and that the site survives in the message.
@@ -266,12 +268,12 @@ TEST(CompilerDegradation, InternalErrorIsNeverDegradedAround)
 TEST(CompilerDegradation, AutoOmegaPolicyAlsoDegrades)
 {
     // Every auto-omega candidate solve hits the injected fault, so the
-    // chain must engage for kXtalkAutoOmega too.
+    // chain must engage for the auto policy too.
     const Device device = MakePoughkeepsie();
     const auto characterization = OracleCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:p=1");
     CompilerOptions options;
-    options.scheduler = SchedulerPolicy::kXtalkAutoOmega;
+    options.scheduler = "auto";
     const CompileResult result =
         Compile(device, characterization, LogicalWorkload(), options);
     EXPECT_EQ(result.degradation, "greedy");

@@ -150,7 +150,7 @@ TEST(DensityReplay, NoiseFreeReplayMatchesIdealProbabilities)
     gen.seed = 5;
     const Circuit circuit = BuildAdversarialCircuit(device, gen);
     CompilerOptions copts;
-    copts.scheduler = SchedulerPolicy::kGreedy;
+    copts.scheduler = "greedy";
     const CompileResult compiled =
         Compile(device, characterization, circuit, copts);
 
@@ -182,7 +182,7 @@ TEST(DensityReplay, NoisyReplayIsTracePreservingAndNearTrajectories)
     gen.seed = 9;
     const Circuit circuit = BuildAdversarialCircuit(device, gen);
     CompilerOptions copts;
-    copts.scheduler = SchedulerPolicy::kGreedy;
+    copts.scheduler = "greedy";
     const CompileResult compiled =
         Compile(device, characterization, circuit, copts);
 

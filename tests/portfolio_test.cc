@@ -71,20 +71,53 @@ MakeMembers(const std::vector<std::string>& keys,
 
 TEST(PortfolioMembers, RegistryCoversEveryScheduler)
 {
-    const std::vector<std::string>& keys = PortfolioMemberKeys();
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "serial"), keys.end());
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "parallel"), keys.end());
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "greedy"), keys.end());
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "anneal"), keys.end());
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "xtalk"), keys.end());
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "auto"), keys.end());
-    for (const std::string& key : keys) {
-        const auto member = MakePortfolioMember(key);
-        EXPECT_EQ(member->key(), key);
+    std::vector<std::string> keys;
+    for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
+        keys.push_back(row.key);
+        const auto member = MakePortfolioMember(row.key);
+        EXPECT_EQ(&member->info(), &row);
+        EXPECT_EQ(member->key(), row.key);
         EXPECT_FALSE(member->display_name().empty());
-        EXPECT_FALSE(member->description().empty());
+        EXPECT_FALSE(row.description.empty());
+        EXPECT_EQ(FindPortfolioMember(row.key), &row);
+        EXPECT_TRUE(IsSchedulerPolicy(row.key));
     }
+    EXPECT_EQ(keys, (std::vector<std::string>{"serial", "parallel", "greedy",
+                                              "anneal", "xtalk", "auto"}));
+    EXPECT_TRUE(IsSchedulerPolicy(kPortfolioPolicy));
+    EXPECT_FALSE(IsSchedulerPolicy("no-such-scheduler"));
+    EXPECT_EQ(FindPortfolioMember("no-such-scheduler"), nullptr);
     EXPECT_THROW(MakePortfolioMember("no-such-scheduler"), Error);
+}
+
+TEST(PortfolioMembers, LineupsFollowTheRegistryRows)
+{
+    // The SMT policies keep the legacy chain as prefer-first backups;
+    // every other member races alone.
+    for (const std::string key : {"xtalk", "auto"}) {
+        const PortfolioLineup lineup = LineupFor(key);
+        EXPECT_EQ(lineup.members,
+                  (std::vector<std::string>{key, "greedy", "parallel"}));
+        EXPECT_TRUE(lineup.prefer_first);
+    }
+    for (const std::string key : {"serial", "parallel", "greedy", "anneal"}) {
+        const PortfolioLineup lineup = LineupFor(key, {"ignored"});
+        EXPECT_EQ(lineup.members, std::vector<std::string>{key});
+        EXPECT_FALSE(lineup.prefer_first);
+    }
+    const PortfolioLineup by_default = LineupFor(kPortfolioPolicy);
+    EXPECT_EQ(by_default.members,
+              (std::vector<std::string>{"xtalk", "anneal", "greedy",
+                                        "parallel", "serial"}));
+    EXPECT_EQ(by_default.members, DefaultPortfolio());
+    EXPECT_FALSE(by_default.prefer_first);
+    const PortfolioLineup chosen =
+        LineupFor(kPortfolioPolicy, {"parallel", "serial"});
+    EXPECT_EQ(chosen.members,
+              (std::vector<std::string>{"parallel", "serial"}));
+    EXPECT_FALSE(chosen.NeedsCharacterization());
+    EXPECT_TRUE(by_default.NeedsCharacterization());
+    EXPECT_THROW(LineupFor("no-such-scheduler"), Error);
 }
 
 TEST(Portfolio, WinnerIsBitIdenticalAtAnyThreadCount)
@@ -369,7 +402,7 @@ TEST(CompilerPortfolio, PortfolioPolicyCompilesAndReportsOutcomes)
     const Device device = MakePoughkeepsie();
     const auto characterization = OracleCharacterization(device);
     CompilerOptions options;
-    options.scheduler = SchedulerPolicy::kPortfolio;
+    options.scheduler = kPortfolioPolicy;
     options.verify_passes = true;
     const CompileResult result =
         Compile(device, characterization, ConflictCircuit(), options);
@@ -393,7 +426,7 @@ TEST(CompilerPortfolio, ExplicitMemberListIsHonored)
     const Device device = MakePoughkeepsie();
     const auto characterization = OracleCharacterization(device);
     CompilerOptions options;
-    options.scheduler = SchedulerPolicy::kPortfolio;
+    options.scheduler = kPortfolioPolicy;
     options.portfolio = {"anneal", "serial"};
     const CompileResult result =
         Compile(device, characterization, ConflictCircuit(), options);
@@ -414,12 +447,12 @@ TEST(Portfolio, UpperBoundDominatesEveryMember)
     PortfolioContext ctx;
     ctx.device = &device;
     ctx.characterization = &characterization;
-    for (const std::string& key : PortfolioMemberKeys()) {
-        SchedulerPortfolio solo(MakeMembers({key}));
+    for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
+        SchedulerPortfolio solo(MakeMembers({row.key}));
         const PortfolioResult result = solo.Run(circuit, ctx);
         EXPECT_LE(result.winner.estimate.success_probability,
                   bound + 1e-12)
-            << key;
+            << row.key;
     }
 }
 

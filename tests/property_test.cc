@@ -485,9 +485,9 @@ TEST_P(PipelineSweep, VerifiedPipelinePreservesProgramOnEveryDevice)
     CompilerOptions options;
     options.layout = LayoutPolicy::kTrivial;
     // Cycle the policies so the sweep covers every scheduler.
-    constexpr SchedulerPolicy kPolicies[] = {
-        SchedulerPolicy::kSerial, SchedulerPolicy::kParallel,
-        SchedulerPolicy::kGreedy, SchedulerPolicy::kXtalk};
+    const char* const kPolicies[] = {
+        "serial", "parallel",
+        "greedy", "xtalk"};
     options.scheduler = kPolicies[seed % 4];
     options.verify_passes = true;
     const CompileResult result =

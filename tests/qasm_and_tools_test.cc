@@ -378,8 +378,9 @@ TEST(XtalkcCli, ListPassesNamesEveryRegisteredPass)
     for (const char* name :
          {"layout", "layout:trivial", "layout:noise-aware", "route",
           "schedule", "schedule:serial", "schedule:parallel",
-          "schedule:greedy", "schedule:xtalk", "schedule:auto",
-          "lower-barriers", "estimate", "verify-layout",
+          "schedule:greedy", "schedule:anneal", "schedule:xtalk",
+          "schedule:auto", "schedule:portfolio", "lower-barriers",
+          "estimate", "verify-layout",
           "verify-connectivity", "verify-order", "verify-readout",
           "verify-executable"}) {
         EXPECT_NE(out.find(name), std::string::npos) << name;

@@ -446,7 +446,7 @@ TEST(XtalkSchedulerResilience, TimeoutDegradesToVerifiedSchedule)
     const auto characterization = OracleCharacterization(device);
     CompilerOptions options;
     options.layout = LayoutPolicy::kTrivial;
-    options.scheduler = SchedulerPolicy::kXtalk;
+    options.scheduler = "xtalk";
     // A generous total budget guarantees the first solve actually runs
     // (a too-tight budget can expire during pre-solve analysis); the
     // 1 ms per-round timeout then forces an `unknown` verdict.

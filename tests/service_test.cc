@@ -277,6 +277,67 @@ TEST(ServiceRequestTest, PolynomialOnlyPortfolioSkipsCharacterization)
     EXPECT_TRUE(request.NeedsCharacterization());
 }
 
+TEST(ServiceRequestTest, NeedsCharacterizationForEveryPolicyAndPipeline)
+{
+    // Whether racing each policy consumes measured crosstalk data: only
+    // the two calibration-only schedulers do without it, and the
+    // default portfolio list includes xtalk.
+    const std::vector<std::pair<std::string, bool>> policies = {
+        {"serial", false}, {"parallel", false}, {"greedy", true},
+        {"anneal", true},  {"xtalk", true},     {"auto", true},
+        {"portfolio", true}};
+    // Explicit member lists for the portfolio policy.
+    const std::vector<std::pair<std::vector<std::string>, bool>> lists = {
+        {{"serial"}, false},          {{"parallel", "serial"}, false},
+        {{"serial", "greedy"}, true}, {{"anneal"}, true},
+        {{"parallel", "xtalk"}, true}, {{"auto", "serial"}, true}};
+    for (const std::string layout : {"trivial", "noise-aware"}) {
+        const bool placed = layout == "noise-aware";
+        for (const auto& [scheduler, needs] : policies) {
+            ServiceRequest request;
+            request.layout = layout;
+            request.scheduler = scheduler;
+            const std::string where = layout + " " + scheduler;
+            EXPECT_EQ(request.NeedsCharacterization(), placed || needs)
+                << where << " default pipeline";
+            request.passes = {"schedule"};
+            EXPECT_EQ(request.NeedsCharacterization(), needs) << where;
+            request.passes = {"layout", "route"};
+            EXPECT_EQ(request.NeedsCharacterization(), placed) << where;
+            // A forced pass ignores the request's own policy.
+            for (const auto& [forced, forced_needs] : policies) {
+                request.passes = {"schedule:" + forced};
+                EXPECT_EQ(request.NeedsCharacterization(), forced_needs)
+                    << where << " schedule:" << forced;
+            }
+        }
+        for (const auto& [schedulers, needs] : lists) {
+            ServiceRequest request;
+            request.layout = layout;
+            request.scheduler = "portfolio";
+            request.schedulers = schedulers;
+            const std::string where =
+                layout + " portfolio of " + schedulers.front();
+            EXPECT_EQ(request.NeedsCharacterization(), placed || needs)
+                << where << " default pipeline";
+            request.passes = {"schedule"};
+            EXPECT_EQ(request.NeedsCharacterization(), needs) << where;
+            request.passes = {"schedule:portfolio"};
+            EXPECT_EQ(request.NeedsCharacterization(), needs) << where;
+        }
+    }
+    // Forced layouts ignore the request's layout.
+    ServiceRequest request;
+    request.scheduler = "serial";
+    request.passes = {"layout:noise-aware"};
+    EXPECT_TRUE(request.NeedsCharacterization());
+    request.layout = "trivial";
+    EXPECT_TRUE(request.NeedsCharacterization());
+    request.passes = {"layout:trivial", "route", "schedule"};
+    request.layout = "noise-aware";
+    EXPECT_FALSE(request.NeedsCharacterization());
+}
+
 TEST(ServiceResponseTest, JsonRoundTripPreservesEveryField)
 {
     ServiceResponse response;
@@ -354,6 +415,33 @@ TEST(ServiceResponseTest, JsonRoundTripPreservesEveryField)
     ASSERT_TRUE(parsed.portfolio[1].has_score);
     EXPECT_DOUBLE_EQ(parsed.portfolio[1].score, won.score);
     EXPECT_DOUBLE_EQ(parsed.portfolio[1].wall_ms, won.wall_ms);
+}
+
+TEST(ServiceResponseTest, FromJsonRejectsLayoutEntriesThatAreNotInts)
+{
+    // Regression: each array element is a wire double; casting one
+    // outside int's range to int is undefined behaviour.
+    for (const std::string field : {"initial_layout", "final_layout"}) {
+        for (const std::string items : {"[1e400]", "[2.5]", "[0,-3e9]"}) {
+            const std::string line = std::string("{\"schema\":\"") +
+                                     kResponseSchema + "\",\"" + field +
+                                     "\":" + items + "}";
+            ServiceResponse parsed;
+            std::string error;
+            EXPECT_FALSE(ServiceResponse::FromJson(line, &parsed, &error))
+                << line;
+            EXPECT_NE(error.find(field), std::string::npos) << error;
+        }
+    }
+    ServiceResponse parsed;
+    std::string error;
+    ASSERT_TRUE(ServiceResponse::FromJson(
+        std::string("{\"schema\":\"") + kResponseSchema +
+            "\",\"initial_layout\":[2147483647,-2147483648,0]}",
+        &parsed, &error))
+        << error;
+    EXPECT_EQ(parsed.initial_layout,
+              (std::vector<int>{2147483647, -2147483647 - 1, 0}));
 }
 
 TEST(ServiceResponseTest, TimingIsTheOnlyNondeterministicField)

@@ -483,16 +483,12 @@ TEST(XtalkdTest, ConcurrentClientsShareOneCharacterization)
 // input contract in-tree: answer structurally or close the connection —
 // never hang, never crash, never leak an inflight slot.
 
-/** Value of a `key=value` entry in a response's diagnostics. */
-std::string
+/** Value of a ping response's structured `diag` entry; -1 if absent. */
+double
 DiagnosticValue(const ServiceResponse& response, const std::string& key)
 {
-    for (const std::string& item : response.diagnostics) {
-        if (item.rfind(key + "=", 0) == 0) {
-            return item.substr(key.size() + 1);
-        }
-    }
-    return "";
+    const auto it = response.diag.find(key);
+    return it == response.diag.end() ? -1.0 : it->second;
 }
 
 /** Ping until inflight and queued both read zero (or fail the test). */
@@ -508,8 +504,8 @@ AssertDrained(const DaemonProcess& daemon)
         ping.kind = "ping";
         const ServiceResponse pong = prober.Call(ping);
         ASSERT_EQ(pong.code, StatusCode::kOk) << pong.error;
-        if (DiagnosticValue(pong, "inflight") == "0" &&
-            DiagnosticValue(pong, "queued") == "0") {
+        if (DiagnosticValue(pong, "inflight") == 0.0 &&
+            DiagnosticValue(pong, "queued") == 0.0) {
             return;
         }
         ASSERT_LT(std::chrono::steady_clock::now(), deadline)
@@ -595,7 +591,7 @@ TEST(XtalkdChaosTest, SvcReadFaultFailsOneRequestNotTheDaemon)
     ping.id = "p2";
     const ServiceResponse healed = client.Call(ping);
     EXPECT_EQ(healed.code, StatusCode::kOk) << healed.error;
-    EXPECT_EQ(DiagnosticValue(healed, "inflight"), "0");
+    EXPECT_EQ(DiagnosticValue(healed, "inflight"), 0.0);
 }
 
 TEST(XtalkdChaosTest, SvcWriteFaultDropsTheConnectionNotTheDaemon)
@@ -660,8 +656,8 @@ TEST(XtalkdChaosTest, CacheFillFaultAnswersStructuredErrorThenHeals)
     ping.kind = "ping";
     const ServiceResponse pong = client.Call(ping);
     ASSERT_EQ(pong.code, StatusCode::kOk);
-    EXPECT_EQ(DiagnosticValue(pong, "cache_size"), "1");
-    EXPECT_EQ(DiagnosticValue(pong, "inflight"), "0");
+    EXPECT_EQ(DiagnosticValue(pong, "cache_size"), 1.0);
+    EXPECT_EQ(DiagnosticValue(pong, "inflight"), 0.0);
     ::unlink(device_path.c_str());
 }
 

@@ -42,6 +42,7 @@
  */
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -110,8 +111,9 @@ PrintUsage()
         "  --device <name>            poughkeepsie | johannesburg |\n"
         "                             boeblingen (default poughkeepsie)\n"
         "  --device-file <file>       load a custom device spec instead\n"
-        "  --scheduler <name>         xtalk | auto | parallel | serial |\n"
-        "                             greedy | anneal | portfolio\n"
+        "  --scheduler <name>         scheduler policy: a member key from\n"
+        "                             --list-schedulers, or portfolio\n"
+        "                             (default xtalk)\n"
         "  --schedulers <a,b,c>       portfolio member keys to race, in\n"
         "                             tie-break rank order (implies\n"
         "                             --scheduler portfolio; see\n"
@@ -368,7 +370,7 @@ MakeRequest(const Options& options)
     request.scheduler = options.scheduler;
     request.schedulers = SplitCommaList(options.schedulers);
     if (!request.schedulers.empty()) {
-        request.scheduler = "portfolio";
+        request.scheduler = kPortfolioPolicy;
     }
     request.omega = options.omega;
     request.passes = SplitCommaList(options.passes);
@@ -455,20 +457,10 @@ main(int argc, char** argv)
         return 0;
     }
     if (options.list_schedulers) {
-        for (const std::string& key : PortfolioMemberKeys()) {
-            const std::unique_ptr<PortfolioMember> member =
-                MakePortfolioMember(key);
+        for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
             std::ostringstream line;
-            line << key;
-            for (size_t pad = key.size(); pad < 10; ++pad) {
-                line << ' ';
-            }
-            const std::string display = member->display_name();
-            line << display;
-            for (size_t pad = display.size(); pad < 18; ++pad) {
-                line << ' ';
-            }
-            line << member->description();
+            line << std::left << std::setw(10) << row.key << std::setw(18)
+                 << row.display_name << row.description;
             std::cout << line.str() << "\n";
         }
         return 0;

@@ -396,22 +396,6 @@ ServeRequest(Daemon* daemon, const service::ServiceRequest& request)
                 static_cast<double>(daemon->engine.cache().size());
             response.diag["cache_evictions"] =
                 static_cast<double>(daemon->engine.cache().evictions());
-            // Legacy key=value diagnostics: kept one release behind the
-            // structured `diag` object above (docs/SERVICE.md), then
-            // gone. New consumers must read `diag`.
-            response.diagnostics.push_back(
-                "inflight=" + std::to_string(daemon->gate.running()));
-            response.diagnostics.push_back(
-                "queued=" + std::to_string(daemon->gate.waiting()));
-            response.diagnostics.push_back(
-                "cache_size=" +
-                std::to_string(daemon->engine.cache().size()));
-            response.diagnostics.push_back(
-                "cache_evictions=" +
-                std::to_string(daemon->engine.cache().evictions()));
-            response.diagnostics.push_back(
-                "deprecated: key=value ping diagnostics are superseded "
-                "by the 'diag' object and will be removed next release");
         } else if (request.kind == "stats" &&
                    response.code == StatusCode::kOk) {
             // The engine built a cache-only snapshot; rebuild with the

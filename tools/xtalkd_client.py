@@ -165,17 +165,12 @@ def _ping_diagnostics(path, timeout_s=30.0):
                "kind": "ping"}, timeout_s)
     if response is None or response.get("status") != "ok":
         raise RuntimeError("daemon did not answer ping: %r" % (response,))
-    # Prefer the structured `diag` object; the key=value diagnostics
-    # strings are deprecated and kept one release for old consumers.
     diag = response.get("diag")
-    if isinstance(diag, dict) and diag:
-        return {key: str(int(value)) if float(value).is_integer()
-                else str(value) for key, value in diag.items()}
-    diagnostics = {}
-    for item in response.get("diagnostics", []):
-        key, _, value = item.partition("=")
-        diagnostics[key] = value
-    return diagnostics
+    if not isinstance(diag, dict):
+        raise RuntimeError("ping response has no diag object: %r"
+                           % (response,))
+    return {key: str(int(value)) if float(value).is_integer()
+            else str(value) for key, value in diag.items()}
 
 
 def _assert_alive_and_drained(path, timeout_s=30.0):
