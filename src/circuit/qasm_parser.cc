@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -49,7 +50,15 @@ ParseIndexedRef(const std::string& token, const std::string& reg,
                       index.find_first_not_of("0123456789") ==
                           std::string::npos,
                   "line " << line_number << ": bad index '" << index << "'");
-    return std::stoi(index);
+    int value = 0;
+    for (char digit : index) {
+        XTALK_REQUIRE(value <= (std::numeric_limits<int>::max() -
+                                (digit - '0')) / 10,
+                      "line " << line_number << ": index '" << index
+                              << "' out of range");
+        value = 10 * value + (digit - '0');
+    }
+    return value;
 }
 
 /**

@@ -1,8 +1,10 @@
 #include "sim/noisy_simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
+#include <span>
 
 #include "common/error.h"
 #include "sim/gate_matrices.h"
@@ -63,7 +65,525 @@ PureDephasingTimeNs(double t1_ns, double t2_ns)
     return 1.0 / inv;
 }
 
+/** See NoisySimulator::EffectiveGateError. */
+double
+EffectiveGateError(const Device& device, bool crosstalk,
+                   const ScheduledCircuit& schedule, int index)
+{
+    const TimedGate& tg = schedule.gates().at(index);
+    const Gate& gate = tg.gate;
+    if (gate.IsBarrier() || gate.IsMeasure()) {
+        return 0.0;
+    }
+    if (!gate.IsTwoQubitUnitary()) {
+        return device.GateError(gate);
+    }
+    const EdgeId victim =
+        device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
+    XTALK_REQUIRE(victim >= 0, "two-qubit gate on uncoupled qubits: "
+                                   << xtalk::ToString(gate));
+    double err = device.CxError(victim);
+    if (!crosstalk) {
+        return err;
+    }
+    // Paper's model: the error under overlap is the max conditional rate
+    // over the concurrently executing aggressors (constraint 7).
+    for (int j : schedule.OverlappingTwoQubitGates(index)) {
+        const Gate& other = schedule.gates()[j].gate;
+        const EdgeId aggressor =
+            device.topology().FindEdge(other.qubits[0], other.qubits[1]);
+        if (aggressor >= 0 && aggressor != victim) {
+            err = std::max(err, device.ConditionalCxError(victim, aggressor));
+        }
+    }
+    return err;
+}
+
+/** I, X, Y, Z coefficients, indexed as in a Pauli-error pick. */
+const std::array<Unitary1Q, 4>&
+PauliCoefficients()
+{
+    static const std::array<Unitary1Q, 4> paulis{
+        ToUnitary1Q(MatI()), ToUnitary1Q(MatX()), ToUnitary1Q(MatY()),
+        ToUnitary1Q(MatZ())};
+    return paulis;
+}
+
+/** State checkpoints one run may keep for its no-event path. */
+constexpr size_t kCheckpointBudgetBytes = size_t{1} << 20;
+
+/**
+ * One run of the state-vector engine: the plan compiled into kernel
+ * steps, and the cached no-event path its shots replay (see the file
+ * comment of noisy_simulator.h).
+ */
+class Trajectory {
+  public:
+    explicit Trajectory(const RunPlan& plan);
+
+    /** Walk the no-event path once on @p sv (plan.width qubits),
+     *  drawing nothing: record every draw's threshold and the
+     *  checkpoints. */
+    void CachePath(StateVector& sv);
+
+    /** Run one shot with @p sv as scratch; returns its classical bits. */
+    uint64_t Shot(StateVector& sv, Rng& rng);
+
+    /** Kernel applications this run made (path, replays, post-event). */
+    uint64_t ops_executed() const { return executed_; }
+    /** Kernel applications shots took from the cached path instead. */
+    uint64_t ops_skipped() const { return skipped_; }
+
+  private:
+    enum class Kind : uint8_t {
+        kUnitary1Q,
+        kUnitary2Q,
+        kDamp,        ///< Damping jump or no-jump on q0.
+        kDephase,     ///< Z on q0 with probability p.
+        kPauliError,  ///< Random Pauli on q0 (and q1) with probability p.
+        kMeasure,     ///< Project q0; then an optional readout flip.
+    };
+
+    /** One step; its first draw, if any, decides whether an event
+     *  happens in it. */
+    struct Step {
+        Kind kind;
+        bool readout = false;   ///< kMeasure: a readout-flip draw follows.
+        bool path_one = false;  ///< kMeasure: outcome on the no-event path.
+        int q0 = 0;
+        int q1 = -1;  ///< Second operand of a two-qubit unitary or error.
+        int cbit = 0;
+        double p = 0.0;     ///< Damping gamma, flip, error or readout prob.
+        double keep = 0.0;  ///< kDamp: sqrt(1 - gamma).
+        size_t coeffs = 0;  ///< kUnitary*: index into its coefficient table.
+    };
+
+    /** One draw on the no-event path: which side of `threshold` is an
+     *  event, and which clbits a non-event sets. */
+    struct Draw {
+        double threshold;
+        uint32_t step;
+        int32_t checkpoint;  ///< Latest at or before `step`; -1 = |0...0>.
+        bool event_below;    ///< u < threshold is an event.
+        bool event_above;    ///< u >= threshold is an event.
+        uint64_t bits_below;
+        uint64_t bits_above;
+    };
+
+    static bool
+    ChangesState(Kind kind)
+    {
+        return kind == Kind::kUnitary1Q || kind == Kind::kUnitary2Q ||
+               kind == Kind::kDamp || kind == Kind::kMeasure;
+    }
+
+    static bool
+    CanEvent(Kind kind)
+    {
+        return kind != Kind::kUnitary1Q && kind != Kind::kUnitary2Q;
+    }
+
+    void AddDecay(const RunPlan::Decay& decay);
+    void ApplyUnitary(StateVector& sv, const Step& step) const;
+    void Resume(StateVector& sv, const Draw& draw, double u, Rng& rng,
+                uint64_t* bits);
+
+    std::vector<Step> steps_;
+    std::vector<Unitary1Q> unitaries_1q_;
+    std::vector<Unitary2Q> unitaries_2q_;
+    std::vector<Draw> draws_;
+    /** Checkpoint c holds the path state before step checkpoint_step_[c],
+     *  reached after checkpoint_ops_[c] kernel applications. */
+    std::vector<size_t> checkpoint_step_;
+    std::vector<uint64_t> checkpoint_ops_;
+    std::vector<Complex> checkpoints_;
+    size_t dimension_ = 0;
+    uint64_t path_ops_ = 0;
+    uint64_t executed_ = 0;
+    uint64_t skipped_ = 0;
+};
+
+Trajectory::Trajectory(const RunPlan& plan)
+    : dimension_(size_t{1} << plan.width)
+{
+    for (const RunPlan::Op& op : plan.ops) {
+        const Gate& gate = op.gate;
+        for (int d = op.decay_begin; d < op.busy_begin; ++d) {
+            AddDecay(plan.decays[d]);
+        }
+        if (gate.IsMeasure()) {
+            // Decay during the readout window, then project, then the
+            // classical assignment error.
+            for (int d = op.busy_begin; d < op.decay_end; ++d) {
+                AddDecay(plan.decays[d]);
+            }
+            Step step{Kind::kMeasure};
+            step.readout = plan.readout_noise;
+            step.q0 = gate.qubits[0];
+            step.cbit = gate.cbit;
+            step.p = op.readout_error;
+            steps_.push_back(step);
+            continue;
+        }
+        if (gate.kind != GateKind::kI) {
+            const Matrix u = GateUnitary(gate);
+            Step step{Kind::kUnitary1Q};
+            step.q0 = gate.qubits[0];
+            if (gate.qubits.size() == 1) {
+                step.coeffs = unitaries_1q_.size();
+                unitaries_1q_.push_back(ToUnitary1Q(u));
+            } else {
+                step.kind = Kind::kUnitary2Q;
+                step.q1 = gate.qubits[1];
+                step.coeffs = unitaries_2q_.size();
+                unitaries_2q_.push_back(ToUnitary2Q(u));
+            }
+            steps_.push_back(step);
+        }
+        if (op.error > 0.0) {
+            Step step{Kind::kPauliError};
+            step.q0 = gate.qubits[0];
+            step.q1 = gate.qubits.size() == 2 ? gate.qubits[1] : -1;
+            step.p = op.error;
+            steps_.push_back(step);
+        }
+        for (int d = op.busy_begin; d < op.decay_end; ++d) {
+            AddDecay(plan.decays[d]);
+        }
+    }
+}
+
+void
+Trajectory::AddDecay(const RunPlan::Decay& decay)
+{
+    XTALK_REQUIRE(decay.gamma >= 0.0 && decay.gamma <= 1.0,
+                  "gamma " << decay.gamma << " outside [0, 1]");
+    if (decay.gamma > 0.0) {
+        Step step{Kind::kDamp};
+        step.q0 = decay.qubit;
+        step.p = decay.gamma;
+        step.keep = std::sqrt(1.0 - decay.gamma);
+        steps_.push_back(step);
+    }
+    if (decay.dephases) {
+        XTALK_REQUIRE(decay.pz >= 0.0 && decay.pz <= 0.5 + 1e-12,
+                      "dephasing probability " << decay.pz
+                                               << " outside [0, 0.5]");
+        if (decay.pz > 0.0) {
+            Step step{Kind::kDephase};
+            step.q0 = decay.qubit;
+            step.p = decay.pz;
+            steps_.push_back(step);
+        }
+    }
+}
+
+void
+Trajectory::ApplyUnitary(StateVector& sv, const Step& step) const
+{
+    if (step.kind == Kind::kUnitary1Q) {
+        sv.Apply1Q(step.q0, unitaries_1q_[step.coeffs]);
+    } else {
+        sv.Apply2Q(step.q0, step.q1, unitaries_2q_[step.coeffs]);
+    }
+}
+
+void
+Trajectory::CachePath(StateVector& sv)
+{
+    // Count the distinct states a draw can resume from, then keep every
+    // stride-th of them so the checkpoints fit the budget. The initial
+    // |0...0> needs no checkpoint.
+    size_t distinct = 0;
+    bool changed = false;
+    for (const Step& step : steps_) {
+        if (CanEvent(step.kind) && changed) {
+            ++distinct;
+            changed = false;
+        }
+        changed = changed || ChangesState(step.kind);
+    }
+    const size_t capacity =
+        kCheckpointBudgetBytes / (dimension_ * sizeof(Complex));
+    const size_t stride =
+        capacity == 0 ? 0 : std::max<size_t>(1, (distinct + capacity - 1) /
+                                                    capacity);
+
+    if (stride > 0) {
+        checkpoints_.reserve(distinct / stride * dimension_);
+    }
+    sv.Reset();
+    changed = false;
+    size_t seen = 0;
+    int32_t checkpoint = -1;
+    uint64_t ops = 0;
+    auto add_draw = [&](size_t step, double threshold, bool event_below,
+                        bool event_above, uint64_t bits_below,
+                        uint64_t bits_above) {
+        draws_.push_back(Draw{threshold, static_cast<uint32_t>(step),
+                              checkpoint, event_below, event_above,
+                              bits_below, bits_above});
+    };
+    for (size_t s = 0; s < steps_.size(); ++s) {
+        Step& step = steps_[s];
+        if (CanEvent(step.kind) && changed) {
+            changed = false;
+            if (stride > 0 && ++seen % stride == 0) {
+                checkpoint = static_cast<int32_t>(checkpoint_step_.size());
+                checkpoint_step_.push_back(s);
+                checkpoint_ops_.push_back(ops);
+                checkpoints_.insert(checkpoints_.end(),
+                                    sv.amplitudes().begin(),
+                                    sv.amplitudes().end());
+            }
+        }
+        // A draw that is an event for every u in [0, 1) ends the path:
+        // no shot continues past it without an event.
+        bool ends_path = false;
+        switch (step.kind) {
+          case Kind::kUnitary1Q:
+          case Kind::kUnitary2Q:
+            ApplyUnitary(sv, step);
+            break;
+          case Kind::kDamp: {
+            const double p_jump = step.p * sv.ProbabilityOne(step.q0);
+            add_draw(s, p_jump, true, false, 0, 0);
+            ends_path = p_jump >= 1.0;
+            if (!ends_path) {
+                sv.DampNoJump(step.q0, step.keep);
+            }
+            break;
+          }
+          case Kind::kDephase:
+          case Kind::kPauliError:
+            add_draw(s, step.p, true, false, 0, 0);
+            ends_path = step.p >= 1.0;
+            break;
+          case Kind::kMeasure: {
+            // u < p1 reads 1; the path takes the more likely outcome.
+            const double p1 = sv.ProbabilityOne(step.q0);
+            step.path_one = p1 > 0.5;
+            const uint64_t bit = uint64_t{1} << step.cbit;
+            const uint64_t read = step.path_one ? bit : 0;
+            if (step.readout) {
+                add_draw(s, p1, !step.path_one, step.path_one, 0, 0);
+                add_draw(s, step.p, false, false, read ^ bit, read);
+            } else {
+                add_draw(s, p1, !step.path_one, step.path_one, read, read);
+            }
+            sv.Collapse(step.q0, step.path_one);
+            break;
+          }
+        }
+        if (ends_path) {
+            break;
+        }
+        if (ChangesState(step.kind)) {
+            ++ops;
+            changed = true;
+        }
+    }
+    path_ops_ = ops;
+    executed_ += ops;
+}
+
+uint64_t
+Trajectory::Shot(StateVector& sv, Rng& rng)
+{
+    uint64_t bits = 0;
+    for (const Draw& draw : draws_) {
+        const double u = rng.Uniform();
+        const bool below = u < draw.threshold;
+        if (below ? draw.event_below : draw.event_above) {
+            Resume(sv, draw, u, rng, &bits);
+            return bits;
+        }
+        bits |= below ? draw.bits_below : draw.bits_above;
+    }
+    skipped_ += path_ops_;
+    return bits;
+}
+
+void
+Trajectory::Resume(StateVector& sv, const Draw& draw, double u, Rng& rng,
+                   uint64_t* bits)
+{
+    // Restore the path state before the event's step: load the nearest
+    // checkpoint and replay the no-event path up to the step.
+    size_t s = 0;
+    if (draw.checkpoint < 0) {
+        sv.Reset();
+    } else {
+        const size_t c = static_cast<size_t>(draw.checkpoint);
+        sv.Load(std::span<const Complex>(checkpoints_)
+                    .subspan(c * dimension_, dimension_));
+        s = checkpoint_step_[c];
+        skipped_ += checkpoint_ops_[c];
+    }
+    for (; s < draw.step; ++s) {
+        const Step& step = steps_[s];
+        switch (step.kind) {
+          case Kind::kUnitary1Q:
+          case Kind::kUnitary2Q:
+            ApplyUnitary(sv, step);
+            break;
+          case Kind::kDamp:
+            sv.DampNoJump(step.q0, step.keep);
+            break;
+          case Kind::kMeasure:
+            sv.Collapse(step.q0, step.path_one);
+            break;
+          case Kind::kDephase:
+          case Kind::kPauliError:
+            continue;
+        }
+        ++executed_;
+    }
+
+    // Full simulation from the event on. The event's step uses the draw
+    // the shot already made; every later draw comes from the stream.
+    bool pending = true;
+    auto next = [&] {
+        if (pending) {
+            pending = false;
+            return u;
+        }
+        return rng.Uniform();
+    };
+    const std::array<Unitary1Q, 4>& pauli = PauliCoefficients();
+    for (; s < steps_.size(); ++s) {
+        const Step& step = steps_[s];
+        switch (step.kind) {
+          case Kind::kUnitary1Q:
+          case Kind::kUnitary2Q:
+            ApplyUnitary(sv, step);
+            break;
+          case Kind::kDamp:
+            if (next() < step.p * sv.ProbabilityOne(step.q0)) {
+                sv.DampJump(step.q0);
+            } else {
+                sv.DampNoJump(step.q0, step.keep);
+            }
+            break;
+          case Kind::kDephase:
+            if (!(next() < step.p)) {
+                continue;
+            }
+            sv.Apply1Q(step.q0, pauli[3]);
+            break;
+          case Kind::kPauliError: {
+            if (!(next() < step.p)) {
+                continue;
+            }
+            // Uniform non-identity Pauli string: 4^k - 1 choices.
+            int pick = static_cast<int>(
+                           rng.UniformInt(step.q1 < 0 ? 3 : 15)) + 1;
+            for (int q : {step.q0, step.q1}) {
+                if (q < 0) {
+                    break;
+                }
+                const int p = pick & 3;
+                pick >>= 2;
+                if (p != 0) {
+                    sv.Apply1Q(q, pauli[p]);
+                    ++executed_;
+                }
+            }
+            continue;
+          }
+          case Kind::kMeasure: {
+            bool outcome = next() < sv.ProbabilityOne(step.q0);
+            sv.Collapse(step.q0, outcome);
+            if (step.readout && rng.Bernoulli(step.p)) {
+                outcome = !outcome;
+            }
+            if (outcome) {
+                *bits |= uint64_t{1} << step.cbit;
+            }
+            break;
+          }
+        }
+        ++executed_;
+    }
+}
+
 }  // namespace
+
+RunPlan
+BuildRunPlan(const Device& device, const NoisySimOptions& options,
+             const ScheduledCircuit& schedule)
+{
+    const QubitCompaction compact(schedule);
+    RunPlan plan;
+    plan.width = static_cast<int>(compact.device_of_local.size());
+    XTALK_REQUIRE(plan.width > 0, "schedule touches no qubits");
+    plan.device_of_local = compact.device_of_local;
+    plan.readout_noise = options.readout_noise;
+
+    // Per-local-qubit decoherence parameters; clocks start at each
+    // qubit's first operation.
+    std::vector<double> t1_ns(plan.width), tphi_ns(plan.width);
+    std::vector<double> clock(plan.width);
+    for (int local = 0; local < plan.width; ++local) {
+        const QubitId q = plan.device_of_local[local];
+        t1_ns[local] = device.T1us(q) * 1000.0;
+        tphi_ns[local] =
+            PureDephasingTimeNs(t1_ns[local], device.T2us(q) * 1000.0);
+        const double fs = schedule.FirstStartOn(q);
+        clock[local] = fs < 0.0 ? 0.0 : fs;
+    }
+    auto add_decay = [&](int local, double from, double to) {
+        if (!options.decoherence || to <= from) {
+            return;
+        }
+        const double dt = to - from;
+        RunPlan::Decay decay;
+        decay.qubit = local;
+        decay.gamma = 1.0 - std::exp(-dt / t1_ns[local]);
+        decay.dephases = tphi_ns[local] > 0.0;
+        if (decay.dephases) {
+            decay.pz = 0.5 * (1.0 - std::exp(-dt / tphi_ns[local]));
+        }
+        plan.decays.push_back(decay);
+    };
+
+    for (int i = 0; i < schedule.size(); ++i) {
+        const TimedGate& tg = schedule.gates()[i];
+        if (tg.gate.IsBarrier()) {
+            continue;
+        }
+        RunPlan::Op op;
+        op.gate = LocalizeGate(tg.gate, compact);
+        const double end_ns = tg.end_ns();
+        op.decay_begin = static_cast<int>(plan.decays.size());
+        for (QubitId lq : op.gate.qubits) {
+            add_decay(lq, clock[lq], tg.start_ns);
+        }
+        op.busy_begin = static_cast<int>(plan.decays.size());
+        for (QubitId lq : op.gate.qubits) {
+            add_decay(lq, tg.start_ns, end_ns);
+            clock[lq] = end_ns;
+        }
+        op.decay_end = static_cast<int>(plan.decays.size());
+        if (op.gate.IsMeasure()) {
+            const int cbit = op.gate.cbit;
+            XTALK_REQUIRE(cbit >= 0 && cbit < 64,
+                          "measure into clbit " << cbit
+                                                << ": the simulators "
+                                                   "record clbits 0..63");
+            plan.num_clbits = std::max(plan.num_clbits, cbit + 1);
+            op.readout_error = device.ReadoutError(tg.gate.qubits[0]);
+        } else {
+            // Looked up even with gate noise off: it also rejects a
+            // two-qubit gate on uncoupled qubits.
+            const double error =
+                EffectiveGateError(device, options.crosstalk, schedule, i);
+            op.error = options.gate_noise ? error : 0.0;
+        }
+        plan.ops.push_back(std::move(op));
+    }
+    return plan;
+}
 
 NoisySimulator::NoisySimulator(const Device& device, NoisySimOptions options)
     : device_(&device), options_(options), rng_(options.seed)
@@ -74,34 +594,8 @@ double
 NoisySimulator::EffectiveGateError(const ScheduledCircuit& schedule,
                                    int index) const
 {
-    const TimedGate& tg = schedule.gates().at(index);
-    const Gate& gate = tg.gate;
-    if (gate.IsBarrier() || gate.IsMeasure()) {
-        return 0.0;
-    }
-    if (!gate.IsTwoQubitUnitary()) {
-        return device_->GateError(gate);
-    }
-    const EdgeId victim =
-        device_->topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-    XTALK_REQUIRE(victim >= 0, "two-qubit gate on uncoupled qubits: "
-                                   << xtalk::ToString(gate));
-    double err = device_->CxError(victim);
-    if (!options_.crosstalk) {
-        return err;
-    }
-    // Paper's model: the error under overlap is the max conditional rate
-    // over the concurrently executing aggressors (constraint 7).
-    for (int j : schedule.OverlappingTwoQubitGates(index)) {
-        const Gate& other = schedule.gates()[j].gate;
-        const EdgeId aggressor =
-            device_->topology().FindEdge(other.qubits[0], other.qubits[1]);
-        if (aggressor >= 0 && aggressor != victim) {
-            err = std::max(err,
-                           device_->ConditionalCxError(victim, aggressor));
-        }
-    }
-    return err;
+    return xtalk::EffectiveGateError(*device_, options_.crosstalk, schedule,
+                                     index);
 }
 
 Counts
@@ -121,42 +615,13 @@ NoisySimulator::Run(const ScheduledCircuit& schedule, const RunSpec& spec)
         telemetry::GetCounter("sim.shots")
             .Add(static_cast<uint64_t>(shots));
     }
-    const QubitCompaction compact(schedule);
-    const int width = static_cast<int>(compact.device_of_local.size());
-    XTALK_REQUIRE(width > 0, "schedule touches no qubits");
-    XTALK_REQUIRE(width <= 22, "schedule touches " << width
-                                                   << " qubits; max 22");
-
-    // Precompute per-gate data shared across shots.
-    struct GatePlan {
-        Gate local_gate;
-        bool is_measure = false;
-        bool is_barrier = false;
-        double start_ns = 0.0;
-        double end_ns = 0.0;
-        double error = 0.0;
-    };
-    std::vector<GatePlan> plan;
-    plan.reserve(schedule.size());
-    for (int i = 0; i < schedule.size(); ++i) {
-        const TimedGate& tg = schedule.gates()[i];
-        GatePlan p;
-        p.local_gate = LocalizeGate(tg.gate, compact);
-        p.is_measure = tg.gate.IsMeasure();
-        p.is_barrier = tg.gate.IsBarrier();
-        p.start_ns = tg.start_ns;
-        p.end_ns = tg.end_ns();
-        p.error = EffectiveGateError(schedule, i);
-        plan.push_back(std::move(p));
-    }
+    const RunPlan plan = BuildRunPlan(*device_, options_, schedule);
+    XTALK_REQUIRE(plan.width <= 22, "schedule touches " << plan.width
+                                                        << " qubits; max 22");
     if (telemetry::Enabled()) {
         uint64_t unitaries = 0, measures = 0;
-        for (const GatePlan& p : plan) {
-            if (p.is_measure) {
-                ++measures;
-            } else if (!p.is_barrier) {
-                ++unitaries;
-            }
+        for (const RunPlan::Op& op : plan.ops) {
+            ++(op.gate.IsMeasure() ? measures : unitaries);
         }
         telemetry::GetCounter("sim.statevector.gate_applications")
             .Add(unitaries * static_cast<uint64_t>(shots));
@@ -164,102 +629,18 @@ NoisySimulator::Run(const ScheduledCircuit& schedule, const RunSpec& spec)
             .Add(measures * static_cast<uint64_t>(shots));
     }
 
-    // Per-local-qubit decoherence parameters and lifetime starts.
-    std::vector<double> t1_ns(width), tphi_ns(width), first_start(width);
-    for (int local = 0; local < width; ++local) {
-        const QubitId q = compact.device_of_local[local];
-        t1_ns[local] = device_->T1us(q) * 1000.0;
-        tphi_ns[local] =
-            PureDephasingTimeNs(t1_ns[local], device_->T2us(q) * 1000.0);
-        const double fs = schedule.FirstStartOn(q);
-        first_start[local] = fs < 0.0 ? 0.0 : fs;
-    }
-
-    auto advance_decoherence = [&](StateVector& sv, int local, double from,
-                                   double to) {
-        if (!options_.decoherence || to <= from) {
-            return;
-        }
-        const double dt = to - from;
-        const double gamma = 1.0 - std::exp(-dt / t1_ns[local]);
-        sv.AmplitudeDamp(local, gamma, rng_);
-        if (tphi_ns[local] > 0.0) {
-            const double pz = 0.5 * (1.0 - std::exp(-dt / tphi_ns[local]));
-            sv.Dephase(local, pz, rng_);
-        }
-    };
-
-    auto apply_pauli_noise = [&](StateVector& sv,
-                                 const std::vector<QubitId>& qubits) {
-        // Uniform non-identity Pauli on the gate's qubits.
-        const int options_count =
-            qubits.size() == 1 ? 3 : 15;  // 4^k - 1 non-identity strings.
-        int pick = static_cast<int>(rng_.UniformInt(options_count)) + 1;
-        for (QubitId q : qubits) {
-            const int p = pick & 3;
-            pick >>= 2;
-            switch (p) {
-              case 1:
-                sv.Apply1Q(q, MatX());
-                break;
-              case 2:
-                sv.Apply1Q(q, MatY());
-                break;
-              case 3:
-                sv.Apply1Q(q, MatZ());
-                break;
-              default:
-                break;
-            }
-        }
-    };
-
-    Counts counts(std::max(1, schedule.ToCircuit().num_clbits()));
-    std::vector<double> clock(width);
-    StateVector sv(width);
+    StateVector sv(plan.width);
+    Trajectory trajectory(plan);
+    trajectory.CachePath(sv);
+    Counts counts(plan.num_clbits);
     for (int shot = 0; shot < shots; ++shot) {
-        sv.Reset();
-        for (int local = 0; local < width; ++local) {
-            clock[local] = first_start[local];
-        }
-        uint64_t bits = 0;
-        for (const GatePlan& p : plan) {
-            if (p.is_barrier) {
-                continue;
-            }
-            // Idle decoherence up to the gate start on each operand.
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(sv, lq, clock[lq], p.start_ns);
-            }
-            if (p.is_measure) {
-                // Decay during the readout window, then project, then
-                // classical assignment error.
-                const QubitId lq = p.local_gate.qubits[0];
-                advance_decoherence(sv, lq, p.start_ns, p.end_ns);
-                bool outcome = sv.MeasureQubit(lq, rng_);
-                if (options_.readout_noise) {
-                    const QubitId dq = compact.device_of_local[lq];
-                    if (rng_.Bernoulli(device_->ReadoutError(dq))) {
-                        outcome = !outcome;
-                    }
-                }
-                if (outcome) {
-                    bits |= 1ull << p.local_gate.cbit;
-                }
-                clock[lq] = p.end_ns;
-                continue;
-            }
-            sv.ApplyGate(p.local_gate);
-            if (options_.gate_noise && p.error > 0.0 &&
-                rng_.Bernoulli(p.error)) {
-                apply_pauli_noise(sv, p.local_gate.qubits);
-            }
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(sv, lq, p.start_ns, p.end_ns);
-                clock[lq] = p.end_ns;
-            }
-        }
-        counts.Record(bits);
+        counts.Record(trajectory.Shot(sv, rng_));
+    }
+    if (telemetry::Enabled()) {
+        telemetry::GetCounter("sim.statevector.ops_executed")
+            .Add(trajectory.ops_executed());
+        telemetry::GetCounter("sim.statevector.ops_skipped")
+            .Add(trajectory.ops_skipped());
     }
     return counts;
 }

@@ -18,6 +18,38 @@
  *
  * Only the qubits the schedule touches are simulated (the register is
  * compacted), so 20-qubit devices with few active qubits stay cheap.
+ *
+ * How a run executes. BuildRunPlan() does the setup both trajectory
+ * backends share, once per run: compaction, the effective gate errors,
+ * every decoherence interval with its damping and dephasing
+ * probabilities (the schedule fixes every shot's qubit clocks, so these
+ * are the same in every shot), the readout errors and the classical-bit
+ * check. The state-vector engine compiles that plan into kernel steps
+ * with fixed-size gate coefficients, then replays shots from a cached
+ * no-event path:
+ *
+ *  - A stochastic event is a damping jump, a dephasing flip, a Pauli
+ *    gate error, or a measurement taking its less likely outcome. Every
+ *    shot's state is identical until its first event, so the run walks
+ *    that shared path once, drawing no random numbers. It records each
+ *    draw's threshold and keeps state checkpoints within a fixed budget
+ *    (about 1 MiB; past it, a shot replays from the nearest earlier
+ *    checkpoint).
+ *  - A shot draws its uniforms one by one and compares each against the
+ *    recorded threshold. A readout flip only flips a classical bit. At
+ *    its first event the shot restores the path state at that step and
+ *    resumes full simulation there, using the draw it already made.
+ *
+ * Bit-identity guarantee. Each shot makes exactly the random draws of a
+ * naive per-shot interpreter of the schedule, in the same order, and
+ * every state it resumes from holds the values that interpreter would
+ * have computed: the kernels keep every floating-point operation and the
+ * summation order of every sum. Counts are therefore identical for every
+ * seed, chunk plan and thread count, with no change to the random
+ * stream. `NoisySimulator.PinnedCountsForSeededRuns` holds this to
+ * recorded hashes. The counters `sim.statevector.ops_executed` and
+ * `sim.statevector.ops_skipped` report how much of a run the cache saved
+ * (docs/OBSERVABILITY.md).
  */
 #ifndef XTALK_SIM_NOISY_SIMULATOR_H
 #define XTALK_SIM_NOISY_SIMULATOR_H
@@ -72,6 +104,48 @@ struct RunSpec {
      */
     int max_parallel_chunks = 1;
 };
+
+/**
+ * The per-run setup both trajectory backends share, with the noise
+ * toggles already applied: a disabled mechanism leaves no interval, a
+ * zero gate error, or `readout_noise` false.
+ */
+struct RunPlan {
+    /** One decoherence interval of one qubit. */
+    struct Decay {
+        int qubit = 0;          ///< Local qubit.
+        double gamma = 0.0;     ///< Damping probability 1 - exp(-dt/T1).
+        bool dephases = false;  ///< The qubit has pure dephasing (T_phi > 0).
+        double pz = 0.0;  ///< Dephasing flip probability (1 - exp(-dt/T_phi))/2.
+    };
+    /** One non-barrier operation, in schedule order. */
+    struct Op {
+        Gate gate;                   ///< Qubits renamed to local indices.
+        double error = 0.0;          ///< Effective gate error.
+        double readout_error = 0.0;  ///< Measures: assignment error.
+        /** decays[decay_begin, busy_begin) are the operands' idle
+         *  intervals up to the start; [busy_begin, decay_end) cover the
+         *  operation itself. */
+        int decay_begin = 0;
+        int busy_begin = 0;
+        int decay_end = 0;
+    };
+
+    int width = 0;       ///< Local register size.
+    int num_clbits = 1;  ///< Counts width (at least 1).
+    bool readout_noise = false;
+    std::vector<QubitId> device_of_local;
+    std::vector<Op> ops;
+    std::vector<Decay> decays;
+};
+
+/**
+ * Build the shared plan of one run. Throws Error when the schedule
+ * touches no qubit or measures into a classical bit outside [0, 64):
+ * Counts packs each shot's outcome into 64 bits.
+ */
+RunPlan BuildRunPlan(const Device& device, const NoisySimOptions& options,
+                     const ScheduledCircuit& schedule);
 
 /** Trajectory simulator bound to one device. */
 class NoisySimulator {

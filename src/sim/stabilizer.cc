@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/error.h"
 #include "telemetry/telemetry.h"
@@ -298,134 +297,61 @@ StabilizerSimulator::Run(const ScheduledCircuit& schedule,
         telemetry::GetCounter("sim.shots")
             .Add(static_cast<uint64_t>(shots));
     }
-    // Compact to the touched qubits (mirrors NoisySimulator).
-    std::map<QubitId, int> local_of;
-    std::vector<QubitId> device_of;
-    for (const TimedGate& tg : schedule.gates()) {
-        for (QubitId q : tg.gate.qubits) {
-            if (!local_of.count(q)) {
-                local_of[q] = static_cast<int>(device_of.size());
-                device_of.push_back(q);
-            }
-        }
-    }
-    const int width = static_cast<int>(device_of.size());
-    XTALK_REQUIRE(width > 0, "schedule touches no qubits");
-
-    // Reuse the crosstalk-aware effective error rates.
-    NoisySimulator reference(*device_, options_);
-
-    struct GatePlan {
-        Gate local_gate;
-        bool is_measure = false;
-        bool is_barrier = false;
-        double start_ns = 0.0;
-        double end_ns = 0.0;
-        double error = 0.0;
-    };
-    std::vector<GatePlan> plan;
-    for (int i = 0; i < schedule.size(); ++i) {
-        const TimedGate& tg = schedule.gates()[i];
-        GatePlan p;
-        p.local_gate = tg.gate;
-        for (QubitId& q : p.local_gate.qubits) {
-            q = local_of.at(q);
-        }
-        p.is_measure = tg.gate.IsMeasure();
-        p.is_barrier = tg.gate.IsBarrier();
-        p.start_ns = tg.start_ns;
-        p.end_ns = tg.end_ns();
-        p.error = reference.EffectiveGateError(schedule, i);
-        plan.push_back(std::move(p));
-    }
+    const RunPlan plan = BuildRunPlan(*device_, options_, schedule);
     if (telemetry::Enabled()) {
         uint64_t unitaries = 0;
-        for (const GatePlan& p : plan) {
-            if (!p.is_measure && !p.is_barrier) {
-                ++unitaries;
-            }
+        for (const RunPlan::Op& op : plan.ops) {
+            unitaries += op.gate.IsMeasure() ? 0 : 1;
         }
         telemetry::GetCounter("sim.stabilizer.gate_applications")
             .Add(unitaries * static_cast<uint64_t>(shots));
     }
 
-    std::vector<double> t1_ns(width), tphi_ns(width), first_start(width);
-    for (int local = 0; local < width; ++local) {
-        const QubitId q = device_of[local];
-        t1_ns[local] = device_->T1us(q) * 1000.0;
-        const double t2_ns = device_->T2us(q) * 1000.0;
-        const double inv = 1.0 / t2_ns - 1.0 / (2.0 * t1_ns[local]);
-        tphi_ns[local] = inv > 0.0 ? 1.0 / inv : 0.0;
-        const double fs = schedule.FirstStartOn(q);
-        first_start[local] = fs < 0.0 ? 0.0 : fs;
-    }
-
-    auto advance_decoherence = [&](StabilizerState& state, int local,
-                                   double from, double to) {
-        if (!options_.decoherence || to <= from) {
-            return;
-        }
-        const double dt = to - from;
-        const double gamma = 1.0 - std::exp(-dt / t1_ns[local]);
+    auto decay = [&](StabilizerState& state, const RunPlan::Decay& d) {
         // Pauli twirl of amplitude damping.
-        const double px = gamma / 4.0;
+        const double px = d.gamma / 4.0;
         const double pz_ad =
-            (1.0 - gamma / 2.0 - std::sqrt(1.0 - gamma)) / 2.0;
+            (1.0 - d.gamma / 2.0 - std::sqrt(1.0 - d.gamma)) / 2.0;
         const double u = rng_.Uniform();
         if (u < px) {
-            state.ApplyX(local);
+            state.ApplyX(d.qubit);
         } else if (u < 2.0 * px) {
-            state.ApplyY(local);
+            state.ApplyY(d.qubit);
         } else if (u < 2.0 * px + pz_ad) {
-            state.ApplyZ(local);
+            state.ApplyZ(d.qubit);
         }
-        if (tphi_ns[local] > 0.0) {
-            const double pz = 0.5 * (1.0 - std::exp(-dt / tphi_ns[local]));
-            if (rng_.Bernoulli(pz)) {
-                state.ApplyZ(local);
-            }
+        if (d.dephases && rng_.Bernoulli(d.pz)) {
+            state.ApplyZ(d.qubit);
         }
     };
 
-    Counts counts(std::max(1, schedule.ToCircuit().num_clbits()));
-    std::vector<double> clock(width);
-    StabilizerState state(width);
+    Counts counts(plan.num_clbits);
+    StabilizerState state(plan.width);
     for (int shot = 0; shot < shots; ++shot) {
         state.Reset();
-        for (int local = 0; local < width; ++local) {
-            clock[local] = first_start[local];
-        }
         uint64_t bits = 0;
-        for (const GatePlan& p : plan) {
-            if (p.is_barrier) {
-                continue;
+        for (const RunPlan::Op& op : plan.ops) {
+            for (int d = op.decay_begin; d < op.busy_begin; ++d) {
+                decay(state, plan.decays[d]);
             }
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(state, lq, clock[lq], p.start_ns);
-            }
-            if (p.is_measure) {
-                const QubitId lq = p.local_gate.qubits[0];
-                advance_decoherence(state, lq, p.start_ns, p.end_ns);
-                bool outcome = state.MeasureQubit(lq, rng_);
-                if (options_.readout_noise) {
-                    const QubitId dq = device_of[lq];
-                    if (rng_.Bernoulli(device_->ReadoutError(dq))) {
-                        outcome = !outcome;
-                    }
+            if (op.gate.IsMeasure()) {
+                for (int d = op.busy_begin; d < op.decay_end; ++d) {
+                    decay(state, plan.decays[d]);
+                }
+                bool outcome = state.MeasureQubit(op.gate.qubits[0], rng_);
+                if (plan.readout_noise && rng_.Bernoulli(op.readout_error)) {
+                    outcome = !outcome;
                 }
                 if (outcome) {
-                    bits |= 1ull << p.local_gate.cbit;
+                    bits |= 1ull << op.gate.cbit;
                 }
-                clock[lq] = p.end_ns;
                 continue;
             }
-            state.ApplyGate(p.local_gate);
-            if (options_.gate_noise && p.error > 0.0 &&
-                rng_.Bernoulli(p.error)) {
-                const int count =
-                    p.local_gate.qubits.size() == 1 ? 3 : 15;
+            state.ApplyGate(op.gate);
+            if (op.error > 0.0 && rng_.Bernoulli(op.error)) {
+                const int count = op.gate.qubits.size() == 1 ? 3 : 15;
                 int pick = static_cast<int>(rng_.UniformInt(count)) + 1;
-                for (QubitId q : p.local_gate.qubits) {
+                for (QubitId q : op.gate.qubits) {
                     switch (pick & 3) {
                       case 1: state.ApplyX(q); break;
                       case 2: state.ApplyY(q); break;
@@ -435,9 +361,8 @@ StabilizerSimulator::Run(const ScheduledCircuit& schedule,
                     pick >>= 2;
                 }
             }
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(state, lq, p.start_ns, p.end_ns);
-                clock[lq] = p.end_ns;
+            for (int d = op.busy_begin; d < op.decay_end; ++d) {
+                decay(state, plan.decays[d]);
             }
         }
         counts.Record(bits);

@@ -101,7 +101,9 @@ class StabilizerState {
 
 /**
  * Clifford-only counterpart of NoisySimulator: executes a scheduled
- * circuit with the (Pauli-twirled) noise model on stabilizer states.
+ * circuit with the (Pauli-twirled) noise model on stabilizer states. It
+ * runs from the same per-run setup (BuildRunPlan) but interprets every
+ * shot in full, without the state-vector engine's cached no-event path.
  */
 class StabilizerSimulator {
   public:

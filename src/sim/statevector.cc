@@ -1,12 +1,32 @@
 #include "sim/statevector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
 #include "sim/gate_matrices.h"
-#include "telemetry/telemetry.h"
 
 namespace xtalk {
+
+Unitary1Q
+ToUnitary1Q(const Matrix& u)
+{
+    XTALK_ASSERT(u.rows() == 2 && u.cols() == 2, "expected 2x2 unitary");
+    return {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
+}
+
+Unitary2Q
+ToUnitary2Q(const Matrix& u)
+{
+    XTALK_ASSERT(u.rows() == 4 && u.cols() == 4, "expected 4x4 unitary");
+    Unitary2Q out;
+    for (size_t r = 0; r < 4; ++r) {
+        for (size_t c = 0; c < 4; ++c) {
+            out[4 * r + c] = u(r, c);
+        }
+    }
+    return out;
+}
 
 StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits)
 {
@@ -24,17 +44,20 @@ StateVector::Reset()
 }
 
 void
-StateVector::Apply1Q(int q, const Matrix& u)
+StateVector::Load(std::span<const Complex> amps)
+{
+    XTALK_REQUIRE(amps.size() == amps_.size(),
+                  "loading " << amps.size() << " amplitudes into a state of "
+                             << amps_.size());
+    std::copy(amps.begin(), amps.end(), amps_.begin());
+}
+
+void
+StateVector::Apply1Q(int q, const Unitary1Q& u)
 {
     XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
-    XTALK_ASSERT(u.rows() == 2 && u.cols() == 2, "expected 2x2 unitary");
-    if (telemetry::Enabled()) {
-        static telemetry::Counter& gates_1q =
-            telemetry::GetCounter("sim.statevector.kernel.1q");
-        gates_1q.Add(1);
-    }
     const size_t stride = size_t{1} << q;
-    const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
+    const Complex u00 = u[0], u01 = u[1], u10 = u[2], u11 = u[3];
     for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
         for (size_t offset = 0; offset < stride; ++offset) {
             const size_t i0 = base + offset;
@@ -48,40 +71,51 @@ StateVector::Apply1Q(int q, const Matrix& u)
 }
 
 void
-StateVector::Apply2Q(int q_low, int q_high, const Matrix& u)
+StateVector::Apply1Q(int q, const Matrix& u)
+{
+    Apply1Q(q, ToUnitary1Q(u));
+}
+
+void
+StateVector::Apply2Q(int q_low, int q_high, const Unitary2Q& u)
 {
     XTALK_REQUIRE(q_low >= 0 && q_low < num_qubits_ && q_high >= 0 &&
                       q_high < num_qubits_ && q_low != q_high,
                   "invalid qubit pair (" << q_low << ", " << q_high << ")");
-    XTALK_ASSERT(u.rows() == 4 && u.cols() == 4, "expected 4x4 unitary");
-    if (telemetry::Enabled()) {
-        static telemetry::Counter& gates_2q =
-            telemetry::GetCounter("sim.statevector.kernel.2q");
-        gates_2q.Add(1);
-    }
+    const Unitary2Q m = u;  // Local copy: stores to amps_ cannot alias it.
     const size_t mask_low = size_t{1} << q_low;
     const size_t mask_high = size_t{1} << q_high;
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        if ((i & mask_low) || (i & mask_high)) {
-            continue;  // Visit each 4-tuple once, at its 00 member.
+    const size_t inner = std::min(mask_low, mask_high);
+    const size_t outer = std::max(mask_low, mask_high);
+    // Bit insertion: visit each 4-tuple once, at its 00 member, by
+    // enumerating the indices with both bits clear.
+    for (size_t top = 0; top < amps_.size(); top += 2 * outer) {
+        for (size_t mid = top; mid < top + outer; mid += 2 * inner) {
+            for (size_t i00 = mid; i00 < mid + inner; ++i00) {
+                const size_t i01 = i00 | mask_low;  // Local index 1.
+                const size_t i10 = i00 | mask_high;  // Local index 2.
+                const size_t i11 = i00 | mask_low | mask_high;
+                const Complex a00 = amps_[i00];
+                const Complex a01 = amps_[i01];
+                const Complex a10 = amps_[i10];
+                const Complex a11 = amps_[i11];
+                amps_[i00] =
+                    m[0] * a00 + m[1] * a01 + m[2] * a10 + m[3] * a11;
+                amps_[i01] =
+                    m[4] * a00 + m[5] * a01 + m[6] * a10 + m[7] * a11;
+                amps_[i10] =
+                    m[8] * a00 + m[9] * a01 + m[10] * a10 + m[11] * a11;
+                amps_[i11] =
+                    m[12] * a00 + m[13] * a01 + m[14] * a10 + m[15] * a11;
+            }
         }
-        const size_t i00 = i;
-        const size_t i01 = i | mask_low;   // Local index 1 = low bit set.
-        const size_t i10 = i | mask_high;  // Local index 2 = high bit set.
-        const size_t i11 = i | mask_low | mask_high;
-        const Complex a00 = amps_[i00];
-        const Complex a01 = amps_[i01];
-        const Complex a10 = amps_[i10];
-        const Complex a11 = amps_[i11];
-        amps_[i00] = u(0, 0) * a00 + u(0, 1) * a01 + u(0, 2) * a10 +
-                     u(0, 3) * a11;
-        amps_[i01] = u(1, 0) * a00 + u(1, 1) * a01 + u(1, 2) * a10 +
-                     u(1, 3) * a11;
-        amps_[i10] = u(2, 0) * a00 + u(2, 1) * a01 + u(2, 2) * a10 +
-                     u(2, 3) * a11;
-        amps_[i11] = u(3, 0) * a00 + u(3, 1) * a01 + u(3, 2) * a10 +
-                     u(3, 3) * a11;
     }
+}
+
+void
+StateVector::Apply2Q(int q_low, int q_high, const Matrix& u)
+{
+    Apply2Q(q_low, q_high, ToUnitary2Q(u));
 }
 
 void
@@ -116,10 +150,10 @@ double
 StateVector::ProbabilityOne(int q) const
 {
     XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
-    const size_t mask = size_t{1} << q;
+    const size_t stride = size_t{1} << q;
     double p = 0.0;
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        if (i & mask) {
+    for (size_t base = stride; base < amps_.size(); base += 2 * stride) {
+        for (size_t i = base; i < base + stride; ++i) {
             p += std::norm(amps_[i]);
         }
     }
@@ -141,15 +175,29 @@ StateVector::MeasureQubit(int q, Rng& rng)
 {
     const double p1 = ProbabilityOne(q);
     const bool outcome = rng.Bernoulli(p1);
-    const size_t mask = size_t{1} << q;
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        const bool bit = (i & mask) != 0;
-        if (bit != outcome) {
-            amps_[i] = Complex(0.0, 0.0);
+    Collapse(q, outcome);
+    return outcome;
+}
+
+// The fused passes below sum squared norms in ascending index order, as
+// Norm() does. Skipping the amplitudes they have just zeroed leaves every
+// partial sum unchanged (x + 0.0 == x for x >= 0).
+
+void
+StateVector::Collapse(int q, bool outcome)
+{
+    XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
+    const size_t stride = size_t{1} << q;
+    const size_t kept = outcome ? stride : 0;
+    const size_t dropped = stride - kept;
+    double sum_sq = 0.0;
+    for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
+        for (size_t offset = 0; offset < stride; ++offset) {
+            amps_[base + dropped + offset] = Complex(0.0, 0.0);
+            sum_sq += std::norm(amps_[base + kept + offset]);
         }
     }
-    Renormalize();
-    return outcome;
+    Rescale(sum_sq);
 }
 
 size_t
@@ -174,29 +222,46 @@ StateVector::AmplitudeDamp(int q, double gamma, Rng& rng)
         return;
     }
     const double p_jump = gamma * ProbabilityOne(q);
-    const size_t mask = size_t{1} << q;
     if (rng.Bernoulli(p_jump)) {
-        // Jump: K1 = sqrt(gamma) |0><1| — the excited component relaxes.
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (!(i & mask)) {
-                amps_[i] = amps_[i | mask];  // Move |1> amplitude to |0>.
-            }
-        }
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (i & mask) {
-                amps_[i] = Complex(0.0, 0.0);
-            }
-        }
+        DampJump(q);
     } else {
-        // No jump: K0 = |0><0| + sqrt(1-gamma) |1><1|.
-        const double scale = std::sqrt(1.0 - gamma);
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (i & mask) {
-                amps_[i] *= scale;
-            }
+        DampNoJump(q, std::sqrt(1.0 - gamma));
+    }
+}
+
+void
+StateVector::DampJump(int q)
+{
+    XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
+    // K1 = sqrt(gamma) |0><1|: the excited component relaxes to |0>.
+    const size_t stride = size_t{1} << q;
+    double sum_sq = 0.0;
+    for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
+        for (size_t i = base; i < base + stride; ++i) {
+            amps_[i] = amps_[i + stride];
+            amps_[i + stride] = Complex(0.0, 0.0);
+            sum_sq += std::norm(amps_[i]);
         }
     }
-    Renormalize();
+    Rescale(sum_sq);
+}
+
+void
+StateVector::DampNoJump(int q, double keep)
+{
+    XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
+    const size_t stride = size_t{1} << q;
+    double sum_sq = 0.0;
+    for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
+        for (size_t i = base; i < base + stride; ++i) {
+            sum_sq += std::norm(amps_[i]);
+        }
+        for (size_t i = base + stride; i < base + 2 * stride; ++i) {
+            amps_[i] *= keep;
+            sum_sq += std::norm(amps_[i]);
+        }
+    }
+    Rescale(sum_sq);
 }
 
 void
@@ -237,9 +302,9 @@ StateVector::Norm() const
 }
 
 void
-StateVector::Renormalize()
+StateVector::Rescale(double sum_sq)
 {
-    const double norm = Norm();
+    const double norm = std::sqrt(sum_sq);
     XTALK_ASSERT(norm > 1e-12, "state collapsed to zero norm");
     const double inv = 1.0 / norm;
     for (Complex& a : amps_) {

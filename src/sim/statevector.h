@@ -4,10 +4,17 @@
  * trajectory simulator needs (amplitude-damping jumps, dephasing flips,
  * projective measurement). Little-endian: qubit 0 is the least
  * significant bit of the basis index.
+ *
+ * Every kernel visits amplitudes in a fixed order and sums norms in
+ * ascending basis-index order, so a kernel's result depends only on its
+ * inputs: the trajectory simulator relies on this to replay cached states
+ * bit for bit (see sim/noisy_simulator.h).
  */
 #ifndef XTALK_SIM_STATEVECTOR_H
 #define XTALK_SIM_STATEVECTOR_H
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -15,6 +22,16 @@
 #include "common/rng.h"
 
 namespace xtalk {
+
+/** Row-major coefficients of a one-qubit (2x2) unitary. */
+using Unitary1Q = std::array<Complex, 4>;
+/** Row-major coefficients of a two-qubit (4x4) unitary. */
+using Unitary2Q = std::array<Complex, 16>;
+
+/** Fixed-size coefficients of a 2x2 matrix. */
+Unitary1Q ToUnitary1Q(const Matrix& u);
+/** Fixed-size coefficients of a 4x4 matrix. */
+Unitary2Q ToUnitary2Q(const Matrix& u);
 
 /** Pure n-qubit quantum state. */
 class StateVector {
@@ -30,13 +47,18 @@ class StateVector {
     /** Reset to |0...0>. */
     void Reset();
 
+    /** Overwrite the state with @p amps (dimension() amplitudes). */
+    void Load(std::span<const Complex> amps);
+
     /** Apply a 2x2 unitary to qubit @p q. */
+    void Apply1Q(int q, const Unitary1Q& u);
     void Apply1Q(int q, const Matrix& u);
 
     /**
      * Apply a 4x4 unitary with @p q_low as the low tensor bit and
      * @p q_high as the high bit.
      */
+    void Apply2Q(int q_low, int q_high, const Unitary2Q& u);
     void Apply2Q(int q_low, int q_high, const Matrix& u);
 
     /** Apply a circuit gate (unitary kinds; kI/kBarrier are no-ops). */
@@ -57,6 +79,10 @@ class StateVector {
      */
     bool MeasureQubit(int q, Rng& rng);
 
+    /** Project qubit @p q onto @p outcome and renormalize (one fused
+     *  pass plus the rescale). */
+    void Collapse(int q, bool outcome);
+
     /** Sample a basis index from |amp|^2 without collapsing. */
     size_t SampleBasis(Rng& rng) const;
 
@@ -66,6 +92,13 @@ class StateVector {
      * |0>) or the no-jump Kraus operator, renormalizing.
      */
     void AmplitudeDamp(int q, double gamma, Rng& rng);
+
+    /** The damping jump K1 = |0><1| on @p q, renormalized. */
+    void DampJump(int q);
+
+    /** The no-jump Kraus operator |0><0| + @p keep |1><1| on @p q
+     *  (keep = sqrt(1 - gamma)), renormalized. */
+    void DampNoJump(int q, double keep);
 
     /**
      * Dephasing trajectory step: applies Z on @p q with probability
@@ -83,7 +116,9 @@ class StateVector {
     double Norm() const;
 
   private:
-    void Renormalize();
+    /** Scale every amplitude by 1/sqrt(@p sum_sq), the state's squared
+     *  norm summed in ascending index order. */
+    void Rescale(double sum_sq);
 
     int num_qubits_;
     std::vector<Complex> amps_;

@@ -141,6 +141,33 @@ TEST(QasmParser, RejectsMalformedPrograms)
         ParseQasm("OPENQASM 2.0;\nqreg q[2];\nmeasure q[0];\n"), Error);
 }
 
+TEST(QasmParser, OverflowingIndexIsALineNumberedError)
+{
+    for (const char* statement :
+         {"h q[99999999999];", "h q[2147483648];", "qreg q[99999999999];",
+          "measure q[0] -> c[99999999999];"}) {
+        const std::string source =
+            std::string("OPENQASM 2.0;\n") +
+            (std::string(statement).rfind("qreg", 0) == 0 ? ""
+                                                           : "qreg q[2];\n") +
+            statement + "\n";
+        try {
+            ParseQasm(source);
+            ADD_FAILURE() << statement << " parsed";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("out of range"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+                << e.what();
+        }
+    }
+    // The largest int still parses as an index (and then fails the
+    // register bound like any other out-of-register qubit).
+    EXPECT_THROW(ParseQasm("OPENQASM 2.0;\nqreg q[2];\nh q[2147483647];\n"),
+                 Error);
+}
+
 TEST(QasmParser, RoundTripsExporterOutput)
 {
     Circuit original(4);

@@ -785,6 +785,32 @@ TEST(EngineTest, BadQasmClassifiedAsError)
     EXPECT_FALSE(response.error.empty());
 }
 
+TEST(EngineTest, OverflowingQasmIndexAnswersError)
+{
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.qasm = "OPENQASM 2.0;\nqreg q[2];\nh q[99999999999];\n";
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kError) << response.error;
+    EXPECT_NE(response.error.find("line 3"), std::string::npos)
+        << response.error;
+}
+
+TEST(EngineTest, SimulatingIntoClbit64AnswersError)
+{
+    // Counts pack a shot into 64 bits; c[64] used to alias c[0].
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.qasm =
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[65];\nx q[0];\n"
+        "measure q[0] -> c[64];\nmeasure q[1] -> c[1];\n";
+    request.simulate_shots = 16;
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kError) << response.counts;
+    EXPECT_NE(response.error.find("clbit 64"), std::string::npos)
+        << response.error;
+}
+
 TEST(EngineTest, CompilesTinyCircuitSerially)
 {
     Engine engine;

@@ -2,20 +2,30 @@
  * @file
  * Tests for the state-vector core, gate matrices, counts, and the noisy
  * trajectory simulator (noise toggles, crosstalk-conditional error rates,
- * decoherence behaviour).
+ * decoherence behaviour, the cached no-event path and the pinned random
+ * stream).
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "characterization/rb.h"
 #include "circuit/circuit.h"
 #include "circuit/schedule.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "device/ibmq_devices.h"
+#include "runtime/executor.h"
 #include "sim/counts.h"
 #include "sim/gate_matrices.h"
 #include "sim/noisy_simulator.h"
+#include "sim/stabilizer.h"
 #include "sim/statevector.h"
+#include "telemetry/ledger.h"
+#include "telemetry/telemetry.h"
+#include "workloads/adversarial.h"
+#include "workloads/hidden_shift.h"
+#include "workloads/qaoa.h"
 
 namespace xtalk {
 namespace {
@@ -344,6 +354,241 @@ TEST(NoisySimulator, DeterministicForFixedSeed)
     Counts a = NoisySimulator(device, options).Run(schedule, RunSpec{500});
     Counts b = NoisySimulator(device, options).Run(schedule, RunSpec{500});
     EXPECT_EQ(a.histogram(), b.histogram());
+}
+
+TEST(NoisySimulator, RejectsClbitsBeyondTheCountsWord)
+{
+    // Counts pack a shot into 64 bits, so clbit 64 would alias clbit 0.
+    const Device device = MakeLinearDevice(2, 3);
+    NoisySimOptions noiseless;
+    noiseless.gate_noise = false;
+    noiseless.decoherence = false;
+    noiseless.readout_noise = false;
+    for (int cbit : {63, 64, 100}) {
+        ScheduledCircuit schedule(2);
+        schedule.Add(Gate{GateKind::kX, {0}, {}, -1}, 0.0,
+                     device.SqDuration(0));
+        schedule.Add(Gate{GateKind::kMeasure, {0}, {}, cbit}, 100.0, 0.0);
+        NoisySimulator trajectory(device, noiseless);
+        StabilizerSimulator stabilizer(device, noiseless);
+        if (cbit < 64) {
+            const uint64_t bit = uint64_t{1} << cbit;
+            EXPECT_EQ(trajectory.Run(schedule, RunSpec{8}).CountOf(bit), 8);
+            EXPECT_EQ(stabilizer.Run(schedule, RunSpec{8}).CountOf(bit), 8);
+        } else {
+            EXPECT_THROW(trajectory.Run(schedule, RunSpec{8}), Error);
+            EXPECT_THROW(stabilizer.Run(schedule, RunSpec{8}), Error);
+        }
+    }
+}
+
+TEST(NoisySimulator, NoEventShotsSkipEveryGate)
+{
+    // With every noise source off and all measurements at the end, the
+    // cached path applies each gate once and no shot applies one again.
+    const Device device = MakeLinearDevice(3, 3);
+    NoisySimOptions noiseless;
+    noiseless.gate_noise = false;
+    noiseless.decoherence = false;
+    noiseless.readout_noise = false;
+    telemetry::Counter& executed =
+        telemetry::GetCounter("sim.statevector.ops_executed");
+    telemetry::Counter& skipped =
+        telemetry::GetCounter("sim.statevector.ops_skipped");
+    constexpr uint64_t kGates = 4, kMeasures = 3, kShots = 300;
+    auto run = [&](const Circuit& gates) {
+        ScheduledCircuit schedule = AsapSchedule(gates, device);
+        const double end = schedule.TotalDuration();
+        for (int q = 0; q < 3; ++q) {
+            schedule.Add(Gate{GateKind::kMeasure, {q}, {}, q}, end,
+                         device.ReadoutDuration(q));
+        }
+        telemetry::SetEnabled(true);
+        executed.Reset();
+        skipped.Reset();
+        const Counts counts = NoisySimulator(device, noiseless)
+                                  .Run(schedule,
+                                       RunSpec{static_cast<int>(kShots)});
+        telemetry::SetEnabled(false);
+        return counts;
+    };
+
+    // A deterministic outcome: no shot has an event.
+    Circuit basis(3);
+    basis.X(0).CX(0, 1).X(2).CX(1, 2);
+    EXPECT_EQ(run(basis).CountOf(0b011), static_cast<int>(kShots));
+    EXPECT_EQ(executed.value(), kGates + kMeasures);
+    EXPECT_EQ(skipped.value(), (kGates + kMeasures) * kShots);
+
+    // GHZ: the cached path reads qubit 0 as 0, so about half the shots
+    // have an event at the first measurement and resume there, after
+    // every gate.
+    Circuit ghz(3);
+    ghz.H(0).CX(0, 1).CX(1, 2).X(2);
+    const Counts counts = run(ghz);
+    EXPECT_EQ(counts.CountOf(0b100) + counts.CountOf(0b011),
+              static_cast<int>(kShots));
+    EXPECT_GE(skipped.value(), kGates * kShots);
+    EXPECT_EQ((executed.value() - kGates - kMeasures) % kMeasures, 0u);
+    EXPECT_GT(executed.value(), kGates + kMeasures);
+}
+
+/** One seeded run whose Counts table is pinned by hash. */
+struct PinnedRun {
+    std::string name;
+    const Device* device;
+    ScheduledCircuit schedule;
+    NoisySimOptions noise;
+    runtime::SimBackend backend = runtime::SimBackend::kStatevector;
+    int shots = 256;
+    int max_chunks = 1;
+    const char* counts_hash;
+};
+
+/** A mid-circuit measurement of qubit 0, more gates on it, then
+ *  terminal measurements. */
+Circuit
+MidCircuitMeasureCircuit()
+{
+    Circuit c(3);
+    c.H(0).CX(0, 1).Measure(0, 0);
+    c.X(0).CX(0, 1).H(2).CX(1, 2);
+    c.Measure(0, 1).Measure(1, 2).Measure(2, 3);
+    return c;
+}
+
+std::vector<PinnedRun>
+PinnedRuns(const Device& pough, const Device& linear)
+{
+    const Topology& topo = pough.topology();
+    const EdgeId victim = topo.FindEdge(10, 15);
+    const EdgeId aggressor = topo.FindEdge(11, 12);
+    RbConfig rb;
+    rb.seed = 77;
+    const RbRunner runner(pough, rb);
+    auto srb = [&](std::vector<EdgeId> edges, int length, uint64_t seed) {
+        Rng rng(seed);
+        return runner.BuildSrbSchedule(edges, length, rng);
+    };
+    auto adversarial = [&](AdversarialFamily family) {
+        AdversarialOptions options;
+        options.family = family;
+        options.max_qubits = 5;
+        options.intensity = 2;
+        options.seed = 2020;
+        return AsapSchedule(BuildAdversarialCircuit(pough, options), pough);
+    };
+    const ScheduledCircuit qaoa =
+        AsapSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
+    const ScheduledCircuit shift =
+        AsapSchedule(BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}), pough);
+    HiddenShiftOptions redundant_options;
+    redundant_options.redundant_cnots = true;
+    const ScheduledCircuit shift_redundant = AsapSchedule(
+        BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}, redundant_options),
+        pough);
+    // Twelve qubits: a 64 KiB state, so the run needs more checkpoints
+    // than a 1 MiB budget holds.
+    const ScheduledCircuit wide = AsapSchedule(
+        BuildQaoaCircuit(pough, {0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11},
+                         QaoaOptions{2, 3}),
+        pough);
+    const ScheduledCircuit mid =
+        AsapSchedule(MidCircuitMeasureCircuit(), linear);
+    // Idling 50 T1 makes damping certain: every shot jumps on qubit 0,
+    // so the cached path must end there instead of taking the
+    // zero-probability no-jump branch.
+    ScheduledCircuit decayed(3);
+    decayed.Add(Gate{GateKind::kX, {0}, {}, -1}, 0.0, linear.SqDuration(0));
+    decayed.Add(Gate{GateKind::kH, {1}, {}, -1}, 0.0, linear.SqDuration(1));
+    decayed.Add(Gate{GateKind::kCX, {1, 2}, {}, -1}, linear.SqDuration(1),
+                linear.CxDuration(linear.topology().FindEdge(1, 2)));
+    const double idle_ns = 50.0 * 1000.0 *
+                           std::max({linear.T1us(0), linear.T1us(1),
+                                     linear.T1us(2)});
+    for (int q = 0; q < 3; ++q) {
+        decayed.Add(Gate{GateKind::kMeasure, {q}, {}, q}, idle_ns,
+                    linear.ReadoutDuration(q));
+    }
+
+    NoisySimOptions full;
+    full.seed = 1234;
+    auto without = [&](bool NoisySimOptions::*toggle) {
+        NoisySimOptions options = full;
+        options.*toggle = false;
+        return options;
+    };
+    NoisySimOptions noiseless = full;
+    noiseless.gate_noise = false;
+    noiseless.crosstalk = false;
+    noiseless.decoherence = false;
+    noiseless.readout_noise = false;
+    const auto stabilizer = runtime::SimBackend::kStabilizer;
+
+    return {
+        {"srb-1coupler-len1", &pough, srb({victim}, 1, 3), full, {}, 256, 1,
+         "923ae7f40595d49e"},
+        {"srb-1coupler-len30", &pough, srb({victim}, 30, 4), full, {}, 256, 1,
+         "1bd843a4388f23ab"},
+        {"srb-2couplers-len1", &pough, srb({victim, aggressor}, 1, 5), full,
+         {}, 256, 1, "b7b7cd620e206848"},
+        {"srb-2couplers-len30", &pough, srb({victim, aggressor}, 30, 6), full,
+         {}, 256, 1, "15a6ec5f4b6d1afd"},
+        {"qaoa", &pough, qaoa, full, {}, 512, 1, "b596bda7f6757886"},
+        {"qaoa-4-chunks", &pough, qaoa, full, {}, 512, 4, "4f1f6ff58fbc9127"},
+        {"hidden-shift", &pough, shift, full, {}, 512, 1, "75dca129ab1fbf27"},
+        {"hidden-shift-redundant", &pough, shift_redundant, full, {}, 512, 1,
+         "15c21327838d1327"},
+        {"adversarial-parallel-cx-mesh", &pough,
+         adversarial(AdversarialFamily::kParallelCxMesh), full, {}, 256, 1,
+         "e4e15d961667de60"},
+        {"adversarial-depth-chain", &pough,
+         adversarial(AdversarialFamily::kDepthChain), full, {}, 256, 1, "93ee44699a054593"},
+        {"adversarial-readout-heavy", &pough,
+         adversarial(AdversarialFamily::kReadoutHeavy), full, {}, 256, 1, "6d22d0b78c070b04"},
+        {"adversarial-clifford-only", &pough,
+         adversarial(AdversarialFamily::kCliffordOnly), full, {}, 256, 1, "8ab7b20675d49160"},
+        {"mid-circuit-measure", &linear, mid, full, {}, 512, 1, "d626eb6d142ca371"},
+        {"twelve-qubits", &pough, wide, full, {}, 48, 1, "4530abb553444d7d"},
+        {"decay-to-certainty", &linear, decayed, full, {}, 256, 1,
+         "5caf7e21aa0d1115"},
+        {"no-gate-noise", &pough, shift_redundant,
+         without(&NoisySimOptions::gate_noise), {}, 512, 1, "14c3ab5705395623"},
+        {"no-crosstalk", &pough, shift_redundant,
+         without(&NoisySimOptions::crosstalk), {}, 512, 1, "2f81c694bc7b7417"},
+        {"no-decoherence", &pough, shift_redundant,
+         without(&NoisySimOptions::decoherence), {}, 512, 1, "b5ea2a7e6cbf4fdb"},
+        {"no-readout-noise", &pough, shift_redundant,
+         without(&NoisySimOptions::readout_noise), {}, 512, 1, "74768fd9da52a668"},
+        {"noiseless", &pough, qaoa, noiseless, {}, 512, 1, "2500623a34bb5865"},
+        {"stabilizer-srb-2couplers-len30", &pough,
+         srb({victim, aggressor}, 30, 6), full, stabilizer, 256, 1, "fef7506bca3b1a9d"},
+        {"stabilizer-hidden-shift", &pough, shift_redundant, full, stabilizer,
+         512, 1, "abf0ec5021bd3cb3"},
+        {"stabilizer-clifford-only", &pough,
+         adversarial(AdversarialFamily::kCliffordOnly), full, stabilizer, 256,
+         1, "86df6f4f9ae5bf20"},
+        {"stabilizer-mid-circuit-measure", &linear, mid, full, stabilizer, 512,
+         1, "03ef049133369e15"},
+    };
+}
+
+TEST(NoisySimulator, PinnedCountsForSeededRuns)
+{
+    const Device pough = MakePoughkeepsie();
+    const Device linear = MakeLinearDevice(3, 3);
+    for (const PinnedRun& run : PinnedRuns(pough, linear)) {
+        runtime::Executor executor(*run.device);
+        runtime::ExecutionJob job;
+        job.schedule = run.schedule;
+        job.spec = RunSpec{run.shots, std::nullopt, run.max_chunks};
+        job.seed = run.noise.seed;
+        job.backend = run.backend;
+        job.noise = run.noise;
+        const Counts counts = executor.Run(std::move(job)).counts;
+        EXPECT_EQ(telemetry::FnvHex(counts.ToString()), run.counts_hash)
+            << run.name;
+    }
 }
 
 }  // namespace
