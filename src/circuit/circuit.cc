@@ -317,4 +317,27 @@ Circuit::ToString() const
     return oss.str();
 }
 
+void
+Circuit::RequireTerminalMeasures() const
+{
+    std::vector<GateId> measured_by(num_qubits_, -1);
+    for (GateId g = 0; g < size(); ++g) {
+        const Gate& gate = gates_[g];
+        if (gate.IsBarrier()) {
+            continue;
+        }
+        for (QubitId q : gate.qubits) {
+            XTALK_REQUIRE(measured_by[q] < 0,
+                          "qubit " << q << " is used by '"
+                                   << xtalk::ToString(gate) << "' after '"
+                                   << xtalk::ToString(gates_[measured_by[q]])
+                                   << "'; only terminal measurements are "
+                                      "supported");
+        }
+        if (gate.IsMeasure()) {
+            measured_by[gate.qubits[0]] = g;
+        }
+    }
+}
+
 }  // namespace xtalk

@@ -92,6 +92,14 @@ class Circuit {
     /** Multi-line OpenQASM-flavored listing. */
     std::string ToString() const;
 
+    /**
+     * Throw Error, naming the qubit, when a non-barrier operation acts on
+     * a qubit after that qubit was measured. Compilation needs every
+     * measurement terminal: the router and the schedulers move
+     * measurements past the rest of the circuit.
+     */
+    void RequireTerminalMeasures() const;
+
   private:
     void Validate(const Gate& gate) const;
 

@@ -81,15 +81,21 @@ ParseParam(std::string expr, int line_number)
         sign = -1.0;
         s.erase(0, 1);
     }
-    const size_t pi_pos = s.find("pi");
-    if (pi_pos == std::string::npos) {
+    // Every literal goes through here: std::stod throws on text that is
+    // not a number and on overflow, and both are bad input.
+    const auto number = [&](const std::string& text) {
         try {
-            return sign * std::stod(s);
+            return std::stod(text);
         } catch (const std::exception&) {
             XTALK_REQUIRE(false, "line " << line_number
                                          << ": bad parameter '" << expr
                                          << "'");
         }
+        return 0.0;
+    };
+    const size_t pi_pos = s.find("pi");
+    if (pi_pos == std::string::npos) {
+        return sign * number(s);
     }
     double multiplier = 1.0;
     double divisor = 1.0;
@@ -99,13 +105,13 @@ ParseParam(std::string expr, int line_number)
         XTALK_REQUIRE(before.back() == '*',
                       "line " << line_number << ": bad parameter '" << expr
                               << "'");
-        multiplier = std::stod(before.substr(0, before.size() - 1));
+        multiplier = number(before.substr(0, before.size() - 1));
     }
     if (!after.empty()) {
         XTALK_REQUIRE(after.front() == '/',
                       "line " << line_number << ": bad parameter '" << expr
                               << "'");
-        divisor = std::stod(after.substr(1));
+        divisor = number(after.substr(1));
         XTALK_REQUIRE(divisor != 0.0,
                       "line " << line_number << ": division by zero");
     }

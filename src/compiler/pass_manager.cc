@@ -157,6 +157,7 @@ void
 PassManager::Run(CompilationState& state) const
 {
     const int n = size();
+    state.logical.RequireTerminalMeasures();
     for (int i = 0; i < n; ++i) {
         Pass& pass = *passes_[i];
         const std::string span_name = "compiler.pass." + pass.name();

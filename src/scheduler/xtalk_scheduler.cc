@@ -6,14 +6,15 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include <z3++.h>
 
-#include "circuit/dag.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "faults/faults.h"
+#include "scheduler/xtalk_problem.h"
 #include "telemetry/journal.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -50,25 +51,115 @@ RealOf(z3::context& ctx, double value)
                         static_cast<int64_t>(100));
 }
 
-double
-LogOf(double eps)
-{
-    return std::log(std::clamp(eps, 1e-9, 1.0 - 1e-9));
-}
-
 using GatePairKey = std::pair<GateId, GateId>;
 
-/** Per-circuit facts shared by every solve round and ω candidate. */
-struct CircuitFacts {
-    int n = 0;
-    std::vector<double> duration;
-    std::vector<EdgeId> edge_of;
-    std::vector<GateId> measures;
-    /** DAG-concurrent high-crosstalk 2q pairs (i < j). */
-    std::vector<GatePairKey> eligible;
-    /** Gates appearing in at least one eligible pair. */
-    std::set<GateId> eligible_gates;
-};
+/**
+ * Objective (eq. 17, decoherence sign corrected). A tiny floor on the
+ * decoherence coefficient keeps omega = 1 schedules compact: with a
+ * weight of exactly zero the solver may leave arbitrary gaps, which no
+ * real backend would execute.
+ */
+double
+DecoherenceWeight(double omega)
+{
+    return std::max(1.0 - omega, 1e-4);
+}
+
+const XtalkProblem::Pair&
+FindPair(const XtalkProblem& problem, const GatePairKey& key)
+{
+    const auto it = std::lower_bound(
+        problem.eligible.begin(), problem.eligible.end(), key,
+        [](const XtalkProblem::Pair& pair, const GatePairKey& k) {
+            return std::make_pair(pair.i, pair.j) < k;
+        });
+    XTALK_ASSERT(it != problem.eligible.end() && it->i == key.first &&
+                     it->j == key.second,
+                 "pair " << key.first << "," << key.second
+                         << " is not eligible");
+    return *it;
+}
+
+/**
+ * Start-time variables and the round-invariant timing constraints,
+ * asserted through @p add: tau >= 0, data dependencies (constraint 1)
+ * and simultaneous readout (IBMQ trait).
+ */
+template <class Add>
+std::vector<z3::expr>
+EncodeStartTimes(z3::context& ctx, const XtalkProblem& problem, Add&& add)
+{
+    std::vector<z3::expr> tau;
+    tau.reserve(problem.n);
+    for (GateId g = 0; g < problem.n; ++g) {
+        tau.push_back(ctx.real_const(("tau" + std::to_string(g)).c_str()));
+        add(tau[g] >= 0);
+    }
+    for (const auto& [before, after] : problem.precedence) {
+        add(tau[after] >= tau[before] + RealOf(ctx, problem.duration[before]));
+    }
+    for (const std::vector<GateId>& group : problem.readout_groups) {
+        for (size_t k = 1; k < group.size(); ++k) {
+            add(tau[group[k]] == tau[group[0]]);
+        }
+    }
+    return tau;
+}
+
+/**
+ * Decoherence terms (constraints 9-10): first/last gate per qubit are
+ * fixed by program order, so the lifetime is linear in tau.
+ */
+z3::expr
+LifetimeSum(z3::context& ctx, const XtalkProblem& problem,
+            const std::vector<z3::expr>& tau)
+{
+    z3::expr sum = ctx.real_val(0);
+    for (const XtalkProblem::Lifetime& life : problem.lifetimes) {
+        const z3::expr lifetime = tau[life.last] +
+                                  RealOf(ctx, problem.duration[life.last]) -
+                                  tau[life.first];
+        sum = sum + lifetime / RealOf(ctx, life.coherence_ns);
+    }
+    return sum;
+}
+
+/** Overlap indicator body (constraint 2; strict interval overlap so
+ *  that abutting gates count as serialized, matching the simulator). */
+z3::expr
+OverlapOf(z3::context& ctx, const XtalkProblem& problem,
+          const std::vector<z3::expr>& tau, GateId i, GateId j)
+{
+    return (tau[j] < tau[i] + RealOf(ctx, problem.duration[i])) &&
+           (tau[i] < tau[j] + RealOf(ctx, problem.duration[j]));
+}
+
+/** No partial overlap (constraints 11-13): serialized or nested. */
+z3::expr
+NoPartialOverlap(z3::context& ctx, const XtalkProblem& problem,
+                 const std::vector<z3::expr>& tau, GateId i, GateId j)
+{
+    const z3::expr di = RealOf(ctx, problem.duration[i]);
+    const z3::expr dj = RealOf(ctx, problem.duration[j]);
+    return (tau[i] + di <= tau[j]) || (tau[j] + dj <= tau[i]) ||
+           ((tau[i] >= tau[j]) && (tau[i] + di <= tau[j] + dj)) ||
+           ((tau[j] >= tau[i]) && (tau[j] + dj <= tau[i] + di));
+}
+
+/** On sat, read every start time from the model into @p starts. */
+z3::check_result
+CheckInto(z3::optimize& opt, const std::vector<z3::expr>& tau,
+          std::vector<double>* starts)
+{
+    const z3::check_result result = opt.check();
+    if (result == z3::sat) {
+        z3::model model = opt.get_model();
+        for (size_t g = 0; g < tau.size(); ++g) {
+            (*starts)[g] = NumeralToDouble(model.eval(tau[g], true));
+        }
+    }
+    return result;
+}
 
 /**
  * Incremental solver session for the default lower-bound encoding.
@@ -85,81 +176,27 @@ struct CircuitFacts {
  */
 class WarmSession {
   public:
-    WarmSession(const Device& device,
-                const CrosstalkCharacterization& characterization,
-                const Circuit& circuit, const DependencyDag& dag,
-                const CircuitFacts& facts)
-        : device_(&device),
-          characterization_(&characterization),
-          facts_(&facts),
-          opt_(ctx_)
+    explicit WarmSession(const XtalkProblem& problem)
+        : problem_(&problem),
+          opt_(ctx_),
+          tau_(EncodeStartTimes(ctx_, problem,
+                                [this](const z3::expr& c) { Add(c); }))
     {
-        const int n = facts.n;
-        tau_.reserve(n);
-        for (GateId g = 0; g < n; ++g) {
-            tau_.push_back(
-                ctx_.real_const(("tau" + std::to_string(g)).c_str()));
-            Add(tau_[g] >= 0);
-        }
-        for (GateId g = 0; g < n; ++g) {
-            for (GateId p : dag.Predecessors(g)) {
-                Add(tau_[g] >= tau_[p] + RealOf(ctx_, facts.duration[p]));
-            }
-        }
-        if (device.traits().simultaneous_readout &&
-            facts.measures.size() > 1) {
-            for (size_t k = 1; k < facts.measures.size(); ++k) {
-                Add(tau_[facts.measures[k]] == tau_[facts.measures[0]]);
-            }
-        }
-
         // One logeps per eligible gate, declared up front so the
         // objective never changes shape: a gate whose pairs are never
         // encoded sits at its independent lower bound, a constant
         // offset that leaves the argmin untouched.
         z3::expr gate_error_sum = ctx_.real_val(0);
-        for (GateId g : facts.eligible_gates) {
+        for (GateId g : problem.eligible_gates) {
             z3::expr logeps =
                 ctx_.real_const(("logeps" + std::to_string(g)).c_str());
-            const double independent = [&] {
-                const EdgeId e = facts.edge_of[g];
-                if (characterization.HasIndependentError(e)) {
-                    return characterization.IndependentError(e);
-                }
-                return device.CxError(e);
-            }();
-            Add(logeps >= RealOf(ctx_, LogOf(independent)));
+            Add(logeps >= RealOf(ctx_, problem.log_independent[g]));
             gate_error_sum = gate_error_sum + logeps;
             logeps_.emplace(g, logeps);
         }
-        z3::expr decoherence_sum = ctx_.real_val(0);
-        for (QubitId q = 0; q < circuit.num_qubits(); ++q) {
-            GateId first = -1, last = -1;
-            for (GateId g = 0; g < n; ++g) {
-                if (circuit.gate(g).IsBarrier()) {
-                    continue;
-                }
-                for (QubitId gq : circuit.gate(g).qubits) {
-                    if (gq == q) {
-                        if (first < 0) {
-                            first = g;
-                        }
-                        last = g;
-                    }
-                }
-            }
-            if (first < 0) {
-                continue;
-            }
-            const z3::expr lifetime =
-                tau_[last] + RealOf(ctx_, facts.duration[last]) -
-                tau_[first];
-            decoherence_sum = decoherence_sum +
-                              lifetime /
-                                  RealOf(ctx_, device.CoherenceTimeNs(q));
-        }
         gate_error_sum_ = std::make_unique<z3::expr>(gate_error_sum);
-        decoherence_sum_ = std::make_unique<z3::expr>(decoherence_sum);
+        decoherence_sum_ =
+            std::make_unique<z3::expr>(LifetimeSum(ctx_, problem, tau_));
     }
 
     /** Assert every pair in @p encoded not yet in the solver. */
@@ -170,26 +207,26 @@ class WarmSession {
             if (permanent_.count(pair) || scoped_.count(pair)) {
                 continue;
             }
-            AssertPair(pair);
+            AssertPair(FindPair(*problem_, pair));
             (scope_depth_ > 0 ? scoped_ : permanent_).insert(pair);
         }
     }
 
     /** Open a push scope and minimize the ω-weighted objective in it. */
     void
-    PushObjective(double omega, double decoherence_weight)
+    PushObjective(double omega)
     {
         opt_.push();
         ++scope_depth_;
-        Minimize(omega, decoherence_weight);
+        Minimize(omega);
     }
 
     /** Minimize without a scope (single-ω solves). */
     void
-    Minimize(double omega, double decoherence_weight)
+    Minimize(double omega)
     {
         opt_.minimize(RealOf(ctx_, omega) * *gate_error_sum_ +
-                      RealOf(ctx_, decoherence_weight) *
+                      RealOf(ctx_, DecoherenceWeight(omega)) *
                           *decoherence_sum_);
     }
 
@@ -214,17 +251,9 @@ class WarmSession {
     z3::check_result
     Check(std::vector<double>* starts)
     {
-        const z3::check_result result = opt_.check();
-        if (result == z3::sat) {
-            z3::model model = opt_.get_model();
-            for (GateId g = 0; g < facts_->n; ++g) {
-                (*starts)[g] = NumeralToDouble(model.eval(tau_[g], true));
-            }
-        }
-        return result;
+        return CheckInto(opt_, tau_, starts);
     }
 
-    long long num_constraints() const { return num_constraints_; }
     /** Constraints added since the last call (for the round journal). */
     long long
     TakeNewConstraints()
@@ -243,34 +272,27 @@ class WarmSession {
     }
 
     void
-    AssertPair(const GatePairKey& pair)
+    AssertPair(const XtalkProblem::Pair& pair)
     {
-        const auto [i, j] = pair;
-        const z3::expr di = RealOf(ctx_, facts_->duration[i]);
-        const z3::expr dj = RealOf(ctx_, facts_->duration[j]);
+        const GateId i = pair.i;
+        const GateId j = pair.j;
         z3::expr o = ctx_.bool_const(
             ("o_" + std::to_string(i) + "_" + std::to_string(j)).c_str());
-        Add(o == ((tau_[j] < tau_[i] + di) && (tau_[i] < tau_[j] + dj)));
-        if (device_->traits().no_partial_overlap) {
-            Add((tau_[i] + di <= tau_[j]) || (tau_[j] + dj <= tau_[i]) ||
-                ((tau_[i] >= tau_[j]) && (tau_[i] + di <= tau_[j] + dj)) ||
-                ((tau_[j] >= tau_[i]) && (tau_[j] + dj <= tau_[i] + di)));
+        Add(o == OverlapOf(ctx_, *problem_, tau_, i, j));
+        if (problem_->no_partial_overlap) {
+            Add(NoPartialOverlap(ctx_, *problem_, tau_, i, j));
         }
-        const auto conditional = [&](GateId victim, GateId aggressor) {
-            return characterization_->ConditionalError(
-                facts_->edge_of[victim], facts_->edge_of[aggressor]);
-        };
         Add(z3::implies(o, logeps_.at(i) >=
-                               RealOf(ctx_, LogOf(conditional(i, j)))));
+                               RealOf(ctx_, pair.log_conditional_ij)));
         Add(z3::implies(o, logeps_.at(j) >=
-                               RealOf(ctx_, LogOf(conditional(j, i)))));
+                               RealOf(ctx_, pair.log_conditional_ji)));
     }
 
-    const Device* device_;
-    const CrosstalkCharacterization* characterization_;
-    const CircuitFacts* facts_;
+    const XtalkProblem* problem_;
     z3::context ctx_;
     z3::optimize opt_;
+    long long num_constraints_ = 0;
+    long long reported_ = 0;
     std::vector<z3::expr> tau_;
     std::map<GateId, z3::expr> logeps_;
     std::unique_ptr<z3::expr> gate_error_sum_;
@@ -278,8 +300,149 @@ class WarmSession {
     std::set<GatePairKey> permanent_;
     std::set<GatePairKey> scoped_;
     int scope_depth_ = 0;
+};
+
+/**
+ * One cold (from-scratch) solver round: the pre-warm-start behaviour,
+ * and the only encoding of the powerset formulation, whose constraints
+ * are not monotone under refinement. The constructor builds the context
+ * and asserts everything; Check() solves.
+ */
+class ColdRound {
+  public:
+    ColdRound(const XtalkProblem& problem,
+              const std::vector<GatePairKey>& pairs, double omega,
+              const XtalkSchedulerOptions& options, unsigned timeout_ms)
+        : opt_(ctx_)
+    {
+        z3::params params(ctx_);
+        params.set("timeout", timeout_ms);
+        opt_.set(params);
+        tau_ = EncodeStartTimes(ctx_, problem,
+                                [this](const z3::expr& c) { Add(c); });
+
+        // CanOlp(g): (partner, log E(g | partner)).
+        std::vector<std::vector<std::pair<GateId, double>>> can_olp(
+            problem.n);
+        for (const GatePairKey& key : pairs) {
+            const XtalkProblem::Pair& pair = FindPair(problem, key);
+            can_olp[pair.i].push_back({pair.j, pair.log_conditional_ij});
+            can_olp[pair.j].push_back({pair.i, pair.log_conditional_ji});
+        }
+        // Bound the powerset encoding: keep the worst offenders per gate.
+        for (auto& cands : can_olp) {
+            if (options.use_powerset_encoding &&
+                static_cast<int>(cands.size()) >
+                    options.max_overlap_candidates) {
+                std::sort(cands.begin(), cands.end(),
+                          [](const auto& a, const auto& b) {
+                              return a.second > b.second;
+                          });
+                cands.resize(options.max_overlap_candidates);
+                std::sort(cands.begin(), cands.end());
+            }
+        }
+
+        std::map<GatePairKey, z3::expr> overlap;
+        for (const auto& [i, j] : pairs) {
+            z3::expr o = ctx_.bool_const(
+                ("o_" + std::to_string(i) + "_" + std::to_string(j))
+                    .c_str());
+            Add(o == OverlapOf(ctx_, problem, tau_, i, j));
+            overlap.emplace(std::make_pair(i, j), o);
+        }
+        auto overlap_var = [&](GateId i, GateId j) {
+            const auto key = std::minmax(i, j);
+            return overlap.at({key.first, key.second});
+        };
+        if (problem.no_partial_overlap) {
+            for (const auto& [i, j] : pairs) {
+                Add(NoPartialOverlap(ctx_, problem, tau_, i, j));
+            }
+        }
+
+        // Gate-error terms: g.eps = max conditional error over
+        // overlapping aggressors, independent rate otherwise
+        // (constraints 7-8). Two equivalent encodings:
+        //  - the paper's powerset of CanOlp(g), exact by construction but
+        //    exponential in |CanOlp| (capped);
+        //  - lower bounds "logeps >= log E(g|j) when o_gj" plus
+        //    "logeps >= log E(g)": since the objective minimizes
+        //    sum(logeps), the optimum pins logeps to exactly the max of
+        //    the active bounds. Linear in |CanOlp|; the default.
+        z3::expr gate_error_sum = ctx_.real_val(0);
+        for (GateId i = 0; i < problem.n; ++i) {
+            const auto& cands = can_olp[i];
+            if (cands.empty()) {
+                continue;
+            }
+            ++gates_with_candidates_;
+            z3::expr logeps =
+                ctx_.real_const(("logeps" + std::to_string(i)).c_str());
+            const double log_independent = problem.log_independent[i];
+            if (options.use_powerset_encoding) {
+                const size_t subsets = size_t{1} << cands.size();
+                for (size_t mask = 0; mask < subsets; ++mask) {
+                    z3::expr cond = ctx_.bool_val(true);
+                    double worst = log_independent;
+                    for (size_t b = 0; b < cands.size(); ++b) {
+                        const auto& [j, log_conditional] = cands[b];
+                        if (mask & (size_t{1} << b)) {
+                            cond = cond && overlap_var(i, j);
+                            worst = std::max(worst, log_conditional);
+                        } else {
+                            cond = cond && !overlap_var(i, j);
+                        }
+                    }
+                    Add(z3::implies(cond, logeps == RealOf(ctx_, worst)));
+                }
+            } else {
+                Add(logeps >= RealOf(ctx_, log_independent));
+                for (const auto& [j, log_conditional] : cands) {
+                    Add(z3::implies(overlap_var(i, j),
+                                    logeps >=
+                                        RealOf(ctx_, log_conditional)));
+                }
+            }
+            gate_error_sum = gate_error_sum + logeps;
+        }
+
+        // Both sums stay alive until the check, as in the warm session:
+        // Z3's allocator state at check() picks among tied optima, and
+        // releasing them earlier makes it pick differently.
+        gate_error_sum_ = std::make_unique<z3::expr>(gate_error_sum);
+        decoherence_sum_ =
+            std::make_unique<z3::expr>(LifetimeSum(ctx_, problem, tau_));
+        opt_.minimize(RealOf(ctx_, omega) * *gate_error_sum_ +
+                      RealOf(ctx_, DecoherenceWeight(omega)) *
+                          *decoherence_sum_);
+    }
+
+    /** check(); on sat fills @p starts from the model. */
+    z3::check_result
+    Check(std::vector<double>* starts)
+    {
+        return CheckInto(opt_, tau_, starts);
+    }
+
+    long long num_constraints() const { return num_constraints_; }
+    int gates_with_candidates() const { return gates_with_candidates_; }
+
+  private:
+    void
+    Add(const z3::expr& constraint)
+    {
+        opt_.add(constraint);
+        ++num_constraints_;
+    }
+
+    z3::context ctx_;
+    z3::optimize opt_;
     long long num_constraints_ = 0;
-    long long reported_ = 0;
+    int gates_with_candidates_ = 0;
+    std::vector<z3::expr> tau_;
+    std::unique_ptr<z3::expr> gate_error_sum_;
+    std::unique_ptr<z3::expr> decoherence_sum_;
 };
 
 }  // namespace
@@ -313,202 +476,29 @@ XtalkScheduler::Schedule(const Circuit& circuit,
     return std::move(results.front().schedule);
 }
 
-/**
- * One cold (from-scratch) solver round: the pre-warm-start behaviour,
- * and the only encoding of the powerset formulation, whose constraints
- * are not monotone under refinement. On sat fills @p starts.
- */
-namespace {
-
-z3::check_result
-ColdSolveRound(const Device& device,
-               const CrosstalkCharacterization& characterization,
-               const Circuit& circuit, const DependencyDag& dag,
-               const CircuitFacts& facts,
-               const std::vector<GatePairKey>& pairs, double omega,
-               double decoherence_weight,
-               const XtalkSchedulerOptions& options, unsigned timeout_ms,
-               std::vector<double>* starts, long long* num_constraints,
-               int* gates_with_candidates)
+std::vector<double>
+SolveXtalkProblemWithZ3(const XtalkProblem& problem,
+                        const std::vector<std::pair<GateId, GateId>>& pairs,
+                        double omega, const XtalkSchedulerOptions& options)
 {
-    const int n = facts.n;
-    std::vector<std::vector<GateId>> can_olp(n);
-    for (const auto& [i, j] : pairs) {
-        can_olp[i].push_back(j);
-        can_olp[j].push_back(i);
+    std::vector<double> starts(problem.n, 0.0);
+    z3::check_result result = z3::unknown;
+    try {
+        ColdRound round(problem, pairs, omega, options, options.timeout_ms);
+        result = round.Check(&starts);
+    } catch (const z3::exception& e) {
+        throw SolverFailure(std::string("XtalkSched: solver produced no "
+                                        "model: ") +
+                            e.msg());
     }
-    // Bound the powerset encoding: keep the worst offenders per gate.
-    for (GateId i = 0; options.use_powerset_encoding && i < n; ++i) {
-        auto& cands = can_olp[i];
-        if (static_cast<int>(cands.size()) > options.max_overlap_candidates) {
-            std::sort(cands.begin(), cands.end(), [&](GateId a, GateId b) {
-                return characterization.ConditionalError(facts.edge_of[i],
-                                                         facts.edge_of[a]) >
-                       characterization.ConditionalError(facts.edge_of[i],
-                                                         facts.edge_of[b]);
-            });
-            cands.resize(options.max_overlap_candidates);
-            std::sort(cands.begin(), cands.end());
-        }
+    XTALK_REQUIRE(result != z3::unsat,
+                  "scheduling constraints are unsatisfiable (bug)");
+    if (result != z3::sat) {
+        throw SolverFailure("XtalkSched: solver returned unknown (timeout?) "
+                            "before any satisfiable model was found");
     }
-
-    z3::context ctx;
-    z3::optimize opt(ctx);
-    z3::params params(ctx);
-    params.set("timeout", timeout_ms);
-    opt.set(params);
-
-    auto add = [&](const z3::expr& constraint) {
-        opt.add(constraint);
-        ++*num_constraints;
-    };
-
-    auto independent_error = [&](EdgeId e) {
-        if (characterization.HasIndependentError(e)) {
-            return characterization.IndependentError(e);
-        }
-        return device.CxError(e);
-    };
-
-    // Start-time variables and dependency constraints (constraint 1).
-    std::vector<z3::expr> tau;
-    tau.reserve(n);
-    for (GateId g = 0; g < n; ++g) {
-        tau.push_back(ctx.real_const(("tau" + std::to_string(g)).c_str()));
-        add(tau[g] >= 0);
-    }
-    for (GateId g = 0; g < n; ++g) {
-        for (GateId p : dag.Predecessors(g)) {
-            add(tau[g] >= tau[p] + RealOf(ctx, facts.duration[p]));
-        }
-    }
-
-    // Simultaneous readout (IBMQ trait).
-    if (device.traits().simultaneous_readout && facts.measures.size() > 1) {
-        for (size_t k = 1; k < facts.measures.size(); ++k) {
-            add(tau[facts.measures[k]] == tau[facts.measures[0]]);
-        }
-    }
-
-    // Overlap indicators (constraint 2; strict interval overlap so that
-    // abutting gates count as serialized, matching the simulator).
-    std::map<GatePairKey, z3::expr> overlap;
-    for (const auto& [i, j] : pairs) {
-        z3::expr o = ctx.bool_const(
-            ("o_" + std::to_string(i) + "_" + std::to_string(j)).c_str());
-        add(o == ((tau[j] < tau[i] + RealOf(ctx, facts.duration[i])) &&
-                  (tau[i] < tau[j] + RealOf(ctx, facts.duration[j]))));
-        overlap.emplace(std::make_pair(i, j), o);
-    }
-    auto overlap_var = [&](GateId i, GateId j) {
-        const auto key = std::minmax(i, j);
-        return overlap.at({key.first, key.second});
-    };
-
-    // No-partial-overlap (constraints 11-13) between candidate pairs.
-    if (device.traits().no_partial_overlap) {
-        for (const auto& [i, j] : pairs) {
-            const z3::expr di = RealOf(ctx, facts.duration[i]);
-            const z3::expr dj = RealOf(ctx, facts.duration[j]);
-            add((tau[i] + di <= tau[j]) || (tau[j] + dj <= tau[i]) ||
-                ((tau[i] >= tau[j]) && (tau[i] + di <= tau[j] + dj)) ||
-                ((tau[j] >= tau[i]) && (tau[j] + dj <= tau[i] + di)));
-        }
-    }
-
-    // Gate-error terms: g.eps = max conditional error over overlapping
-    // aggressors, independent rate otherwise (constraints 7-8). Two
-    // equivalent encodings:
-    //  - the paper's powerset of CanOlp(g), exact by construction but
-    //    exponential in |CanOlp| (capped);
-    //  - lower bounds "logeps >= log E(g|j) when o_gj" plus
-    //    "logeps >= log E(g)": since the objective minimizes
-    //    sum(logeps), the optimum pins logeps to exactly the max of the
-    //    active bounds. Linear in |CanOlp|; the default.
-    z3::expr gate_error_sum = ctx.real_val(0);
-    for (GateId i = 0; i < n; ++i) {
-        const auto& cands = can_olp[i];
-        if (cands.empty()) {
-            continue;
-        }
-        ++*gates_with_candidates;
-        z3::expr logeps =
-            ctx.real_const(("logeps" + std::to_string(i)).c_str());
-        const double log_independent =
-            LogOf(independent_error(facts.edge_of[i]));
-        if (options.use_powerset_encoding) {
-            const size_t subsets = size_t{1} << cands.size();
-            for (size_t mask = 0; mask < subsets; ++mask) {
-                z3::expr cond = ctx.bool_val(true);
-                double worst = independent_error(facts.edge_of[i]);
-                for (size_t b = 0; b < cands.size(); ++b) {
-                    const GateId j = cands[b];
-                    if (mask & (size_t{1} << b)) {
-                        cond = cond && overlap_var(i, j);
-                        worst = std::max(
-                            worst, characterization.ConditionalError(
-                                       facts.edge_of[i], facts.edge_of[j]));
-                    } else {
-                        cond = cond && !overlap_var(i, j);
-                    }
-                }
-                add(z3::implies(cond,
-                                logeps == RealOf(ctx, LogOf(worst))));
-            }
-        } else {
-            add(logeps >= RealOf(ctx, log_independent));
-            for (GateId j : cands) {
-                const double cond_err = characterization.ConditionalError(
-                    facts.edge_of[i], facts.edge_of[j]);
-                add(z3::implies(overlap_var(i, j),
-                                logeps >= RealOf(ctx, LogOf(cond_err))));
-            }
-        }
-        gate_error_sum = gate_error_sum + logeps;
-    }
-
-    // Decoherence terms (constraints 9-10): first/last gate per qubit
-    // are fixed by program order, so the lifetime is linear in tau.
-    z3::expr decoherence_sum = ctx.real_val(0);
-    for (QubitId q = 0; q < circuit.num_qubits(); ++q) {
-        GateId first = -1, last = -1;
-        for (GateId g = 0; g < n; ++g) {
-            if (circuit.gate(g).IsBarrier()) {
-                continue;
-            }
-            for (QubitId gq : circuit.gate(g).qubits) {
-                if (gq == q) {
-                    if (first < 0) {
-                        first = g;
-                    }
-                    last = g;
-                }
-            }
-        }
-        if (first < 0) {
-            continue;
-        }
-        const z3::expr lifetime =
-            tau[last] + RealOf(ctx, facts.duration[last]) - tau[first];
-        decoherence_sum =
-            decoherence_sum +
-            lifetime / RealOf(ctx, device.CoherenceTimeNs(q));
-    }
-
-    opt.minimize(RealOf(ctx, omega) * gate_error_sum +
-                 RealOf(ctx, decoherence_weight) * decoherence_sum);
-
-    const z3::check_result result = opt.check();
-    if (result == z3::sat) {
-        z3::model model = opt.get_model();
-        for (GateId g = 0; g < n; ++g) {
-            (*starts)[g] = NumeralToDouble(model.eval(tau[g], true));
-        }
-    }
-    return result;
+    return starts;
 }
-
-}  // namespace
 
 std::vector<OmegaSolveResult>
 XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
@@ -518,60 +508,14 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
     XTALK_REQUIRE(!omegas.empty(), "need at least one omega candidate");
     telemetry::ScopedSpan total_span("sched.xtalk.schedule");
     const auto t_begin = std::chrono::steady_clock::now();
-    const DependencyDag dag(circuit);
-
-    CircuitFacts facts;
-    facts.n = circuit.size();
-    const int n = facts.n;
-    facts.duration.assign(n, 0.0);
-    facts.edge_of.assign(n, -1);
-    for (GateId g = 0; g < n; ++g) {
-        const Gate& gate = circuit.gate(g);
-        // Quantize to the solver's 0.01 ns resolution so the emitted
-        // schedule matches the constraint system exactly.
-        facts.duration[g] =
-            gate.IsBarrier()
-                ? 0.0
-                : std::llround(device_->GateDuration(gate) * 100.0) / 100.0;
-        if (gate.IsTwoQubitUnitary()) {
-            facts.edge_of[g] =
-                device_->topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-            XTALK_REQUIRE(facts.edge_of[g] >= 0,
-                          "two-qubit gate on uncoupled qubits: "
-                              << xtalk::ToString(gate));
-        }
-        if (gate.IsMeasure()) {
-            facts.measures.push_back(g);
-        }
-    }
-
-    // Eligible pairs: DAG-concurrent 2q gates on distinct couplers whose
-    // measured conditional error satisfies the high-crosstalk criterion
-    // in either direction — the paper's pruning of CanOlp to
-    // high-crosstalk partners.
-    const std::vector<int> layers = dag.AsapLayers();
-    for (GateId i = 0; i < n; ++i) {
-        if (facts.edge_of[i] < 0) {
-            continue;
-        }
-        for (GateId j = i + 1; j < n; ++j) {
-            if (facts.edge_of[j] < 0 ||
-                facts.edge_of[j] == facts.edge_of[i] ||
-                !dag.CanOverlap(i, j)) {
-                continue;
-            }
-            const HighCrosstalkCriteria criteria{options_.high_threshold,
-                                                 options_.high_margin};
-            if (characterization_->IsHighCrosstalk(
-                    facts.edge_of[i], facts.edge_of[j], criteria) ||
-                characterization_->IsHighCrosstalk(
-                    facts.edge_of[j], facts.edge_of[i], criteria)) {
-                facts.eligible.push_back({i, j});
-                facts.eligible_gates.insert(i);
-                facts.eligible_gates.insert(j);
-            }
-        }
-    }
+    const XtalkProblem problem = [&] {
+        telemetry::ScopedSpan span("sched.xtalk.problem");
+        return BuildXtalkProblem(
+            circuit, *device_, *characterization_,
+            HighCrosstalkCriteria{options_.high_threshold,
+                                  options_.high_margin});
+    }();
+    const int n = problem.n;
 
     // Encode only pairs whose ASAP layers are close (deep circuits have
     // quadratically many eligible pairs, nearly all of which could never
@@ -580,21 +524,23 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
     // re-solve. The encoded set is shared across ω candidates — pairs
     // one candidate learned stay encoded for the rest of the sweep.
     std::set<GatePairKey> encoded;
-    for (const auto& [i, j] : facts.eligible) {
+    for (const XtalkProblem::Pair& pair : problem.eligible) {
         if (options_.max_layer_distance <= 0 ||
-            std::abs(layers[i] - layers[j]) <= options_.max_layer_distance) {
-            encoded.insert({i, j});
+            std::abs(problem.layer[pair.i] - problem.layer[pair.j]) <=
+                options_.max_layer_distance) {
+            encoded.insert({pair.i, pair.j});
         }
     }
 
     stats_ = {};
     const bool warm = options_.warm_start && !options_.use_powerset_encoding;
+    // A round that encodes no pair is the lifetime LP, solved exactly as
+    // a min-cost flow with no Z3 context. Its optimum does not depend on
+    // ω (the pair terms sit at their constant lower bounds), so one flow
+    // solve serves the whole sweep. Z3 — the warm session, or a context
+    // per cold round — is built on the first round that encodes a pair.
+    std::optional<std::vector<double>> flow_starts;
     std::unique_ptr<WarmSession> session;
-    if (warm) {
-        session = std::make_unique<WarmSession>(
-            *device_, *characterization_, circuit, dag, facts);
-        stats_.solver_builds = 1;
-    }
     const bool multi = omegas.size() > 1;
     const auto budget_state = [&](bool have_model, bool have_results) {
         // 0 = keep solving, 1 = use the model in hand, 2 = abort the
@@ -625,6 +571,37 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
         }
         return 0;
     };
+    const auto record_solve = [&](int round, double omega, bool flow,
+                                  z3::check_result result,
+                                  long long constraints, size_t pairs,
+                                  bool have_model) {
+        if (telemetry::Enabled()) {
+            telemetry::GetCounter("sched.xtalk.solves").Add(1);
+            if (flow) {
+                telemetry::GetCounter("sched.xtalk.flow_solves").Add(1);
+            }
+            telemetry::GetCounter("sched.xtalk.constraints")
+                .Add(static_cast<uint64_t>(
+                    std::max<long long>(0, constraints)));
+            telemetry::GetCounter("sched.xtalk.candidate_pairs")
+                .Add(static_cast<uint64_t>(pairs));
+            if (result != z3::sat) {
+                telemetry::GetCounter("sched.xtalk.solver_timeouts").Add(1);
+            }
+        }
+        telemetry::JournalEmit(
+            "sched.solve",
+            {{"round", round},
+             {"omega", omega},
+             {"solver", flow ? "flow" : "z3"},
+             {"verdict", result == z3::sat
+                             ? "sat"
+                             : (result == z3::unsat ? "unsat" : "unknown")},
+             {"constraints", constraints},
+             {"pairs", static_cast<uint64_t>(pairs)},
+             {"warm", warm},
+             {"have_model", have_model}});
+    };
 
     std::vector<OmegaSolveResult> results;
     bool sweep_aborted = false;
@@ -632,25 +609,10 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
         const double omega = omegas[oi];
         XTALK_REQUIRE(omega >= 0.0 && omega <= 1.0,
                       "omega " << omega << " outside [0, 1]");
-        // Objective (eq. 17, decoherence sign corrected). A tiny floor
-        // on the decoherence coefficient keeps omega = 1 schedules
-        // compact: with a weight of exactly zero the solver may leave
-        // arbitrary gaps, which no real backend would execute.
-        const double decoherence_weight = std::max(1.0 - omega, 1e-4);
 
-        bool scope_pushed = false;
-        if (warm) {
-            if (multi) {
-                // Promote pairs learned by earlier candidates to
-                // permanent assertions before opening this ω's scope.
-                session->AssertPending(encoded);
-                session->PushObjective(omega, decoherence_weight);
-                scope_pushed = true;
-            } else {
-                session->Minimize(omega, decoherence_weight);
-            }
-        }
-
+        // Whether this ω's objective is set in the warm session yet (in
+        // a push scope for a sweep, popped when the ω is done).
+        bool objective_set = false;
         std::vector<double> starts(n, 0.0);
         std::vector<GatePairKey> model_pairs;
         bool have_model = false;
@@ -687,113 +649,138 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                                                  encoded.end());
             stats_.candidate_pairs = static_cast<int>(round_pairs.size());
             stats_.refinement_rounds = round;
-            long long round_constraints = 0;
-            int gates_with_candidates = 0;
 
-            // Solve. Z3's exception type must not escape this
-            // translation unit, and a modelless outcome must not abort
-            // a caller that can degrade — both translate to
-            // SolverFailure (or, when an earlier round already produced
-            // a model, to using that model).
-            faults::MaybeInject("smt.solve");
-            z3::check_result result = z3::unknown;
-            try {
-                {
-                    // Span per solver round: the smt-solve node of the
-                    // profiler cost tree, and span.sched.xtalk.solve.ms
-                    // on the metrics side (the whole-schedule aggregate
-                    // stays in sched.xtalk.solve_ms).
-                    telemetry::ScopedSpan solve_span("sched.xtalk.solve");
-                    if (warm) {
-                        session->AssertPending(encoded);
-                        session->SetTimeout(effective_timeout_ms);
-                        result = session->Check(&starts);
-                        round_constraints = session->TakeNewConstraints();
-                        for (GateId g : facts.eligible_gates) {
-                            for (const auto& [i, j] : round_pairs) {
-                                if (i == g || j == g) {
-                                    ++gates_with_candidates;
-                                    break;
+            if (round_pairs.empty()) {
+                if (!flow_starts) {
+                    faults::MaybeInject("smt.solve");
+                    {
+                        telemetry::ScopedSpan solve_span("sched.xtalk.solve");
+                        flow_starts = SolveLifetimeFlow(problem);
+                    }
+                    record_solve(round, omega, true, z3::sat, 0, 0,
+                                 have_model);
+                }
+                starts = *flow_starts;
+                stats_.gates_with_candidates = 0;
+                stats_.optimal = true;
+            } else {
+                long long round_constraints = 0;
+                int gates_with_candidates = 0;
+                // Solve. Z3's exception type must not escape this
+                // translation unit, and a modelless outcome must not
+                // abort a caller that can degrade — both translate to
+                // SolverFailure (or, when an earlier round already
+                // produced a model, to using that model).
+                faults::MaybeInject("smt.solve");
+                z3::check_result result = z3::unknown;
+                try {
+                    std::unique_ptr<ColdRound> cold;
+                    {
+                        telemetry::ScopedSpan encode_span(
+                            "sched.xtalk.encode");
+                        if (!warm) {
+                            ++stats_.solver_builds;
+                            cold = std::make_unique<ColdRound>(
+                                problem, round_pairs, omega, options_,
+                                effective_timeout_ms);
+                        } else {
+                            if (!session) {
+                                session =
+                                    std::make_unique<WarmSession>(problem);
+                                stats_.solver_builds = 1;
+                            }
+                            if (!objective_set) {
+                                if (multi) {
+                                    // Promote pairs learned by earlier
+                                    // candidates to permanent assertions
+                                    // before opening this ω's scope.
+                                    session->AssertPending(encoded);
+                                    session->PushObjective(omega);
+                                } else {
+                                    session->Minimize(omega);
+                                }
+                                objective_set = true;
+                            }
+                            session->AssertPending(encoded);
+                        }
+                    }
+                    {
+                        // Span per solver round: the smt-solve node of
+                        // the profiler cost tree, and
+                        // span.sched.xtalk.solve.ms on the metrics side
+                        // (the whole-schedule aggregate stays in
+                        // sched.xtalk.solve_ms).
+                        telemetry::ScopedSpan solve_span("sched.xtalk.solve");
+                        if (warm) {
+                            session->SetTimeout(effective_timeout_ms);
+                            result = session->Check(&starts);
+                            round_constraints = session->TakeNewConstraints();
+                            for (GateId g : problem.eligible_gates) {
+                                for (const auto& [i, j] : round_pairs) {
+                                    if (i == g || j == g) {
+                                        ++gates_with_candidates;
+                                        break;
+                                    }
                                 }
                             }
+                        } else {
+                            result = cold->Check(&starts);
+                            round_constraints = cold->num_constraints();
+                            gates_with_candidates =
+                                cold->gates_with_candidates();
                         }
-                    } else {
-                        ++stats_.solver_builds;
-                        result = ColdSolveRound(
-                            *device_, *characterization_, circuit, dag,
-                            facts, round_pairs, omega, decoherence_weight,
-                            options_, effective_timeout_ms, &starts,
-                            &round_constraints, &gates_with_candidates);
                     }
-                }
-                stats_.gates_with_candidates = gates_with_candidates;
-                if (telemetry::Enabled()) {
-                    telemetry::GetCounter("sched.xtalk.solves").Add(1);
-                    telemetry::GetCounter("sched.xtalk.constraints")
-                        .Add(static_cast<uint64_t>(
-                            std::max<long long>(0, round_constraints)));
-                    telemetry::GetCounter("sched.xtalk.candidate_pairs")
-                        .Add(static_cast<uint64_t>(round_pairs.size()));
+                    stats_.gates_with_candidates = gates_with_candidates;
+                    record_solve(round, omega, false, result,
+                                 round_constraints, round_pairs.size(),
+                                 have_model);
+                    XTALK_REQUIRE(result != z3::unsat,
+                                  "scheduling constraints are "
+                                  "unsatisfiable (bug)");
+                    stats_.optimal = (result == z3::sat);
                     if (result != z3::sat) {
-                        telemetry::GetCounter("sched.xtalk.solver_timeouts")
-                            .Add(1);
+                        // `unknown` means the search was cut off: any
+                        // candidate model z3 holds is NOT guaranteed to
+                        // satisfy even the hard constraints, so it must
+                        // never become a schedule. Fall back to the last
+                        // sat round's model, or report SolverFailure so
+                        // the caller can degrade.
+                        if (have_model) {
+                            Warn("XtalkSched: solver returned unknown "
+                                 "(timeout?); using the last satisfiable "
+                                 "model");
+                            break;
+                        }
+                        if (!results.empty()) {
+                            Warn("XtalkSched: solver returned unknown "
+                                 "mid-sweep; returning the solved "
+                                 "candidates");
+                            sweep_aborted = true;
+                            break;
+                        }
+                        throw SolverFailure(
+                            "XtalkSched: solver returned unknown "
+                            "(timeout?) before any satisfiable model was "
+                            "found");
                     }
-                }
-                telemetry::JournalEmit(
-                    "sched.solve",
-                    {{"round", round},
-                     {"omega", omega},
-                     {"verdict", result == z3::sat
-                                     ? "sat"
-                                     : (result == z3::unsat ? "unsat"
-                                                            : "unknown")},
-                     {"constraints", round_constraints},
-                     {"pairs", static_cast<uint64_t>(round_pairs.size())},
-                     {"warm", warm},
-                     {"have_model", have_model}});
-                XTALK_REQUIRE(result != z3::unsat,
-                              "scheduling constraints are unsatisfiable "
-                              "(bug)");
-                stats_.optimal = (result == z3::sat);
-                if (result != z3::sat) {
-                    // `unknown` means the search was cut off: any
-                    // candidate model z3 holds is NOT guaranteed to
-                    // satisfy even the hard constraints, so it must
-                    // never become a schedule. Fall back to the last
-                    // sat round's model, or report SolverFailure so the
-                    // caller can degrade.
+                } catch (const z3::exception& e) {
+                    telemetry::JournalEmit("sched.solve",
+                                           {{"round", round},
+                                            {"solver", "z3"},
+                                            {"verdict", "exception"},
+                                            {"error", std::string(e.msg())},
+                                            {"have_model", have_model}});
                     if (have_model) {
-                        Warn("XtalkSched: solver returned unknown "
-                             "(timeout?); using the last satisfiable "
-                             "model");
-                        break;
-                    }
-                    if (!results.empty()) {
-                        Warn("XtalkSched: solver returned unknown "
-                             "mid-sweep; returning the solved "
-                             "candidates");
-                        sweep_aborted = true;
+                        Warn(std::string("XtalkSched: solver failed in "
+                                         "refinement round (") +
+                             e.msg() + "); using best known model");
                         break;
                     }
                     throw SolverFailure(
-                        "XtalkSched: solver returned unknown (timeout?) "
-                        "before any satisfiable model was found");
+                        std::string("XtalkSched: solver produced no "
+                                    "model: ") +
+                        e.msg());
                 }
-            } catch (const z3::exception& e) {
-                telemetry::JournalEmit("sched.solve",
-                                       {{"round", round},
-                                        {"verdict", "exception"},
-                                        {"error", std::string(e.msg())},
-                                        {"have_model", have_model}});
-                if (have_model) {
-                    Warn(std::string("XtalkSched: solver failed in "
-                                     "refinement round (") +
-                         e.msg() + "); using best known model");
-                    break;
-                }
-                throw SolverFailure(
-                    std::string("XtalkSched: solver produced no model: ") +
-                    e.msg());
             }
             have_model = true;
             model_pairs = std::move(round_pairs);
@@ -803,13 +790,15 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
             // violations only occur when the solver shifted chains
             // across the layer window.
             std::vector<GatePairKey> violations;
-            for (const auto& [i, j] : facts.eligible) {
+            for (const XtalkProblem::Pair& pair : problem.eligible) {
+                const GateId i = pair.i;
+                const GateId j = pair.j;
                 if (encoded.count({i, j})) {
                     continue;
                 }
                 const bool overlaps =
-                    starts[j] < starts[i] + facts.duration[i] - 1e-9 &&
-                    starts[i] < starts[j] + facts.duration[j] - 1e-9;
+                    starts[j] < starts[i] + problem.duration[i] - 1e-9 &&
+                    starts[i] < starts[j] + problem.duration[j] - 1e-9;
                 if (overlaps) {
                     violations.push_back({i, j});
                 }
@@ -827,13 +816,14 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                 // Escalate: pair-at-a-time refinement is thrashing (the
                 // solver keeps finding fresh blind spots); encode the
                 // whole eligible set for the final round.
-                encoded.insert(facts.eligible.begin(),
-                               facts.eligible.end());
+                for (const XtalkProblem::Pair& pair : problem.eligible) {
+                    encoded.insert({pair.i, pair.j});
+                }
             } else {
                 encoded.insert(violations.begin(), violations.end());
             }
         }
-        if (scope_pushed) {
+        if (objective_set && multi) {
             session->Pop();
         }
         if (!have_model) {
@@ -856,7 +846,7 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
         for (GateId g = 0; g < n; ++g) {
             if (!circuit.gate(g).IsBarrier()) {
                 solved.schedule.Add(circuit.gate(g), starts[g],
-                                    facts.duration[g]);
+                                    problem.duration[g]);
             }
         }
         solved.start_ns = starts;

@@ -22,6 +22,19 @@
  * reproduces ParSched — see DESIGN.md):
  *
  *     min  omega * sum_g log(g.eps) + (1-omega) * sum_q lifetime_q / T_q
+ *
+ * Solving. Each circuit is turned once into a solver-neutral XtalkProblem
+ * (scheduler/xtalk_problem.h): quantized durations, precedence arcs,
+ * readout groups, lifetimes and the eligible pairs. The only
+ * combinatorial part is the overlap choice of the encoded pairs. A
+ * refinement round that encodes no pair is the lifetime LP, solved
+ * exactly in process as a min-cost flow; its answer is the
+ * componentwise-earliest optimal schedule, and it serves every omega of
+ * a sweep because that argmin ignores omega. A Z3 context is built only
+ * on the first round that encodes a pair (refinement found the flow
+ * schedule overlapping an eligible pair outside the layer window, or
+ * the window held pairs from the start), and refinement continues in
+ * Z3 from there.
  */
 #ifndef XTALK_SCHEDULER_XTALK_SCHEDULER_H
 #define XTALK_SCHEDULER_XTALK_SCHEDULER_H
@@ -119,7 +132,8 @@ struct XtalkSchedulerStats {
     int gates_with_candidates = 0;
     int refinement_rounds = 0;
     bool optimal = false;
-    /** Z3 contexts constructed (warm sweep: 1; cold: one per round). */
+    /** Z3 contexts constructed (warm sweep: 1; cold: one per round
+     *  that encodes a pair; 0 when every round took the flow path). */
     int solver_builds = 0;
     /** ω candidates that produced a model (ScheduleForOmegas only). */
     int omegas_solved = 0;

@@ -302,6 +302,12 @@ Engine::RunCompile(const ServiceRequest& request,
         }
         XTALK_REQUIRE(pipeline.size() > 0, "'passes' names no passes");
     }
+    // Likewise reject a circuit wider than the device before
+    // characterizing: layout would reject it anyway, after seconds of SRB.
+    XTALK_REQUIRE(circuit.num_qubits() <= device.num_qubits(),
+                  "circuit needs " << circuit.num_qubits()
+                                   << " qubits, device has "
+                                   << device.num_qubits());
 
     CrosstalkCharacterization characterization;
     if (!request.characterization_text.empty() ||

@@ -54,8 +54,10 @@ struct ProfilerState {
 ProfilerState&
 State()
 {
-    static ProfilerState state;
-    return state;
+    // Leaked on purpose, like the trees it lists: pool workers can open
+    // their first span while the shared pool shuts down at exit.
+    static ProfilerState* state = new ProfilerState;
+    return *state;
 }
 
 thread_local ThreadTree* t_tree = nullptr;

@@ -50,8 +50,11 @@ struct ThreadNameRegistry {
 ThreadNameRegistry&
 NameRegistry()
 {
-    static ThreadNameRegistry registry;
-    return registry;
+    // Leaked on purpose: the shared pool outlives this static at exit,
+    // and a worker that first runs during the pool's shutdown registers
+    // its name after static destruction has begun.
+    static ThreadNameRegistry* registry = new ThreadNameRegistry;
+    return *registry;
 }
 
 }  // namespace

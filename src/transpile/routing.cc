@@ -98,7 +98,50 @@ RouteCircuit(const Device& device, const Circuit& logical,
         }
     };
 
-    for (const Gate& g : logical.gates()) {
+    // A terminal measurement (no later non-barrier gate on its qubit)
+    // commutes with every later gate, so it waits for the routed body and
+    // reads its qubit's final location: emitted in place, a later SWAP
+    // through its physical qubit would carry other data there before a
+    // scheduler moves the measurement past the SWAP. The body ends at the
+    // last gate that is neither a measurement nor a barrier.
+    const int n = logical.size();
+    std::vector<char> terminal(n, 0);
+    std::vector<char> used_later(logical.num_qubits(), 0);
+    int body_end = 0;
+    for (GateId g = n - 1; g >= 0; --g) {
+        const Gate& gate = logical.gate(g);
+        if (gate.IsBarrier()) {
+            continue;
+        }
+        if (!gate.IsMeasure() && body_end == 0) {
+            body_end = g + 1;
+        }
+        if (gate.IsMeasure() && !used_later[gate.qubits[0]]) {
+            terminal[g] = 1;
+        }
+        for (QubitId q : gate.qubits) {
+            used_later[q] = 1;
+        }
+    }
+    std::vector<GateId> deferred;
+    const auto emit_deferred = [&] {
+        for (GateId m : deferred) {
+            Gate mapped = logical.gate(m);
+            mapped.qubits[0] = layout[mapped.qubits[0]];
+            result.circuit.Add(std::move(mapped));
+        }
+        deferred.clear();
+    };
+
+    for (GateId index = 0; index < n; ++index) {
+        const Gate& g = logical.gate(index);
+        if (index == body_end) {
+            emit_deferred();
+        }
+        if (terminal[index] && index < body_end) {
+            deferred.push_back(index);
+            continue;
+        }
         if (g.IsBarrier()) {
             Gate barrier = g;
             for (QubitId& q : barrier.qubits) {
@@ -137,6 +180,7 @@ RouteCircuit(const Device& device, const Circuit& logical,
             result.circuit.Add(std::move(mapped));
         }
     }
+    emit_deferred();
     return result;
 }
 

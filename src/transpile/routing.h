@@ -53,7 +53,9 @@ struct RoutingResult {
  * Map a logical circuit onto the device: start from @p initial_layout
  * (logical -> physical; must be injective) and insert meet-in-the-middle
  * SWAP chains before any CNOT whose operands are not adjacent.
- * Measurements follow their logical qubit's current location.
+ * A terminal measurement (no later non-barrier gate on its qubit) is
+ * emitted after the routed body, at its logical qubit's final location;
+ * any other measurement reads the qubit's current location.
  */
 RoutingResult RouteCircuit(const Device& device, const Circuit& logical,
                            const std::vector<QubitId>& initial_layout);

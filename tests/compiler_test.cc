@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <string>
 
+#include "circuit/qasm.h"
 #include "common/error.h"
 #include "compiler/compiler.h"
 #include "device/ibmq_devices.h"
 #include "faults/faults.h"
+#include "scheduler/portfolio.h"
 #include "sim/noisy_simulator.h"
 
 namespace xtalk {
@@ -184,6 +186,74 @@ TEST(Compiler, OmegaReportedOnlyByOmegaSchedulers)
         Compile(device, characterization, LogicalWorkload(), options);
     ASSERT_TRUE(greedy.omega.has_value());
     EXPECT_EQ(*greedy.omega, 0.25);
+}
+
+/**
+ * q1 is flipped and measured first; under a trivial layout on
+ * Poughkeepsie the later CNOT 0,2 is routed with a SWAP through q1's
+ * physical qubit, so c[0] must read logical q1 wherever it ends up.
+ */
+Circuit
+EarlyMeasureWorkload()
+{
+    Circuit c(3);
+    c.X(1).Measure(1, 0).CX(0, 2).Measure(0, 1).Measure(2, 2);
+    return c;
+}
+
+TEST(Compiler, EarlyMeasureReadsTheFinalLocationUnderEveryPolicy)
+{
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    NoisySimOptions noiseless;
+    noiseless.gate_noise = false;
+    noiseless.decoherence = false;
+    noiseless.readout_noise = false;
+    for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
+        CompilerOptions options;
+        options.layout = LayoutPolicy::kTrivial;
+        options.scheduler = row.key;
+        const CompileResult result = Compile(
+            device, characterization, EarlyMeasureWorkload(), options);
+        EXPECT_EQ(result.degradation, "none") << row.key;
+        const QubitId home = result.final_layout[1];
+        ASSERT_NE(home, 1) << "the route no longer moves logical q1";
+        EXPECT_NE(ToQasm(result.executable)
+                      .find("measure q[" + std::to_string(home) +
+                            "] -> c[0];"),
+                  std::string::npos)
+            << row.key << "\n"
+            << ToQasm(result.executable);
+        // Noiselessly, c[0] reads the flipped qubit on every shot.
+        const Counts counts =
+            NoisySimulator(device, noiseless)
+                .Run(result.schedule, RunSpec{64});
+        for (const auto& [bits, count] : counts.histogram()) {
+            EXPECT_EQ(bits & 1u, 1u) << row.key << ": " << count << " x "
+                                     << bits;
+        }
+    }
+}
+
+TEST(Compiler, GateAfterMeasureIsRejectedBeforeAnyPass)
+{
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    Circuit logical(2);
+    logical.Measure(0, 0).X(0).Measure(1, 1);
+    try {
+        Compile(device, characterization, logical);
+        ADD_FAILURE() << "a gate after a measurement compiled";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("qubit 0"), std::string::npos)
+            << e.what();
+        EXPECT_EQ(std::string(e.what()).find("pass '"), std::string::npos)
+            << e.what();
+    }
+    // Barriers after a measurement are ordering only, and stay legal.
+    Circuit barriered(2);
+    barriered.H(1).Measure(0, 0).BarrierAll().Measure(1, 1);
+    EXPECT_NO_THROW(Compile(device, characterization, barriered));
 }
 
 TEST(Compiler, TrivialLayoutRejectsTooWideCircuit)

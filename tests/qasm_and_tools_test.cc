@@ -168,6 +168,22 @@ TEST(QasmParser, OverflowingIndexIsALineNumberedError)
                  Error);
 }
 
+TEST(QasmParser, UnparsableOrOverflowingPiFactorIsABadParameter)
+{
+    for (const char* param : {"x*pi", "pi/1e999", "1e999*pi"}) {
+        const std::string source = std::string("OPENQASM 2.0;\nqreg q[1];\n") +
+                                   "rx(" + param + ") q[0];\n";
+        try {
+            ParseQasm(source);
+            ADD_FAILURE() << param << " parsed";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("line 3: bad parameter"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(QasmParser, RoundTripsExporterOutput)
 {
     Circuit original(4);

@@ -4,7 +4,8 @@
  * the greedy ablation, the schedule error model, and barrier insertion.
  * The central scenario mirrors the paper's Figure 1/6: two parallel
  * high-crosstalk CNOT chains that XtalkSched must serialize while
- * keeping everything else parallel.
+ * keeping everything else parallel. Z3 is the oracle of XtalkSched's
+ * min-cost-flow solve for rounds that encode no crosstalk pair.
  */
 #include <gtest/gtest.h>
 
@@ -14,14 +15,22 @@
 #include "characterization/characterizer.h"
 #include "circuit/dag.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "compiler/compiler.h"
+#include "compiler/pass.h"
+#include "compiler/pass_manager.h"
 #include "device/ibmq_devices.h"
 #include "faults/faults.h"
+#include "runtime/cancellation.h"
 #include "scheduler/analysis.h"
 #include "scheduler/greedy_scheduler.h"
 #include "scheduler/scheduler.h"
+#include "scheduler/xtalk_problem.h"
 #include "scheduler/xtalk_scheduler.h"
 #include "telemetry/telemetry.h"
+#include "workloads/adversarial.h"
+#include "workloads/hidden_shift.h"
+#include "workloads/qaoa.h"
 
 namespace xtalk {
 namespace {
@@ -470,6 +479,352 @@ TEST(XtalkSchedulerResilience, TimeoutDegradesToVerifiedSchedule)
     } else {
         EXPECT_TRUE(result.degradation_reason.empty());
     }
+}
+
+// ---------------------------------------------------------------------
+// The lifetime flow, with Z3 as its oracle on zero-pair problems.
+
+/** A seeded random simple path of @p length coupled qubits. */
+std::vector<QubitId>
+RandomChain(const Device& device, int length, Rng& rng)
+{
+    const Topology& topo = device.topology();
+    for (;;) {
+        std::vector<QubitId> chain{static_cast<QubitId>(
+            rng.UniformInt(static_cast<uint64_t>(topo.num_qubits())))};
+        while (static_cast<int>(chain.size()) < length) {
+            std::vector<QubitId> next;
+            for (QubitId q : topo.Neighbors(chain.back())) {
+                if (std::find(chain.begin(), chain.end(), q) == chain.end()) {
+                    next.push_back(q);
+                }
+            }
+            if (next.empty()) {
+                break;
+            }
+            chain.push_back(next[rng.UniformInt(next.size())]);
+        }
+        if (static_cast<int>(chain.size()) == length) {
+            return chain;
+        }
+    }
+}
+
+/** @p wide on a register of exactly its active qubits, in first-use
+ *  order (how the service benchmark submits its circuits). */
+Circuit
+Compact(const Circuit& wide)
+{
+    std::vector<QubitId> order;
+    for (const Gate& gate : wide.gates()) {
+        for (QubitId q : gate.qubits) {
+            if (std::find(order.begin(), order.end(), q) == order.end()) {
+                order.push_back(q);
+            }
+        }
+    }
+    std::vector<QubitId> map(static_cast<size_t>(wide.num_qubits()), 0);
+    for (size_t i = 0; i < order.size(); ++i) {
+        map[static_cast<size_t>(order[i])] = static_cast<QubitId>(i);
+    }
+    Circuit compact(static_cast<int>(order.size()));
+    compact.AppendMapped(wide, map);
+    return compact;
+}
+
+/** One seeded circuit of each of the nine compile_warm shapes of the
+ *  service benchmark: QAOA 4x3, 5x2, 6x2; hidden shift plain and with
+ *  redundant CNOTs; the four adversarial families. */
+std::vector<Circuit>
+CompileWarmShapes(const Device& device, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Circuit> circuits;
+    for (const auto& [qubits, layers] :
+         std::vector<std::pair<int, int>>{{4, 3}, {5, 2}, {6, 2}}) {
+        QaoaOptions options;
+        options.layers = layers;
+        options.param_seed = rng.Next();
+        circuits.push_back(Compact(BuildQaoaCircuit(
+            device, RandomChain(device, qubits, rng), options)));
+    }
+    for (bool redundant : {false, true}) {
+        const auto& edges = device.topology().edges();
+        const Edge* a = nullptr;
+        const Edge* b = nullptr;
+        while (a == nullptr || a->SharesQubit(*b)) {
+            a = &edges[rng.UniformInt(edges.size())];
+            b = &edges[rng.UniformInt(edges.size())];
+        }
+        HiddenShiftOptions options;
+        options.shift = 1 + static_cast<unsigned>(rng.UniformInt(15));
+        options.redundant_cnots = redundant;
+        circuits.push_back(Compact(BuildHiddenShiftCircuit(
+            device, {a->a, a->b, b->a, b->b}, options)));
+    }
+    for (const auto& [family, qubits] :
+         std::vector<std::pair<AdversarialFamily, int>>{
+             {AdversarialFamily::kParallelCxMesh, 6},
+             {AdversarialFamily::kDepthChain, 5},
+             {AdversarialFamily::kReadoutHeavy, 6},
+             {AdversarialFamily::kCliffordOnly, 4}}) {
+        AdversarialOptions options;
+        options.family = family;
+        options.max_qubits = qubits;
+        options.intensity = 2;
+        options.seed = rng.Next();
+        circuits.push_back(
+            Compact(BuildAdversarialCircuit(device, options)));
+    }
+    return circuits;
+}
+
+/** The schedule pass's input: noise-aware layout, then routing. */
+Circuit
+Routed(const Device& device,
+       const CrosstalkCharacterization& characterization,
+       const Circuit& logical)
+{
+    CompilationState state(device, characterization, logical);
+    CreateRegisteredPass("layout")->Run(state);
+    CreateRegisteredPass("route")->Run(state);
+    return *state.routed;
+}
+
+/** @p circuit's problem under the scheduler's default pair criteria. */
+XtalkProblem
+ProblemFor(const Device& device,
+           const CrosstalkCharacterization& characterization,
+           const Circuit& circuit)
+{
+    const XtalkSchedulerOptions defaults;
+    return BuildXtalkProblem(
+        circuit, device, characterization,
+        HighCrosstalkCriteria{defaults.high_threshold, defaults.high_margin});
+}
+
+/**
+ * The flow schedule is feasible and, for every ω, its objective equals
+ * the optimum of Z3's zero-pair solve within 1e-9 relative. With no
+ * pair the objective is the lifetime sum times the decoherence weight
+ * max(1 - ω, 1e-4), which Z3 sees at the solvers' 0.01 resolution: at
+ * ω = 1 that weight is 0, every feasible schedule is optimal to Z3, and
+ * the flow's lifetime optimum can only be shorter.
+ */
+void
+ExpectFlowMatchesZ3(const XtalkProblem& problem, const std::string& label)
+{
+    const std::vector<double> flow = SolveLifetimeFlow(problem);
+    EXPECT_TRUE(SatisfiesTimingConstraints(problem, flow)) << label;
+    const double flow_lifetime = LifetimeObjective(problem, flow);
+    for (double omega : {0.0, 0.05, 0.5, 1.0}) {
+        const std::vector<double> z3 =
+            SolveXtalkProblemWithZ3(problem, {}, omega);
+        EXPECT_TRUE(SatisfiesTimingConstraints(problem, z3, 1e-6)) << label;
+        const double z3_lifetime = LifetimeObjective(problem, z3);
+        const double weight =
+            std::llround(std::max(1.0 - omega, 1e-4) * 100.0) / 100.0;
+        const double a = weight * flow_lifetime;
+        const double b = weight * z3_lifetime;
+        EXPECT_LE(std::abs(a - b), 1e-9 * std::max(std::abs(a), std::abs(b)))
+            << label << " omega " << omega << ": flow " << a << " z3 " << b;
+        EXPECT_LE(flow_lifetime, z3_lifetime * (1.0 + 1e-9)) << label;
+    }
+}
+
+TEST(XtalkProblemOracle, FlowMatchesZ3OnCompileWarmShapes)
+{
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::vector<Circuit> circuits =
+            CompileWarmShapes(device, seed);
+        ASSERT_EQ(circuits.size(), 9u);
+        for (size_t k = 0; k < circuits.size(); ++k) {
+            ExpectFlowMatchesZ3(
+                ProblemFor(device, characterization,
+                           Routed(device, characterization, circuits[k])),
+                "seed " + std::to_string(seed) + " shape " +
+                    std::to_string(k));
+        }
+    }
+}
+
+TEST(XtalkProblemOracle, FlowMatchesZ3OnPipelineSweepCircuits)
+{
+    // The property suite's PipelineSweep inputs: random device-compliant
+    // circuits on the three paper devices, scheduled as laid out.
+    const std::vector<Device> devices = MakePaperDevices();
+    for (int d = 0; d < static_cast<int>(devices.size()); ++d) {
+        const Device& device = devices[d];
+        const Topology& topo = device.topology();
+        const auto characterization = OracleCharacterization(device);
+        for (int seed = 0; seed < 4; ++seed) {
+            Rng rng(9000 + 131 * d + seed);
+            Circuit c(topo.num_qubits());
+            for (int i = 0; i < 20; ++i) {
+                if (rng.Bernoulli(0.45)) {
+                    const auto e =
+                        static_cast<EdgeId>(rng.UniformInt(topo.num_edges()));
+                    c.CX(topo.edge(e).a, topo.edge(e).b);
+                } else {
+                    const auto q = static_cast<QubitId>(
+                        rng.UniformInt(topo.num_qubits()));
+                    switch (rng.UniformInt(3)) {
+                      case 0: c.H(q); break;
+                      case 1: c.T(q); break;
+                      default: c.U2(0.3, 1.1, q); break;
+                    }
+                }
+            }
+            const auto active = c.ActiveQubits();
+            for (size_t k = 0; k < std::min<size_t>(active.size(), 4); ++k) {
+                c.Measure(active[k], static_cast<ClbitId>(k));
+            }
+            ExpectFlowMatchesZ3(ProblemFor(device, characterization, c),
+                                device.name() + " seed " +
+                                    std::to_string(seed));
+        }
+    }
+}
+
+TEST(XtalkProblemOracle, FlowMatchesZ3WithBarriersZeroDurationsAndGroups)
+{
+    // Problems no compile produces: barriers, zero-duration gates and
+    // several readout groups, edited into the solver-neutral problem.
+    const Device device = MakeLinearDevice(8, 5);
+    const auto characterization = OracleCharacterization(device);
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        Circuit c(8);
+        for (int i = 0; i < 30; ++i) {
+            const auto q = static_cast<QubitId>(rng.UniformInt(7));
+            switch (rng.UniformInt(4)) {
+              case 0: c.CX(q, q + 1); break;
+              case 1: c.H(q); break;
+              case 2: c.Barrier({q, static_cast<QubitId>(q + 1)}); break;
+              default: c.RZ(0.7, q); break;
+            }
+        }
+        for (QubitId q = 0; q < 8; ++q) {
+            c.Measure(q, q);
+        }
+        XtalkProblem problem = ProblemFor(device, characterization, c);
+        for (GateId g = 0; g < problem.n; ++g) {
+            if (!c.gate(g).IsMeasure() && rng.Bernoulli(0.25)) {
+                problem.duration[g] = 0.0;
+            }
+        }
+        ASSERT_EQ(problem.readout_groups.size(), 1u);
+        const std::vector<GateId> measures = problem.readout_groups[0];
+        problem.readout_groups.assign(2, {});
+        for (GateId m : measures) {
+            problem.readout_groups[rng.UniformInt(2)].push_back(m);
+        }
+        ExpectFlowMatchesZ3(problem, "seed " + std::to_string(seed));
+    }
+}
+
+TEST(XtalkProblemOracle, OrderedReadoutGroupIsAUserErrorOnBothSolvers)
+{
+    // measure q0; cx 0,1; measure q1: the readouts cannot start together.
+    const Device device = MakeLinearDevice(3, 3);
+    const auto characterization = OracleCharacterization(device);
+    Circuit c(3);
+    c.Measure(0, 0).CX(0, 1).Measure(1, 1);
+    const XtalkProblem problem = ProblemFor(device, characterization, c);
+    try {
+        SolveLifetimeFlow(problem);
+        ADD_FAILURE() << "an infeasible readout group was solved";
+    } catch (const InternalError&) {
+        ADD_FAILURE() << "infeasible readout reported as a bug";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("unsatisfiable"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(SolveXtalkProblemWithZ3(problem, {}, 0.5), Error);
+    XtalkScheduler scheduler(device, characterization);
+    EXPECT_THROW(scheduler.Schedule(c), Error);
+}
+
+TEST(XtalkProblemOracle, OnlyCircuitsThatEncodeAPairBuildZ3)
+{
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    telemetry::SetEnabled(true);
+    const auto flow_solves = [] {
+        return telemetry::GetCounter("sched.xtalk.flow_solves").value();
+    };
+
+    Circuit quiet(20);
+    quiet.CX(0, 1).CX(2, 3).Measure(0, 0).Measure(1, 1);
+    XtalkScheduler xtalk(device, characterization);
+    uint64_t before = flow_solves();
+    const ScheduledCircuit s = xtalk.Schedule(quiet);
+    EXPECT_EQ(s.size(), quiet.size());
+    EXPECT_EQ(flow_solves(), before + 1);
+    EXPECT_EQ(xtalk.stats().solver_builds, 0);
+    EXPECT_EQ(xtalk.stats().candidate_pairs, 0);
+    EXPECT_TRUE(xtalk.stats().optimal);
+
+    // One flow solve serves a whole ω sweep: the argmin ignores ω.
+    before = flow_solves();
+    const std::vector<OmegaSolveResult> sweep =
+        xtalk.ScheduleForOmegas(quiet, {0.0, 0.5, 1.0});
+    ASSERT_EQ(sweep.size(), 3u);
+    EXPECT_EQ(flow_solves(), before + 1);
+    EXPECT_EQ(sweep[0].start_ns, sweep[2].start_ns);
+    EXPECT_EQ(xtalk.stats().omegas_solved, 3);
+    // Every candidate then scores the same, so auto keeps its first ω.
+    CompilerOptions options;
+    options.layout = LayoutPolicy::kTrivial;
+    options.scheduler = "auto";
+    options.omega_candidates = {0.3, 0.6, 0.9};
+    const CompileResult automatic =
+        Compile(device, characterization, quiet, options);
+    ASSERT_TRUE(automatic.omega.has_value());
+    EXPECT_EQ(*automatic.omega, 0.3);
+
+    // The Fig. 6 SWAP pair and the conflict circuit encode a pair.
+    Circuit fig6(20);
+    fig6.CX(10, 15).CX(15, 10).CX(10, 15);
+    fig6.CX(11, 12).CX(12, 11).CX(11, 12);
+    fig6.Measure(10, 0).Measure(15, 1).Measure(11, 2).Measure(12, 3);
+    for (const Circuit& encoded : {fig6, ConflictCircuit()}) {
+        before = flow_solves();
+        xtalk.Schedule(encoded);
+        EXPECT_EQ(flow_solves(), before);
+        EXPECT_EQ(xtalk.stats().solver_builds, 1);
+        EXPECT_GT(xtalk.stats().candidate_pairs, 0);
+    }
+    telemetry::SetEnabled(false);
+}
+
+TEST(XtalkProblemOracle, ZeroPairCircuitKeepsFaultAndCancelSemantics)
+{
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    Circuit quiet(20);
+    quiet.CX(0, 1).CX(2, 3).Measure(0, 0).Measure(1, 1);
+    {
+        // The fault point fires before the flow solve too, and the
+        // compiler degrades down the chain.
+        faults::ScopedFaultPlan scoped("smt.solve:n=1");
+        CompilerOptions options;
+        options.layout = LayoutPolicy::kTrivial;
+        options.scheduler = "xtalk";
+        const CompileResult result =
+            Compile(device, characterization, quiet, options);
+        EXPECT_EQ(result.degradation, "greedy");
+        EXPECT_NE(result.degradation_reason.find("smt.solve"),
+                  std::string::npos)
+            << result.degradation_reason;
+    }
+    runtime::CancelToken cancel;
+    cancel.Cancel();
+    XtalkScheduler xtalk(device, characterization);
+    EXPECT_THROW(xtalk.Schedule(quiet, &cancel), SolverFailure);
 }
 
 TEST(Analysis, GroundTruthAndOracleCharacterizationAgree)

@@ -796,6 +796,55 @@ TEST(EngineTest, OverflowingQasmIndexAnswersError)
         << response.error;
 }
 
+TEST(EngineTest, OverflowingQasmParameterAnswersError)
+{
+    Engine engine;
+    for (const char* param : {"x*pi", "pi/1e999", "1e999*pi"}) {
+        ServiceRequest request = TinyRequest();
+        request.qasm = std::string("OPENQASM 2.0;\nqreg q[2];\nrx(") +
+                       param + ") q[0];\n";
+        const ServiceResponse response = engine.Handle(request);
+        EXPECT_EQ(response.code, StatusCode::kError)
+            << param << ": " << response.error;
+        EXPECT_NE(response.error.find("bad parameter"), std::string::npos)
+            << response.error;
+    }
+}
+
+TEST(EngineTest, TooWideCircuitAnswersErrorBeforeCharacterizing)
+{
+    // xtalk needs a characterization; a 30-qubit circuit on the 20-qubit
+    // device must fail before a cold engine spends seconds of SRB on it.
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.scheduler = "xtalk";
+    request.layout = "noise-aware";
+    request.qasm =
+        "OPENQASM 2.0;\nqreg q[30];\ncreg c[1];\nh q[29];\n"
+        "measure q[29] -> c[0];\n";
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kError) << response.error;
+    EXPECT_NE(response.error.find("needs 30 qubits"), std::string::npos)
+        << response.error;
+    for (const ServicePhase& phase : response.phases) {
+        EXPECT_NE(phase.phase, "characterize");
+    }
+    EXPECT_EQ(engine.cache().size(), 0u);
+}
+
+TEST(EngineTest, GateAfterMeasureAnswersErrorNamingTheQubit)
+{
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.qasm =
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[0];\n"
+        "x q[0];\nmeasure q[1] -> c[1];\n";
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kError) << response.error;
+    EXPECT_NE(response.error.find("qubit 0"), std::string::npos)
+        << response.error;
+}
+
 TEST(EngineTest, SimulatingIntoClbit64AnswersError)
 {
     // Counts pack a shot into 64 bits; c[64] used to alias c[0].
