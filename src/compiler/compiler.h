@@ -62,10 +62,10 @@ struct CompilerOptions {
     /** Scheduler policy key: a portfolio member key, which races that
      *  member and its registry backups (LineupFor), or "portfolio". */
     std::string scheduler = "xtalk";
-    /** XtalkSched options (omega ignored by the auto-omega member). */
+    /** XtalkSched options (omega ignored by the auto-omega member).
+     *  GreedySched and AnnealSched take its omega and crosstalk
+     *  criteria too. */
     XtalkSchedulerOptions xtalk;
-    /** AnnealSched options. */
-    AnnealSchedulerOptions anneal;
     /** ω candidates for the auto-omega member. */
     std::vector<double> omega_candidates = DefaultOmegaCandidates();
     /**

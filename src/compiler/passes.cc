@@ -17,19 +17,21 @@ namespace xtalk {
 
 namespace {
 
-/** Member knobs from the pipeline options: GreedySched shares
- *  XtalkSched's omega/criteria so a user-set omega reaches it. */
+/** Member knobs from the pipeline options: GreedySched and AnnealSched
+ *  share XtalkSched's omega/criteria so a user-set omega reaches them. */
 PortfolioMemberOptions
 MemberOptionsFrom(const CompilationState& state)
 {
+    const XtalkSchedulerOptions& xtalk = state.options.xtalk;
     PortfolioMemberOptions member_options;
-    member_options.xtalk = state.options.xtalk;
-    member_options.anneal = state.options.anneal;
+    member_options.xtalk = xtalk;
     member_options.omega_candidates = state.options.omega_candidates;
-    member_options.greedy.omega = state.options.xtalk.omega;
-    member_options.greedy.high_threshold =
-        state.options.xtalk.high_threshold;
-    member_options.greedy.high_margin = state.options.xtalk.high_margin;
+    member_options.greedy.omega = xtalk.omega;
+    member_options.greedy.high_threshold = xtalk.high_threshold;
+    member_options.greedy.high_margin = xtalk.high_margin;
+    member_options.anneal.omega = xtalk.omega;
+    member_options.anneal.high_threshold = xtalk.high_threshold;
+    member_options.anneal.high_margin = xtalk.high_margin;
     return member_options;
 }
 

@@ -110,11 +110,11 @@ AnnealScheduler::Schedule(const Circuit& circuit,
         ScheduledCircuit schedule(circuit.num_qubits());
         std::vector<double> ready(circuit.num_qubits(), 0.0);
         std::vector<double> end(circuit.size(), 0.0);
-        std::vector<std::pair<Gate, QubitId>> measures;
+        std::vector<Gate> measures;
         for (GateId g = 0; g < circuit.size(); ++g) {
             const Gate& gate = circuit.gates()[g];
             if (gate.IsMeasure()) {
-                measures.push_back({gate, gate.qubits[0]});
+                measures.push_back(gate);
                 continue;
             }
             double start = 0.0;
@@ -136,21 +136,7 @@ AnnealScheduler::Schedule(const Circuit& circuit,
                 ready[q] = std::max(ready[q], end[g]);
             }
         }
-        if (!measures.empty()) {
-            if (device_->traits().simultaneous_readout) {
-                double start = 0.0;
-                for (const auto& [m, q] : measures) {
-                    start = std::max(start, ready[q]);
-                }
-                for (const auto& [m, q] : measures) {
-                    schedule.Add(m, start, device_->ReadoutDuration(q));
-                }
-            } else {
-                for (const auto& [m, q] : measures) {
-                    schedule.Add(m, ready[q], device_->ReadoutDuration(q));
-                }
-            }
-        }
+        AppendMeasures(&schedule, *device_, measures, ready);
         return schedule;
     };
     auto cost = [&](const ScheduledCircuit& schedule) {

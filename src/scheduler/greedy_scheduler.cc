@@ -107,23 +107,7 @@ GreedyXtalkScheduler::Schedule(const Circuit& circuit)
     for (const Placed& p : placed) {
         schedule.Add(p.gate, p.start, p.duration);
     }
-    if (!measures.empty()) {
-        double readout_start = 0.0;
-        for (const Gate& m : measures) {
-            readout_start = std::max(readout_start, ready[m.qubits[0]]);
-        }
-        if (!device_->traits().simultaneous_readout) {
-            for (const Gate& m : measures) {
-                schedule.Add(m, ready[m.qubits[0]],
-                             device_->ReadoutDuration(m.qubits[0]));
-            }
-        } else {
-            for (const Gate& m : measures) {
-                schedule.Add(m, readout_start,
-                             device_->ReadoutDuration(m.qubits[0]));
-            }
-        }
-    }
+    AppendMeasures(&schedule, *device_, measures, ready);
     return schedule;
 }
 

@@ -14,8 +14,8 @@
 
 #include <vector>
 
-#include "runtime/executor.h"
 #include "scheduler/analysis.h"
+#include "scheduler/portfolio.h"
 #include "scheduler/xtalk_scheduler.h"
 
 namespace xtalk {
@@ -37,27 +37,8 @@ struct OmegaSelection {
 OmegaSelection SelectOmegaByModel(
     const Device& device, const CrosstalkCharacterization& characterization,
     const Circuit& circuit,
-    const std::vector<double>& candidates = {0.0, 0.05, 0.1, 0.2, 0.35,
-                                             0.5, 0.75, 1.0},
+    const std::vector<double>& candidates = DefaultOmegaCandidates(),
     const XtalkSchedulerOptions& base = {});
-
-/**
- * Empirical variant of SelectOmegaByModel: solve the schedule for each
- * candidate omega serially (the SMT solver is not reentrant), then run
- * every candidate's Monte-Carlo simulation as one Executor batch and
- * score it by distribution overlap with the noise-free outcome
- * (1 - total variation distance). Candidate i's simulation uses seed
- * DeriveSeed(@p seed, i), so the selection is deterministic for any
- * thread count. Slower but model-independent — this is what Figures 8-9
- * sweep measures, minus the metric plumbing.
- */
-OmegaSelection SelectOmegaBySimulation(
-    const Device& device, const CrosstalkCharacterization& characterization,
-    const Circuit& circuit,
-    const std::vector<double>& candidates = {0.0, 0.05, 0.1, 0.2, 0.35,
-                                             0.5, 0.75, 1.0},
-    const XtalkSchedulerOptions& base = {}, int shots = 4096,
-    uint64_t seed = 0xA11CE, runtime::ExecutorOptions exec_options = {});
 
 }  // namespace xtalk
 

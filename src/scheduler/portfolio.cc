@@ -472,11 +472,12 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
         }
     };
 
-    if (options.prefer_first) {
+    if (options.prefer_first || n == 1) {
         // Primary-first: the first member wins outright when it
         // succeeds; the race is only for picking the best survivor
-        // after a failure. Running it inline keeps the common path free
-        // of pool-scheduling effects entirely.
+        // after a failure. A lone member has no race at all. Running it
+        // inline keeps the common path free of pool-scheduling effects
+        // entirely: no wait behind other requests' pool work.
         RunOne(*members_[0], circuit, member_ctx(0), &attempts[0]);
         if (!attempts[0].candidate && !attempts[0].internal && n > 1) {
             race(1);

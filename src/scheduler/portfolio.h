@@ -30,7 +30,8 @@
  * Threading contract: Run() blocks on pool futures, so — like
  * runtime::Executor::Submit — it must NOT be called from a pool worker
  * of the same pool (the join would deadlock a fully-busy pool). Members
- * themselves never submit to the pool.
+ * themselves never submit to the pool. A lone member, and the first
+ * member in prefer-first mode, run inline on the calling thread.
  *
  * Failure semantics: recoverable failures (SolverFailure, injected
  * transient faults) make the member lose; InternalError — including

@@ -22,10 +22,8 @@ SplitMeasures(const Circuit& circuit, std::vector<Gate>* body,
     }
 }
 
-/**
- * Append measures: simultaneous at @p readout_start when the device
- * requires it, otherwise each as soon as its qubit is free.
- */
+}  // namespace
+
 void
 AppendMeasures(ScheduledCircuit* schedule, const Device& device,
                const std::vector<Gate>& measures,
@@ -49,8 +47,6 @@ AppendMeasures(ScheduledCircuit* schedule, const Device& device,
         }
     }
 }
-
-}  // namespace
 
 ScheduledCircuit
 AsapSchedule(const Circuit& circuit, const Device& device)

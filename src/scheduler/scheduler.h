@@ -14,6 +14,7 @@
 #define XTALK_SCHEDULER_SCHEDULER_H
 
 #include <string>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "circuit/schedule.h"
@@ -63,6 +64,16 @@ class ParallelScheduler : public Scheduler {
     ScheduledCircuit Schedule(const Circuit& circuit) override;
     std::string name() const override { return "ParSched"; }
 };
+
+/**
+ * Append @p measures to @p schedule once every other gate is placed:
+ * all at one start, the latest @p qubit_ready among the measured
+ * qubits, when the device requires simultaneous readout; otherwise
+ * each as soon as its qubit is free.
+ */
+void AppendMeasures(ScheduledCircuit* schedule, const Device& device,
+                    const std::vector<Gate>& measures,
+                    const std::vector<double>& qubit_ready);
 
 /**
  * Forward ASAP schedule (helper used by tests and as a building block;

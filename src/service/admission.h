@@ -1,7 +1,8 @@
 /**
  * @file
  * Admission control for the service: a bounded run-slot + wait-queue
- * gate in front of the compile pipeline.
+ * gate in front of the compile pipeline. The Engine owns one, so every
+ * front end passes it.
  *
  * The daemon is thread-per-connection, but compilation is heavy (SMT
  * solves, Monte-Carlo simulation on the shared runtime::Executor

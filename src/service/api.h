@@ -271,9 +271,10 @@ struct ServiceResponse {
 
     /** Milliseconds spent queued before a run slot freed. */
     double queue_ms = 0.0;
-    /** Milliseconds spent running (parse through simulate). */
+    /** Milliseconds the engine spent on the request, queue_ms included. */
     double run_ms = 0.0;
-    /** Budget attribution: where queue_ms + run_ms actually went. */
+    /** Budget attribution: where run_ms actually went, starting with
+     *  the admission wait. */
     std::vector<ServicePhase> phases;
 
     /** Wire status string ("ok", "error", "rejected", ...). */

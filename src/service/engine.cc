@@ -61,6 +61,14 @@ MakeCompilerOptions(const ServiceRequest& request)
     return options;
 }
 
+/** Milliseconds elapsed since @p start. */
+double
+MsSince(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+}
+
 /** Milliseconds left before @p deadline (<= 0 means it passed). */
 double
 RemainingMs(Clock::time_point deadline)
@@ -103,35 +111,44 @@ ApplyDeadlineBudget(Clock::time_point deadline, CompilerOptions* options)
 
 /**
  * RAII budget-attribution timer: on destruction, appends one
- * {phase, ms} entry to the response. Scoped around each major stage of
- * RunCompile; Handle later adds the "other" residual so the entries
- * partition run_ms exactly, then stamps pct_of_deadline and records
- * the `svc.phase.<name>.ms` histograms.
+ * {phase, ms} entry to the list Handle owns, so a phase still open when
+ * RunCompile returns early or throws is recorded too. Handle later adds
+ * the "other" residual so the entries partition run_ms exactly, then
+ * stamps pct_of_deadline and records the `svc.phase.<name>.ms`
+ * histograms.
  */
 class PhaseTimer {
   public:
-    PhaseTimer(ServiceResponse* response, const char* phase)
-        : response_(response), phase_(phase), start_(Clock::now())
+    PhaseTimer(std::vector<ServicePhase>* phases, const char* phase)
+        : phases_(phases), phase_(phase), start_(Clock::now())
     {
     }
 
     ~PhaseTimer()
     {
-        ServicePhase entry;
-        entry.phase = phase_;
-        entry.ms = std::chrono::duration<double, std::milli>(
-                       Clock::now() - start_)
-                       .count();
-        response_->phases.push_back(std::move(entry));
+        phases_->push_back({phase_, MsSince(start_), std::nullopt});
     }
 
     PhaseTimer(const PhaseTimer&) = delete;
     PhaseTimer& operator=(const PhaseTimer&) = delete;
 
   private:
-    ServiceResponse* response_;
+    std::vector<ServicePhase>* phases_;
     const char* phase_;
     Clock::time_point start_;
+};
+
+/** Holds an admitted request's run slot; released on every exit. */
+class HeldSlot {
+  public:
+    explicit HeldSlot(AdmissionGate* gate) : gate_(gate) {}
+    ~HeldSlot() { gate_->Leave(); }
+
+    HeldSlot(const HeldSlot&) = delete;
+    HeldSlot& operator=(const HeldSlot&) = delete;
+
+  private:
+    AdmissionGate* gate_;
 };
 
 /**
@@ -181,7 +198,8 @@ CharacterizationKey(const Device& device, const RbConfig& config,
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      cache_(SnapshotCacheOptions{options.cache_entries})
+      cache_(SnapshotCacheOptions{options.cache_entries}),
+      gate_(options.admission)
 {
 }
 
@@ -199,6 +217,42 @@ Engine::Handle(const ServiceRequest& request,
     const telemetry::TraceContext context =
         AdoptTraceContext(request, &client_trace);
     telemetry::ScopedTraceContext trace_scope(context);
+    const bool compile = request.kind == "compile";
+    const auto refuse = [&](StatusCode code, const std::string& error) {
+        ServiceResponse refused = MakeErrorResponse(request, code, error);
+        refused.trace_id = context.trace_id();
+        refused.trace_client_supplied = client_trace;
+        return refused;
+    };
+    // Compiles wait for a run slot; ping/stats/shutdown are protocol
+    // chatter and skip the gate, so they answer while it is saturated.
+    std::optional<HeldSlot> slot;
+    std::vector<ServicePhase> phases;
+    if (compile) {
+        switch (gate_.Enter(deadline)) {
+            case Admission::kRejected:
+                telemetry::JournalEmit("svc.reject",
+                                       {{"id", request.id},
+                                        {"running", gate_.running()},
+                                        {"waiting", gate_.waiting()}});
+                return refuse(
+                    StatusCode::kRejected,
+                    "server at capacity (" +
+                        std::to_string(options_.admission.max_concurrent) +
+                        " running, " +
+                        std::to_string(options_.admission.max_queue) +
+                        " queued); retry later");
+            case Admission::kTimedOut:
+                telemetry::JournalEmit("svc.timeout", {{"id", request.id}});
+                return refuse(StatusCode::kTimeout,
+                              "deadline expired while waiting for a run "
+                              "slot");
+            case Admission::kAdmitted:
+                break;
+        }
+        slot.emplace(&gate_);
+        phases.push_back({"admission", MsSince(started), std::nullopt});
+    }
     telemetry::JournalEmit("svc.start", {{"id", request.id},
                                          {"kind", request.kind}});
     ServiceResponse response;
@@ -206,17 +260,26 @@ Engine::Handle(const ServiceRequest& request,
     if (!request.Validate(&validation_error)) {
         response = MakeErrorResponse(request, StatusCode::kError,
                                      validation_error);
-    } else if (request.kind != "compile") {
-        // ping/stats/shutdown: protocol requests with no pipeline work.
+    } else if (!compile) {
         response.id = request.id;
-        if (request.kind == "stats") {
-            ServiceStatsInfo info;
-            info.cache = &cache_;
-            response.stats_json = BuildServiceStatsJson(info);
+        if (request.kind == "ping") {
+            // Liveness probes double as a health readout: chaos
+            // campaigns assert inflight drains to zero through here.
+            response.diag = {
+                {"inflight", static_cast<double>(gate_.running())},
+                {"queued", static_cast<double>(gate_.waiting())},
+                {"admitted", static_cast<double>(gate_.admitted())},
+                {"rejected", static_cast<double>(gate_.rejected())},
+                {"timed_out", static_cast<double>(gate_.timed_out())},
+                {"cache_size", static_cast<double>(cache_.size())},
+                {"cache_evictions",
+                 static_cast<double>(cache_.evictions())}};
+        } else if (request.kind == "stats") {
+            response.stats_json = BuildServiceStatsJson(cache_, gate_);
         }
     } else {
         try {
-            response = RunCompile(request, deadline);
+            response = RunCompile(request, deadline, &phases);
         } catch (const std::exception& e) {
             response = MakeErrorResponse(request, ClassifyException(e),
                                          e.what());
@@ -224,23 +287,22 @@ Engine::Handle(const ServiceRequest& request,
     }
     response.trace_id = context.trace_id();
     response.trace_client_supplied = client_trace;
-    response.run_ms = std::chrono::duration<double, std::milli>(
-                          Clock::now() - started)
-                          .count();
-    if (request.kind == "compile") {
+    response.run_ms = MsSince(started);
+    if (compile) {
         // Budget attribution: close the books so the phases partition
         // run_ms exactly — "other" absorbs whatever the timed stages
         // did not cover (device resolution, state setup, the error
         // path). Then price each phase against the deadline.
+        response.queue_ms = phases.front().ms;
         double accounted = 0.0;
-        for (const ServicePhase& phase : response.phases) {
+        for (const ServicePhase& phase : phases) {
             accounted += phase.ms;
         }
         ServicePhase other;
         other.phase = "other";
         other.ms = std::max(0.0, response.run_ms - accounted);
-        response.phases.push_back(std::move(other));
-        for (ServicePhase& phase : response.phases) {
+        phases.push_back(std::move(other));
+        for (ServicePhase& phase : phases) {
             if (request.deadline_ms > 0) {
                 phase.pct_of_deadline =
                     phase.ms /
@@ -252,6 +314,7 @@ Engine::Handle(const ServiceRequest& request,
                     .Record(phase.ms);
             }
         }
+        response.phases = std::move(phases);
     }
     if (telemetry::Enabled()) {
         telemetry::GetCounter("svc.requests").Add(1);
@@ -270,14 +333,15 @@ Engine::Handle(const ServiceRequest& request,
 
 ServiceResponse
 Engine::RunCompile(const ServiceRequest& request,
-                   std::optional<Clock::time_point> deadline)
+                   std::optional<Clock::time_point> deadline,
+                   std::vector<ServicePhase>* phases)
 {
     ServiceResponse response;
     response.id = request.id;
 
     std::optional<Circuit> parsed;
     {
-        PhaseTimer phase_timer(&response, "parse");
+        PhaseTimer phase_timer(phases, "parse");
         telemetry::ScopedSpan span("tool.parse_qasm");
         parsed = ParseQasm(request.qasm);
     }
@@ -312,7 +376,7 @@ Engine::RunCompile(const ServiceRequest& request,
     CrosstalkCharacterization characterization;
     if (!request.characterization_text.empty() ||
         !request.characterization_path.empty()) {
-        PhaseTimer phase_timer(&response, "characterize");
+        PhaseTimer phase_timer(phases, "characterize");
         std::string measured_on;
         if (!request.characterization_text.empty()) {
             characterization = ParseCharacterization(
@@ -334,13 +398,11 @@ Engine::RunCompile(const ServiceRequest& request,
                 << measured_on << "', not '" << device.name()
                 << "' (edge ids are device-specific)");
     } else if (request.NeedsCharacterization()) {
-        PhaseTimer phase_timer(&response, "characterize");
+        PhaseTimer phase_timer(phases, "characterize");
         if (deadline.has_value() && RemainingMs(*deadline) <= 0.0) {
-            ServiceResponse timeout = MakeErrorResponse(
+            return MakeErrorResponse(
                 request, StatusCode::kTimeout,
                 "deadline expired before characterization");
-            timeout.phases = response.phases;
-            return timeout;
         }
         const RbConfig rb_config = BenchRbConfig();
         const std::string key = CharacterizationKey(
@@ -374,7 +436,6 @@ Engine::RunCompile(const ServiceRequest& request,
                 "deadline expired before compilation");
             timeout.characterization_id = response.characterization_id;
             timeout.cache_hit = response.cache_hit;
-            timeout.phases = response.phases;
             return timeout;
         }
         ApplyDeadlineBudget(*deadline, &compile_options);
@@ -383,7 +444,7 @@ Engine::RunCompile(const ServiceRequest& request,
     CompilationState state(device, characterization, circuit,
                            compile_options);
     {
-        PhaseTimer phase_timer(&response, "schedule");
+        PhaseTimer phase_timer(phases, "schedule");
         telemetry::ScopedSpan span("compile.total");
         if (telemetry::Enabled()) {
             telemetry::GetCounter("compile.invocations").Add(1);
@@ -443,10 +504,9 @@ Engine::RunCompile(const ServiceRequest& request,
                 "deadline expired before simulation");
             timeout.characterization_id = response.characterization_id;
             timeout.cache_hit = response.cache_hit;
-            timeout.phases = response.phases;
             return timeout;
         }
-        PhaseTimer phase_timer(&response, "simulate");
+        PhaseTimer phase_timer(phases, "simulate");
         telemetry::ScopedSpan span("tool.simulate");
         runtime::Executor executor(device);
         runtime::ExecutionJob job;
@@ -463,7 +523,7 @@ Engine::RunCompile(const ServiceRequest& request,
     // The emitted circuit: the barriered executable, or the schedule's
     // gate order when the pipeline stopped before barrier lowering.
     {
-        PhaseTimer phase_timer(&response, "emit");
+        PhaseTimer phase_timer(phases, "emit");
         std::optional<Circuit> emitted = state.executable;
         if (!emitted && state.schedule) {
             emitted = state.schedule->ToCircuit();

@@ -10,6 +10,12 @@
  * never throws: failures are classified (common/status.h) into the
  * response's status field.
  *
+ * The engine owns admission control (admission.h): every compile takes
+ * a run slot from the engine's gate, possibly after waiting for one,
+ * and the wait is the request's first budget phase. `ping`, `stats`
+ * and `shutdown` bypass the gate and answer from the engine's own
+ * gate and cache, so they stay live while compiles are saturated.
+ *
  * The engine owns the characterization snapshot cache: concurrent
  * requests that need the same on-the-fly measurement share one
  * single-flight computation (see snapshot_cache.h). Deadlines are
@@ -21,8 +27,8 @@
  * bit-identical under any load.
  *
  * Thread safety: Handle() is safe to call from many threads; shared
- * state is the cache (internally locked) and the global telemetry
- * registries (already thread-safe).
+ * state is the gate and the cache (both internally locked) and the
+ * global telemetry registries (already thread-safe).
  */
 #ifndef XTALK_SERVICE_ENGINE_H
 #define XTALK_SERVICE_ENGINE_H
@@ -30,7 +36,9 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "service/admission.h"
 #include "service/api.h"
 #include "service/snapshot_cache.h"
 #include "telemetry/ledger.h"
@@ -43,6 +51,8 @@ struct EngineOptions {
     uint64_t characterization_seed = 1;
     /** Snapshot-cache capacity (completed entries; 0 = unbounded). */
     size_t cache_entries = 64;
+    /** Run slots and wait-queue bound in front of every compile. */
+    AdmissionOptions admission;
 };
 
 /** Executes requests; shared by the CLI and the daemon. */
@@ -52,26 +62,38 @@ class Engine {
 
     /**
      * Execute @p request and return its response; never throws.
-     * @p deadline is the absolute wall-clock cutoff (admission time +
-     * request.deadline_ms); when absent but request.deadline_ms > 0,
-     * the clock starts now. Emits `svc.start` / `svc.done` journal
-     * events and the `svc.requests` / `svc.request_ms` metrics.
+     * @p deadline is the absolute wall-clock cutoff; when absent but
+     * request.deadline_ms > 0, it is entry time + deadline_ms. A
+     * compile first waits for a run slot: a full queue answers
+     * "rejected" (journal `svc.reject`) and a deadline that passes
+     * while queued answers "timeout" (`svc.timeout`), both without
+     * `svc.start`. Every other request emits `svc.start` / `svc.done`
+     * and the `svc.requests` / `svc.request_ms` metrics.
      */
     ServiceResponse Handle(
         const ServiceRequest& request,
         std::optional<std::chrono::steady_clock::time_point> deadline =
             std::nullopt);
 
-    /** The snapshot cache (exposed for tests and daemon metrics). */
+    /**
+     * Close the gate for shutdown: queued and later compiles are
+     * rejected (see AdmissionGate::Close). Idempotent.
+     */
+    void Close() { gate_.Close(); }
+
+    /** The snapshot cache (exposed for tests and the daemon's exit
+     *  summary). */
     const SnapshotCache& cache() const { return cache_; }
 
   private:
     ServiceResponse RunCompile(
         const ServiceRequest& request,
-        std::optional<std::chrono::steady_clock::time_point> deadline);
+        std::optional<std::chrono::steady_clock::time_point> deadline,
+        std::vector<ServicePhase>* phases);
 
     EngineOptions options_;
     SnapshotCache cache_;
+    AdmissionGate gate_;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "service/admission.h"
 #include "service/snapshot_cache.h"
 #include "telemetry/journal.h"
 #include "telemetry/json.h"
@@ -53,7 +54,7 @@ WriteLatencySummary(telemetry::JsonWriter& w,
 }  // namespace
 
 std::string
-BuildServiceStatsJson(const ServiceStatsInfo& info)
+BuildServiceStatsJson(const SnapshotCache& cache, const AdmissionGate& gate)
 {
     const auto counters =
         telemetry::Registry::Global().CounterSamples();
@@ -101,31 +102,26 @@ BuildServiceStatsJson(const ServiceStatsInfo& info)
     }
     w.EndObject();
 
-    if (info.has_gate) {
-        w.Key("admission").BeginObject();
-        w.Key("running").Number(static_cast<int64_t>(info.running));
-        w.Key("waiting").Number(static_cast<int64_t>(info.waiting));
-        w.Key("admitted").Number(info.admitted);
-        w.Key("rejected").Number(info.rejected);
-        w.Key("timed_out").Number(info.timed_out);
-        w.EndObject();
-    }
+    w.Key("admission").BeginObject();
+    w.Key("running").Number(static_cast<int64_t>(gate.running()));
+    w.Key("waiting").Number(static_cast<int64_t>(gate.waiting()));
+    w.Key("admitted").Number(gate.admitted());
+    w.Key("rejected").Number(gate.rejected());
+    w.Key("timed_out").Number(gate.timed_out());
+    w.EndObject();
 
-    if (info.cache != nullptr) {
-        const uint64_t hits = info.cache->hits();
-        const uint64_t misses = info.cache->misses();
-        w.Key("cache").BeginObject();
-        w.Key("hits").Number(hits);
-        w.Key("misses").Number(misses);
-        w.Key("evictions").Number(info.cache->evictions());
-        w.Key("size").Number(static_cast<uint64_t>(info.cache->size()));
-        w.Key("hit_rate")
-            .Number(hits + misses == 0
-                        ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(hits + misses));
-        w.EndObject();
-    }
+    const uint64_t hits = cache.hits();
+    const uint64_t misses = cache.misses();
+    w.Key("cache").BeginObject();
+    w.Key("hits").Number(hits);
+    w.Key("misses").Number(misses);
+    w.Key("evictions").Number(cache.evictions());
+    w.Key("size").Number(static_cast<uint64_t>(cache.size()));
+    w.Key("hit_rate")
+        .Number(hits + misses == 0 ? 0.0
+                                   : static_cast<double>(hits) /
+                                         static_cast<double>(hits + misses));
+    w.EndObject();
 
     w.Key("portfolio").BeginObject();
     w.Key("races")

@@ -12,40 +12,26 @@
  * `xtalk.svcstats.v1`; field catalogue in docs/SERVICE.md.
  *
  * Like ping, a stats request bypasses the admission gate, so the view
- * stays reachable while the daemon is saturated — that is precisely
+ * stays reachable while the service is saturated — that is precisely
  * when an operator wants it.
  */
 #ifndef XTALK_SERVICE_STATS_H
 #define XTALK_SERVICE_STATS_H
 
-#include <cstdint>
 #include <string>
 
 namespace xtalk::service {
 
+class AdmissionGate;
 class SnapshotCache;
 
 /**
- * Everything the stats builder cannot read from the global telemetry
- * registry: the engine's cache, and (daemon only) the admission gate's
- * live occupancy. Engine fills the cache part; the daemon layers the
- * gate on top before answering.
+ * Serialize the operator view (schema xtalk.svcstats.v1, one line):
+ * the global telemetry registry plus the engine's @p cache and the
+ * live occupancy of its admission @p gate.
  */
-struct ServiceStatsInfo {
-    /** Engine's snapshot cache; nullptr = omit the cache section. */
-    const SnapshotCache* cache = nullptr;
-
-    /** True when the admission fields below are meaningful (daemon). */
-    bool has_gate = false;
-    long running = 0;       ///< Requests holding a run slot now.
-    long waiting = 0;       ///< Requests queued for a slot now.
-    uint64_t admitted = 0;  ///< Requests ever granted a slot.
-    uint64_t rejected = 0;  ///< Turned away (queue full / shutdown).
-    uint64_t timed_out = 0; ///< Gave up waiting for a slot.
-};
-
-/** Serialize the operator view (schema xtalk.svcstats.v1, one line). */
-std::string BuildServiceStatsJson(const ServiceStatsInfo& info);
+std::string BuildServiceStatsJson(const SnapshotCache& cache,
+                                  const AdmissionGate& gate);
 
 }  // namespace xtalk::service
 

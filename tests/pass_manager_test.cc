@@ -392,10 +392,14 @@ LegacyCompile(const Device& device,
         result.omega = selection.omega;
         result.scheduler_name = "XtalkSched(auto)";
     } else if (options.scheduler == "anneal") {
-        AnnealScheduler scheduler(device, characterization, options.anneal);
+        AnnealSchedulerOptions anneal;
+        anneal.omega = options.xtalk.omega;
+        anneal.high_threshold = options.xtalk.high_threshold;
+        anneal.high_margin = options.xtalk.high_margin;
+        AnnealScheduler scheduler(device, characterization, anneal);
         result.schedule = scheduler.Schedule(routed.circuit);
         result.executable = result.schedule.ToCircuit();
-        result.omega = options.anneal.omega;
+        result.omega = anneal.omega;
         result.scheduler_name = scheduler.name();
     } else {
         std::unique_ptr<Scheduler> scheduler;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -433,6 +435,47 @@ TEST(CompilerPortfolio, ExplicitMemberListIsHonored)
     ASSERT_EQ(result.portfolio.size(), 2u);
     EXPECT_EQ(result.portfolio[0].member, "anneal");
     EXPECT_EQ(result.portfolio[1].member, "serial");
+}
+
+TEST(CompilerPortfolio, AnnealHonorsTheRequestedOmega)
+{
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    CompilerOptions options;
+    options.scheduler = "anneal";
+    options.xtalk.omega = 0.2;
+    const CompileResult result =
+        Compile(device, characterization, ConflictCircuit(), options);
+    EXPECT_EQ(result.scheduler_name, "AnnealSched");
+    ASSERT_TRUE(result.omega.has_value());
+    EXPECT_EQ(*result.omega, 0.2);
+}
+
+TEST(Portfolio, LoneMemberRunsOnTheCallingThread)
+{
+    // A one-member lineup has nothing to race: it must not queue on the
+    // pool behind other work. Occupy the pool's only worker, then run.
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    PortfolioContext ctx;
+    ctx.device = &device;
+    ctx.characterization = &characterization;
+    PortfolioRunOptions run_options;
+    run_options.pool = std::make_shared<runtime::ThreadPool>(1);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::future<void> blocker = run_options.pool->Submit(
+        [released] { released.wait_for(std::chrono::seconds(5)); });
+    SchedulerPortfolio portfolio(MakeMembers({"greedy"}));
+    const PortfolioResult result =
+        portfolio.Run(ConflictCircuit(), ctx, run_options);
+    const bool pool_still_busy =
+        blocker.wait_for(std::chrono::seconds(0)) ==
+        std::future_status::timeout;
+    release.set_value();
+    blocker.get();
+    EXPECT_TRUE(pool_still_busy);
+    EXPECT_EQ(result.winner.member, "greedy");
 }
 
 TEST(Portfolio, UpperBoundDominatesEveryMember)

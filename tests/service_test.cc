@@ -1075,9 +1075,79 @@ TEST(EngineTest, StatsKindReturnsServiceSnapshot)
     ASSERT_NE(stats.Find("phases"), nullptr);
     ASSERT_NE(stats.Find("cache"), nullptr);
     ASSERT_NE(stats.Find("journal"), nullptr);
-    // The engine alone has no admission gate; only the daemon does.
-    EXPECT_EQ(stats.Find("admission"), nullptr);
+    // The engine owns the admission gate, so every snapshot reports it.
+    const telemetry::JsonValue* admission = stats.Find("admission");
+    ASSERT_NE(admission, nullptr);
+    EXPECT_EQ(admission->GetNumber("admitted"), 1.0);
     telemetry::SetEnabled(false);
+}
+
+TEST(EngineTest, SaturatedGateRejectsCompilesButAnswersPings)
+{
+    EngineOptions options;
+    options.admission = {0, 0};
+    Engine engine(options);
+    const ServiceResponse rejected = engine.Handle(TinyRequest());
+    EXPECT_EQ(rejected.code, StatusCode::kRejected);
+    EXPECT_NE(rejected.error.find("capacity"), std::string::npos)
+        << rejected.error;
+    EXPECT_EQ(rejected.trace_id.size(), 32u);
+    EXPECT_TRUE(rejected.phases.empty());
+
+    // Protocol chatter bypasses the gate and reads it.
+    ServiceRequest ping;
+    ping.kind = "ping";
+    const ServiceResponse pong = engine.Handle(ping);
+    ASSERT_EQ(pong.code, StatusCode::kOk) << pong.error;
+    ASSERT_EQ(pong.diag.count("inflight"), 1u);
+    EXPECT_EQ(pong.diag.at("inflight"), 0.0);
+    EXPECT_EQ(pong.diag.at("rejected"), 1.0);
+    ServiceRequest stats_request;
+    stats_request.kind = "stats";
+    const ServiceResponse response = engine.Handle(stats_request);
+    ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
+    telemetry::JsonValue stats;
+    std::string error;
+    ASSERT_TRUE(telemetry::ParseJsonValue(response.stats_json, &stats,
+                                          &error))
+        << error;
+    const telemetry::JsonValue* admission = stats.Find("admission");
+    ASSERT_NE(admission, nullptr);
+    EXPECT_EQ(admission->GetNumber("running"), 0.0);
+    EXPECT_EQ(admission->GetNumber("rejected"), 1.0);
+}
+
+TEST(EngineTest, QueuedCompileTimesOutWaitingForASlot)
+{
+    EngineOptions options;
+    options.admission = {0, 1};
+    Engine engine(options);
+    ServiceRequest request = TinyRequest();
+    request.deadline_ms = 50;
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kTimeout);
+    EXPECT_NE(response.error.find("while waiting for a run slot"),
+              std::string::npos)
+        << response.error;
+}
+
+TEST(EngineTest, FailedRequestKeepsItsPhases)
+{
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.qasm = "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n";
+    const ServiceResponse response = engine.Handle(request);
+    ASSERT_EQ(response.code, StatusCode::kError);
+    ASSERT_FALSE(response.phases.empty());
+    EXPECT_EQ(response.phases.front().phase, "admission");
+    double sum = 0.0;
+    bool saw_parse = false;
+    for (const ServicePhase& phase : response.phases) {
+        sum += phase.ms;
+        saw_parse |= phase.phase == "parse";
+    }
+    EXPECT_TRUE(saw_parse);
+    EXPECT_NEAR(sum, response.run_ms, 1e-9);
 }
 
 TEST(EngineTest, FillRunRecordMapsStatusToExitCode)

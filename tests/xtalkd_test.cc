@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -884,6 +885,43 @@ TEST(XtalkdTraceTest, SeededCliTraceIsDeterministic)
     ::unlink(first_path.c_str());
     ::unlink(second_path.c_str());
     ::unlink(charz_path.c_str());
+}
+
+TEST(CliNumericFlags, MalformedNumbersExitTwoNamingTheFlag)
+{
+    // Each value is malformed for its flag: not a number, out of
+    // range, or (1e3 for an integer) trailing characters. The tool must
+    // refuse it as a usage error naming the flag, never abort on it or
+    // read a prefix.
+    const std::string tag = std::to_string(::getpid());
+    const std::string qasm_path =
+        ::testing::TempDir() + "xtalk_numeric_flags_" + tag + ".qasm";
+    const std::string err_path =
+        ::testing::TempDir() + "xtalk_numeric_flags_" + tag + ".err";
+    {
+        std::ofstream out(qasm_path);
+        out << kChainQasm;
+    }
+    const std::string xtalkc = std::string(XTALK_XTALKC_BIN) +
+                               " --scheduler serial --layout trivial ";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {xtalkc + "--omega abc " + qasm_path, "--omega"},
+        {xtalkc + "--threads 99999999999 " + qasm_path, "--threads"},
+        {xtalkc + "--simulate 1e3 " + qasm_path, "--simulate"},
+        {std::string(XTALK_XTALKD_BIN) + " --max-concurrent x --socket " +
+             ::testing::TempDir() + "xtalk_numeric_flags_" + tag + ".sock",
+         "--max-concurrent"},
+    };
+    for (const auto& [command, flag] : cases) {
+        const std::string line = command + " > /dev/null 2> " + err_path;
+        const int status = std::system(line.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << line;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << line;
+        EXPECT_NE(ReadFile(err_path).find(flag), std::string::npos)
+            << line << "\n" << ReadFile(err_path);
+    }
+    ::unlink(qasm_path.c_str());
+    ::unlink(err_path.c_str());
 }
 
 }  // namespace

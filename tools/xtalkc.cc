@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_support.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/status.h"
@@ -60,7 +61,6 @@
 #include "service/engine.h"
 #include "telemetry/journal.h"
 #include "telemetry/ledger.h"
-#include "telemetry/openmetrics.h"
 #include "telemetry/profiler.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -79,12 +79,7 @@ struct Options {
     std::string save_characterization_path;
     std::string output_path;
     std::string input_path;
-    std::string stats_json_path;
-    std::string trace_json_path;
-    std::string profile_path;
-    std::string profile_collapsed_path;
-    std::string journal_path;
-    std::string metrics_prom_path;
+    cli::TelemetryPaths telemetry;
     std::string ledger_path;
     std::string response_json_path;
     std::string log_level;
@@ -191,7 +186,8 @@ ParseArgs(int argc, char** argv, Options* options)
         } else if (arg == "--layout") {
             options->layout = next("--layout");
         } else if (arg == "--omega") {
-            options->omega = std::stod(next("--omega"));
+            options->omega =
+                cli::ParseNumericFlag(arg, next("--omega"), 0.0, 1.0);
         } else if (arg == "--passes") {
             options->passes = next("--passes");
         } else if (arg == "--schedulers") {
@@ -212,31 +208,31 @@ ParseArgs(int argc, char** argv, Options* options)
         } else if (arg == "--output") {
             options->output_path = next("--output");
         } else if (arg == "--simulate") {
-            options->simulate_shots = std::stoi(next("--simulate"));
+            options->simulate_shots =
+                cli::ParseNumericFlag(arg, next("--simulate"), 0);
         } else if (arg == "--threads") {
-            options->threads = std::stoi(next("--threads"));
-            if (options->threads <= 0) {
-                std::cerr << "error: --threads needs a positive count\n";
-                return false;
-            }
+            options->threads =
+                cli::ParseNumericFlag(arg, next("--threads"), 1);
         } else if (arg == "--stats-json") {
-            options->stats_json_path = next("--stats-json");
+            options->telemetry.stats_json = next("--stats-json");
         } else if (arg == "--trace-json") {
-            options->trace_json_path = next("--trace-json");
+            options->telemetry.trace_json = next("--trace-json");
         } else if (arg == "--profile") {
-            options->profile_path = next("--profile");
+            options->telemetry.profile = next("--profile");
         } else if (arg == "--profile-collapsed") {
-            options->profile_collapsed_path = next("--profile-collapsed");
+            options->telemetry.profile_collapsed =
+                next("--profile-collapsed");
         } else if (arg == "--journal") {
-            options->journal_path = next("--journal");
+            options->telemetry.journal = next("--journal");
         } else if (arg == "--metrics-prom") {
-            options->metrics_prom_path = next("--metrics-prom");
+            options->telemetry.metrics_prom = next("--metrics-prom");
         } else if (arg == "--ledger") {
             options->ledger_path = next("--ledger");
         } else if (arg == "--response-json") {
             options->response_json_path = next("--response-json");
         } else if (arg == "--trace-seed") {
-            options->trace_seed = std::stoull(next("--trace-seed"));
+            options->trace_seed =
+                cli::ParseNumericFlag<uint64_t>(arg, next("--trace-seed"));
             options->has_trace_seed = true;
         } else if (arg == "--log-level") {
             options->log_level = next("--log-level");
@@ -252,69 +248,6 @@ ParseArgs(int argc, char** argv, Options* options)
         }
     }
     return true;
-}
-
-/** Dump --stats-json / --trace-json / --journal / --metrics-prom files;
- *  true when all writes landed. Runs on every exit path, so faulted and
- *  crashed runs leave the same evidence as clean ones. */
-bool
-WriteTelemetryOutputs(const Options& options)
-{
-    bool ok = true;
-    std::string error;
-    if (!options.stats_json_path.empty()) {
-        if (telemetry::WriteStatsJson(options.stats_json_path, &error)) {
-            Inform("wrote telemetry stats to " + options.stats_json_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.trace_json_path.empty()) {
-        if (telemetry::WriteTraceJson(options.trace_json_path, &error)) {
-            Inform("wrote trace to " + options.trace_json_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.journal_path.empty()) {
-        if (telemetry::Journal::Global().WriteJsonl(options.journal_path,
-                                                    &error)) {
-            Inform("wrote event journal to " + options.journal_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.metrics_prom_path.empty()) {
-        if (telemetry::WriteOpenMetrics(options.metrics_prom_path,
-                                        &error)) {
-            Inform("wrote OpenMetrics to " + options.metrics_prom_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.profile_path.empty()) {
-        if (telemetry::WriteProfileJson(options.profile_path, &error)) {
-            Inform("wrote profile cost tree to " + options.profile_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.profile_collapsed_path.empty()) {
-        if (telemetry::WriteCollapsedStacks(options.profile_collapsed_path,
-                                            &error)) {
-            Inform("wrote collapsed stacks to " +
-                   options.profile_collapsed_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    return ok;
 }
 
 /** Pull the ledger's key metrics out of the registry. */
@@ -488,28 +421,28 @@ main(int argc, char** argv)
             SetLogTimestamps(true);
         }
     }
-    if (!options.stats_json_path.empty() ||
-        !options.trace_json_path.empty() ||
-        !options.metrics_prom_path.empty() ||
+    if (!options.telemetry.stats_json.empty() ||
+        !options.telemetry.trace_json.empty() ||
+        !options.telemetry.metrics_prom.empty() ||
         !options.ledger_path.empty()) {
         telemetry::SetEnabled(true);
     }
-    if (!options.trace_json_path.empty()) {
+    if (!options.telemetry.trace_json.empty()) {
         telemetry::SetTracingEnabled(true);
     }
-    if (!options.profile_path.empty() ||
-        !options.profile_collapsed_path.empty()) {
+    if (!options.telemetry.profile.empty() ||
+        !options.telemetry.profile_collapsed.empty()) {
         // Implies SetEnabled: profiler frames are fed by ScopedSpan.
         telemetry::SetProfilingEnabled(true);
     }
     // Label this thread's lane in the trace export and the worker
     // lanes registered by the thread pool.
     telemetry::SetCurrentThreadName("main");
-    if (!options.journal_path.empty()) {
+    if (!options.telemetry.journal.empty()) {
         telemetry::SetJournalEnabled(true);
         // Crashes (uncaught exceptions reaching std::terminate) still
         // dump the journal, so exit-code-3 runs leave evidence.
-        telemetry::ArmCrashDump(options.journal_path);
+        telemetry::ArmCrashDump(options.telemetry.journal);
     }
     if (options.threads > 0) {
         // Must happen before the first pool use anywhere in the pipeline
@@ -598,28 +531,28 @@ main(int argc, char** argv)
             } else {
                 std::cerr << "error: " << response.error << "\n";
             }
-            WriteTelemetryOutputs(options);
+            cli::WriteTelemetryFiles(options.telemetry);
             return finish(ExitCodeFor(response.code));
         }
         const int render_code = RenderResponse(options, response);
-        const bool telemetry_ok = WriteTelemetryOutputs(options);
+        const bool telemetry_ok = cli::WriteTelemetryFiles(options.telemetry);
         return finish(render_code == 0 && telemetry_ok ? 0 : 1);
     } catch (const InternalError& e) {
         std::cerr << "internal error: " << e.what() << "\n"
                   << "this is a bug in xtalk; please report it\n";
         ledger.degradation_reason = e.what();
-        WriteTelemetryOutputs(options);
+        cli::WriteTelemetryFiles(options.telemetry);
         return finish(ExitCodeFor(StatusCode::kInternal));
     } catch (const Error& e) {
         std::cerr << "error: " << e.what() << "\n";
         // Best-effort dump: partial metrics still help debug the failure.
         ledger.degradation_reason = e.what();
-        WriteTelemetryOutputs(options);
+        cli::WriteTelemetryFiles(options.telemetry);
         return finish(ExitCodeFor(StatusCode::kError));
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         ledger.degradation_reason = e.what();
-        WriteTelemetryOutputs(options);
+        cli::WriteTelemetryFiles(options.telemetry);
         return finish(ExitCodeFor(StatusCode::kIoError));
     }
 }

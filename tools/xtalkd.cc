@@ -12,8 +12,8 @@
  *   xtalkd --socket /tmp/xtalkd.sock --max-concurrent 4 &
  *   tools/xtalkd_client.py --socket /tmp/xtalkd.sock --qasm in.qasm
  *
- * Concurrency model: thread-per-connection frontends, with a bounded
- * AdmissionGate in front of the pipeline — at most --max-concurrent
+ * Concurrency model: thread-per-connection frontends over one Engine,
+ * whose admission gate bounds the pipeline — at most --max-concurrent
  * compiles run at once, at most --max-queue more wait for a slot, and
  * anything beyond that is rejected immediately with a structured
  * "rejected" response (overload degrades to fast honest rejections,
@@ -48,31 +48,27 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_support.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "faults/faults.h"
 #include "runtime/thread_pool.h"
-#include "service/admission.h"
 #include "service/api.h"
 #include "service/engine.h"
-#include "service/stats.h"
 #include "telemetry/journal.h"
 #include "telemetry/ledger.h"
-#include "telemetry/openmetrics.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_context.h"
@@ -83,11 +79,8 @@ namespace {
 
 struct Options {
     std::string socket_path;
-    std::string journal_path;
     std::string ledger_path;
-    std::string metrics_prom_path;
-    std::string stats_json_path;
-    std::string trace_json_path;
+    cli::TelemetryPaths telemetry;
     std::string log_level;
     std::string faults;
     int max_concurrent = 4;
@@ -159,42 +152,35 @@ ParseArgs(int argc, char** argv, Options* options)
         if (arg == "--socket") {
             options->socket_path = next("--socket");
         } else if (arg == "--max-concurrent") {
-            options->max_concurrent = std::stoi(next("--max-concurrent"));
+            options->max_concurrent =
+                cli::ParseNumericFlag(arg, next("--max-concurrent"), 0);
         } else if (arg == "--max-queue") {
-            options->max_queue = std::stoi(next("--max-queue"));
+            options->max_queue =
+                cli::ParseNumericFlag(arg, next("--max-queue"), 0);
         } else if (arg == "--max-requests") {
-            options->max_requests = std::stol(next("--max-requests"));
+            options->max_requests =
+                cli::ParseNumericFlag(arg, next("--max-requests"), 0L);
         } else if (arg == "--max-line-bytes") {
-            options->max_line_bytes = std::stol(next("--max-line-bytes"));
-            if (options->max_line_bytes <= 0) {
-                std::cerr
-                    << "error: --max-line-bytes needs a positive count\n";
-                return false;
-            }
+            options->max_line_bytes =
+                cli::ParseNumericFlag(arg, next("--max-line-bytes"), 1L);
         } else if (arg == "--cache-entries") {
-            options->cache_entries = std::stol(next("--cache-entries"));
-            if (options->cache_entries < 0) {
-                std::cerr << "error: --cache-entries must be >= 0\n";
-                return false;
-            }
+            options->cache_entries =
+                cli::ParseNumericFlag(arg, next("--cache-entries"), 0L);
         } else if (arg == "--threads") {
-            options->threads = std::stoi(next("--threads"));
-            if (options->threads <= 0) {
-                std::cerr << "error: --threads needs a positive count\n";
-                return false;
-            }
+            options->threads =
+                cli::ParseNumericFlag(arg, next("--threads"), 1);
         } else if (arg == "--faults") {
             options->faults = next("--faults");
         } else if (arg == "--journal") {
-            options->journal_path = next("--journal");
+            options->telemetry.journal = next("--journal");
         } else if (arg == "--ledger") {
             options->ledger_path = next("--ledger");
         } else if (arg == "--stats-json") {
-            options->stats_json_path = next("--stats-json");
+            options->telemetry.stats_json = next("--stats-json");
         } else if (arg == "--trace-json") {
-            options->trace_json_path = next("--trace-json");
+            options->telemetry.trace_json = next("--trace-json");
         } else if (arg == "--metrics-prom") {
-            options->metrics_prom_path = next("--metrics-prom");
+            options->telemetry.metrics_prom = next("--metrics-prom");
         } else if (arg == "--log-level") {
             options->log_level = next("--log-level");
         } else if (arg == "--help" || arg == "-h") {
@@ -267,6 +253,7 @@ MakeEngineOptions(const Options& options)
     service::EngineOptions engine_options;
     engine_options.cache_entries =
         static_cast<size_t>(options.cache_entries);
+    engine_options.admission = {options.max_concurrent, options.max_queue};
     return engine_options;
 }
 
@@ -274,7 +261,6 @@ MakeEngineOptions(const Options& options)
 struct Daemon {
     Options options;
     service::Engine engine;
-    service::AdmissionGate gate;
     ConnectionRegistry connections;
     std::mutex ledger_mutex;
     std::atomic<long> requests_served{0};
@@ -292,10 +278,7 @@ struct Daemon {
     long active_connections = 0;
 
     explicit Daemon(const Options& opts)
-        : options(opts),
-          engine(MakeEngineOptions(opts)),
-          gate(service::AdmissionOptions{opts.max_concurrent,
-                                         opts.max_queue})
+        : options(opts), engine(MakeEngineOptions(opts))
     {
     }
 };
@@ -367,116 +350,23 @@ AppendLedger(Daemon* daemon, const service::ServiceRequest& request,
     }
 }
 
-/** Execute one parsed request, honoring admission and deadlines. */
-service::ServiceResponse
-ServeRequest(Daemon* daemon, const service::ServiceRequest& request)
-{
-    using Clock = std::chrono::steady_clock;
-    // ping/stats/shutdown are protocol chatter, not pipeline work: they
-    // must answer even when the queue is saturated, so they skip the
-    // gate — an operator polling `stats` sees a saturated daemon, not a
-    // queue position behind it.
-    if (request.kind != "compile") {
-        service::ServiceResponse response = daemon->engine.Handle(request);
-        if (request.kind == "ping" &&
-            response.code == StatusCode::kOk) {
-            // Liveness probes double as a health readout: chaos
-            // campaigns assert inflight drains to zero through here.
-            response.diag["inflight"] =
-                static_cast<double>(daemon->gate.running());
-            response.diag["queued"] =
-                static_cast<double>(daemon->gate.waiting());
-            response.diag["admitted"] =
-                static_cast<double>(daemon->gate.admitted());
-            response.diag["rejected"] =
-                static_cast<double>(daemon->gate.rejected());
-            response.diag["timed_out"] =
-                static_cast<double>(daemon->gate.timed_out());
-            response.diag["cache_size"] =
-                static_cast<double>(daemon->engine.cache().size());
-            response.diag["cache_evictions"] =
-                static_cast<double>(daemon->engine.cache().evictions());
-        } else if (request.kind == "stats" &&
-                   response.code == StatusCode::kOk) {
-            // The engine built a cache-only snapshot; rebuild with the
-            // admission gate layered in — only the daemon knows it.
-            service::ServiceStatsInfo info;
-            info.cache = &daemon->engine.cache();
-            info.has_gate = true;
-            info.running = daemon->gate.running();
-            info.waiting = daemon->gate.waiting();
-            info.admitted = daemon->gate.admitted();
-            info.rejected = daemon->gate.rejected();
-            info.timed_out = daemon->gate.timed_out();
-            response.stats_json = service::BuildServiceStatsJson(info);
-        }
-        return response;
-    }
-    std::optional<Clock::time_point> deadline;
-    if (request.deadline_ms > 0) {
-        deadline =
-            Clock::now() + std::chrono::milliseconds(request.deadline_ms);
-    }
-    const Clock::time_point enqueued = Clock::now();
-    switch (daemon->gate.Enter(deadline)) {
-        case service::Admission::kRejected: {
-            telemetry::JournalEmit(
-                "svc.reject",
-                {{"id", request.id},
-                 {"running", daemon->gate.running()},
-                 {"waiting", daemon->gate.waiting()}});
-            return MakeErrorResponse(
-                request, StatusCode::kRejected,
-                "server at capacity (" +
-                    std::to_string(daemon->options.max_concurrent) +
-                    " running, " +
-                    std::to_string(daemon->options.max_queue) +
-                    " queued); retry later");
-        }
-        case service::Admission::kTimedOut: {
-            telemetry::JournalEmit("svc.timeout", {{"id", request.id}});
-            return MakeErrorResponse(
-                request, StatusCode::kTimeout,
-                "deadline expired while waiting for a run slot");
-        }
-        case service::Admission::kAdmitted:
-            break;
-    }
-    const double queue_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - enqueued)
-            .count();
-    service::ServiceResponse response;
-    try {
-        response = daemon->engine.Handle(request, deadline);
-    } catch (...) {
-        // Handle() never throws by contract; belt and braces so a slot
-        // can never leak.
-        daemon->gate.Leave();
-        throw;
-    }
-    daemon->gate.Leave();
-    response.queue_ms = queue_ms;
-    // The admission wait happened before the engine saw the request, so
-    // the daemon owns its slice of the budget attribution.
-    service::ServicePhase admission;
-    admission.phase = "admission";
-    admission.ms = queue_ms;
-    if (request.deadline_ms > 0) {
-        admission.pct_of_deadline =
-            queue_ms / static_cast<double>(request.deadline_ms) * 100.0;
-    }
-    response.phases.insert(response.phases.begin(), admission);
-    if (telemetry::Enabled()) {
-        telemetry::GetHistogram("svc.phase.admission.ms")
-            .Record(queue_ms);
-    }
-    return response;
-}
-
 void
 ServeConnection(Daemon* daemon, int fd, long conn_id)
 {
     telemetry::SetCurrentThreadName("conn-" + std::to_string(conn_id));
+    // An oversized line gets a structured error, then the connection
+    // closes: the rest of that line is unframeable garbage.
+    const auto reject_oversized = [&](size_t bytes) {
+        telemetry::JournalEmit("svc.oversized",
+                               {{"conn", conn_id},
+                                {"bytes", static_cast<long>(bytes)}});
+        WriteLine(fd, MakeErrorResponse(
+                          service::ServiceRequest{}, StatusCode::kError,
+                          "request line exceeds --max-line-bytes (" +
+                              std::to_string(daemon->options.max_line_bytes) +
+                              "); closing connection")
+                          .ToJson());
+    };
     std::string buffer;
     char chunk[4096];
     bool open = true;
@@ -493,19 +383,9 @@ ServeConnection(Daemon* daemon, int fd, long conn_id)
             static_cast<size_t>(daemon->options.max_line_bytes);
         if (buffer.find('\n') == std::string::npos && buffer.size() > cap) {
             // A line that has already outgrown the cap can never become
-            // a valid request; reject it with a structured error while
-            // the headers of the flood are still cheap, then close —
-            // the rest of the oversized line is unframeable garbage.
-            telemetry::JournalEmit(
-                "svc.oversized",
-                {{"conn", conn_id},
-                 {"bytes", static_cast<long>(buffer.size())}});
-            const auto response = MakeErrorResponse(
-                service::ServiceRequest{}, StatusCode::kError,
-                "request line exceeds --max-line-bytes (" +
-                    std::to_string(daemon->options.max_line_bytes) +
-                    "); closing connection");
-            WriteLine(fd, response.ToJson());
+            // a valid request; reject it while the headers of the flood
+            // are still cheap.
+            reject_oversized(buffer.size());
             break;
         }
         size_t newline;
@@ -516,16 +396,7 @@ ServeConnection(Daemon* daemon, int fd, long conn_id)
                 continue;
             }
             if (line.size() > cap) {
-                telemetry::JournalEmit(
-                    "svc.oversized",
-                    {{"conn", conn_id},
-                     {"bytes", static_cast<long>(line.size())}});
-                const auto response = MakeErrorResponse(
-                    service::ServiceRequest{}, StatusCode::kError,
-                    "request line exceeds --max-line-bytes (" +
-                        std::to_string(daemon->options.max_line_bytes) +
-                        "); closing connection");
-                WriteLine(fd, response.ToJson());
+                reject_oversized(line.size());
                 open = false;
                 break;
             }
@@ -573,7 +444,7 @@ ServeConnection(Daemon* daemon, int fd, long conn_id)
                         service::ServiceRequest{}, StatusCode::kError,
                         "bad request: " + parse_error);
                 } else {
-                    response = ServeRequest(daemon, request);
+                    response = daemon->engine.Handle(request);
                     if (request.kind == "compile") {
                         AppendLedger(daemon, request, response,
                                      daemon->ledger_seq.fetch_add(1));
@@ -594,8 +465,8 @@ ServeConnection(Daemon* daemon, int fd, long conn_id)
             }
             if (response.trace_id.empty()) {
                 // Paths that never reached the engine (parse errors,
-                // injected read faults, rejections) still answer with
-                // the connection's trace id.
+                // injected read faults) still answer with the
+                // connection's trace id.
                 response.trace_id = context.trace_id();
                 response.trace_client_supplied = client_trace;
             }
@@ -618,7 +489,7 @@ ServeConnection(Daemon* daemon, int fd, long conn_id)
             if (request.kind == "shutdown") {
                 Inform("shutdown requested by client");
                 StopListening();
-                daemon->gate.Close();
+                daemon->engine.Close();
                 daemon->connections.ShutdownReads();
                 open = false;
             } else if (daemon->options.max_requests > 0 &&
@@ -626,7 +497,7 @@ ServeConnection(Daemon* daemon, int fd, long conn_id)
                 Inform("served " + std::to_string(served) +
                        " requests (--max-requests); shutting down");
                 StopListening();
-                daemon->gate.Close();
+                daemon->engine.Close();
                 daemon->connections.ShutdownReads();
                 open = false;
             }
@@ -640,49 +511,6 @@ ServeConnection(Daemon* daemon, int fd, long conn_id)
     std::lock_guard<std::mutex> lock(daemon->drain_mutex);
     --daemon->active_connections;
     daemon->drained.notify_all();
-}
-
-/** Dump --stats-json / --journal / --metrics-prom at shutdown. */
-bool
-WriteTelemetryOutputs(const Options& options)
-{
-    bool ok = true;
-    std::string error;
-    if (!options.stats_json_path.empty()) {
-        if (telemetry::WriteStatsJson(options.stats_json_path, &error)) {
-            Inform("wrote telemetry stats to " + options.stats_json_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.journal_path.empty()) {
-        if (telemetry::Journal::Global().WriteJsonl(options.journal_path,
-                                                    &error)) {
-            Inform("wrote event journal to " + options.journal_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.metrics_prom_path.empty()) {
-        if (telemetry::WriteOpenMetrics(options.metrics_prom_path,
-                                        &error)) {
-            Inform("wrote OpenMetrics to " + options.metrics_prom_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    if (!options.trace_json_path.empty()) {
-        if (telemetry::WriteTraceJson(options.trace_json_path, &error)) {
-            Inform("wrote Chrome trace to " + options.trace_json_path);
-        } else {
-            std::cerr << "error: " << error << "\n";
-            ok = false;
-        }
-    }
-    return ok;
 }
 
 int
@@ -725,10 +553,6 @@ main(int argc, char** argv)
         PrintUsage();
         return 2;
     }
-    if (options.max_concurrent < 0 || options.max_queue < 0) {
-        std::cerr << "error: --max-concurrent/--max-queue must be >= 0\n";
-        return 2;
-    }
 
     if (std::getenv("XTALK_LOG_LEVEL") == nullptr) {
         SetLogLevel(LogLevel::kInform);
@@ -750,12 +574,12 @@ main(int argc, char** argv)
     // cannot be debugged after the fact.
     telemetry::SetEnabled(true);
     telemetry::SetJournalEnabled(true);
-    if (!options.trace_json_path.empty()) {
+    if (!options.telemetry.trace_json.empty()) {
         telemetry::SetTracingEnabled(true);
     }
     telemetry::SetCurrentThreadName("acceptor");
-    if (!options.journal_path.empty()) {
-        telemetry::ArmCrashDump(options.journal_path);
+    if (!options.telemetry.journal.empty()) {
+        telemetry::ArmCrashDump(options.telemetry.journal);
     }
     if (options.threads > 0) {
         runtime::ThreadPool::SetDefaultThreadCount(options.threads);
@@ -800,7 +624,7 @@ main(int argc, char** argv)
         // waiting for a run slot would otherwise block its connection
         // thread forever (ShutdownReads only unblocks reads) and the
         // drain below would never finish.
-        daemon.gate.Close();
+        daemon.engine.Close();
         daemon.connections.ShutdownReads();
         {
             std::unique_lock<std::mutex> lock(daemon.drain_mutex);
@@ -817,20 +641,21 @@ main(int argc, char** argv)
                std::to_string(daemon.engine.cache().hits()) + " hit(s) / " +
                std::to_string(daemon.engine.cache().misses()) +
                " miss(es); rejected " +
-               std::to_string(daemon.gate.rejected()));
-        return WriteTelemetryOutputs(options) ? 0 : 1;
+               std::to_string(
+                   telemetry::GetCounter("svc.rejected").value()));
+        return cli::WriteTelemetryFiles(options.telemetry) ? 0 : 1;
     } catch (const InternalError& e) {
         std::cerr << "internal error: " << e.what() << "\n"
                   << "this is a bug in xtalk; please report it\n";
-        WriteTelemetryOutputs(options);
+        cli::WriteTelemetryFiles(options.telemetry);
         return ExitCodeFor(StatusCode::kInternal);
     } catch (const Error& e) {
         std::cerr << "error: " << e.what() << "\n";
-        WriteTelemetryOutputs(options);
+        cli::WriteTelemetryFiles(options.telemetry);
         return ExitCodeFor(StatusCode::kError);
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
-        WriteTelemetryOutputs(options);
+        cli::WriteTelemetryFiles(options.telemetry);
         return ExitCodeFor(StatusCode::kIoError);
     }
 }
