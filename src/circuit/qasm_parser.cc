@@ -167,6 +167,7 @@ ParseQasm(const std::string& source)
     int line_number = 0;
     std::optional<Circuit> circuit;
     int num_qubits = -1;
+    int num_clbits = -1;
     bool saw_header = false;
 
     auto require_circuit = [&](int line) -> Circuit& {
@@ -205,8 +206,12 @@ ParseQasm(const std::string& source)
                 continue;
             }
             if (stmt.rfind("creg", 0) == 0) {
-                ParseIndexedRef(CleanLine(stmt.substr(4)), "c", line_number);
-                continue;  // Classical width is implied by measures.
+                XTALK_REQUIRE(num_clbits < 0,
+                              "line " << line_number
+                                      << ": multiple creg declarations");
+                num_clbits = ParseIndexedRef(CleanLine(stmt.substr(4)), "c",
+                                             line_number);
+                continue;
             }
             if (stmt.rfind("barrier", 0) == 0) {
                 std::vector<QubitId> qubits;
@@ -223,11 +228,22 @@ ParseQasm(const std::string& source)
                 XTALK_REQUIRE(arrow != std::string::npos,
                               "line " << line_number
                                       << ": measure without '->'");
-                const int q = ParseIndexedRef(
-                    CleanLine(stmt.substr(7, arrow - 7)), "q", line_number);
-                const int c = ParseIndexedRef(
-                    CleanLine(stmt.substr(arrow + 2)), "c", line_number);
-                require_circuit(line_number).Measure(q, c);
+                const std::string qref = CleanLine(stmt.substr(7, arrow - 7));
+                const std::string cref = CleanLine(stmt.substr(arrow + 2));
+                Circuit& target = require_circuit(line_number);
+                if (qref == "q" && cref == "c") {
+                    // Whole-register form: measure q[i] -> c[i] in order.
+                    XTALK_REQUIRE(num_clbits == num_qubits,
+                                  "line " << line_number
+                                          << ": measure q -> c needs creg c["
+                                          << num_qubits << "] to match qreg");
+                    for (int i = 0; i < num_qubits; ++i) {
+                        target.Measure(i, i);
+                    }
+                    continue;
+                }
+                target.Measure(ParseIndexedRef(qref, "q", line_number),
+                               ParseIndexedRef(cref, "c", line_number));
                 continue;
             }
 

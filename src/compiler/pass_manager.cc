@@ -35,8 +35,10 @@ struct PassRegistry {
 PassRegistry&
 GlobalRegistry()
 {
-    static PassRegistry registry;
-    return registry;
+    // Leaked on purpose: a shared-pool worker may look a pass up after
+    // static destruction has begun at exit.
+    static PassRegistry* registry = new PassRegistry;
+    return *registry;
 }
 
 void

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <span>
 
 #include "common/error.h"
@@ -114,20 +115,23 @@ constexpr size_t kCheckpointBudgetBytes = size_t{1} << 20;
 
 /**
  * One run of the state-vector engine: the plan compiled into kernel
- * steps, and the cached no-event path its shots replay (see the file
- * comment of noisy_simulator.h).
+ * steps on one register per independent qubit group, and the cached
+ * no-event path its shots replay (see the file comment of
+ * noisy_simulator.h).
  */
 class Trajectory {
   public:
     explicit Trajectory(const RunPlan& plan);
 
-    /** Walk the no-event path once on @p sv (plan.width qubits),
-     *  drawing nothing: record every draw's threshold and the
-     *  checkpoints. */
-    void CachePath(StateVector& sv);
+    /** Independent qubit groups, each evolved in its own register. */
+    int num_registers() const { return static_cast<int>(registers_.size()); }
 
-    /** Run one shot with @p sv as scratch; returns its classical bits. */
-    uint64_t Shot(StateVector& sv, Rng& rng);
+    /** Walk the no-event path once, drawing nothing: record every
+     *  draw's threshold and the checkpoints. */
+    void CachePath();
+
+    /** Run one shot; returns its classical bits. */
+    uint64_t Shot(Rng& rng);
 
     /** Kernel applications this run made (path, replays, post-event). */
     uint64_t ops_executed() const { return executed_; }
@@ -145,11 +149,12 @@ class Trajectory {
     };
 
     /** One step; its first draw, if any, decides whether an event
-     *  happens in it. */
+     *  happens in it. Its qubits are indices within register `reg`. */
     struct Step {
         Kind kind;
         bool readout = false;   ///< kMeasure: a readout-flip draw follows.
         bool path_one = false;  ///< kMeasure: outcome on the no-event path.
+        int reg = 0;
         int q0 = 0;
         int q1 = -1;  ///< Second operand of a two-qubit unitary or error.
         int cbit = 0;
@@ -183,29 +188,64 @@ class Trajectory {
         return kind != Kind::kUnitary1Q && kind != Kind::kUnitary2Q;
     }
 
+    /** A step on local qubit @p q0 (and @p q1), placed in their register. */
+    Step MakeStep(Kind kind, int q0, int q1 = -1) const;
     void AddDecay(const RunPlan::Decay& decay);
-    void ApplyUnitary(StateVector& sv, const Step& step) const;
-    void Resume(StateVector& sv, const Draw& draw, double u, Rng& rng,
-                uint64_t* bits);
+    void ApplyUnitary(const Step& step);
+    void Reset();
+    void Resume(const Draw& draw, double u, Rng& rng, uint64_t* bits);
 
+    /** Register and index within it of each local qubit. */
+    std::vector<std::pair<int, int>> slot_of_local_;
+    std::vector<StateVector> registers_;
     std::vector<Step> steps_;
     std::vector<Unitary1Q> unitaries_1q_;
     std::vector<Unitary2Q> unitaries_2q_;
     std::vector<Draw> draws_;
     /** Checkpoint c holds the path state before step checkpoint_step_[c],
-     *  reached after checkpoint_ops_[c] kernel applications. */
+     *  reached after checkpoint_ops_[c] kernel applications: every
+     *  register's amplitudes, concatenated in register order. */
     std::vector<size_t> checkpoint_step_;
     std::vector<uint64_t> checkpoint_ops_;
     std::vector<Complex> checkpoints_;
-    size_t dimension_ = 0;
+    size_t dimension_ = 0;  ///< Summed dimension of the registers.
     uint64_t path_ops_ = 0;
     uint64_t executed_ = 0;
     uint64_t skipped_ = 0;
 };
 
 Trajectory::Trajectory(const RunPlan& plan)
-    : dimension_(size_t{1} << plan.width)
 {
+    // Union the local qubits over the two-qubit operations. Registers
+    // are numbered by their lowest local qubit and keep local order.
+    std::vector<int> root(plan.width);
+    std::iota(root.begin(), root.end(), 0);
+    auto find = [&](int q) {
+        while (root[q] != q) {
+            q = root[q] = root[root[q]];
+        }
+        return q;
+    };
+    for (const RunPlan::Op& op : plan.ops) {
+        if (op.gate.qubits.size() == 2) {
+            root[find(op.gate.qubits[1])] = find(op.gate.qubits[0]);
+        }
+    }
+    std::vector<int> register_of_root(plan.width, -1);
+    std::vector<int> widths;
+    for (int q = 0; q < plan.width; ++q) {
+        int& reg = register_of_root[find(q)];
+        if (reg < 0) {
+            reg = static_cast<int>(widths.size());
+            widths.push_back(0);
+        }
+        slot_of_local_.emplace_back(reg, widths[reg]++);
+    }
+    for (int width : widths) {
+        registers_.emplace_back(width);
+        dimension_ += registers_.back().dimension();
+    }
+
     for (const RunPlan::Op& op : plan.ops) {
         const Gate& gate = op.gate;
         for (int d = op.decay_begin; d < op.busy_begin; ++d) {
@@ -217,33 +257,29 @@ Trajectory::Trajectory(const RunPlan& plan)
             for (int d = op.busy_begin; d < op.decay_end; ++d) {
                 AddDecay(plan.decays[d]);
             }
-            Step step{Kind::kMeasure};
+            Step step = MakeStep(Kind::kMeasure, gate.qubits[0]);
             step.readout = plan.readout_noise;
-            step.q0 = gate.qubits[0];
             step.cbit = gate.cbit;
             step.p = op.readout_error;
             steps_.push_back(step);
             continue;
         }
+        const int q1 = gate.qubits.size() == 2 ? gate.qubits[1] : -1;
         if (gate.kind != GateKind::kI) {
             const Matrix u = GateUnitary(gate);
-            Step step{Kind::kUnitary1Q};
-            step.q0 = gate.qubits[0];
-            if (gate.qubits.size() == 1) {
+            Step step = MakeStep(Kind::kUnitary1Q, gate.qubits[0], q1);
+            if (q1 < 0) {
                 step.coeffs = unitaries_1q_.size();
                 unitaries_1q_.push_back(ToUnitary1Q(u));
             } else {
                 step.kind = Kind::kUnitary2Q;
-                step.q1 = gate.qubits[1];
                 step.coeffs = unitaries_2q_.size();
                 unitaries_2q_.push_back(ToUnitary2Q(u));
             }
             steps_.push_back(step);
         }
         if (op.error > 0.0) {
-            Step step{Kind::kPauliError};
-            step.q0 = gate.qubits[0];
-            step.q1 = gate.qubits.size() == 2 ? gate.qubits[1] : -1;
+            Step step = MakeStep(Kind::kPauliError, gate.qubits[0], q1);
             step.p = op.error;
             steps_.push_back(step);
         }
@@ -253,14 +289,23 @@ Trajectory::Trajectory(const RunPlan& plan)
     }
 }
 
+Trajectory::Step
+Trajectory::MakeStep(Kind kind, int q0, int q1) const
+{
+    Step step{kind};
+    step.reg = slot_of_local_[q0].first;
+    step.q0 = slot_of_local_[q0].second;
+    step.q1 = q1 < 0 ? -1 : slot_of_local_[q1].second;
+    return step;
+}
+
 void
 Trajectory::AddDecay(const RunPlan::Decay& decay)
 {
     XTALK_REQUIRE(decay.gamma >= 0.0 && decay.gamma <= 1.0,
                   "gamma " << decay.gamma << " outside [0, 1]");
     if (decay.gamma > 0.0) {
-        Step step{Kind::kDamp};
-        step.q0 = decay.qubit;
+        Step step = MakeStep(Kind::kDamp, decay.qubit);
         step.p = decay.gamma;
         step.keep = std::sqrt(1.0 - decay.gamma);
         steps_.push_back(step);
@@ -270,8 +315,7 @@ Trajectory::AddDecay(const RunPlan::Decay& decay)
                       "dephasing probability " << decay.pz
                                                << " outside [0, 0.5]");
         if (decay.pz > 0.0) {
-            Step step{Kind::kDephase};
-            step.q0 = decay.qubit;
+            Step step = MakeStep(Kind::kDephase, decay.qubit);
             step.p = decay.pz;
             steps_.push_back(step);
         }
@@ -279,8 +323,9 @@ Trajectory::AddDecay(const RunPlan::Decay& decay)
 }
 
 void
-Trajectory::ApplyUnitary(StateVector& sv, const Step& step) const
+Trajectory::ApplyUnitary(const Step& step)
 {
+    StateVector& sv = registers_[step.reg];
     if (step.kind == Kind::kUnitary1Q) {
         sv.Apply1Q(step.q0, unitaries_1q_[step.coeffs]);
     } else {
@@ -289,7 +334,15 @@ Trajectory::ApplyUnitary(StateVector& sv, const Step& step) const
 }
 
 void
-Trajectory::CachePath(StateVector& sv)
+Trajectory::Reset()
+{
+    for (StateVector& sv : registers_) {
+        sv.Reset();
+    }
+}
+
+void
+Trajectory::CachePath()
 {
     // Count the distinct states a draw can resume from, then keep every
     // stride-th of them so the checkpoints fit the budget. The initial
@@ -312,7 +365,7 @@ Trajectory::CachePath(StateVector& sv)
     if (stride > 0) {
         checkpoints_.reserve(distinct / stride * dimension_);
     }
-    sv.Reset();
+    Reset();
     changed = false;
     size_t seen = 0;
     int32_t checkpoint = -1;
@@ -326,15 +379,18 @@ Trajectory::CachePath(StateVector& sv)
     };
     for (size_t s = 0; s < steps_.size(); ++s) {
         Step& step = steps_[s];
+        StateVector& sv = registers_[step.reg];
         if (CanEvent(step.kind) && changed) {
             changed = false;
             if (stride > 0 && ++seen % stride == 0) {
                 checkpoint = static_cast<int32_t>(checkpoint_step_.size());
                 checkpoint_step_.push_back(s);
                 checkpoint_ops_.push_back(ops);
-                checkpoints_.insert(checkpoints_.end(),
-                                    sv.amplitudes().begin(),
-                                    sv.amplitudes().end());
+                for (const StateVector& reg : registers_) {
+                    checkpoints_.insert(checkpoints_.end(),
+                                        reg.amplitudes().begin(),
+                                        reg.amplitudes().end());
+                }
             }
         }
         // A draw that is an event for every u in [0, 1) ends the path:
@@ -343,7 +399,7 @@ Trajectory::CachePath(StateVector& sv)
         switch (step.kind) {
           case Kind::kUnitary1Q:
           case Kind::kUnitary2Q:
-            ApplyUnitary(sv, step);
+            ApplyUnitary(step);
             break;
           case Kind::kDamp: {
             const double p_jump = step.p * sv.ProbabilityOne(step.q0);
@@ -388,14 +444,14 @@ Trajectory::CachePath(StateVector& sv)
 }
 
 uint64_t
-Trajectory::Shot(StateVector& sv, Rng& rng)
+Trajectory::Shot(Rng& rng)
 {
     uint64_t bits = 0;
     for (const Draw& draw : draws_) {
         const double u = rng.Uniform();
         const bool below = u < draw.threshold;
         if (below ? draw.event_below : draw.event_above) {
-            Resume(sv, draw, u, rng, &bits);
+            Resume(draw, u, rng, &bits);
             return bits;
         }
         bits |= below ? draw.bits_below : draw.bits_above;
@@ -405,27 +461,31 @@ Trajectory::Shot(StateVector& sv, Rng& rng)
 }
 
 void
-Trajectory::Resume(StateVector& sv, const Draw& draw, double u, Rng& rng,
-                   uint64_t* bits)
+Trajectory::Resume(const Draw& draw, double u, Rng& rng, uint64_t* bits)
 {
     // Restore the path state before the event's step: load the nearest
     // checkpoint and replay the no-event path up to the step.
     size_t s = 0;
     if (draw.checkpoint < 0) {
-        sv.Reset();
+        Reset();
     } else {
         const size_t c = static_cast<size_t>(draw.checkpoint);
-        sv.Load(std::span<const Complex>(checkpoints_)
-                    .subspan(c * dimension_, dimension_));
+        size_t offset = c * dimension_;
+        for (StateVector& sv : registers_) {
+            sv.Load(std::span<const Complex>(checkpoints_)
+                        .subspan(offset, sv.dimension()));
+            offset += sv.dimension();
+        }
         s = checkpoint_step_[c];
         skipped_ += checkpoint_ops_[c];
     }
     for (; s < draw.step; ++s) {
         const Step& step = steps_[s];
+        StateVector& sv = registers_[step.reg];
         switch (step.kind) {
           case Kind::kUnitary1Q:
           case Kind::kUnitary2Q:
-            ApplyUnitary(sv, step);
+            ApplyUnitary(step);
             break;
           case Kind::kDamp:
             sv.DampNoJump(step.q0, step.keep);
@@ -453,10 +513,11 @@ Trajectory::Resume(StateVector& sv, const Draw& draw, double u, Rng& rng,
     const std::array<Unitary1Q, 4>& pauli = PauliCoefficients();
     for (; s < steps_.size(); ++s) {
         const Step& step = steps_[s];
+        StateVector& sv = registers_[step.reg];
         switch (step.kind) {
           case Kind::kUnitary1Q:
           case Kind::kUnitary2Q:
-            ApplyUnitary(sv, step);
+            ApplyUnitary(step);
             break;
           case Kind::kDamp:
             if (next() < step.p * sv.ProbabilityOne(step.q0)) {
@@ -615,28 +676,40 @@ NoisySimulator::Run(const ScheduledCircuit& schedule, const RunSpec& spec)
         telemetry::GetCounter("sim.shots")
             .Add(static_cast<uint64_t>(shots));
     }
-    const RunPlan plan = BuildRunPlan(*device_, options_, schedule);
-    XTALK_REQUIRE(plan.width <= 22, "schedule touches " << plan.width
-                                                        << " qubits; max 22");
-    if (telemetry::Enabled()) {
-        uint64_t unitaries = 0, measures = 0;
-        for (const RunPlan::Op& op : plan.ops) {
-            ++(op.gate.IsMeasure() ? measures : unitaries);
+    int num_clbits = 1;
+    Trajectory trajectory = [&] {
+        telemetry::ScopedSpan plan_span("sim.statevector.plan");
+        const RunPlan plan = BuildRunPlan(*device_, options_, schedule);
+        XTALK_REQUIRE(plan.width <= 22, "schedule touches "
+                                            << plan.width
+                                            << " qubits; max 22");
+        if (telemetry::Enabled()) {
+            uint64_t unitaries = 0, measures = 0;
+            for (const RunPlan::Op& op : plan.ops) {
+                ++(op.gate.IsMeasure() ? measures : unitaries);
+            }
+            telemetry::GetCounter("sim.statevector.gate_applications")
+                .Add(unitaries * static_cast<uint64_t>(shots));
+            telemetry::GetCounter("sim.statevector.measurements")
+                .Add(measures * static_cast<uint64_t>(shots));
         }
-        telemetry::GetCounter("sim.statevector.gate_applications")
-            .Add(unitaries * static_cast<uint64_t>(shots));
-        telemetry::GetCounter("sim.statevector.measurements")
-            .Add(measures * static_cast<uint64_t>(shots));
+        num_clbits = plan.num_clbits;
+        return Trajectory(plan);
+    }();
+    {
+        telemetry::ScopedSpan path_span("sim.statevector.path");
+        trajectory.CachePath();
     }
-
-    StateVector sv(plan.width);
-    Trajectory trajectory(plan);
-    trajectory.CachePath(sv);
-    Counts counts(plan.num_clbits);
-    for (int shot = 0; shot < shots; ++shot) {
-        counts.Record(trajectory.Shot(sv, rng_));
+    Counts counts(num_clbits);
+    {
+        telemetry::ScopedSpan shots_span("sim.statevector.shots");
+        for (int shot = 0; shot < shots; ++shot) {
+            counts.Record(trajectory.Shot(rng_));
+        }
     }
     if (telemetry::Enabled()) {
+        telemetry::GetCounter("sim.statevector.registers")
+            .Add(static_cast<uint64_t>(trajectory.num_registers()));
         telemetry::GetCounter("sim.statevector.ops_executed")
             .Add(trajectory.ops_executed());
         telemetry::GetCounter("sim.statevector.ops_skipped")

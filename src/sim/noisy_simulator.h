@@ -28,28 +28,38 @@
  * with fixed-size gate coefficients, then replays shots from a cached
  * no-event path:
  *
+ *  - Qubits that no two-qubit operation joins stay in a product state,
+ *    so each connected group gets its own register, and every step
+ *    runs on its group's register alone. A two-coupler SRB run evolves
+ *    two 4-amplitude registers instead of one 16-amplitude one. The
+ *    counter `sim.statevector.registers` adds each run's register
+ *    count; docs/PERFORMANCE.md gives the measured saving.
  *  - A stochastic event is a damping jump, a dephasing flip, a Pauli
  *    gate error, or a measurement taking its less likely outcome. Every
  *    shot's state is identical until its first event, so the run walks
  *    that shared path once, drawing no random numbers. It records each
- *    draw's threshold and keeps state checkpoints within a fixed budget
- *    (about 1 MiB; past it, a shot replays from the nearest earlier
- *    checkpoint).
+ *    draw's threshold and keeps state checkpoints, each the
+ *    concatenation of all registers, within a fixed budget (about
+ *    1 MiB of summed register amplitudes; past it, a shot replays from
+ *    the nearest earlier checkpoint).
  *  - A shot draws its uniforms one by one and compares each against the
  *    recorded threshold. A readout flip only flips a classical bit. At
  *    its first event the shot restores the path state at that step and
  *    resumes full simulation there, using the draw it already made.
  *
- * Bit-identity guarantee. Each shot makes exactly the random draws of a
- * naive per-shot interpreter of the schedule, in the same order, and
- * every state it resumes from holds the values that interpreter would
- * have computed: the kernels keep every floating-point operation and the
- * summation order of every sum. Counts are therefore identical for every
- * seed, chunk plan and thread count, with no change to the random
- * stream. `NoisySimulator.PinnedCountsForSeededRuns` holds this to
- * recorded hashes. The counters `sim.statevector.ops_executed` and
- * `sim.statevector.ops_skipped` report how much of a run the cache saved
- * (docs/OBSERVABILITY.md).
+ * What stays fixed. Every shot makes the same random draws as a naive
+ * per-shot interpreter of the schedule, in the same order, and every
+ * state it resumes from holds the values that interpreter would have
+ * computed on the same registers. Gate-error, dephasing and
+ * readout-flip thresholds are plan constants, so they are bit-equal to
+ * those of a single-register run. Each register normalises itself, so
+ * damping and measurement thresholds, which read a qubit's excited
+ * population, equal a single-register run's only to within rounding:
+ * Counts could differ from one only if a draw landed within rounding of
+ * such a threshold. `NoisySimulator.PinnedCountsForSeededRuns` holds
+ * Counts to the hashes a single-register engine produces. The counters
+ * `sim.statevector.ops_executed` and `sim.statevector.ops_skipped`
+ * report how much of a run the cache saved (docs/OBSERVABILITY.md).
  */
 #ifndef XTALK_SIM_NOISY_SIMULATOR_H
 #define XTALK_SIM_NOISY_SIMULATOR_H

@@ -73,18 +73,20 @@ struct Journal::Impl {
     std::array<Shard, Journal::kNumShards> shards;
 };
 
+// Leaked on purpose: a shared-pool worker may emit an event after
+// static destruction has begun at exit.
 Journal::Impl&
 Journal::impl() const
 {
-    static Impl instance;
-    return instance;
+    static Impl* instance = new Impl;
+    return *instance;
 }
 
 Journal&
 Journal::Global()
 {
-    static Journal instance;
-    return instance;
+    static Journal* instance = new Journal;
+    return *instance;
 }
 
 void

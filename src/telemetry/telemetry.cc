@@ -184,18 +184,21 @@ struct Registry::Impl {
     std::map<std::string, std::string> labels;
 };
 
+// The singletons below are leaked on purpose, like the other statics a
+// shared-pool worker can reach: the pool outlives static destruction at
+// exit, and a worker finishing a run then still adds to a counter.
 Registry::Impl&
 Registry::impl() const
 {
-    static Impl instance;
-    return instance;
+    static Impl* instance = new Impl;
+    return *instance;
 }
 
 Registry&
 Registry::Global()
 {
-    static Registry instance;
-    return instance;
+    static Registry* instance = new Registry;
+    return *instance;
 }
 
 Counter&

@@ -72,18 +72,20 @@ struct TraceBuffer::Impl {
     uint64_t dropped = 0;
 };
 
+// Leaked on purpose, like NameRegistry(): a pool worker may close a
+// span after static destruction has begun.
 TraceBuffer::Impl&
 TraceBuffer::impl() const
 {
-    static Impl instance;
-    return instance;
+    static Impl* instance = new Impl;
+    return *instance;
 }
 
 TraceBuffer&
 TraceBuffer::Global()
 {
-    static TraceBuffer instance;
-    return instance;
+    static TraceBuffer* instance = new TraceBuffer;
+    return *instance;
 }
 
 void

@@ -184,6 +184,35 @@ TEST(QasmParser, UnparsableOrOverflowingPiFactorIsABadParameter)
     }
 }
 
+TEST(QasmParser, WholeRegisterMeasureExpandsInIndexOrder)
+{
+    const std::string bell =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n"
+        "h q[0];\ncx q[0], q[1];\n";
+    const Circuit whole = ParseQasm(bell + "measure q -> c;\n");
+    const Circuit indexed =
+        ParseQasm(bell + "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n");
+    EXPECT_EQ(whole.num_qubits(), indexed.num_qubits());
+    EXPECT_EQ(whole.num_clbits(), indexed.num_clbits());
+    EXPECT_EQ(whole.gates(), indexed.gates());
+}
+
+TEST(QasmParser, WholeRegisterMeasureNeedsAMatchingCreg)
+{
+    for (const char* creg : {"creg c[1];", "creg c[3];", "// no creg"}) {
+        const std::string source = std::string("OPENQASM 2.0;\nqreg q[2];\n") +
+                                   creg + "\nmeasure q -> c;\n";
+        try {
+            ParseQasm(source);
+            ADD_FAILURE() << creg << " parsed";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("line 4: measure q -> c"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(QasmParser, RoundTripsExporterOutput)
 {
     Circuit original(4);

@@ -796,6 +796,22 @@ TEST(EngineTest, OverflowingQasmIndexAnswersError)
         << response.error;
 }
 
+TEST(EngineTest, WholeRegisterMeasureNeedsAMatchingCreg)
+{
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.qasm =
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0], q[1];\n"
+        "measure q -> c;\n";
+    EXPECT_EQ(engine.Handle(request).code, StatusCode::kOk);
+    request.qasm =
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q -> c;\n";
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kError) << response.error;
+    EXPECT_NE(response.error.find("line 4"), std::string::npos)
+        << response.error;
+}
+
 TEST(EngineTest, OverflowingQasmParameterAnswersError)
 {
     Engine engine;

@@ -433,6 +433,39 @@ TEST(NoisySimulator, NoEventShotsSkipEveryGate)
     EXPECT_GT(executed.value(), kGates + kMeasures);
 }
 
+TEST(NoisySimulator, IndependentQubitGroupsGetOneRegisterEach)
+{
+    const Device device = MakePoughkeepsie();
+    const Topology& topo = device.topology();
+    const EdgeId victim = topo.FindEdge(10, 15);
+    const EdgeId aggressor = topo.FindEdge(11, 12);
+    RbConfig rb;
+    rb.seed = 77;
+    const RbRunner runner(device, rb);
+    telemetry::Counter& registers =
+        telemetry::GetCounter("sim.statevector.registers");
+    auto registers_of = [&](const ScheduledCircuit& schedule) {
+        telemetry::SetEnabled(true);
+        registers.Reset();
+        NoisySimulator(device).Run(schedule, RunSpec{16});
+        telemetry::SetEnabled(false);
+        return registers.value();
+    };
+
+    Rng rng(5);
+    const ScheduledCircuit srb =
+        runner.BuildSrbSchedule({victim, aggressor}, 3, rng);
+    EXPECT_EQ(registers_of(srb), 2u);
+
+    // One CX on the coupler between them joins the two groups.
+    ScheduledCircuit joined = srb;
+    joined.Add(Gate{GateKind::kCX, {10, 11}, {}, -1}, srb.TotalDuration(),
+               device.CxDuration(topo.FindEdge(10, 11)));
+    EXPECT_EQ(registers_of(joined), 1u);
+
+    EXPECT_EQ(registers_of(runner.BuildSrbSchedule({victim}, 3, rng)), 1u);
+}
+
 /** One seeded run whose Counts table is pinned by hash. */
 struct PinnedRun {
     std::string name;
@@ -493,6 +526,11 @@ PinnedRuns(const Device& pough, const Device& linear)
         BuildQaoaCircuit(pough, {0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11},
                          QaoaOptions{2, 3}),
         pough);
+    // Twelve qubits on six disjoint couplers: as one register, a 64 KiB
+    // state past the checkpoint budget; split, six 4-amplitude ones.
+    const std::vector<EdgeId> six_couplers{
+        topo.FindEdge(0, 1),  topo.FindEdge(2, 3),   topo.FindEdge(5, 6),
+        topo.FindEdge(7, 8),  topo.FindEdge(10, 15), topo.FindEdge(11, 12)};
     const ScheduledCircuit mid =
         AsapSchedule(MidCircuitMeasureCircuit(), linear);
     // Idling 50 T1 makes damping certain: every shot jumps on qubit 0,
@@ -550,6 +588,8 @@ PinnedRuns(const Device& pough, const Device& linear)
          adversarial(AdversarialFamily::kCliffordOnly), full, {}, 256, 1, "8ab7b20675d49160"},
         {"mid-circuit-measure", &linear, mid, full, {}, 512, 1, "d626eb6d142ca371"},
         {"twelve-qubits", &pough, wide, full, {}, 48, 1, "4530abb553444d7d"},
+        {"srb-6couplers-len10", &pough, srb(six_couplers, 10, 7), full, {},
+         64, 1, "1a1cc6d673ca6686"},
         {"decay-to-certainty", &linear, decayed, full, {}, 256, 1,
          "5caf7e21aa0d1115"},
         {"no-gate-noise", &pough, shift_redundant,
