@@ -1,5 +1,6 @@
 #include "clifford/tableau.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.h"
@@ -26,6 +27,14 @@ TableauRow::SetZ(int q, bool v)
     } else {
         z[q / 64] &= ~mask;
     }
+}
+
+void
+TableauRow::Clear()
+{
+    std::fill(x.begin(), x.end(), 0);
+    std::fill(z.begin(), z.end(), 0);
+    r = false;
 }
 
 Tableau::Tableau(int num_qubits) : num_qubits_(num_qubits)
@@ -432,6 +441,108 @@ Tableau::ToString() const
         render(stabilizer(i));
     }
     return oss.str();
+}
+
+void
+Tableau::Reset()
+{
+    for (auto& row : rows_) {
+        row.Clear();
+    }
+    for (int i = 0; i < num_qubits_; ++i) {
+        rows_[i].SetX(i, true);                 // Destabilizer X_i.
+        rows_[num_qubits_ + i].SetZ(i, true);   // Stabilizer Z_i.
+    }
+}
+
+void
+Tableau::RowSum(TableauRow& h, const TableauRow& i, bool track_phase) const
+{
+    if (track_phase) {
+        // Phase exponent of i^k in the product, tracked mod 4 (CHP's g).
+        int phase = (h.r ? 2 : 0) + (i.r ? 2 : 0);
+        for (int q = 0; q < num_qubits_; ++q) {
+            const int x1 = i.GetX(q), z1 = i.GetZ(q);
+            const int x2 = h.GetX(q), z2 = h.GetZ(q);
+            if (x1 == 0 && z1 == 0) {
+                continue;
+            }
+            if (x1 == 1 && z1 == 1) {
+                phase += z2 - x2;                 // Y * P.
+            } else if (x1 == 1) {
+                phase += z2 * (2 * x2 - 1);       // X * P.
+            } else {
+                phase += x2 * (1 - 2 * z2);       // Z * P.
+            }
+        }
+        phase = ((phase % 4) + 4) % 4;
+        XTALK_ASSERT(phase == 0 || phase == 2, "rowsum produced odd i-power");
+        h.r = (phase == 2);
+    }
+    for (size_t w = 0; w < h.x.size(); ++w) {
+        h.x[w] ^= i.x[w];
+        h.z[w] ^= i.z[w];
+    }
+}
+
+double
+Tableau::ProbabilityOne(int q) const
+{
+    for (int p = num_qubits_; p < 2 * num_qubits_; ++p) {
+        if (rows_[p].GetX(q)) {
+            return 0.5;  // Z_q anticommutes with a stabilizer: random.
+        }
+    }
+    // Deterministic: accumulate destabilizer partners into scratch.
+    const size_t words = rows_[0].x.size();
+    TableauRow scratch{std::vector<uint64_t>(words, 0),
+                       std::vector<uint64_t>(words, 0), false};
+    for (int i = 0; i < num_qubits_; ++i) {
+        if (rows_[i].GetX(q)) {
+            RowSum(scratch, rows_[i + num_qubits_]);
+        }
+    }
+    return scratch.r ? 1.0 : 0.0;
+}
+
+bool
+Tableau::MeasureQubit(int q, Rng& rng)
+{
+    XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
+    int p = -1;
+    for (int row = num_qubits_; row < 2 * num_qubits_; ++row) {
+        if (rows_[row].GetX(q)) {
+            p = row;
+            break;
+        }
+    }
+    if (p >= 0) {
+        // Random outcome. Destabilizer rows may anticommute with row p
+        // (odd i-power), but their phase bits are never read — skip the
+        // phase bookkeeping for them instead of asserting on it.
+        for (int row = 0; row < 2 * num_qubits_; ++row) {
+            if (row != p && rows_[row].GetX(q)) {
+                RowSum(rows_[row], rows_[p],
+                       /*track_phase=*/row >= num_qubits_);
+            }
+        }
+        rows_[p - num_qubits_] = rows_[p];
+        rows_[p].Clear();
+        const bool outcome = rng.Bernoulli(0.5);
+        rows_[p].SetZ(q, true);
+        rows_[p].r = outcome;
+        return outcome;
+    }
+    // Deterministic outcome.
+    const size_t words = rows_[0].x.size();
+    TableauRow scratch{std::vector<uint64_t>(words, 0),
+                       std::vector<uint64_t>(words, 0), false};
+    for (int i = 0; i < num_qubits_; ++i) {
+        if (rows_[i].GetX(q)) {
+            RowSum(scratch, rows_[i + num_qubits_]);
+        }
+    }
+    return scratch.r;
 }
 
 }  // namespace xtalk

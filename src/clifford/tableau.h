@@ -1,7 +1,7 @@
 /**
  * @file
- * Stabilizer tableau for n-qubit Clifford unitaries (Aaronson-Gottesman,
- * CHP update rules, measurement-free).
+ * Stabilizer tableau (Aaronson-Gottesman, CHP update rules) for n-qubit
+ * Clifford unitaries and the stabilizer states they prepare.
  *
  * Row i < n is the destabilizer (the image U X_i U-dagger), row n+i the
  * stabilizer (image of Z_i); each row is a signed Pauli string. Applying
@@ -10,6 +10,12 @@
  * exactly what randomized benchmarking needs: accumulate the tableau of
  * the random sequence, then synthesize the gate sequence that reduces it
  * to the identity — that sequence *is* the recovery (inverse) circuit.
+ *
+ * Read as a state, the same tableau is U|0...0>: its stabilizer rows
+ * generate the state's stabilizer group. MeasureQubit collapses it with
+ * the CHP measurement rule, after which it describes a state, no longer
+ * a unitary. The stabilizer simulator (sim/stabilizer.h) runs every
+ * shot on one Tableau this way.
  */
 #ifndef XTALK_CLIFFORD_TABLEAU_H
 #define XTALK_CLIFFORD_TABLEAU_H
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "common/rng.h"
 
 namespace xtalk {
 
@@ -32,9 +39,11 @@ struct TableauRow {
     bool GetZ(int q) const { return (z[q / 64] >> (q % 64)) & 1; }
     void SetX(int q, bool v);
     void SetZ(int q, bool v);
+    /** Identity Pauli with a + sign. */
+    void Clear();
 };
 
-/** n-qubit Clifford tableau (unitary part only; no measurement). */
+/** n-qubit Clifford tableau; also a stabilizer state with measurement. */
 class Tableau {
   public:
     /** Identity tableau on @p num_qubits qubits. */
@@ -100,9 +109,36 @@ class Tableau {
     /** Multi-line debug rendering ("+XZI" style rows). */
     std::string ToString() const;
 
+    // Stabilizer-state operations (CHP measurement).
+
+    /** Reset to the identity tableau, i.e. the state |0...0>. */
+    void Reset();
+
+    /**
+     * Z-basis measurement of qubit @p q with collapse; random outcomes
+     * drawn from @p rng.
+     */
+    bool MeasureQubit(int q, Rng& rng);
+
+    /**
+     * Probability that measuring @p q yields 1: exactly 0, 0.5, or 1
+     * for stabilizer states.
+     */
+    double ProbabilityOne(int q) const;
+
   private:
     int num_qubits_;
     std::vector<TableauRow> rows_;
+
+    /**
+     * CHP rowsum: row h *= row i (Pauli product with phase tracking).
+     * @p track_phase=false skips the i-power bookkeeping and leaves
+     * h.r untouched — required when h is a *destabilizer* row, which
+     * may anticommute with i (odd i-power) and whose phase bit the
+     * algorithm never reads.
+     */
+    void RowSum(TableauRow& h, const TableauRow& i,
+                bool track_phase = true) const;
 
     /** Reduce a copy of the tableau to identity, recording gates. */
     static void ReduceToIdentity(Tableau& t, Circuit* out);

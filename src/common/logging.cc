@@ -95,32 +95,10 @@ ParseLogLevel(const std::string& text, LogLevel* out)
     return true;
 }
 
-std::string
-LogLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::kQuiet:
-        return "quiet";
-      case LogLevel::kWarn:
-        return "warn";
-      case LogLevel::kInform:
-        return "info";
-      case LogLevel::kDebug:
-        return "debug";
-    }
-    return "warn";
-}
-
 void
 SetLogTimestamps(bool enabled)
 {
     g_timestamps.store(enabled);
-}
-
-bool
-GetLogTimestamps()
-{
-    return g_timestamps.load();
 }
 
 void

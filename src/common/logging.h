@@ -32,12 +32,8 @@ LogLevel GetLogLevel();
  */
 bool ParseLogLevel(const std::string& text, LogLevel* out);
 
-/** Canonical name for a level ("quiet", "warn", "info", "debug"). */
-std::string LogLevelName(LogLevel level);
-
 /** Prefix every message with a monotonic timestamp. */
 void SetLogTimestamps(bool enabled);
-bool GetLogTimestamps();
 
 /** Informative status message (stderr), suppressed below kInform. */
 void Inform(const std::string& msg);

@@ -106,6 +106,10 @@ ParseDeviceSpec(const std::string& text, uint64_t drift_seed)
             XTALK_REQUIRE(static_cast<bool>(fields >> num_qubits) &&
                               num_qubits > 0,
                           "line " << line_number << ": bad qubit count");
+            XTALK_REQUIRE(num_qubits <= kMaxSpecQubits,
+                          "line " << line_number << ": qubit count "
+                                  << num_qubits << " exceeds the limit of "
+                                  << kMaxSpecQubits);
             qubits.assign(num_qubits, QubitCalibration{});
         } else if (kind == "traits") {
             int simultaneous, no_partial;
@@ -219,15 +223,6 @@ LoadDeviceSpec(const std::string& path, uint64_t drift_seed)
     std::ostringstream buffer;
     buffer << file.rdbuf();
     return ParseDeviceSpec(buffer.str(), drift_seed);
-}
-
-void
-SaveDeviceSpec(const std::string& path, const Device& device)
-{
-    std::ofstream file(path);
-    XTALK_REQUIRE(file.good(), "cannot open " << path << " for writing");
-    file << SerializeDeviceSpec(device);
-    XTALK_REQUIRE(file.good(), "write to " << path << " failed");
 }
 
 }  // namespace xtalk

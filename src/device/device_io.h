@@ -25,6 +25,13 @@
 
 namespace xtalk {
 
+/**
+ * Largest `qubits` count a spec may declare: 50x the largest built-in
+ * device. The topology's all-pairs distance table is n x n ints, 4 MB
+ * at this limit.
+ */
+inline constexpr int kMaxSpecQubits = 1024;
+
 /** Parse a device spec; throws xtalk::Error with a line number. */
 Device ParseDeviceSpec(const std::string& text, uint64_t drift_seed = 99);
 
@@ -33,9 +40,6 @@ std::string SerializeDeviceSpec(const Device& device);
 
 /** Read a device spec from a file. */
 Device LoadDeviceSpec(const std::string& path, uint64_t drift_seed = 99);
-
-/** Write a device spec to a file. */
-void SaveDeviceSpec(const std::string& path, const Device& device);
 
 }  // namespace xtalk
 

@@ -95,6 +95,15 @@ Executor::Submit(ExecutionRequest request)
         Counts counts;
         double sim_ms = 0.0;
         double done_ms = 0.0;  ///< Completion time since dispatch.
+        /**
+         * The chunk's failure (null when it succeeded), caught and
+         * classified on the worker while it still holds the exception:
+         * the joining thread then holds the last reference and never
+         * inspects an object another thread may be releasing.
+         */
+        std::exception_ptr error;
+        std::string message;
+        bool internal = false;  ///< The failure is an InternalError.
     };
     const Clock::time_point dispatch = Clock::now();
 
@@ -118,25 +127,36 @@ Executor::Submit(ExecutionRequest request)
             const int chunk_shots = plans[j][c];
             futures[j].push_back(pool_->Submit(
                 [this, &job, chunk_seed, chunk_shots, dispatch, j, c] {
-                    // Span, not just the histogram at join: gives the
-                    // chunk its own profiler frame (under the worker's
-                    // runtime.pool.job) and a trace event on the
-                    // worker's named lane.
-                    telemetry::ScopedSpan chunk_span(
-                        "runtime.executor.chunk");
-                    const Clock::time_point start = Clock::now();
                     ChunkOutcome outcome;
-                    outcome.counts = RunChunk(*device_, job, chunk_seed,
-                                              chunk_shots, c == 0);
-                    outcome.sim_ms = MsSince(start);
-                    outcome.done_ms = MsSince(dispatch);
-                    telemetry::JournalEmit(
-                        "exec.chunk",
-                        {{"job", static_cast<uint64_t>(j)},
-                         {"chunk", c},
-                         {"shots", chunk_shots},
-                         {"seed", chunk_seed},
-                         {"sim_ms", outcome.sim_ms}});
+                    try {
+                        // Span, not just the histogram at join: gives
+                        // the chunk its own profiler frame (under the
+                        // worker's runtime.pool.job) and a trace event
+                        // on the worker's named lane.
+                        telemetry::ScopedSpan chunk_span(
+                            "runtime.executor.chunk");
+                        const Clock::time_point start = Clock::now();
+                        outcome.counts = RunChunk(*device_, job, chunk_seed,
+                                                  chunk_shots, c == 0);
+                        outcome.sim_ms = MsSince(start);
+                        outcome.done_ms = MsSince(dispatch);
+                        telemetry::JournalEmit(
+                            "exec.chunk",
+                            {{"job", static_cast<uint64_t>(j)},
+                             {"chunk", c},
+                             {"shots", chunk_shots},
+                             {"seed", chunk_seed},
+                             {"sim_ms", outcome.sim_ms}});
+                    } catch (const std::exception& e) {
+                        outcome.error = std::current_exception();
+                        outcome.message = e.what();
+                        outcome.internal =
+                            dynamic_cast<const InternalError*>(&e) !=
+                            nullptr;
+                    } catch (...) {
+                        outcome.error = std::current_exception();
+                        outcome.message = "unknown error";
+                    }
                     return outcome;
                 }));
         }
@@ -154,9 +174,10 @@ Executor::Submit(ExecutionRequest request)
                             {"shots", total_shots}});
 
     // Join everything before rethrowing so no future outlives its job
-    // (the lambdas capture `request.jobs` by reference). In capture
-    // mode failures stay per-job: the result is marked !ok and the
-    // batch returns normally so the caller can retry or quarantine.
+    // (the lambdas capture `request.jobs` by reference). Chunks never
+    // throw into their future; a failure arrives in the outcome. In
+    // capture mode failures stay per-job: the result is marked !ok and
+    // the batch returns normally so the caller can retry or quarantine.
     std::exception_ptr first_error;
     std::exception_ptr internal_error;
     uint64_t failed_jobs = 0;
@@ -164,37 +185,27 @@ Executor::Submit(ExecutionRequest request)
         ExecutionResult& result = results[j];
         result.chunks = static_cast<int>(futures[j].size());
         for (auto& future : futures[j]) {
-            try {
-                ChunkOutcome outcome = future.get();
-                result.counts.Merge(outcome.counts);
-                result.sim_ms += outcome.sim_ms;
-                result.wall_ms = std::max(result.wall_ms, outcome.done_ms);
-                if (telemetry::Enabled()) {
-                    telemetry::GetHistogram("runtime.executor.chunk.ms")
-                        .Record(outcome.sim_ms);
-                }
-            } catch (const std::exception& e) {
+            ChunkOutcome outcome = future.get();
+            if (outcome.error) {
                 if (result.ok) {
                     result.ok = false;
-                    result.error = e.what();
+                    result.error = std::move(outcome.message);
                     ++failed_jobs;
                 }
-                if (!internal_error &&
-                    dynamic_cast<const InternalError*>(&e) != nullptr) {
-                    internal_error = std::current_exception();
+                if (!internal_error && outcome.internal) {
+                    internal_error = outcome.error;
                 }
                 if (!first_error) {
-                    first_error = std::current_exception();
+                    first_error = std::move(outcome.error);
                 }
-            } catch (...) {
-                if (result.ok) {
-                    result.ok = false;
-                    result.error = "unknown error";
-                    ++failed_jobs;
-                }
-                if (!first_error) {
-                    first_error = std::current_exception();
-                }
+                continue;
+            }
+            result.counts.Merge(outcome.counts);
+            result.sim_ms += outcome.sim_ms;
+            result.wall_ms = std::max(result.wall_ms, outcome.done_ms);
+            if (telemetry::Enabled()) {
+                telemetry::GetHistogram("runtime.executor.chunk.ms")
+                    .Record(outcome.sim_ms);
             }
         }
         if (result.ok) {

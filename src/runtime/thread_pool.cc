@@ -205,20 +205,6 @@ ThreadPool::Shutdown()
     }
 }
 
-size_t
-ThreadPool::QueueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
-
-int
-ThreadPool::BusyWorkers() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return busy_workers_;
-}
-
 double
 ThreadPool::UtilizationLocked() const
 {

@@ -74,12 +74,6 @@ class ThreadPool {
 
     int num_threads() const { return static_cast<int>(workers_.size()); }
 
-    /** Jobs enqueued but not yet picked up (point-in-time). */
-    size_t QueueDepth() const;
-
-    /** Workers currently executing a job (point-in-time). */
-    int BusyWorkers() const;
-
     /**
      * Fraction of the pool's capacity spent executing jobs since
      * construction: total busy time / (pool age x worker count), in

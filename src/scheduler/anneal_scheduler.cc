@@ -6,11 +6,11 @@
 #include <utility>
 #include <vector>
 
-#include "circuit/dag.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "faults/faults.h"
 #include "scheduler/analysis.h"
+#include "scheduler/xtalk_problem.h"
 #include "telemetry/journal.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -20,12 +20,6 @@ namespace xtalk {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/** One eligible high-crosstalk pair; i < j in program order. */
-struct DecisionPair {
-    GateId i;
-    GateId j;
-};
 
 }  // namespace
 
@@ -58,40 +52,14 @@ AnnealScheduler::Schedule(const Circuit& circuit,
     const auto t0 = Clock::now();
     stats_ = {};
 
-    // Decision space: DAG-concurrent two-qubit gate pairs on distinct
-    // couplers that pass the high-crosstalk test in either direction —
-    // exactly the pairs XtalkSched considers encoding.
-    const DependencyDag dag(circuit);
-    const HighCrosstalkCriteria criteria{options_.high_threshold,
-                                         options_.high_margin};
-    std::vector<EdgeId> edge_of(circuit.size(), -1);
-    for (GateId g = 0; g < circuit.size(); ++g) {
-        const Gate& gate = circuit.gates()[g];
-        if (gate.IsTwoQubitUnitary()) {
-            edge_of[g] =
-                device_->topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-            XTALK_REQUIRE(edge_of[g] >= 0,
-                          "two-qubit gate on uncoupled qubits");
-        }
-    }
-    std::vector<DecisionPair> pairs;
-    for (GateId i = 0; i < circuit.size(); ++i) {
-        if (edge_of[i] < 0) {
-            continue;
-        }
-        for (GateId j = i + 1; j < circuit.size(); ++j) {
-            if (edge_of[j] < 0 || edge_of[j] == edge_of[i] ||
-                !dag.CanOverlap(i, j)) {
-                continue;
-            }
-            if (characterization_->IsHighCrosstalk(edge_of[i], edge_of[j],
-                                                   criteria) ||
-                characterization_->IsHighCrosstalk(edge_of[j], edge_of[i],
-                                                   criteria)) {
-                pairs.push_back({i, j});
-            }
-        }
-    }
+    // Decision space: the eligible pairs XtalkSched considers encoding
+    // (DAG-concurrent two-qubit gates on distinct couplers that pass the
+    // high-crosstalk test in either direction), in (i, j) order.
+    const std::vector<XtalkProblem::Pair> pairs =
+        BuildXtalkProblem(circuit, *device_, *characterization_,
+                          HighCrosstalkCriteria{options_.high_threshold,
+                                                options_.high_margin})
+            .eligible;
     stats_.candidate_pairs = static_cast<int>(pairs.size());
 
     // Serialization partners of gate j: the earlier gates it must wait

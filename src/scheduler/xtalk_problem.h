@@ -1,8 +1,9 @@
 /**
  * @file
- * Internal to XtalkSched (not part of the public scheduler API): the
- * solver-neutral scheduling problem, built once per circuit, and the two
- * ways of solving it.
+ * XtalkSched's solver-neutral scheduling problem, built once per
+ * circuit, and the two ways of solving it. Not part of the public
+ * scheduler API; AnnealSched also takes its decision space, the
+ * eligible pairs, from here.
  *
  *  - SolveLifetimeFlow: the exact in-process solve for rounds that
  *    encode no crosstalk pair. The problem is then a linear program

@@ -257,8 +257,8 @@ struct ServiceResponse {
     /**
      * Structured ping/stats diagnostics (counters and gauges such as
      * inflight, queued, admitted). Serialized as the `diag` object when
-     * non-empty; supersedes the legacy `key=value` diagnostics strings
-     * (kept one release for compatibility — see docs/SERVICE.md).
+     * non-empty; a ping no longer repeats them as `key=value` strings
+     * in `diagnostics` (see docs/SERVICE.md).
      */
     std::map<std::string, double> diag;
 

@@ -42,9 +42,6 @@ class Counts {
     /** Empirical distribution over all 2^num_clbits outcomes. */
     std::vector<double> ToProbabilities() const;
 
-    /** Fraction of shots matching @p bits (success probability). */
-    double SuccessFraction(uint64_t bits) const { return Probability(bits); }
-
     /** Render an outcome as a bitstring, clbit (num-1) first. */
     static std::string BitsToString(uint64_t bits, int num_clbits);
 

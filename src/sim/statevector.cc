@@ -125,7 +125,7 @@ StateVector::ApplyGate(const Gate& gate)
         return;
     }
     XTALK_REQUIRE(!gate.IsMeasure(),
-                  "measure must go through MeasureQubit/SampleBasis");
+                  "measure must go through MeasureQubit");
     const Matrix u = GateUnitary(gate);
     if (gate.qubits.size() == 1) {
         Apply1Q(gate.qubits[0], u);
@@ -198,19 +198,6 @@ StateVector::Collapse(int q, bool outcome)
         }
     }
     Rescale(sum_sq);
-}
-
-size_t
-StateVector::SampleBasis(Rng& rng) const
-{
-    double target = rng.Uniform();
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        target -= std::norm(amps_[i]);
-        if (target < 0.0) {
-            return i;
-        }
-    }
-    return amps_.size() - 1;
 }
 
 void

@@ -83,9 +83,6 @@ class StateVector {
      *  pass plus the rescale). */
     void Collapse(int q, bool outcome);
 
-    /** Sample a basis index from |amp|^2 without collapsing. */
-    size_t SampleBasis(Rng& rng) const;
-
     /**
      * Amplitude-damping trajectory step on qubit @p q with decay
      * probability @p gamma: stochastically applies the jump (relax to

@@ -182,12 +182,6 @@ CurrentTraceContext()
     return t_context;
 }
 
-void
-SetCurrentTraceContext(const TraceContext& context)
-{
-    t_context = context;
-}
-
 ScopedTraceContext::ScopedTraceContext(const TraceContext& context)
     : previous_(t_context)
 {

@@ -64,14 +64,11 @@ bool ParseSpanId(const std::string& hex, uint64_t* out);
 /** The calling thread's current context (invalid when none is set). */
 TraceContext CurrentTraceContext();
 
-/** Overwrite the calling thread's context (invalid clears it). */
-void SetCurrentTraceContext(const TraceContext& context);
-
 /**
  * RAII: install @p context for the enclosing scope, restoring whatever
- * the thread carried before on destruction. This is the only way
- * request code should set a context — unmatched Set calls leak a stale
- * id into whatever the thread does next.
+ * the thread carried before on destruction. This is the only way to
+ * set a context, so a stale id never leaks into whatever the thread
+ * does next.
  */
 class ScopedTraceContext {
   public:

@@ -274,6 +274,27 @@ TEST(DeviceIo, RejectsMalformedSpecs)
                  // required by the ground-truth model.
 }
 
+TEST(DeviceIo, RejectsQubitCountsPastTheLimit)
+{
+    // The count sizes every per-qubit table, so a huge one must be
+    // refused before anything is allocated for it.
+    for (const char* count : {"40000", "2147483647"}) {
+        try {
+            ParseDeviceSpec(std::string("device big\nqubits ") + count +
+                            "\nedge 0 1 cx_err 0.01 cx_ns 400\n");
+            ADD_FAILURE() << "qubits " << count << " parsed";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("line 2: qubit count"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const std::string at_limit =
+        "qubits " + std::to_string(kMaxSpecQubits) +
+        "\nedge 0 1 cx_err 0.01 cx_ns 400\n";
+    EXPECT_EQ(ParseDeviceSpec(at_limit).num_qubits(), kMaxSpecQubits);
+}
+
 TEST(DeviceIo, RejectsNonPhysicalNumbers)
 {
     // One-substitution template around the minimal valid spec: swap a

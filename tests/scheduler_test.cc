@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <sstream>
 
 #include "characterization/characterizer.h"
 #include "circuit/dag.h"
@@ -23,10 +25,12 @@
 #include "faults/faults.h"
 #include "runtime/cancellation.h"
 #include "scheduler/analysis.h"
+#include "scheduler/anneal_scheduler.h"
 #include "scheduler/greedy_scheduler.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/xtalk_problem.h"
 #include "scheduler/xtalk_scheduler.h"
+#include "telemetry/ledger.h"
 #include "telemetry/telemetry.h"
 #include "workloads/adversarial.h"
 #include "workloads/hidden_shift.h"
@@ -60,6 +64,17 @@ ConflictCircuit()
 {
     Circuit c(20);
     c.CX(10, 15).CX(11, 12);
+    c.Measure(10, 0).Measure(15, 1).Measure(11, 2).Measure(12, 3);
+    return c;
+}
+
+/** Figure 6's SWAP pair on the same couplers, each SWAP as three CXs. */
+Circuit
+Fig6SwapPairCircuit()
+{
+    Circuit c(20);
+    c.CX(10, 15).CX(15, 10).CX(10, 15);
+    c.CX(11, 12).CX(12, 11).CX(11, 12);
     c.Measure(10, 0).Measure(15, 1).Measure(11, 2).Measure(12, 3);
     return c;
 }
@@ -787,11 +802,8 @@ TEST(XtalkProblemOracle, OnlyCircuitsThatEncodeAPairBuildZ3)
     EXPECT_EQ(*automatic.omega, 0.3);
 
     // The Fig. 6 SWAP pair and the conflict circuit encode a pair.
-    Circuit fig6(20);
-    fig6.CX(10, 15).CX(15, 10).CX(10, 15);
-    fig6.CX(11, 12).CX(12, 11).CX(11, 12);
-    fig6.Measure(10, 0).Measure(15, 1).Measure(11, 2).Measure(12, 3);
-    for (const Circuit& encoded : {fig6, ConflictCircuit()}) {
+    for (const Circuit& encoded :
+         {Fig6SwapPairCircuit(), ConflictCircuit()}) {
         before = flow_solves();
         xtalk.Schedule(encoded);
         EXPECT_EQ(flow_solves(), before);
@@ -825,6 +837,59 @@ TEST(XtalkProblemOracle, ZeroPairCircuitKeepsFaultAndCancelSemantics)
     cancel.Cancel();
     XtalkScheduler xtalk(device, characterization);
     EXPECT_THROW(xtalk.Schedule(quiet, &cancel), SolverFailure);
+}
+
+/** A schedule at full double precision, plus the annealer's counters
+ *  for the call that produced it. */
+std::string
+AnnealFingerprint(const ScheduledCircuit& schedule,
+                  const AnnealSchedulerStats& stats)
+{
+    std::ostringstream oss;
+    oss << std::setprecision(17);
+    oss << "pairs " << stats.candidate_pairs << " iterations "
+        << stats.iterations_run << " accepted " << stats.accepted
+        << " serialized " << stats.serialized << "\n";
+    for (const TimedGate& g : schedule.gates()) {
+        oss << ToString(g.gate) << " @ " << g.start_ns << " + "
+            << g.duration_ns << "\n";
+    }
+    return oss.str();
+}
+
+TEST(AnnealScheduler, PinnedSchedulesForSeededCircuits)
+{
+    // AnnealSched's output on the Fig. 6 SWAP pair, the conflict
+    // circuit, and the nine seed-1 compile_warm shapes routed as the
+    // schedule pass sees them. A change meant to keep the annealer's
+    // results must pass this unedited.
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    std::vector<std::pair<std::string, Circuit>> circuits{
+        {"fig6-swap-pair", Fig6SwapPairCircuit()},
+        {"conflict", ConflictCircuit()}};
+    const std::vector<Circuit> shapes = CompileWarmShapes(device, 1);
+    ASSERT_EQ(shapes.size(), 9u);
+    for (size_t k = 0; k < shapes.size(); ++k) {
+        circuits.push_back({"seed1-shape" + std::to_string(k),
+                            Routed(device, characterization, shapes[k])});
+    }
+    const std::vector<std::string> pinned{
+        "0335b300c2d8ecc7", "34ddc842f909c726", "ac0a13d792285206",
+        "65c1c530f7ad6217", "803e35edaf94b2cb", "a1f011bce79a8df5",
+        "6f67358bdb608921", "54630f2f33e2cb3b", "96fe780e17b5a3f0",
+        "480b4a347b703a29", "7521acafc186959b",
+    };
+    ASSERT_EQ(circuits.size(), pinned.size());
+    AnnealScheduler scheduler(device, characterization);
+    for (size_t k = 0; k < circuits.size(); ++k) {
+        const ScheduledCircuit schedule =
+            scheduler.Schedule(circuits[k].second);
+        EXPECT_EQ(telemetry::FnvHex(
+                      AnnealFingerprint(schedule, scheduler.stats())),
+                  pinned[k])
+            << circuits[k].first;
+    }
 }
 
 TEST(Analysis, GroundTruthAndOracleCharacterizationAgree)

@@ -20,6 +20,28 @@ WriteJournal(const std::string& path, std::string* error)
 }  // namespace
 
 bool
+ApplyLogLevel(const std::string& flag)
+{
+    if (std::getenv("XTALK_LOG_LEVEL") == nullptr) {
+        SetLogLevel(LogLevel::kInform);
+    }
+    if (flag.empty()) {
+        return true;
+    }
+    LogLevel level;
+    if (!ParseLogLevel(flag, &level)) {
+        std::cerr << "error: unknown log level '" << flag << "'\n";
+        return false;
+    }
+    SetLogLevel(level);
+    // Debug runs get monotonic timestamps for free.
+    if (level == LogLevel::kDebug) {
+        SetLogTimestamps(true);
+    }
+    return true;
+}
+
+bool
 WriteTelemetryFiles(const TelemetryPaths& paths)
 {
     const struct {

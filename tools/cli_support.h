@@ -1,8 +1,8 @@
 /**
  * @file
  * Command-line plumbing shared by the `xtalkc` and `xtalkd` front ends:
- * strict numeric flag parsing and the telemetry files both write at
- * exit.
+ * strict numeric flag parsing, the log-level setup, and the telemetry
+ * files both write at exit.
  */
 #ifndef XTALK_TOOLS_CLI_SUPPORT_H
 #define XTALK_TOOLS_CLI_SUPPORT_H
@@ -44,6 +44,15 @@ ParseNumericFlag(const std::string& flag, const std::string& text,
     }
     return value;
 }
+
+/**
+ * Set the log level for a tool run. The tools narrate their pipeline at
+ * info unless XTALK_LOG_LEVEL is set; @p flag, the `--log-level` value
+ * ("" when absent), overrides either, and debug also turns on
+ * timestamps. An unknown level prints an error and returns false; the
+ * caller exits 2, the usage-error code.
+ */
+bool ApplyLogLevel(const std::string& flag);
 
 /** Telemetry files a tool writes at exit; an empty path skips one. */
 struct TelemetryPaths {

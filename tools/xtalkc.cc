@@ -403,23 +403,8 @@ main(int argc, char** argv)
         return options.help ? 0 : 2;
     }
 
-    // Logging: default to info so the tool narrates its pipeline; the
-    // env (XTALK_LOG_LEVEL) or --log-level can override either way.
-    if (std::getenv("XTALK_LOG_LEVEL") == nullptr) {
-        SetLogLevel(LogLevel::kInform);
-    }
-    if (!options.log_level.empty()) {
-        LogLevel level;
-        if (!ParseLogLevel(options.log_level, &level)) {
-            std::cerr << "error: unknown log level '" << options.log_level
-                      << "'\n";
-            return 2;
-        }
-        SetLogLevel(level);
-        // Debug runs get monotonic timestamps for free.
-        if (level == LogLevel::kDebug) {
-            SetLogTimestamps(true);
-        }
+    if (!cli::ApplyLogLevel(options.log_level)) {
+        return 2;
     }
     if (!options.telemetry.stats_json.empty() ||
         !options.telemetry.trace_json.empty() ||

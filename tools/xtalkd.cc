@@ -554,20 +554,8 @@ main(int argc, char** argv)
         return 2;
     }
 
-    if (std::getenv("XTALK_LOG_LEVEL") == nullptr) {
-        SetLogLevel(LogLevel::kInform);
-    }
-    if (!options.log_level.empty()) {
-        LogLevel level;
-        if (!ParseLogLevel(options.log_level, &level)) {
-            std::cerr << "error: unknown log level '" << options.log_level
-                      << "'\n";
-            return 2;
-        }
-        SetLogLevel(level);
-        if (level == LogLevel::kDebug) {
-            SetLogTimestamps(true);
-        }
+    if (!cli::ApplyLogLevel(options.log_level)) {
+        return 2;
     }
     // A daemon is always observed: metrics and the journal are cheap
     // (lock-free counters, a bounded ring), and a service without them
