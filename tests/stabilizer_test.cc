@@ -110,6 +110,19 @@ TEST(TableauState, MatchesStateVectorOnRandomCliffordCircuits)
     }
 }
 
+TEST(TableauState, RejectsNonCliffordGates)
+{
+    Rng rng(19);
+    Tableau state(1);
+    state.ApplyX(0);
+    EXPECT_THROW(state.ApplyGate(Gate{GateKind::kT, {0}, {}, -1}), Error);
+    EXPECT_THROW(state.ApplyGate(Gate{GateKind::kRX, {0}, {0.2}, -1}),
+                 Error);
+    // A rejected gate leaves the state as it was.
+    EXPECT_DOUBLE_EQ(state.ProbabilityOne(0), 1.0);
+    EXPECT_TRUE(state.MeasureQubit(0, rng));
+}
+
 TEST(StabilizerSimulator, NoiseFreeBellMatchesStateVectorEngine)
 {
     const Device device = MakeLinearDevice(2, 3);
