@@ -255,11 +255,10 @@ BM_XtalkSchedulerSwapPath(benchmark::State& state)
 BENCHMARK(BM_XtalkSchedulerSwapPath)->Unit(benchmark::kMillisecond);
 
 /**
- * Cold-vs-warm ω sweep over one circuit: arg 0 rebuilds a fresh solver
- * per candidate (warm_start off), arg 1 reuses one incremental session
- * with push/pop objective scopes — the portfolio's warm-start path. CI
- * diffs both against the committed baseline so the warm-start solve-time
- * reduction stays visible in the bench artifacts without being asserted.
+ * A four-ω sweep over one circuit in one incremental Z3 session with
+ * push/pop objective scopes — the auto member's path. CI diffs it
+ * against the committed baseline so the sweep's solve time stays
+ * visible in the bench artifacts without being asserted.
  */
 void
 BM_XtalkOmegaSweep(benchmark::State& state)
@@ -269,17 +268,14 @@ BM_XtalkOmegaSweep(benchmark::State& state)
     const SwapBenchmark bench = BuildSwapBenchmark(device, 15, 12);
     Circuit circuit = bench.circuit;
     circuit.Measure(bench.bell_left, 0).Measure(bench.bell_right, 1);
-    XtalkSchedulerOptions options;
-    options.warm_start = state.range(0) == 1;
     const std::vector<double> omegas = {0.1, 0.35, 0.5, 0.75};
     for (auto _ : state) {
-        XtalkScheduler scheduler(device, characterization, options);
+        XtalkScheduler scheduler(device, characterization);
         benchmark::DoNotOptimize(
             scheduler.ScheduleForOmegas(circuit, omegas));
     }
 }
-BENCHMARK(BM_XtalkOmegaSweep)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_XtalkOmegaSweep)->Unit(benchmark::kMillisecond);
 
 /** The full race on the paper's Figure 6 workload: every member runs
  *  concurrently on the shared pool and the best candidate is kept. */

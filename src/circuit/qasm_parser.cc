@@ -202,6 +202,10 @@ ParseQasm(const std::string& source)
                                              line_number);
                 XTALK_REQUIRE(num_qubits > 0,
                               "line " << line_number << ": empty qreg");
+                XTALK_REQUIRE(num_qubits <= kMaxQasmRegisterSize,
+                              "line " << line_number << ": qreg of "
+                                      << num_qubits << " qubits exceeds "
+                                      << kMaxQasmRegisterSize);
                 circuit.emplace(num_qubits);
                 continue;
             }
@@ -211,6 +215,10 @@ ParseQasm(const std::string& source)
                                       << ": multiple creg declarations");
                 num_clbits = ParseIndexedRef(CleanLine(stmt.substr(4)), "c",
                                              line_number);
+                XTALK_REQUIRE(num_clbits <= kMaxQasmRegisterSize,
+                              "line " << line_number << ": creg of "
+                                      << num_clbits << " bits exceeds "
+                                      << kMaxQasmRegisterSize);
                 continue;
             }
             if (stmt.rfind("barrier", 0) == 0) {

@@ -21,6 +21,14 @@
 namespace xtalk {
 
 /**
+ * Largest qreg or creg size ParseQasm accepts: the device-spec limit
+ * kMaxSpecQubits (device/device_io.h), since no device holds more
+ * qubits. Without a bound, `measure q -> c;` on a huge register would
+ * expand into that many gates before any device check runs.
+ */
+inline constexpr int kMaxQasmRegisterSize = 1024;
+
+/**
  * Parse an OpenQASM 2.0 program. Throws xtalk::Error with a line number
  * on anything outside the supported subset.
  */

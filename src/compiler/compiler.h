@@ -63,8 +63,8 @@ struct CompilerOptions {
      *  member and its registry backups (LineupFor), or "portfolio". */
     std::string scheduler = "xtalk";
     /** XtalkSched options (omega ignored by the auto-omega member).
-     *  GreedySched and AnnealSched take its omega and crosstalk
-     *  criteria too. */
+     *  GreedySched and AnnealSched run at its omega; every scheduler
+     *  applies the same high-crosstalk test, HighCrosstalkCriteria{}. */
     XtalkSchedulerOptions xtalk;
     /** ω candidates for the auto-omega member. */
     std::vector<double> omega_candidates = DefaultOmegaCandidates();

@@ -1,51 +1,78 @@
 #include "compiler/pass_manager.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <map>
-#include <mutex>
 #include <sstream>
 
 #include "common/error.h"
+#include "compiler/passes.h"
 #include "compiler/verification.h"
+#include "scheduler/portfolio.h"
 #include "telemetry/journal.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
 namespace xtalk {
 
-namespace detail {
-// Defined in passes.cc; registers every built-in pass exactly once.
-void RegisterBuiltinPasses();
-}  // namespace detail
-
 namespace {
 
-struct RegistryEntry {
+/** A built-in pass's metadata and its factory. */
+struct PassTableEntry {
     PassInfo info;
-    std::function<std::unique_ptr<Pass>()> factory;
+    std::function<std::unique_ptr<Pass>()> make;
 };
 
-struct PassRegistry {
-    std::mutex mu;
-    std::map<std::string, RegistryEntry> entries;
-};
-
-PassRegistry&
-GlobalRegistry()
+/**
+ * Every built-in pass by name, built once: the transform passes, one
+ * forced schedule pass per PortfolioRegistry() row, and the
+ * verification passes. A row's metadata is read from the pass its
+ * factory builds, so names and descriptions live only in the pass
+ * classes. Leaked on purpose: a shared-pool worker may look a pass up
+ * after static destruction has begun at exit.
+ */
+const std::map<std::string, PassTableEntry>&
+PassTable()
 {
-    // Leaked on purpose: a shared-pool worker may look a pass up after
-    // static destruction has begun at exit.
-    static PassRegistry* registry = new PassRegistry;
-    return *registry;
-}
-
-void
-EnsureBuiltins()
-{
-    static std::once_flag once;
-    std::call_once(once, [] { detail::RegisterBuiltinPasses(); });
+    static const auto* table = [] {
+        auto* rows = new std::map<std::string, PassTableEntry>;
+        const auto add = [rows](std::function<std::unique_ptr<Pass>()> make) {
+            const std::unique_ptr<Pass> pass = make();
+            PassInfo info{pass->name(), pass->description(),
+                          pass->is_verification()};
+            const std::string name = info.name;
+            const bool inserted =
+                rows->emplace(name, PassTableEntry{std::move(info),
+                                                   std::move(make)})
+                    .second;
+            XTALK_ASSERT(inserted, "pass '" << name << "' listed twice");
+        };
+        add([] { return std::make_unique<LayoutPass>(); });
+        add([] {
+            return std::make_unique<LayoutPass>(LayoutPolicy::kTrivial);
+        });
+        add([] {
+            return std::make_unique<LayoutPass>(LayoutPolicy::kNoiseAware);
+        });
+        add([] { return std::make_unique<RoutingPass>(); });
+        add([] { return std::make_unique<SchedulePass>(); });
+        for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
+            add([key = row.key] {
+                return std::make_unique<SchedulePass>(key);
+            });
+        }
+        add([] { return std::make_unique<SchedulePass>(kPortfolioPolicy); });
+        add([] { return std::make_unique<BarrierLoweringPass>(); });
+        add([] { return std::make_unique<EstimatePass>(); });
+        add([] { return std::make_unique<VerifyLayoutPass>(); });
+        add([] { return std::make_unique<VerifyConnectivityPass>(); });
+        add([] { return std::make_unique<VerifyOrderPass>(); });
+        add([] { return std::make_unique<VerifyReadoutPass>(); });
+        add([] { return std::make_unique<VerifyExecutablePass>(); });
+        return rows;
+    }();
+    return *table;
 }
 
 /** Microsecond buckets from 1us to ~100s in ~3x steps. */
@@ -71,54 +98,29 @@ VerifyPassesRequestedByEnv()
     return requested;
 }
 
-void
-RegisterPass(PassInfo info, std::function<std::unique_ptr<Pass>()> factory)
-{
-    XTALK_REQUIRE(!info.name.empty(), "pass name must not be empty");
-    XTALK_REQUIRE(factory != nullptr,
-                  "pass '" << info.name << "' needs a factory");
-    PassRegistry& registry = GlobalRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    const auto [it, inserted] = registry.entries.emplace(
-        info.name, RegistryEntry{info, std::move(factory)});
-    (void)it;
-    XTALK_REQUIRE(inserted,
-                  "pass '" << info.name << "' is already registered");
-}
-
 std::unique_ptr<Pass>
 CreateRegisteredPass(const std::string& name)
 {
-    EnsureBuiltins();
-    PassRegistry& registry = GlobalRegistry();
-    std::function<std::unique_ptr<Pass>()> factory;
-    {
-        std::lock_guard<std::mutex> lock(registry.mu);
-        const auto it = registry.entries.find(name);
-        if (it == registry.entries.end()) {
-            std::ostringstream known;
-            for (const auto& [known_name, entry] : registry.entries) {
-                (void)entry;
-                known << (known.tellp() > 0 ? ", " : "") << known_name;
-            }
-            XTALK_REQUIRE(false, "unknown pass '"
-                                     << name << "'; registered passes: "
-                                     << known.str());
+    const std::map<std::string, PassTableEntry>& table = PassTable();
+    const auto it = table.find(name);
+    if (it == table.end()) {
+        std::ostringstream known;
+        for (const auto& [known_name, entry] : table) {
+            (void)entry;
+            known << (known.tellp() > 0 ? ", " : "") << known_name;
         }
-        factory = it->second.factory;
+        XTALK_REQUIRE(false, "unknown pass '" << name
+                                              << "'; registered passes: "
+                                              << known.str());
     }
-    return factory();
+    return it->second.make();
 }
 
 std::vector<PassInfo>
 RegisteredPasses()
 {
-    EnsureBuiltins();
-    PassRegistry& registry = GlobalRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
     std::vector<PassInfo> infos;
-    infos.reserve(registry.entries.size());
-    for (const auto& [name, entry] : registry.entries) {
+    for (const auto& [name, entry] : PassTable()) {
         (void)name;
         infos.push_back(entry.info);
     }

@@ -1,8 +1,8 @@
 /**
  * @file
  * PassManager: runs a named sequence of passes over a CompilationState
- * with per-pass telemetry, plus the process-wide string-keyed pass
- * registry behind `xtalkc --passes` / `--list-passes`.
+ * with per-pass telemetry, plus the table of built-in passes by name
+ * behind `xtalkc --passes` / `--list-passes`.
  *
  * Telemetry per executed pass (when telemetry is enabled):
  *  - a scoped span `compiler.pass.<name>` (Chrome trace event plus the
@@ -20,7 +20,6 @@
 #ifndef XTALK_COMPILER_PASS_MANAGER_H
 #define XTALK_COMPILER_PASS_MANAGER_H
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,7 +38,7 @@ struct PassManagerOptions {
  *  (read once at first call). */
 bool VerifyPassesRequestedByEnv();
 
-/** Registry metadata for one pass. */
+/** Table metadata for one pass. */
 struct PassInfo {
     std::string name;
     std::string description;
@@ -47,18 +46,13 @@ struct PassInfo {
 };
 
 /**
- * Register a pass factory under info.name. Throws xtalk::Error on a
- * duplicate name. The built-in passes self-register on first registry
- * use; call this only for project-specific extensions.
+ * Instantiate a built-in pass by name; throws xtalk::Error on unknown
+ * name (the message lists the known names). A custom pass joins a
+ * pipeline through PassManager::AddPass(std::unique_ptr<Pass>).
  */
-void RegisterPass(PassInfo info,
-                  std::function<std::unique_ptr<Pass>()> factory);
-
-/** Instantiate a registered pass; throws xtalk::Error on unknown name
- *  (the message lists the registered names). */
 std::unique_ptr<Pass> CreateRegisteredPass(const std::string& name);
 
-/** All registered passes, sorted by name. */
+/** All built-in passes, sorted by name. */
 std::vector<PassInfo> RegisteredPasses();
 
 /** Ordered pass sequence executor. */
@@ -72,7 +66,7 @@ class PassManager {
     /** Append a pass instance. Returns *this for chaining. */
     PassManager& AddPass(std::unique_ptr<Pass> pass);
 
-    /** Append a registered pass by name; throws on unknown name. */
+    /** Append a built-in pass by name; throws on unknown name. */
     PassManager& AddPass(const std::string& name);
 
     int size() const { return static_cast<int>(passes_.size()); }

@@ -1,12 +1,9 @@
 #include "compiler/passes.h"
 
-#include <functional>
 #include <memory>
 #include <sstream>
 
 #include "common/error.h"
-#include "compiler/pass_manager.h"
-#include "compiler/verification.h"
 #include "scheduler/portfolio.h"
 #include "scheduler/scheduler.h"
 #include "telemetry/telemetry.h"
@@ -14,28 +11,6 @@
 #include "transpile/routing.h"
 
 namespace xtalk {
-
-namespace {
-
-/** Member knobs from the pipeline options: GreedySched and AnnealSched
- *  share XtalkSched's omega/criteria so a user-set omega reaches them. */
-PortfolioMemberOptions
-MemberOptionsFrom(const CompilationState& state)
-{
-    const XtalkSchedulerOptions& xtalk = state.options.xtalk;
-    PortfolioMemberOptions member_options;
-    member_options.xtalk = xtalk;
-    member_options.omega_candidates = state.options.omega_candidates;
-    member_options.greedy.omega = xtalk.omega;
-    member_options.greedy.high_threshold = xtalk.high_threshold;
-    member_options.greedy.high_margin = xtalk.high_margin;
-    member_options.anneal.omega = xtalk.omega;
-    member_options.anneal.high_threshold = xtalk.high_threshold;
-    member_options.anneal.high_margin = xtalk.high_margin;
-    return member_options;
-}
-
-}  // namespace
 
 // -- LayoutPass ------------------------------------------------------------
 
@@ -145,7 +120,8 @@ SchedulePass::Run(CompilationState& state)
     const PortfolioLineup lineup =
         LineupFor(forced_.value_or(state.options.scheduler),
                   state.options.portfolio);
-    const PortfolioMemberOptions member_options = MemberOptionsFrom(state);
+    const PortfolioMemberOptions member_options{
+        state.options.xtalk, state.options.omega_candidates};
     std::vector<std::unique_ptr<PortfolioMember>> members;
     members.reserve(lineup.members.size());
     for (const std::string& key : lineup.members) {
@@ -243,40 +219,5 @@ EstimatePass::Run(CompilationState& state)
          << "overlaps " << state.estimate->crosstalk_overlaps;
     state.diagnostics.push_back(note.str());
 }
-
-// -- Built-in registration -------------------------------------------------
-
-namespace detail {
-
-void
-RegisterBuiltinPasses()
-{
-    auto add = [](std::function<std::unique_ptr<Pass>()> factory) {
-        const std::unique_ptr<Pass> prototype = factory();
-        RegisterPass(PassInfo{prototype->name(), prototype->description(),
-                              prototype->is_verification()},
-                     std::move(factory));
-    };
-    add([] { return std::make_unique<LayoutPass>(); });
-    add([] { return std::make_unique<LayoutPass>(LayoutPolicy::kTrivial); });
-    add([] {
-        return std::make_unique<LayoutPass>(LayoutPolicy::kNoiseAware);
-    });
-    add([] { return std::make_unique<RoutingPass>(); });
-    add([] { return std::make_unique<SchedulePass>(); });
-    for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
-        add([key = row.key] { return std::make_unique<SchedulePass>(key); });
-    }
-    add([] { return std::make_unique<SchedulePass>(kPortfolioPolicy); });
-    add([] { return std::make_unique<BarrierLoweringPass>(); });
-    add([] { return std::make_unique<EstimatePass>(); });
-    add([] { return std::make_unique<VerifyLayoutPass>(); });
-    add([] { return std::make_unique<VerifyConnectivityPass>(); });
-    add([] { return std::make_unique<VerifyOrderPass>(); });
-    add([] { return std::make_unique<VerifyReadoutPass>(); });
-    add([] { return std::make_unique<VerifyExecutablePass>(); });
-}
-
-}  // namespace detail
 
 }  // namespace xtalk

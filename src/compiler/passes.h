@@ -6,7 +6,7 @@
  * registry (src/scheduler/portfolio.h), barrier lowering, and the
  * schedule quality estimate.
  *
- * Registered names (see pass_manager.h; `xtalkc --list-passes`):
+ * Names in the pass table (see pass_manager.h; `xtalkc --list-passes`):
  *   layout               placement with the policy from CompilerOptions
  *   layout:trivial       TrivialLayout regardless of options
  *   layout:noise-aware   NoiseAwareLayout regardless of options

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Metropolis iterations; each flips one serialization decision. */
+constexpr int kIterations = 300;
+/** Seed for the proposal/acceptance stream. */
+constexpr uint64_t kSeed = 0xA22EA1;
+/** Initial Metropolis temperature, in objective units. */
+constexpr double kInitialTemperature = 0.05;
+/** Geometric cooling factor applied per iteration. */
+constexpr double kCooling = 0.99;
+/** Poll the cancel token and the budget every this many iterations. */
+constexpr int kCancelPollInterval = 8;
+
 }  // namespace
 
 AnnealScheduler::AnnealScheduler(
@@ -32,9 +44,6 @@ AnnealScheduler::AnnealScheduler(
 {
     XTALK_REQUIRE(options_.omega >= 0.0 && options_.omega <= 1.0,
                   "omega outside [0, 1]");
-    XTALK_REQUIRE(options_.iterations >= 0, "negative iteration budget");
-    XTALK_REQUIRE(options_.cooling > 0.0 && options_.cooling <= 1.0,
-                  "cooling factor outside (0, 1]");
 }
 
 ScheduledCircuit
@@ -56,10 +65,7 @@ AnnealScheduler::Schedule(const Circuit& circuit,
     // (DAG-concurrent two-qubit gates on distinct couplers that pass the
     // high-crosstalk test in either direction), in (i, j) order.
     const std::vector<XtalkProblem::Pair> pairs =
-        BuildXtalkProblem(circuit, *device_, *characterization_,
-                          HighCrosstalkCriteria{options_.high_threshold,
-                                                options_.high_margin})
-            .eligible;
+        BuildXtalkProblem(circuit, *device_, *characterization_).eligible;
     stats_.candidate_pairs = static_cast<int>(pairs.size());
 
     // Serialization partners of gate j: the earlier gates it must wait
@@ -126,11 +132,11 @@ AnnealScheduler::Schedule(const Circuit& circuit,
     double current_cost = cost(build(decisions));
     double best_cost = current_cost;
 
-    Rng rng(options_.seed);
-    double temperature = options_.initial_temperature;
+    Rng rng(kSeed);
+    double temperature = kInitialTemperature;
     if (!pairs.empty()) {
-        for (int it = 0; it < options_.iterations; ++it) {
-            if (it % std::max(1, options_.cancel_poll_interval) == 0 &&
+        for (int it = 0; it < kIterations; ++it) {
+            if (it % kCancelPollInterval == 0 &&
                 ((cancel && cancel->Cancelled()) || expired())) {
                 stats_.cancelled = true;
                 break;
@@ -153,7 +159,7 @@ AnnealScheduler::Schedule(const Circuit& circuit,
             } else {
                 decisions[flip] = !decisions[flip];
             }
-            temperature *= options_.cooling;
+            temperature *= kCooling;
             ++stats_.iterations_run;
         }
     }

@@ -10,20 +10,19 @@
  * them overlap or force the later gate to wait. Every decision vector
  * maps deterministically to an ASAP list schedule, which is scored with
  * the shared cost model in scheduler/analysis.h; Metropolis-accepted
- * single-decision flips with geometric cooling walk the space.
+ * single-decision flips with geometric cooling walk the space for a
+ * fixed number of iterations.
  *
- * Everything is seeded (common/rng.h), so a given (circuit, options)
- * pair always produces the same schedule — the property the scheduler
+ * Everything is seeded (common/rng.h), so a given (circuit, ω) pair
+ * always produces the same schedule — the property the scheduler
  * portfolio relies on for bit-identical winners at any thread count.
- * Cancellation is cooperative: the token is polled between iterations
- * and the best schedule found so far is returned.
+ * Cancellation is cooperative: the token is polled every eight
+ * iterations and the best schedule found so far is returned.
  *
  * Fault site: "sched.anneal", checked once per Schedule() call.
  */
 #ifndef XTALK_SCHEDULER_ANNEAL_SCHEDULER_H
 #define XTALK_SCHEDULER_ANNEAL_SCHEDULER_H
-
-#include <cstdint>
 
 #include "characterization/characterizer.h"
 #include "runtime/cancellation.h"
@@ -31,23 +30,11 @@
 
 namespace xtalk {
 
-/** Annealing knobs. Defaults anneal a mid-size circuit in a few ms. */
+/** Annealing knobs. The fixed schedule anneals a mid-size circuit in a
+ *  few ms. */
 struct AnnealSchedulerOptions {
     /** Crosstalk-vs-decoherence weight, as in XtalkSchedulerOptions. */
     double omega = 0.5;
-    /** High-crosstalk eligibility test (shared with XtalkSched). */
-    double high_threshold = 2.5;
-    double high_margin = 0.015;
-    /** Metropolis iterations; each flips one serialization decision. */
-    int iterations = 300;
-    /** Seed for the proposal/acceptance stream. */
-    uint64_t seed = 0xA22EA1;
-    /** Initial Metropolis temperature, in objective units. */
-    double initial_temperature = 0.05;
-    /** Geometric cooling factor applied per iteration. */
-    double cooling = 0.99;
-    /** Poll the cancel token every this many iterations. */
-    int cancel_poll_interval = 8;
     /** Wall-clock bound for the annealing loop; 0 = unbounded. */
     unsigned budget_ms = 0;
 };
@@ -56,7 +43,7 @@ struct AnnealSchedulerOptions {
 struct AnnealSchedulerStats {
     /** Eligible high-crosstalk pairs (decision-vector length). */
     int candidate_pairs = 0;
-    /** Iterations actually run (< options.iterations if cancelled). */
+    /** Iterations actually run (fewer than 300 if cancelled). */
     int iterations_run = 0;
     /** Accepted flips, including uphill Metropolis accepts. */
     int accepted = 0;
@@ -76,9 +63,9 @@ class AnnealScheduler : public Scheduler {
     ScheduledCircuit Schedule(const Circuit& circuit) override;
 
     /**
-     * Cancellable spelling: polls @p cancel (may be null) every
-     * options.cancel_poll_interval iterations and returns the best
-     * schedule found so far when it fires.
+     * Cancellable spelling: polls @p cancel (may be null) every eight
+     * iterations and returns the best schedule found so far when it
+     * fires.
      */
     ScheduledCircuit Schedule(const Circuit& circuit,
                               const runtime::CancelToken* cancel);

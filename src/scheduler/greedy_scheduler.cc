@@ -9,13 +9,10 @@ namespace xtalk {
 
 GreedyXtalkScheduler::GreedyXtalkScheduler(
     const Device& device, const CrosstalkCharacterization& characterization,
-    GreedySchedulerOptions options)
-    : Scheduler(device),
-      characterization_(&characterization),
-      options_(options)
+    double omega)
+    : Scheduler(device), characterization_(&characterization), omega_(omega)
 {
-    XTALK_REQUIRE(options_.omega >= 0.0 && options_.omega <= 1.0,
-                  "omega outside [0, 1]");
+    XTALK_REQUIRE(omega_ >= 0.0 && omega_ <= 1.0, "omega outside [0, 1]");
 }
 
 ScheduledCircuit
@@ -68,10 +65,8 @@ GreedyXtalkScheduler::Schedule(const Circuit& circuit)
                     if (!overlaps) {
                         continue;
                     }
-                    if (!characterization_->IsHighCrosstalk(
-                            edge, p.edge,
-                            HighCrosstalkCriteria{options_.high_threshold,
-                                                  options_.high_margin})) {
+                    if (!characterization_->IsHighCrosstalk(edge,
+                                                            p.edge)) {
                         continue;
                     }
                     const double cond =
@@ -87,8 +82,8 @@ GreedyXtalkScheduler::Schedule(const Circuit& circuit)
                     }
                     const double crosstalk_gain =
                         std::log(cond) - std::log(indep);
-                    if (options_.omega * crosstalk_gain >
-                        (1.0 - options_.omega) * decoherence_cost) {
+                    if (omega_ * crosstalk_gain >
+                        (1.0 - omega_) * decoherence_cost) {
                         start = p.start + p.duration;
                         moved = true;
                     }

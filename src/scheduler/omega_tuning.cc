@@ -9,7 +9,8 @@ SelectOmegaByModel(const Device& device,
                    const CrosstalkCharacterization& characterization,
                    const Circuit& circuit,
                    const std::vector<double>& candidates,
-                   const XtalkSchedulerOptions& base)
+                   const XtalkSchedulerOptions& base,
+                   const runtime::CancelToken* cancel)
 {
     XTALK_REQUIRE(!candidates.empty(), "need at least one candidate omega");
     // One warm-started sweep: candidates share the solver context and
@@ -17,7 +18,7 @@ SelectOmegaByModel(const Device& device,
     // this is much cheaper than solving each candidate from scratch.
     XtalkScheduler scheduler(device, characterization, base);
     std::vector<OmegaSolveResult> solved =
-        scheduler.ScheduleForOmegas(circuit, candidates);
+        scheduler.ScheduleForOmegas(circuit, candidates, cancel);
     OmegaSelection best;
     bool have_best = false;
     for (OmegaSolveResult& result : solved) {
@@ -30,6 +31,8 @@ SelectOmegaByModel(const Device& device,
             best.omega = result.omega;
             best.schedule = std::move(result.schedule);
             best.estimate = estimate;
+            best.start_ns = std::move(result.start_ns);
+            best.candidate_pairs = std::move(result.candidate_pairs);
             have_best = true;
         }
     }

@@ -12,8 +12,10 @@
 #ifndef XTALK_SCHEDULER_OMEGA_TUNING_H
 #define XTALK_SCHEDULER_OMEGA_TUNING_H
 
+#include <utility>
 #include <vector>
 
+#include "runtime/cancellation.h"
 #include "scheduler/analysis.h"
 #include "scheduler/portfolio.h"
 #include "scheduler/xtalk_scheduler.h"
@@ -25,20 +27,25 @@ struct OmegaSelection {
     double omega = 0.5;
     ScheduledCircuit schedule{1};
     ScheduleErrorEstimate estimate;
+    /** The selected solve's ordering artifacts for barrier lowering. */
+    std::vector<double> start_ns;
+    std::vector<std::pair<GateId, GateId>> candidate_pairs;
     /** (omega, modeled success) for every candidate, in sweep order. */
     std::vector<std::pair<double, double>> sweep;
 };
 
 /**
  * Solve the schedule for each candidate omega and pick the one with the
- * highest modeled success probability. @p base supplies every other
- * scheduler option.
+ * highest modeled success probability, ties to the earlier candidate.
+ * @p base supplies every other scheduler option; @p cancel (may be
+ * null) can end the sweep early, as in ScheduleForOmegas.
  */
 OmegaSelection SelectOmegaByModel(
     const Device& device, const CrosstalkCharacterization& characterization,
     const Circuit& circuit,
     const std::vector<double>& candidates = DefaultOmegaCandidates(),
-    const XtalkSchedulerOptions& base = {});
+    const XtalkSchedulerOptions& base = {},
+    const runtime::CancelToken* cancel = nullptr);
 
 }  // namespace xtalk
 

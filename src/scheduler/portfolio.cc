@@ -8,6 +8,9 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "faults/faults.h"
+#include "scheduler/anneal_scheduler.h"
+#include "scheduler/greedy_scheduler.h"
+#include "scheduler/omega_tuning.h"
 #include "scheduler/scheduler.h"
 #include "telemetry/journal.h"
 #include "telemetry/telemetry.h"
@@ -51,174 +54,97 @@ ScoringData(const PortfolioContext& ctx)
     return ctx.characterization ? *ctx.characterization : empty;
 }
 
-/** A member whose scheduler needs only the device: SerialSched and
- *  ParSched. */
-template <class DeviceScheduler>
-class DeviceOnlyMember : public PortfolioMember {
-  public:
-    DeviceOnlyMember(const PortfolioMemberInfo& info,
-                     const PortfolioMemberOptions& /*options*/)
-        : PortfolioMember(info)
-    {
-    }
-
-  protected:
-    ScheduleCandidate
-    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
-    {
-        ScheduleCandidate candidate;
-        candidate.schedule = DeviceScheduler(*ctx.device).Schedule(circuit);
-        candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, &ScoringData(ctx));
-        return candidate;
-    }
-};
-
-class GreedyMember : public PortfolioMember {
-  public:
-    GreedyMember(const PortfolioMemberInfo& info,
-                 const PortfolioMemberOptions& options)
-        : PortfolioMember(info), options_(options.greedy)
-    {
-    }
-
-  protected:
-    ScheduleCandidate
-    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
-    {
-        // Fault point for exercising greedy losing the race (the second
-        // hop of the legacy degradation chain).
-        faults::MaybeInject("sched.greedy");
-        GreedyXtalkScheduler scheduler(*ctx.device, *ctx.characterization,
-                                       options_);
-        ScheduleCandidate candidate;
-        candidate.schedule = scheduler.Schedule(circuit);
-        candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, ctx.characterization);
-        candidate.omega = options_.omega;
-        return candidate;
-    }
-
-  private:
-    GreedySchedulerOptions options_;
-};
-
-class AnnealMember : public PortfolioMember {
-  public:
-    AnnealMember(const PortfolioMemberInfo& info,
-                 const PortfolioMemberOptions& options)
-        : PortfolioMember(info), options_(options.anneal)
-    {
-    }
-
-  protected:
-    ScheduleCandidate
-    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
-    {
-        AnnealSchedulerOptions options = options_;
-        options.budget_ms = MinBudget(options.budget_ms, ctx.budget_ms);
-        AnnealScheduler scheduler(*ctx.device, *ctx.characterization,
-                                  options);
-        ScheduleCandidate candidate;
-        candidate.schedule = scheduler.Schedule(circuit, ctx.cancel);
-        candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, ctx.characterization);
-        candidate.omega = options.omega;
-        return candidate;
-    }
-
-  private:
-    AnnealSchedulerOptions options_;
-};
-
-class XtalkMember : public PortfolioMember {
-  public:
-    XtalkMember(const PortfolioMemberInfo& info,
-                const PortfolioMemberOptions& options)
-        : PortfolioMember(info), options_(options.xtalk)
-    {
-    }
-
-  protected:
-    ScheduleCandidate
-    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
-    {
-        XtalkSchedulerOptions options = options_;
-        options.total_budget_ms =
-            MinBudget(options.total_budget_ms, ctx.budget_ms);
-        XtalkScheduler scheduler(*ctx.device, *ctx.characterization,
-                                 options);
-        ScheduleCandidate candidate;
-        candidate.schedule = scheduler.Schedule(circuit, ctx.cancel);
-        candidate.estimate = EstimateScheduleError(
-            candidate.schedule, *ctx.device, ctx.characterization);
-        candidate.omega = options.omega;
-        candidate.start_ns = scheduler.last_start_times();
-        candidate.candidate_pairs = scheduler.last_candidate_pairs();
-        return candidate;
-    }
-
-  private:
-    XtalkSchedulerOptions options_;
-};
-
-class AutoOmegaMember : public PortfolioMember {
-  public:
-    AutoOmegaMember(const PortfolioMemberInfo& info,
-                    const PortfolioMemberOptions& options)
-        : PortfolioMember(info),
-          options_(options.xtalk),
-          candidates_(options.omega_candidates)
-    {
-        XTALK_REQUIRE(!candidates_.empty(),
-                      key() << " member needs at least one omega candidate");
-    }
-
-  protected:
-    ScheduleCandidate
-    Schedule(const Circuit& circuit, const PortfolioContext& ctx) override
-    {
-        XtalkSchedulerOptions options = options_;
-        options.total_budget_ms =
-            MinBudget(options.total_budget_ms, ctx.budget_ms);
-        XtalkScheduler scheduler(*ctx.device, *ctx.characterization,
-                                 options);
-        const std::vector<OmegaSolveResult> solved =
-            scheduler.ScheduleForOmegas(circuit, candidates_, ctx.cancel);
-        ScheduleCandidate candidate;
-        int best = -1;
-        double best_success = 0.0;
-        std::vector<ScheduleErrorEstimate> estimates;
-        estimates.reserve(solved.size());
-        for (size_t i = 0; i < solved.size(); ++i) {
-            estimates.push_back(EstimateScheduleError(
-                solved[i].schedule, *ctx.device, ctx.characterization));
-            candidate.sweep.push_back(
-                {solved[i].omega, estimates.back().success_probability});
-            if (best < 0 ||
-                estimates.back().success_probability > best_success) {
-                best = static_cast<int>(i);
-                best_success = estimates.back().success_probability;
-            }
-        }
-        candidate.schedule = solved[best].schedule;
-        candidate.estimate = estimates[best];
-        candidate.omega = solved[best].omega;
-        candidate.start_ns = solved[best].start_ns;
-        candidate.candidate_pairs = solved[best].candidate_pairs;
-        return candidate;
-    }
-
-  private:
-    XtalkSchedulerOptions options_;
-    std::vector<double> candidates_;
-};
-
-template <class Member>
-std::unique_ptr<PortfolioMember>
-Make(const PortfolioMemberInfo& info, const PortfolioMemberOptions& options)
+/** @p schedule scored under @p ctx's error model, solved at @p omega
+ *  when the scheduler takes one. */
+ScheduleCandidate
+Scored(ScheduledCircuit schedule, const PortfolioContext& ctx,
+       std::optional<double> omega = std::nullopt)
 {
-    return std::make_unique<Member>(info, options);
+    ScheduleCandidate candidate;
+    candidate.estimate =
+        EstimateScheduleError(schedule, *ctx.device, &ScoringData(ctx));
+    candidate.schedule = std::move(schedule);
+    candidate.omega = omega;
+    return candidate;
+}
+
+/** XtalkSched's options with the race budget applied. */
+XtalkSchedulerOptions
+WithRaceBudget(XtalkSchedulerOptions options, const PortfolioContext& ctx)
+{
+    options.total_budget_ms =
+        MinBudget(options.total_budget_ms, ctx.budget_ms);
+    return options;
+}
+
+ScheduleCandidate
+ScheduleSerial(const Circuit& circuit, const PortfolioContext& ctx,
+               const PortfolioMemberOptions& /*options*/)
+{
+    return Scored(SerialScheduler(*ctx.device).Schedule(circuit), ctx);
+}
+
+ScheduleCandidate
+ScheduleParallel(const Circuit& circuit, const PortfolioContext& ctx,
+                 const PortfolioMemberOptions& /*options*/)
+{
+    return Scored(ParallelScheduler(*ctx.device).Schedule(circuit), ctx);
+}
+
+ScheduleCandidate
+ScheduleGreedy(const Circuit& circuit, const PortfolioContext& ctx,
+               const PortfolioMemberOptions& options)
+{
+    // Fault point for exercising greedy losing the race (the second
+    // hop of the legacy degradation chain).
+    faults::MaybeInject("sched.greedy");
+    const double omega = options.xtalk.omega;
+    GreedyXtalkScheduler scheduler(*ctx.device, *ctx.characterization,
+                                   omega);
+    return Scored(scheduler.Schedule(circuit), ctx, omega);
+}
+
+ScheduleCandidate
+ScheduleAnneal(const Circuit& circuit, const PortfolioContext& ctx,
+               const PortfolioMemberOptions& options)
+{
+    AnnealSchedulerOptions anneal;
+    anneal.omega = options.xtalk.omega;
+    anneal.budget_ms = ctx.budget_ms;
+    AnnealScheduler scheduler(*ctx.device, *ctx.characterization, anneal);
+    return Scored(scheduler.Schedule(circuit, ctx.cancel), ctx,
+                  anneal.omega);
+}
+
+ScheduleCandidate
+ScheduleXtalk(const Circuit& circuit, const PortfolioContext& ctx,
+              const PortfolioMemberOptions& options)
+{
+    XtalkScheduler scheduler(*ctx.device, *ctx.characterization,
+                             WithRaceBudget(options.xtalk, ctx));
+    ScheduleCandidate candidate = Scored(
+        scheduler.Schedule(circuit, ctx.cancel), ctx, options.xtalk.omega);
+    candidate.start_ns = scheduler.last_start_times();
+    candidate.candidate_pairs = scheduler.last_candidate_pairs();
+    return candidate;
+}
+
+ScheduleCandidate
+ScheduleAutoOmega(const Circuit& circuit, const PortfolioContext& ctx,
+                  const PortfolioMemberOptions& options)
+{
+    OmegaSelection selected = SelectOmegaByModel(
+        *ctx.device, *ctx.characterization, circuit,
+        options.omega_candidates, WithRaceBudget(options.xtalk, ctx),
+        ctx.cancel);
+    ScheduleCandidate candidate;
+    candidate.schedule = std::move(selected.schedule);
+    candidate.estimate = selected.estimate;
+    candidate.omega = selected.omega;
+    candidate.start_ns = std::move(selected.start_ns);
+    candidate.candidate_pairs = std::move(selected.candidate_pairs);
+    candidate.sweep = std::move(selected.sweep);
+    return candidate;
 }
 
 /** One member's race bookkeeping. */
@@ -234,7 +160,7 @@ struct MemberAttempt {
 
 /** Run one member, capturing its outcome; never throws. */
 void
-RunOne(PortfolioMember& member, const Circuit& circuit,
+RunOne(const PortfolioMember& member, const Circuit& circuit,
        PortfolioContext ctx, MemberAttempt* attempt)
 {
     telemetry::ScopedSpan span("sched.portfolio.member");
@@ -267,27 +193,27 @@ PortfolioRegistry()
         {"serial", "SerialSched",
          "one gate at a time: maximal crosstalk avoidance, maximal "
          "decoherence (Table 1 baseline)",
-         false, {}, &Make<DeviceOnlyMember<SerialScheduler>>},
+         false, {}, false, &ScheduleSerial},
         {"parallel", "ParSched",
          "maximal parallelism, right-aligned (the IBM hardware "
          "scheduler baseline)",
-         false, {}, &Make<DeviceOnlyMember<ParallelScheduler>>},
+         false, {}, false, &ScheduleParallel},
         {"greedy", "GreedySched",
          "single-pass list scheduler that delays gates past "
          "high-crosstalk partners when the model favours it",
-         true, {}, &Make<GreedyMember>},
+         true, {}, false, &ScheduleGreedy},
         {"anneal", "AnnealSched",
          "seeded simulated annealing over serialization decisions, "
          "scored by the crosstalk cost model",
-         true, {}, &Make<AnnealMember>},
+         true, {}, false, &ScheduleAnneal},
         {"xtalk", "XtalkSched",
          "exact SMT optimization of the crosstalk/decoherence "
          "objective (the paper's scheduler)",
-         true, smt_backups, &Make<XtalkMember>},
+         true, smt_backups, false, &ScheduleXtalk},
         {"auto", "XtalkSched(auto)",
          "SMT scheduler with model-guided omega selection over a "
          "warm-started candidate sweep",
-         true, smt_backups, &Make<AutoOmegaMember>},
+         true, smt_backups, true, &ScheduleAutoOmega},
     };
     return rows;
 }
@@ -327,16 +253,25 @@ MakePortfolioMember(const std::string& key,
     if (row == nullptr) {
         throw Error("unknown portfolio member '" + key + "'");
     }
-    return row->make(*row, options);
+    return std::make_unique<PortfolioMember>(*row, options);
+}
+
+PortfolioMember::PortfolioMember(const PortfolioMemberInfo& info,
+                                 PortfolioMemberOptions options)
+    : info_(info), options_(std::move(options))
+{
+    XTALK_REQUIRE(!info_.sweeps_omega || !options_.omega_candidates.empty(),
+                  key() << " member needs at least one omega candidate");
 }
 
 ScheduleCandidate
-PortfolioMember::Produce(const Circuit& circuit, const PortfolioContext& ctx)
+PortfolioMember::Produce(const Circuit& circuit,
+                         const PortfolioContext& ctx) const
 {
     XTALK_REQUIRE(ctx.characterization || !info_.needs_characterization,
                   info_.display_name
                       << " needs crosstalk characterization data");
-    ScheduleCandidate candidate = Schedule(circuit, ctx);
+    ScheduleCandidate candidate = info_.schedule(circuit, ctx, options_);
     candidate.member = info_.key;
     candidate.scheduler_name = info_.display_name;
     return candidate;
@@ -451,7 +386,7 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
         for (int rank = first; rank < n; ++rank) {
             const PortfolioContext derived = member_ctx(rank);
             MemberAttempt* attempt = &attempts[rank];
-            PortfolioMember* member = members_[rank].get();
+            const PortfolioMember* member = members_[rank].get();
             futures.push_back(pool->Submit([member, &circuit, derived,
                                             attempt] {
                 RunOne(*member, circuit, derived, attempt);

@@ -5,10 +5,11 @@
  * ω sweep — behind one candidate-producing interface, raced concurrently
  * under a shared deadline.
  *
- * A PortfolioMember wraps one scheduler as a pure function from circuit
+ * Each registry row holds its scheduler as a pure function from circuit
  * to ScheduleCandidate: the timed schedule plus its modeled quality
  * (scheduler/analysis.h) and whatever ordering artifacts barrier
- * lowering needs. SchedulerPortfolio races its members on the runtime
+ * lowering needs. A PortfolioMember is a row and the options it runs
+ * with. SchedulerPortfolio races its members on the runtime
  * ThreadPool; a member that exhausts its budget, gets cancelled, or
  * throws a recoverable error is just a member losing the race. The
  * winner is the candidate with the highest modeled success probability;
@@ -51,8 +52,6 @@
 #include "runtime/cancellation.h"
 #include "runtime/thread_pool.h"
 #include "scheduler/analysis.h"
-#include "scheduler/anneal_scheduler.h"
-#include "scheduler/greedy_scheduler.h"
 #include "scheduler/xtalk_scheduler.h"
 
 namespace xtalk {
@@ -98,16 +97,13 @@ struct ScheduleCandidate {
 /** ω candidates the "auto" member sweeps unless configured otherwise. */
 const std::vector<double>& DefaultOmegaCandidates();
 
-/** Per-scheduler knobs for MakePortfolioMember. */
+/** Member knobs for MakePortfolioMember. */
 struct PortfolioMemberOptions {
+    /** XtalkSched's options; greedy and anneal run at its omega. */
     XtalkSchedulerOptions xtalk;
-    GreedySchedulerOptions greedy;
-    AnnealSchedulerOptions anneal;
     /** ω candidates for the "auto" member. */
     std::vector<double> omega_candidates = DefaultOmegaCandidates();
 };
-
-class PortfolioMember;
 
 /**
  * One registry row: the single place a scheduler is named. Policy keys,
@@ -128,16 +124,25 @@ struct PortfolioMemberInfo {
     /** Members the policy `key` races, in rank order, when this member
      *  fails (prefer-first mode); empty = the member runs alone. */
     std::vector<std::string> backups;
-    /** Builds the member; MakePortfolioMember's back end. */
-    std::unique_ptr<PortfolioMember> (*make)(
-        const PortfolioMemberInfo& info,
-        const PortfolioMemberOptions& options) = nullptr;
+    /** True when the member sweeps PortfolioMemberOptions::
+     *  omega_candidates, which must then be non-empty. */
+    bool sweeps_omega = false;
+    /** The scheduler itself: schedule and estimate, plus ω and SMT
+     *  ordering artifacts where it has them. */
+    ScheduleCandidate (*schedule)(const Circuit& circuit,
+                                  const PortfolioContext& ctx,
+                                  const PortfolioMemberOptions& options) =
+        nullptr;
 };
 
-/** A scheduler wrapped as a candidate producer. */
+/** A registry row and the options it runs with. */
 class PortfolioMember {
   public:
-    virtual ~PortfolioMember() = default;
+    /** Throws Error when @p info sweeps ω and @p options has no
+     *  candidate, so the misconfiguration never reaches a race. */
+    PortfolioMember(const PortfolioMemberInfo& info,
+                    PortfolioMemberOptions options);
+
     /** The registry row this member was built from. */
     const PortfolioMemberInfo& info() const { return info_; }
     const std::string& key() const { return info_.key; }
@@ -149,19 +154,11 @@ class PortfolioMember {
      * characterization data and @p ctx carries none.
      */
     ScheduleCandidate Produce(const Circuit& circuit,
-                              const PortfolioContext& ctx);
-
-  protected:
-    explicit PortfolioMember(const PortfolioMemberInfo& info) : info_(info)
-    {
-    }
-    /** The scheduler itself: schedule and estimate, plus ω and SMT
-     *  ordering artifacts where it has them. */
-    virtual ScheduleCandidate Schedule(const Circuit& circuit,
-                                       const PortfolioContext& ctx) = 0;
+                              const PortfolioContext& ctx) const;
 
   private:
     const PortfolioMemberInfo& info_;
+    PortfolioMemberOptions options_;
 };
 
 /** Every member's row, in `xtalkc --list-schedulers` order. */

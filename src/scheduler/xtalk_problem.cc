@@ -210,8 +210,7 @@ MaxLengthFlow(int n, std::vector<double> balance, double eps,
 
 XtalkProblem
 BuildXtalkProblem(const Circuit& circuit, const Device& device,
-                  const CrosstalkCharacterization& characterization,
-                  const HighCrosstalkCriteria& criteria)
+                  const CrosstalkCharacterization& characterization)
 {
     const DependencyDag dag(circuit);
     XtalkProblem problem;
@@ -278,8 +277,8 @@ BuildXtalkProblem(const Circuit& circuit, const Device& device,
             if (ej < 0 || ej == ei || !dag.CanOverlap(i, j)) {
                 continue;
             }
-            if (characterization.IsHighCrosstalk(ei, ej, criteria) ||
-                characterization.IsHighCrosstalk(ej, ei, criteria)) {
+            if (characterization.IsHighCrosstalk(ei, ej) ||
+                characterization.IsHighCrosstalk(ej, ei)) {
                 problem.eligible.push_back(
                     {i, j, LogOf(characterization.ConditionalError(ei, ej)),
                      LogOf(characterization.ConditionalError(ej, ei))});

@@ -16,8 +16,8 @@
  *    integral in 0.01 ns units.
  *  - SolveXtalkProblemWithZ3: one from-scratch Z3 round over the same
  *    problem with a given set of encoded pairs, the round the scheduler
- *    builds when warm starting is off. The tests use it as the flow
- *    solve's oracle.
+ *    builds in the powerset encoding. With no pair encoded it is the
+ *    lifetime LP, and the tests use it as the flow solve's oracle.
  */
 #ifndef XTALK_SCHEDULER_XTALK_PROBLEM_H
 #define XTALK_SCHEDULER_XTALK_PROBLEM_H
@@ -81,12 +81,11 @@ struct XtalkProblem {
 /**
  * Build the problem for @p circuit: quantized durations, the DAG's
  * precedence arcs, readout groups, lifetimes, and the eligible pairs
- * under @p criteria.
+ * under the paper's high-crosstalk test (HighCrosstalkCriteria{}).
  */
 XtalkProblem BuildXtalkProblem(
     const Circuit& circuit, const Device& device,
-    const CrosstalkCharacterization& characterization,
-    const HighCrosstalkCriteria& criteria);
+    const CrosstalkCharacterization& characterization);
 
 /**
  * The componentwise-earliest start times (ns, earliest gate at 0) that
@@ -112,10 +111,10 @@ bool SatisfiesTimingConstraints(const XtalkProblem& problem,
                                 double tolerance_ns = 1e-9);
 
 /**
- * One from-scratch Z3 round over @p problem with @p pairs encoded, for
- * the ω-weighted objective. Returns the model's start times (ns, as Z3
- * reports them: no shift to 0). Throws SolverFailure when Z3 produces
- * no model within options.timeout_ms.
+ * One from-scratch Z3 round over @p problem with @p pairs encoded in the
+ * powerset encoding, for the ω-weighted objective. Returns the model's
+ * start times (ns, as Z3 reports them: no shift to 0). Throws
+ * SolverFailure when Z3 produces no model within options.timeout_ms.
  */
 std::vector<double> SolveXtalkProblemWithZ3(
     const XtalkProblem& problem,

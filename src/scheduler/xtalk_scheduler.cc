@@ -54,6 +54,20 @@ RealOf(z3::context& ctx, double value)
 using GatePairKey = std::pair<GateId, GateId>;
 
 /**
+ * Cap on |CanOlp(g)| in the powerset encoding: each gate keeps its
+ * worst offenders, so it asserts at most 2^5 subset implications.
+ */
+constexpr int kMaxOverlapCandidates = 5;
+
+/**
+ * Lazy-refinement budget: after each solve, eligible high-crosstalk
+ * pairs that the model overlaps but the encoding omitted (outside the
+ * layer window) are added and the problem re-solved, up to this many
+ * extra rounds.
+ */
+constexpr int kMaxRefinementRounds = 4;
+
+/**
  * Objective (eq. 17, decoherence sign corrected). A tiny floor on the
  * decoherence coefficient keeps omega = 1 schedules compact: with a
  * weight of exactly zero the solver may leave arbitrary gaps, which no
@@ -163,6 +177,12 @@ CheckInto(z3::optimize& opt, const std::vector<z3::expr>& tau,
 
 /**
  * Incremental solver session for the default lower-bound encoding.
+ *
+ * Gate-error terms (constraints 7-8) are lower bounds: "logeps >=
+ * log E(g)" plus "logeps >= log E(g|j) when o_gj". Since the objective
+ * minimizes sum(logeps), the optimum pins logeps to exactly the max of
+ * the active bounds, the value the paper's powerset encoding states per
+ * subset of CanOlp(g), with linearly many constraints.
  *
  * The round-invariant part of the problem — start-time variables,
  * dependency and readout constraints, one logeps per eligible gate with
@@ -303,16 +323,15 @@ class WarmSession {
 };
 
 /**
- * One cold (from-scratch) solver round: the pre-warm-start behaviour,
- * and the only encoding of the powerset formulation, whose constraints
- * are not monotone under refinement. The constructor builds the context
- * and asserts everything; Check() solves.
+ * One from-scratch solver round of the paper's powerset encoding, whose
+ * constraints are not monotone under refinement. The constructor builds
+ * the context and asserts everything; Check() solves.
  */
 class ColdRound {
   public:
     ColdRound(const XtalkProblem& problem,
               const std::vector<GatePairKey>& pairs, double omega,
-              const XtalkSchedulerOptions& options, unsigned timeout_ms)
+              unsigned timeout_ms)
         : opt_(ctx_)
     {
         z3::params params(ctx_);
@@ -329,16 +348,14 @@ class ColdRound {
             can_olp[pair.i].push_back({pair.j, pair.log_conditional_ij});
             can_olp[pair.j].push_back({pair.i, pair.log_conditional_ji});
         }
-        // Bound the powerset encoding: keep the worst offenders per gate.
+        // Bound the powerset: keep the worst offenders per gate.
         for (auto& cands : can_olp) {
-            if (options.use_powerset_encoding &&
-                static_cast<int>(cands.size()) >
-                    options.max_overlap_candidates) {
+            if (static_cast<int>(cands.size()) > kMaxOverlapCandidates) {
                 std::sort(cands.begin(), cands.end(),
                           [](const auto& a, const auto& b) {
                               return a.second > b.second;
                           });
-                cands.resize(options.max_overlap_candidates);
+                cands.resize(kMaxOverlapCandidates);
                 std::sort(cands.begin(), cands.end());
             }
         }
@@ -361,15 +378,10 @@ class ColdRound {
             }
         }
 
-        // Gate-error terms: g.eps = max conditional error over
-        // overlapping aggressors, independent rate otherwise
-        // (constraints 7-8). Two equivalent encodings:
-        //  - the paper's powerset of CanOlp(g), exact by construction but
-        //    exponential in |CanOlp| (capped);
-        //  - lower bounds "logeps >= log E(g|j) when o_gj" plus
-        //    "logeps >= log E(g)": since the objective minimizes
-        //    sum(logeps), the optimum pins logeps to exactly the max of
-        //    the active bounds. Linear in |CanOlp|; the default.
+        // Gate-error terms (constraints 7-8): g.eps is the max
+        // conditional error over overlapping aggressors, the independent
+        // rate otherwise, stated once per subset of CanOlp(g). Exact by
+        // construction but exponential in |CanOlp| (capped above).
         z3::expr gate_error_sum = ctx_.real_val(0);
         for (GateId i = 0; i < problem.n; ++i) {
             const auto& cands = can_olp[i];
@@ -379,30 +391,20 @@ class ColdRound {
             ++gates_with_candidates_;
             z3::expr logeps =
                 ctx_.real_const(("logeps" + std::to_string(i)).c_str());
-            const double log_independent = problem.log_independent[i];
-            if (options.use_powerset_encoding) {
-                const size_t subsets = size_t{1} << cands.size();
-                for (size_t mask = 0; mask < subsets; ++mask) {
-                    z3::expr cond = ctx_.bool_val(true);
-                    double worst = log_independent;
-                    for (size_t b = 0; b < cands.size(); ++b) {
-                        const auto& [j, log_conditional] = cands[b];
-                        if (mask & (size_t{1} << b)) {
-                            cond = cond && overlap_var(i, j);
-                            worst = std::max(worst, log_conditional);
-                        } else {
-                            cond = cond && !overlap_var(i, j);
-                        }
+            const size_t subsets = size_t{1} << cands.size();
+            for (size_t mask = 0; mask < subsets; ++mask) {
+                z3::expr cond = ctx_.bool_val(true);
+                double worst = problem.log_independent[i];
+                for (size_t b = 0; b < cands.size(); ++b) {
+                    const auto& [j, log_conditional] = cands[b];
+                    if (mask & (size_t{1} << b)) {
+                        cond = cond && overlap_var(i, j);
+                        worst = std::max(worst, log_conditional);
+                    } else {
+                        cond = cond && !overlap_var(i, j);
                     }
-                    Add(z3::implies(cond, logeps == RealOf(ctx_, worst)));
                 }
-            } else {
-                Add(logeps >= RealOf(ctx_, log_independent));
-                for (const auto& [j, log_conditional] : cands) {
-                    Add(z3::implies(overlap_var(i, j),
-                                    logeps >=
-                                        RealOf(ctx_, log_conditional)));
-                }
+                Add(z3::implies(cond, logeps == RealOf(ctx_, worst)));
             }
             gate_error_sum = gate_error_sum + logeps;
         }
@@ -456,8 +458,6 @@ XtalkScheduler::XtalkScheduler(
 {
     XTALK_REQUIRE(options_.omega >= 0.0 && options_.omega <= 1.0,
                   "omega " << options_.omega << " outside [0, 1]");
-    XTALK_REQUIRE(options_.high_threshold >= 1.0,
-                  "high_threshold must be >= 1");
 }
 
 ScheduledCircuit
@@ -484,7 +484,7 @@ SolveXtalkProblemWithZ3(const XtalkProblem& problem,
     std::vector<double> starts(problem.n, 0.0);
     z3::check_result result = z3::unknown;
     try {
-        ColdRound round(problem, pairs, omega, options, options.timeout_ms);
+        ColdRound round(problem, pairs, omega, options.timeout_ms);
         result = round.Check(&starts);
     } catch (const z3::exception& e) {
         throw SolverFailure(std::string("XtalkSched: solver produced no "
@@ -510,10 +510,7 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
     const auto t_begin = std::chrono::steady_clock::now();
     const XtalkProblem problem = [&] {
         telemetry::ScopedSpan span("sched.xtalk.problem");
-        return BuildXtalkProblem(
-            circuit, *device_, *characterization_,
-            HighCrosstalkCriteria{options_.high_threshold,
-                                  options_.high_margin});
+        return BuildXtalkProblem(circuit, *device_, *characterization_);
     }();
     const int n = problem.n;
 
@@ -533,12 +530,15 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
     }
 
     stats_ = {};
-    const bool warm = options_.warm_start && !options_.use_powerset_encoding;
+    // The lower-bound encoding solves every round in one warm session;
+    // the powerset encoding builds a cold context per round.
+    const bool warm = !options_.use_powerset_encoding;
     // A round that encodes no pair is the lifetime LP, solved exactly as
     // a min-cost flow with no Z3 context. Its optimum does not depend on
     // ω (the pair terms sit at their constant lower bounds), so one flow
-    // solve serves the whole sweep. Z3 — the warm session, or a context
-    // per cold round — is built on the first round that encodes a pair.
+    // solve serves the whole sweep. Z3 — the warm session, or the
+    // powerset encoding's context for the round — is built on the first
+    // round that encodes a pair.
     std::optional<std::vector<double>> flow_starts;
     std::unique_ptr<WarmSession> session;
     const bool multi = omegas.size() > 1;
@@ -681,7 +681,7 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                         if (!warm) {
                             ++stats_.solver_builds;
                             cold = std::make_unique<ColdRound>(
-                                problem, round_pairs, omega, options_,
+                                problem, round_pairs, omega,
                                 effective_timeout_ms);
                         } else {
                             if (!session) {
@@ -803,8 +803,7 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                     violations.push_back({i, j});
                 }
             }
-            if (violations.empty() ||
-                round >= options_.max_refinement_rounds) {
+            if (violations.empty() || round >= kMaxRefinementRounds) {
                 if (!violations.empty()) {
                     Warn("XtalkSched: refinement budget exhausted with " +
                          std::to_string(violations.size()) +
@@ -812,7 +811,7 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                 }
                 break;
             }
-            if (round + 1 >= options_.max_refinement_rounds) {
+            if (round + 1 >= kMaxRefinementRounds) {
                 // Escalate: pair-at-a-time refinement is thrashing (the
                 // solver keeps finding fresh blind spots); encode the
                 // whole eligible set for the final round.

@@ -7,8 +7,8 @@
  * from calibration. Constraints:
  *  - data dependencies (constraint 1) from the circuit DAG;
  *  - overlap indicators o_ij (constraint 2) for every candidate pair:
- *    DAG-concurrent two-qubit gates whose measured conditional error is
- *    at least `high_threshold` times the independent error;
+ *    DAG-concurrent two-qubit gates that pass the paper's high-crosstalk
+ *    test (HighCrosstalkCriteria{}, the pruning of CanOlp);
  *  - gate-error assignment over the powerset of each gate's overlap
  *    candidates (constraints 7-8), binding log(g.eps) to the max
  *    conditional error of the overlapping aggressors;
@@ -67,17 +67,6 @@ class SolverFailure : public Error {
 struct XtalkSchedulerOptions {
     /** Crosstalk weight factor omega in [0, 1] (paper eq. 17). */
     double omega = 0.5;
-    /**
-     * Conditional/independent ratio above which a gate pair becomes an
-     * overlap candidate in the SMT encoding (pruning of CanOlp).
-     */
-    double high_threshold = 2.5;
-    /**
-     * Absolute conditional-minus-independent margin additionally
-     * required (suppresses RB shot-noise false positives; see
-     * CrosstalkCharacterization::IsHighCrosstalk).
-     */
-    double high_margin = 0.015;
     /** Z3 timeout per solve call, in milliseconds. */
     unsigned timeout_ms = 120000;
     /**
@@ -92,37 +81,25 @@ struct XtalkSchedulerOptions {
     /**
      * Use the paper's explicit powerset encoding of constraints 7-8
      * instead of the default (equivalent-at-optimum) lower-bound
-     * encoding; exponential in |CanOlp|, so the candidate cap applies.
+     * encoding. It is exponential in |CanOlp|, so each gate keeps only
+     * its five worst partners, and it is not monotone under refinement,
+     * so every round that encodes a pair builds a fresh Z3 context. The
+     * lower-bound encoding keeps one incremental context for the whole
+     * call: rounds re-check it and ω candidates swap objectives under
+     * push/pop scopes.
      */
     bool use_powerset_encoding = false;
-    /** Cap on |CanOlp(g)| when the powerset encoding is active. */
-    int max_overlap_candidates = 5;
     /**
      * Only gate pairs whose ASAP layers differ by at most this much
      * become overlap candidates. Gates far apart in the dependency
      * structure never overlap in near-optimal schedules, so this prunes
      * the O(gates^2) candidate set for deep circuits (the "known
      * optimizations for SMT compilers" the paper cites in Section 9.4);
-     * <= 0 disables the window.
+     * <= 0 disables the window. Eligible pairs the solved schedule
+     * overlaps outside the window are added by lazy refinement, for at
+     * most four extra rounds.
      */
     int max_layer_distance = 6;
-    /**
-     * Lazy-refinement budget: after each solve, eligible high-crosstalk
-     * pairs that the model overlaps but the encoding omitted (outside
-     * the layer window) are added and the problem re-solved, up to this
-     * many extra rounds.
-     */
-    int max_refinement_rounds = 4;
-    /**
-     * Keep one incremental Z3 context alive across refinement rounds
-     * and ω candidates (assertions only accumulate in the default
-     * lower-bound encoding, so rounds re-check instead of rebuilding;
-     * ω candidates are solved under push/pop objective scopes). false
-     * rebuilds the solver from scratch every round — the pre-portfolio
-     * behaviour, kept for benchmarking the warm-start win. The powerset
-     * encoding is not monotone under refinement and always rebuilds.
-     */
-    bool warm_start = true;
 };
 
 /** Solve diagnostics from the last Schedule() call. */
@@ -132,8 +109,9 @@ struct XtalkSchedulerStats {
     int gates_with_candidates = 0;
     int refinement_rounds = 0;
     bool optimal = false;
-    /** Z3 contexts constructed (warm sweep: 1; cold: one per round
-     *  that encodes a pair; 0 when every round took the flow path). */
+    /** Z3 contexts constructed (lower-bound encoding: 1; powerset:
+     *  one per round that encodes a pair; 0 when every round took the
+     *  flow path). */
     int solver_builds = 0;
     /** ω candidates that produced a model (ScheduleForOmegas only). */
     int omegas_solved = 0;
@@ -166,8 +144,8 @@ class XtalkScheduler : public Scheduler {
                               const runtime::CancelToken* cancel);
 
     /**
-     * Solve the same circuit for several ω candidates in one pass. With
-     * warm_start (default, lower-bound encoding) the Z3 context, the
+     * Solve the same circuit for several ω candidates in one pass. In
+     * the lower-bound encoding (the default) the Z3 context, the
      * dependency/readout constraints, and every pair constraint learned
      * by lazy refinement are shared across candidates: each ω is solved
      * under an `optimize` push/pop scope that swaps only the objective,

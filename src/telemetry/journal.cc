@@ -5,11 +5,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 
 #include "telemetry/json.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_context.h"
 
@@ -41,27 +41,6 @@ struct Shard {
 };
 
 }  // namespace
-
-std::string
-JournalValue::ToJsonToken() const
-{
-    switch (kind_) {
-      case Kind::kString:
-        return "\"" + JsonEscape(str_) + "\"";
-      case Kind::kUint:
-        return std::to_string(num_.u);
-      case Kind::kInt:
-        return std::to_string(num_.i);
-      case Kind::kDouble: {
-        JsonWriter w;
-        w.Number(num_.d);  // Handles non-finite values as null.
-        return w.str();
-      }
-      case Kind::kBool:
-        return num_.b ? "true" : "false";
-    }
-    return "null";
-}
 
 void
 SetJournalEnabled(bool enabled)
@@ -218,25 +197,30 @@ Journal::ToJsonl() const
         w.Key("seq").Number(e.seq);
         w.Key("tid").Number(static_cast<uint64_t>(e.tid));
         w.Key("type").String(e.type);
-        w.EndObject();
-        std::string line = w.str();
-        // Splice the typed field values in without forcing them all
-        // through JsonWriter's double-only Number().
-        line.pop_back();  // trailing '}'
-        line += ",\"fields\":{";
-        bool first = true;
+        w.Key("fields").BeginObject();
         for (const auto& [key, value] : e.fields) {
-            if (!first) {
-                line += ",";
+            w.Key(key);
+            switch (value.kind()) {
+              case JournalValue::Kind::kString:
+                w.String(value.str());
+                break;
+              case JournalValue::Kind::kUint:
+                w.Number(value.as_uint());
+                break;
+              case JournalValue::Kind::kInt:
+                w.Number(value.as_int());
+                break;
+              case JournalValue::Kind::kDouble:
+                w.Number(value.as_double());  // Non-finite: null.
+                break;
+              case JournalValue::Kind::kBool:
+                w.Bool(value.as_bool());
+                break;
             }
-            first = false;
-            line += '"';
-            line += JsonEscape(key);
-            line += "\":";
-            line += value.ToJsonToken();
         }
-        line += "}}";
-        out << line << "\n";
+        w.EndObject();
+        w.EndObject();
+        out << w.str() << "\n";
     }
     return out.str();
 }
@@ -244,22 +228,7 @@ Journal::ToJsonl() const
 bool
 Journal::WriteJsonl(const std::string& path, std::string* error) const
 {
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << ToJsonl();
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
+    return WriteTextFile(path, ToJsonl(), error);
 }
 
 namespace {

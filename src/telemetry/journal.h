@@ -96,9 +96,6 @@ class JournalValue {
     double as_double() const { return num_.d; }
     bool as_bool() const { return num_.b; }
 
-    /** JSON token for this value (quoted/escaped for strings). */
-    std::string ToJsonToken() const;
-
   private:
     Kind kind_;
     std::string str_;

@@ -187,13 +187,6 @@ JsonValue::GetNumber(const std::string& key, double fallback) const
     return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
 }
 
-bool
-JsonValue::GetBool(const std::string& key, bool fallback) const
-{
-    const JsonValue* v = Find(key);
-    return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
-}
-
 JsonValue
 JsonValue::MakeBool(bool v)
 {

@@ -92,7 +92,6 @@ class JsonValue {
     std::string GetString(const std::string& key,
                           const std::string& fallback = "") const;
     double GetNumber(const std::string& key, double fallback = 0.0) const;
-    bool GetBool(const std::string& key, bool fallback = false) const;
 
     static JsonValue MakeNull() { return JsonValue(); }
     static JsonValue MakeBool(bool v);

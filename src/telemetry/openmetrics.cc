@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -153,22 +152,7 @@ OpenMetricsText()
 bool
 WriteOpenMetrics(const std::string& path, std::string* error)
 {
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << OpenMetricsText();
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
+    return WriteTextFile(path, OpenMetricsText(), error);
 }
 
 namespace {

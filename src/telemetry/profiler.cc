@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -299,42 +298,16 @@ ResetProfile()
     }
 }
 
-namespace {
-
-bool
-WriteText(const std::string& path, const std::string& text,
-          std::string* error)
-{
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << text;
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
-}
-
-}  // namespace
-
 bool
 WriteProfileJson(const std::string& path, std::string* error)
 {
-    return WriteText(path, ProfileJson() + "\n", error);
+    return WriteTextFile(path, ProfileJson() + "\n", error);
 }
 
 bool
 WriteCollapsedStacks(const std::string& path, std::string* error)
 {
-    return WriteText(path, CollapsedStacks(), error);
+    return WriteTextFile(path, CollapsedStacks(), error);
 }
 
 }  // namespace xtalk::telemetry

@@ -459,7 +459,8 @@ StatsJson()
 }
 
 bool
-WriteStatsJson(const std::string& path, std::string* error)
+WriteTextFile(const std::string& path, const std::string& text,
+              std::string* error)
 {
     std::ofstream out(path);
     if (!out.good()) {
@@ -468,7 +469,7 @@ WriteStatsJson(const std::string& path, std::string* error)
         }
         return false;
     }
-    out << StatsJson() << "\n";
+    out << text;
     out.flush();
     if (!out.good()) {
         if (error) {
@@ -477,6 +478,12 @@ WriteStatsJson(const std::string& path, std::string* error)
         return false;
     }
     return true;
+}
+
+bool
+WriteStatsJson(const std::string& path, std::string* error)
+{
+    return WriteTextFile(path, StatsJson() + "\n", error);
 }
 
 }  // namespace xtalk::telemetry

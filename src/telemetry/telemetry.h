@@ -228,6 +228,15 @@ const std::vector<double>& DefaultTimeBucketsMs();
  */
 std::string StatsJson();
 
+/**
+ * Replace @p path's contents with @p text: the one file writer behind
+ * every telemetry export. False on failure, with @p error (when
+ * non-null) set to "cannot open <path> for writing" or "write to <path>
+ * failed".
+ */
+bool WriteTextFile(const std::string& path, const std::string& text,
+                   std::string* error = nullptr);
+
 /** Write StatsJson() to @p path. False (with @p error set) on I/O failure. */
 bool WriteStatsJson(const std::string& path, std::string* error = nullptr);
 

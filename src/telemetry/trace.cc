@@ -1,12 +1,12 @@
 #include "telemetry/trace.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
 
 #include "telemetry/json.h"
 #include "telemetry/profiler.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace_context.h"
 
 namespace xtalk::telemetry {
@@ -320,22 +320,7 @@ TraceJson()
 bool
 WriteTraceJson(const std::string& path, std::string* error)
 {
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << TraceJson() << "\n";
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
+    return WriteTextFile(path, TraceJson() + "\n", error);
 }
 
 }  // namespace xtalk::telemetry

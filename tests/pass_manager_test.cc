@@ -96,16 +96,6 @@ TEST(PassRegistry, UnknownNameThrowsListingKnownPasses)
     }
 }
 
-TEST(PassRegistry, DuplicateRegistrationThrows)
-{
-    RegisteredPasses();  // Force built-in registration first.
-    PassInfo info;
-    info.name = "layout";
-    EXPECT_THROW(
-        RegisterPass(info, [] { return std::make_unique<LayoutPass>(); }),
-        Error);
-}
-
 TEST(PassManager, DefaultPipelineHasTheFigure2Stages)
 {
     const PassManager pipeline = MakeDefaultPipeline();
@@ -394,8 +384,6 @@ LegacyCompile(const Device& device,
     } else if (options.scheduler == "anneal") {
         AnnealSchedulerOptions anneal;
         anneal.omega = options.xtalk.omega;
-        anneal.high_threshold = options.xtalk.high_threshold;
-        anneal.high_margin = options.xtalk.high_margin;
         AnnealScheduler scheduler(device, characterization, anneal);
         result.schedule = scheduler.Schedule(routed.circuit);
         result.executable = result.schedule.ToCircuit();

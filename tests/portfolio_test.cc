@@ -92,6 +92,18 @@ TEST(PortfolioMembers, RegistryCoversEveryScheduler)
     EXPECT_THROW(MakePortfolioMember("no-such-scheduler"), Error);
 }
 
+TEST(PortfolioMembers, AutoWithoutOmegaCandidatesFailsWhenBuilt)
+{
+    // The misconfiguration surfaces when the member is built, not as a
+    // race-time failure the backups would absorb.
+    PortfolioMemberOptions options;
+    options.omega_candidates.clear();
+    EXPECT_THROW(MakePortfolioMember("auto", options), Error);
+    for (const std::string key : {"xtalk", "greedy", "anneal"}) {
+        EXPECT_NO_THROW(MakePortfolioMember(key, options)) << key;
+    }
+}
+
 TEST(PortfolioMembers, LineupsFollowTheRegistryRows)
 {
     // The SMT policies keep the legacy chain as prefer-first backups;

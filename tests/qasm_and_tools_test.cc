@@ -168,6 +168,33 @@ TEST(QasmParser, OverflowingIndexIsALineNumberedError)
                  Error);
 }
 
+TEST(QasmParser, RejectsRegistersPastTheLimit)
+{
+    const std::string past = std::to_string(kMaxQasmRegisterSize + 1);
+    for (const std::string& registers :
+         {"qreg q[" + past + "];\n", "creg c[" + past + "];\nqreg q[2];\n",
+          // 10^8 whole-register measures, rejected before any is built.
+          std::string("qreg q[100000000];\ncreg c[100000000];\n"
+                      "measure q -> c;\n")}) {
+        try {
+            ParseQasm("OPENQASM 2.0;\n" + registers);
+            ADD_FAILURE() << registers << " parsed";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("exceeds"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const std::string at = std::to_string(kMaxQasmRegisterSize);
+    const Circuit c = ParseQasm("OPENQASM 2.0;\nqreg q[" + at +
+                                "];\ncreg c[" + at + "];\nmeasure q -> c;\n");
+    EXPECT_EQ(c.num_qubits(), kMaxQasmRegisterSize);
+    EXPECT_EQ(c.size(), kMaxQasmRegisterSize);
+}
+
 TEST(QasmParser, UnparsableOrOverflowingPiFactorIsABadParameter)
 {
     for (const char* param : {"x*pi", "pi/1e999", "1e999*pi"}) {

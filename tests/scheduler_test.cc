@@ -606,16 +606,13 @@ Routed(const Device& device,
     return *state.routed;
 }
 
-/** @p circuit's problem under the scheduler's default pair criteria. */
+/** @p circuit's problem, as XtalkSched builds it. */
 XtalkProblem
 ProblemFor(const Device& device,
            const CrosstalkCharacterization& characterization,
            const Circuit& circuit)
 {
-    const XtalkSchedulerOptions defaults;
-    return BuildXtalkProblem(
-        circuit, device, characterization,
-        HighCrosstalkCriteria{defaults.high_threshold, defaults.high_margin});
+    return BuildXtalkProblem(circuit, device, characterization);
 }
 
 /**
@@ -889,6 +886,63 @@ TEST(AnnealScheduler, PinnedSchedulesForSeededCircuits)
                       AnnealFingerprint(schedule, scheduler.stats())),
                   pinned[k])
             << circuits[k].first;
+    }
+}
+
+/** A schedule at full double precision, one gate per line. */
+std::string
+ScheduleFingerprint(const ScheduledCircuit& schedule)
+{
+    std::ostringstream oss;
+    oss << std::setprecision(17);
+    for (const TimedGate& g : schedule.gates()) {
+        oss << ToString(g.gate) << " @ " << g.start_ns << " + "
+            << g.duration_ns << "\n";
+    }
+    return oss.str();
+}
+
+TEST(GreedyScheduler, PinnedSchedulesForSeededCircuits)
+{
+    // GreedySched's output at omega 0, 0.5 and 1 on the circuits the
+    // annealer is pinned on. A change meant to keep the greedy
+    // scheduler's results must pass this unedited.
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    std::vector<std::pair<std::string, Circuit>> circuits{
+        {"fig6-swap-pair", Fig6SwapPairCircuit()},
+        {"conflict", ConflictCircuit()}};
+    const std::vector<Circuit> shapes = CompileWarmShapes(device, 1);
+    ASSERT_EQ(shapes.size(), 9u);
+    for (size_t k = 0; k < shapes.size(); ++k) {
+        circuits.push_back({"seed1-shape" + std::to_string(k),
+                            Routed(device, characterization, shapes[k])});
+    }
+    const std::vector<double> omegas{0.0, 0.5, 1.0};
+    // One row per circuit, one hash per omega.
+    const std::vector<std::vector<std::string>> pinned{
+        {"07fbcdc9df98cc06", "e3944620bcaf402a", "e3944620bcaf402a"},
+        {"b697e7ef4979e78a", "7d6de24d5580fb62", "7d6de24d5580fb62"},
+        {"45b89fa394a91144", "45b89fa394a91144", "45b89fa394a91144"},
+        {"75ed0a2b333456a5", "75ed0a2b333456a5", "75ed0a2b333456a5"},
+        {"36a2ab04bfa09915", "36a2ab04bfa09915", "36a2ab04bfa09915"},
+        {"82510dc19c714fff", "82510dc19c714fff", "82510dc19c714fff"},
+        {"b1895698927737ef", "b1895698927737ef", "b1895698927737ef"},
+        {"4329cb48f11ba421", "4329cb48f11ba421", "4329cb48f11ba421"},
+        {"80cf7c16cb48861e", "80cf7c16cb48861e", "80cf7c16cb48861e"},
+        {"b949e997e8d0324f", "b949e997e8d0324f", "b949e997e8d0324f"},
+        {"eea4e631e7d1c559", "eea4e631e7d1c559", "eea4e631e7d1c559"},
+    };
+    ASSERT_EQ(circuits.size(), pinned.size());
+    for (size_t k = 0; k < circuits.size(); ++k) {
+        for (size_t w = 0; w < omegas.size(); ++w) {
+            GreedyXtalkScheduler scheduler(device, characterization,
+                                           {omegas[w]});
+            EXPECT_EQ(telemetry::FnvHex(ScheduleFingerprint(
+                          scheduler.Schedule(circuits[k].second))),
+                      pinned[k][w])
+                << circuits[k].first << " omega " << omegas[w];
+        }
     }
 }
 
