@@ -49,8 +49,7 @@ main()
         const auto high_pairs =
             device.ground_truth().HighCrosstalkPairs(3.0);
         const auto high_only = BuildCharacterizationPlan(
-            topo, CharacterizationPolicy::kHighOnly, rng,
-            PlanOptions{.known_high_pairs = high_pairs});
+            topo, CharacterizationPolicy::kHighOnly, rng, high_pairs);
 
         const double t_all = model.EstimateHours(all, paper_budget);
         const double t_one = model.EstimateHours(one_hop, paper_budget);
@@ -72,8 +71,7 @@ main()
         const auto high_pairs =
             device.ground_truth().HighCrosstalkPairs(3.0);
         const auto high_only = BuildCharacterizationPlan(
-            topo, CharacterizationPolicy::kHighOnly, rng,
-            PlanOptions{.known_high_pairs = high_pairs});
+            topo, CharacterizationPolicy::kHighOnly, rng, high_pairs);
         detail.Row(device.name(),
                    static_cast<int>(topo.SimultaneousEdgePairs().size()),
                    static_cast<int>(topo.EdgePairsAtDistance(1).size()),

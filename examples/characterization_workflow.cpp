@@ -52,8 +52,7 @@ main()
     // --- Daily fast pass over the following days -----------------------
     std::cout << "\n== daily fast pass (days 1-3) ==\n";
     const auto daily_plan = BuildCharacterizationPlan(
-        topo, CharacterizationPolicy::kHighOnly, rng,
-        PlanOptions{.known_high_pairs = high});
+        topo, CharacterizationPolicy::kHighOnly, rng, high);
     std::cout << "daily plan: " << daily_plan.NumExperiments()
               << " experiments in " << daily_plan.NumBatches()
               << " batches\n";

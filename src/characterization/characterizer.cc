@@ -1,13 +1,12 @@
 #include "characterization/characterizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <sstream>
-#include <thread>
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/retry.h"
 #include "telemetry/journal.h"
 #include "telemetry/ledger.h"
 #include "telemetry/telemetry.h"
@@ -41,10 +40,19 @@ CharacterizationPlan::NumExperiments() const
     return n;
 }
 
+namespace {
+
+/** Minimum hop separation between pairs packed into one bin. */
+constexpr int kSeparationHops = 2;
+/** Restarts of the randomized first-fit packing. */
+constexpr int kPackingIterations = 20;
+
+}  // namespace
+
 CharacterizationPlan
 BuildCharacterizationPlan(const Topology& topology,
                           CharacterizationPolicy policy, Rng& rng,
-                          const PlanOptions& options)
+                          const std::vector<GatePair>& known_high_pairs)
 {
     CharacterizationPlan plan;
     plan.policy = policy;
@@ -63,17 +71,17 @@ BuildCharacterizationPlan(const Topology& topology,
       }
       case CharacterizationPolicy::kOneHopBinPacked: {
         plan.batches = RandomizedFirstFitPack(
-            topology, topology.EdgePairsAtDistance(1),
-            options.separation_hops, options.packing_iterations, rng);
+            topology, topology.EdgePairsAtDistance(1), kSeparationHops,
+            kPackingIterations, rng);
         break;
       }
       case CharacterizationPolicy::kHighOnly: {
-        XTALK_REQUIRE(!options.known_high_pairs.empty(),
+        XTALK_REQUIRE(!known_high_pairs.empty(),
                       "kHighOnly needs the previously discovered "
                       "high-crosstalk pair set");
-        plan.batches = RandomizedFirstFitPack(
-            topology, options.known_high_pairs, options.separation_hops,
-            options.packing_iterations, rng);
+        plan.batches = RandomizedFirstFitPack(topology, known_high_pairs,
+                                              kSeparationHops,
+                                              kPackingIterations, rng);
         break;
       }
     }
@@ -209,14 +217,14 @@ constexpr const char* kSrbRunSite = "srb.run";
  * Resilience: job errors are captured per job instead of aborting the
  * batch. An experiment with any failed job is resubmitted with its
  * *identical* jobs (same seeds — a successful retry reproduces the
- * failure-free result exactly) up to @p retry.max_attempts total
- * tries, with BackoffDelayMs() between rounds. Experiments still
- * failing are skipped; their group indices land in @p quarantined.
+ * failure-free result exactly) up to kMaxAttempts total tries.
+ * Experiments still failing are skipped; their group indices land in
+ * @p quarantined.
  */
 void
 RunExperimentBatch(
     RbRunner& runner, const std::vector<std::vector<EdgeId>>& groups,
-    const RetryPolicy& retry, CharacterizationRunReport* report,
+    CharacterizationRunReport* report,
     std::vector<size_t>* quarantined,
     const std::function<void(size_t, const std::vector<RbResult>&)>& consume)
 {
@@ -266,9 +274,7 @@ RunExperimentBatch(
     };
 
     // Bounded retry: resubmit every failed experiment's identical jobs
-    // as one batch per round. Backoff jitter derives from the runner
-    // config via the first failed job's seed — deterministic, and it
-    // only shapes sleep times, never results.
+    // as one batch per round.
     std::vector<size_t> failed = failed_experiments();
     std::set<size_t> ever_failed(failed.begin(), failed.end());
     if (report) {
@@ -284,15 +290,8 @@ RunExperimentBatch(
                  {"ok", ever_failed.count(i) == 0}});
         }
     }
-    Rng backoff_rng(DeriveSeed(0xbacc0ff5eedull,
-                               failed.empty() ? 0 : failed.front()));
-    for (int attempt = 1;
-         !failed.empty() && attempt < retry.max_attempts; ++attempt) {
-        const double delay_ms = BackoffDelayMs(retry, attempt, backoff_rng);
-        if (delay_ms > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(delay_ms));
-        }
+    for (int attempt = 1; !failed.empty() && attempt < kMaxAttempts;
+         ++attempt) {
         if (telemetry::Enabled()) {
             telemetry::GetCounter("retry.attempts").Add(failed.size());
         }
@@ -301,8 +300,7 @@ RunExperimentBatch(
                 telemetry::JournalEmit(
                     "charz.retry",
                     {{"group", static_cast<uint64_t>(i)},
-                     {"attempt", attempt},
-                     {"delay_ms", delay_ms}});
+                     {"attempt", attempt}});
             }
         }
         runtime::ExecutionRequest retry_request;
@@ -340,7 +338,7 @@ RunExperimentBatch(
     if (!failed.empty()) {
         std::ostringstream msg;
         msg << "characterization: quarantining " << failed.size()
-            << " experiment(s) after " << retry.max_attempts
+            << " experiment(s) after " << kMaxAttempts
             << " attempt(s)";
         Warn(msg.str());
     }
@@ -350,7 +348,7 @@ RunExperimentBatch(
             telemetry::JournalEmit(
                 "charz.quarantine",
                 {{"group", static_cast<uint64_t>(i)},
-                 {"attempts", retry.max_attempts}});
+                 {"attempts", kMaxAttempts}});
             if (quarantined) {
                 quarantined->push_back(i);
             }
@@ -375,7 +373,7 @@ CrosstalkCharacterizer::MeasureIndependent(const std::vector<EdgeId>& edges,
             .Add(static_cast<uint64_t>(edges.size()));
     }
     CrosstalkCharacterization out;
-    RbRunner runner(*device_, config_.rb, config_.sim, config_.exec);
+    RbRunner runner(*device_, config_.rb, config_.exec);
     std::vector<std::vector<EdgeId>> groups;
     groups.reserve(edges.size());
     for (EdgeId edge : edges) {
@@ -383,7 +381,7 @@ CrosstalkCharacterizer::MeasureIndependent(const std::vector<EdgeId>& edges,
     }
     std::vector<size_t> quarantined;
     RunExperimentBatch(
-        runner, groups, config_.retry, report, &quarantined,
+        runner, groups, report, &quarantined,
         [&](size_t i, const std::vector<RbResult>& results) {
             const RbResult& result = results.front();
             if (result.ok) {
@@ -438,7 +436,7 @@ CrosstalkCharacterizer::Run(const CharacterizationPlan& plan,
     // 4-qubit SRB, which is distribution-identical and exponentially
     // cheaper than the joint statevector. All pairs of all bins fan out
     // as one Executor batch.
-    RbRunner runner(*device_, config_.rb, config_.sim, config_.exec);
+    RbRunner runner(*device_, config_.rb, config_.exec);
     std::vector<std::vector<EdgeId>> groups;
     for (const ExperimentBin& bin : plan.batches) {
         for (const GatePair& pair : bin) {
@@ -447,7 +445,7 @@ CrosstalkCharacterizer::Run(const CharacterizationPlan& plan,
     }
     std::vector<size_t> quarantined;
     RunExperimentBatch(
-        runner, groups, config_.retry, report, &quarantined,
+        runner, groups, report, &quarantined,
         [&](size_t i, const std::vector<RbResult>& results) {
             const GatePair pair{groups[i][0], groups[i][1]};
             for (const RbResult& r : results) {

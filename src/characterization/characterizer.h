@@ -27,7 +27,6 @@
 
 #include "characterization/binpack.h"
 #include "characterization/rb.h"
-#include "common/retry.h"
 
 namespace xtalk {
 
@@ -51,24 +50,16 @@ struct CharacterizationPlan {
     int NumBatches() const { return static_cast<int>(batches.size()); }
 };
 
-/** Self-describing knobs for BuildCharacterizationPlan. */
-struct PlanOptions {
-    /**
-     * Required for kHighOnly: the stable high-crosstalk set discovered
-     * by an earlier full pass.
-     */
-    std::vector<GatePair> known_high_pairs;
-    /** Minimum hop separation between pairs packed into one bin. */
-    int separation_hops = 2;
-    /** Restarts of the randomized first-fit packing. */
-    int packing_iterations = 20;
-};
-
-/** Build a plan for the given policy. */
-CharacterizationPlan BuildCharacterizationPlan(const Topology& topology,
-                                               CharacterizationPolicy policy,
-                                               Rng& rng,
-                                               const PlanOptions& options = {});
+/**
+ * Build a plan for the given policy. kHighOnly requires
+ * @p known_high_pairs, the stable high-crosstalk set discovered by an
+ * earlier full pass; the other policies ignore it. The bin-packed
+ * policies place pairs at least two hops apart and keep the best of 20
+ * randomized first-fit packings (paper Section 5, Opt 2).
+ */
+CharacterizationPlan BuildCharacterizationPlan(
+    const Topology& topology, CharacterizationPolicy policy, Rng& rng,
+    const std::vector<GatePair>& known_high_pairs = {});
 
 /**
  * When is a conditional error "high crosstalk"? The conditional rate
@@ -151,28 +142,18 @@ class CrosstalkCharacterization {
 };
 
 /**
- * Everything that shapes one characterizer, in one struct: the RB
- * budget, the simulator toggles, the runtime sizing, and the
- * retry/quarantine behaviour. Replaces the four positional struct
- * parameters of the old constructor.
+ * Everything that shapes one characterizer: the RB budget and the
+ * runtime sizing. Experiments always run with every noise source on.
+ * A failed experiment is resubmitted with *identical* jobs (same
+ * seeds), up to kMaxAttempts tries in all (common/retry.h), so a retry
+ * that succeeds is bit-identical to a run that never failed.
  */
 struct CharacterizerConfig {
     /** (S)RB budget: sequence lengths, shots, backend, seed. */
     RbConfig rb = {};
-    /** Noise toggles for the simulated executions. */
-    NoisySimOptions sim = {};
     /** Parallel-runtime sizing (default: the shared process pool).
      *  Results are bit-identical for any thread count. */
     runtime::ExecutorOptions exec = {};
-    /**
-     * Bounded retry for failed (S)RB experiment jobs. A failed
-     * experiment is resubmitted with *identical* jobs (same seeds), so
-     * a retry that succeeds is bit-identical to a run that never
-     * failed. base_delay_ms defaults to 0 — the simulator backend has
-     * no transient congestion worth waiting out; raise it for real
-     * hardware queues.
-     */
-    RetryPolicy retry = {};
 };
 
 /**
@@ -220,7 +201,7 @@ class CrosstalkCharacterizer {
      * count.
      *
      * Failure semantics: a failed experiment (e.g. an injected
-     * `srb.run` fault) is retried per CharacterizerConfig::retry and
+     * `srb.run` fault) is retried up to kMaxAttempts tries and
      * quarantined — dropped from the result, recorded in @p report —
      * when the budget runs out. The sweep itself always completes.
      */

@@ -18,11 +18,9 @@ RbConfig::TotalExecutions() const
 }
 
 RbRunner::RbRunner(const Device& device, RbConfig config,
-                   NoisySimOptions sim_options,
                    runtime::ExecutorOptions exec_options)
     : device_(&device),
       config_(std::move(config)),
-      sim_options_(sim_options),
       executor_(device, exec_options),
       rng_(config_.seed)
 {
@@ -157,7 +155,6 @@ RbRunner::PrepareSimultaneous(const std::vector<EdgeId>& edges,
             job.backend = config_.use_stabilizer_backend
                               ? runtime::SimBackend::kStabilizer
                               : runtime::SimBackend::kStatevector;
-            job.noise = sim_options_;
             experiment.jobs.push_back(std::move(job));
         }
     }

@@ -95,7 +95,6 @@ class RbRunner {
      * the (S)RB circuit jobs; the default shares the process pool.
      */
     RbRunner(const Device& device, RbConfig config,
-             NoisySimOptions sim_options = {},
              runtime::ExecutorOptions exec_options = {});
 
     /** Independent two-qubit RB on one coupler: estimates E(g). */
@@ -153,7 +152,6 @@ class RbRunner {
   private:
     const Device* device_;
     RbConfig config_;
-    NoisySimOptions sim_options_;
     runtime::Executor executor_;
     Rng rng_;
 };

@@ -82,49 +82,6 @@ DependencyDag::CanOverlap(GateId a, GateId b) const
     return !IsAncestor(a, b) && !IsAncestor(b, a);
 }
 
-std::vector<GateId>
-DependencyDag::ConcurrencySet(GateId g) const
-{
-    std::vector<GateId> out;
-    for (GateId other = 0; other < size(); ++other) {
-        if (other == g) {
-            continue;
-        }
-        const Gate& gate = circuit_->gate(other);
-        if (gate.IsBarrier() || gate.IsMeasure()) {
-            continue;
-        }
-        if (CanOverlap(g, other)) {
-            out.push_back(other);
-        }
-    }
-    return out;
-}
-
-std::vector<GateId>
-DependencyDag::Roots() const
-{
-    std::vector<GateId> out;
-    for (GateId g = 0; g < size(); ++g) {
-        if (direct_preds_[g].empty()) {
-            out.push_back(g);
-        }
-    }
-    return out;
-}
-
-std::vector<GateId>
-DependencyDag::Leaves() const
-{
-    std::vector<GateId> out;
-    for (GateId g = 0; g < size(); ++g) {
-        if (direct_succs_[g].empty()) {
-            out.push_back(g);
-        }
-    }
-    return out;
-}
-
 std::vector<int>
 DependencyDag::AsapLayers() const
 {

@@ -39,18 +39,6 @@ class DependencyDag {
     bool CanOverlap(GateId a, GateId b) const;
 
     /**
-     * All gates that may execute concurrently with @p g, in ascending id
-     * order (excludes g itself, barriers, and measures).
-     */
-    std::vector<GateId> ConcurrencySet(GateId g) const;
-
-    /**
-     * Gates with no predecessors / no successors (entry/exit layer).
-     */
-    std::vector<GateId> Roots() const;
-    std::vector<GateId> Leaves() const;
-
-    /**
      * As-soon-as-possible layer index per gate; barriers occupy a layer
      * boundary but add no depth.
      */

@@ -1,41 +1,13 @@
 #include "common/retry.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <thread>
-
 #include "common/error.h"
 #include "telemetry/telemetry.h"
 
 namespace xtalk {
 
-double
-BackoffDelayMs(const RetryPolicy& policy, int retry_index, Rng& rng)
-{
-    XTALK_REQUIRE(retry_index >= 1, "retry_index is 1-based, got "
-                                        << retry_index);
-    if (policy.base_delay_ms <= 0.0) {
-        return 0.0;
-    }
-    double delay = policy.base_delay_ms *
-                   std::pow(std::max(1.0, policy.backoff_factor),
-                            retry_index - 1);
-    delay = std::min(delay, policy.max_delay_ms);
-    if (policy.jitter_fraction > 0.0) {
-        // Deterministic +-jitter: same Rng state, same schedule.
-        delay *= 1.0 + policy.jitter_fraction * (2.0 * rng.Uniform() - 1.0);
-    }
-    return std::max(0.0, delay);
-}
-
 bool
-RetryCall(const RetryPolicy& policy, Rng& rng,
-          const std::function<void()>& fn, RetryStats* stats,
-          const std::function<bool(const std::exception&)>& retryable)
+RetryCall(const std::function<void()>& fn, RetryStats* stats)
 {
-    XTALK_REQUIRE(policy.max_attempts >= 1,
-                  "max_attempts must be >= 1, got " << policy.max_attempts);
     RetryStats local;
     RetryStats& s = stats ? *stats : local;
     s = RetryStats{};
@@ -49,11 +21,7 @@ RetryCall(const RetryPolicy& policy, Rng& rng,
             throw;  // A bug is never transient; retrying would mask it.
         } catch (const std::exception& e) {
             s.last_error = e.what();
-            const bool transient = retryable ? retryable(e) : true;
-            if (!transient) {
-                throw;
-            }
-            if (attempt >= policy.max_attempts) {
+            if (attempt >= kMaxAttempts) {
                 if (telemetry::Enabled()) {
                     telemetry::GetCounter("retry.giveups").Add(1);
                 }
@@ -64,12 +32,6 @@ RetryCall(const RetryPolicy& policy, Rng& rng,
             }
             if (telemetry::Enabled()) {
                 telemetry::GetCounter("retry.attempts").Add(1);
-            }
-            const double delay_ms = BackoffDelayMs(policy, attempt, rng);
-            s.slept_ms += delay_ms;
-            if (delay_ms > 0.0) {
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(delay_ms));
             }
         }
     }

@@ -1,23 +1,19 @@
 /**
  * @file
- * Bounded retry with exponential backoff and deterministic jitter.
+ * Bounded retry.
  *
  * The daily characterize -> schedule -> execute loop talks to flaky
- * backends: jobs get lost, calibration reads fail transiently. A
- * RetryPolicy bounds how hard the pipeline fights back before giving
- * up; the jitter is drawn from an explicit Rng so retry timing (and
- * therefore everything downstream of it) stays reproducible.
+ * backends: jobs get lost, calibration reads fail transiently. Every
+ * retry loop in the library gives an operation kMaxAttempts tries and
+ * retries at once: the simulator backend has no congestion worth
+ * waiting out.
  *
- * Two entry points:
- *  - RetryCall(): the generic driver — run a callable up to
- *    max_attempts times, sleeping BackoffDelayMs() between attempts,
- *    consulting a retryable-error predicate. Used for single-shot
- *    operations such as loading a characterization file.
- *  - BackoffDelayMs(): the bare delay schedule, for callers that run
- *    their own retry loop over batched work (the characterizer retries
- *    a whole round of failed SRB experiments at once).
+ * RetryCall() is the generic driver, used for single-shot operations
+ * such as loading a characterization file. The characterizer runs its
+ * own loop over batched work (it retries a whole round of failed SRB
+ * experiments at once) under the same kMaxAttempts.
  *
- * xtalk::InternalError is never retryable: it flags a library bug and
+ * xtalk::InternalError is never retried: it flags a library bug and
  * retrying would only mask it. Telemetry (when enabled): the counters
  * `retry.attempts` (extra attempts after a failure) and
  * `retry.giveups` (budgets exhausted).
@@ -28,54 +24,26 @@
 #include <functional>
 #include <string>
 
-#include "common/rng.h"
-
 namespace xtalk {
 
-/** Bounded-retry knobs (defaults follow docs/RESILIENCE.md). */
-struct RetryPolicy {
-    /** Total tries including the first (1 = no retry). */
-    int max_attempts = 3;
-    /** Delay before the first retry, ms; 0 disables sleeping. */
-    double base_delay_ms = 0.0;
-    /** Delay multiplier per subsequent retry. */
-    double backoff_factor = 2.0;
-    /** Delay ceiling, ms. */
-    double max_delay_ms = 2000.0;
-    /** Uniform jitter as a fraction of the delay (drawn from the Rng). */
-    double jitter_fraction = 0.25;
-};
+/** Total tries per operation, including the first. */
+constexpr int kMaxAttempts = 3;
 
 /** What a retry loop did (for reports and tests). */
 struct RetryStats {
     int attempts = 0;          ///< Calls actually made.
-    double slept_ms = 0.0;     ///< Total backoff delay requested.
     bool succeeded = false;
     std::string last_error;    ///< what() of the final failure.
 };
 
 /**
- * Backoff delay in ms before retry @p retry_index (1-based: 1 = the
- * first retry). Exponential in the index, capped at max_delay_ms, with
- * +-jitter_fraction uniform jitter drawn deterministically from @p rng.
- * Returns 0 when the policy's base delay is 0.
+ * Run @p fn up to kMaxAttempts times, retrying any failure except
+ * xtalk::InternalError, which is rethrown at once. Returns true on
+ * success; on an exhausted budget the final exception is rethrown —
+ * unless @p stats is non-null, in which case exhaustion returns false
+ * with the details in @p stats.
  */
-double BackoffDelayMs(const RetryPolicy& policy, int retry_index, Rng& rng);
-
-/**
- * Run @p fn up to policy.max_attempts times. A failed attempt is
- * retried iff @p retryable returns true for the exception (default:
- * anything except xtalk::InternalError). Sleeps BackoffDelayMs()
- * between attempts (no sleep when the delay is 0). Returns true on
- * success; on a non-retryable error or an exhausted budget the final
- * exception is rethrown — unless @p stats is non-null, in which case
- * exhaustion returns false with the details in @p stats (non-retryable
- * errors always rethrow).
- */
-bool RetryCall(const RetryPolicy& policy, Rng& rng,
-               const std::function<void()>& fn, RetryStats* stats = nullptr,
-               const std::function<bool(const std::exception&)>& retryable =
-                   nullptr);
+bool RetryCall(const std::function<void()>& fn, RetryStats* stats = nullptr);
 
 }  // namespace xtalk
 

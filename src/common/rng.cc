@@ -38,7 +38,7 @@ DeriveSeed(uint64_t base, uint64_t index)
     return x ^ (x >> 31);
 }
 
-Rng::Rng(uint64_t seed) : seed_(seed)
+Rng::Rng(uint64_t seed)
 {
     uint64_t s = seed;
     for (auto& word : state_) {
@@ -136,18 +136,6 @@ Rng::Discrete(const std::vector<double>& weights)
         }
     }
     return weights.size() - 1;  // Floating-point edge: last positive bucket.
-}
-
-Rng
-Rng::Fork()
-{
-    return Rng(Next() ^ 0xd1b54a32d192ed03ull);
-}
-
-Rng
-Rng::ForkAt(uint64_t index) const
-{
-    return Rng(DeriveSeed(seed_, index));
 }
 
 }  // namespace xtalk

@@ -74,34 +74,12 @@ class Rng {
         }
     }
 
-    /**
-     * Derive an independent child generator by drawing from this
-     * stream. NOTE: the child therefore depends on how much the parent
-     * has already consumed — forking in a loop interleaved with other
-     * draws couples the children to consumption order. Prefer ForkAt()
-     * when the fork index is known.
-     */
-    Rng Fork();
-
-    /**
-     * Counter-based fork: child @p index derives from the construction
-     * seed only (DeriveSeed(seed, index)), never from the current
-     * stream position. ForkAt(i) returns the same generator no matter
-     * how much the parent has consumed, so parallel workers can fork
-     * reproducibly by index.
-     */
-    Rng ForkAt(uint64_t index) const;
-
-    /** The seed this generator was constructed with. */
-    uint64_t seed() const { return seed_; }
-
     // UniformRandomBitGenerator interface for <algorithm> compatibility.
     static constexpr uint64_t min() { return 0; }
     static constexpr uint64_t max() { return ~0ull; }
     uint64_t operator()() { return Next(); }
 
   private:
-    uint64_t seed_ = 0;
     std::array<uint64_t, 4> state_;
     double cached_normal_ = 0.0;
     bool has_cached_normal_ = false;

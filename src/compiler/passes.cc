@@ -43,15 +43,11 @@ LayoutPass::Run(CompilationState& state)
       case LayoutPolicy::kTrivial:
         state.initial_layout = TrivialLayout(state.logical);
         break;
-      case LayoutPolicy::kNoiseAware: {
-        NoiseAwareLayoutOptions layout_options;
-        layout_options.crosstalk_penalty_weight =
-            state.options.layout_crosstalk_penalty;
-        state.initial_layout =
-            NoiseAwareLayout(state.device(), state.logical,
-                             &state.characterization(), layout_options);
+      case LayoutPolicy::kNoiseAware:
+        state.initial_layout = NoiseAwareLayout(
+            state.device(), state.logical, &state.characterization(),
+            state.options.layout_crosstalk_penalty);
         break;
-      }
     }
     std::ostringstream note;
     note << name() << ": placed " << state.initial_layout.size()

@@ -10,39 +10,49 @@ namespace xtalk {
 
 namespace {
 
+// Synthetic calibration ranges around the paper's reported averages.
+constexpr double kMeanCxError = 0.018;
+constexpr double kMinCxError = 0.005;
+constexpr double kMaxCxError = 0.065;
+constexpr double kMeanReadoutError = 0.048;
+constexpr double kMinT1Us = 30.0;
+constexpr double kMaxT1Us = 100.0;
+constexpr double kCxDurationMeanNs = 400.0;
+constexpr double kCxDurationSpreadNs = 120.0;
+constexpr double kSqDurationNs = 50.0;
+constexpr double kReadoutDurationNs = 1000.0;
+
 /** Sample per-qubit and per-edge calibrations around the paper's values. */
 void
 SampleCalibrations(const Topology& topo, Rng& rng,
-                   const CalibrationOptions& opt,
                    std::vector<QubitCalibration>* qubits,
                    std::vector<EdgeCalibration>* edges)
 {
     qubits->clear();
     for (int q = 0; q < topo.num_qubits(); ++q) {
         QubitCalibration cal;
-        cal.t1_us = rng.Uniform(opt.min_t1_us, opt.max_t1_us);
+        cal.t1_us = rng.Uniform(kMinT1Us, kMaxT1Us);
         // T2 <= 2*T1 physically; occasionally much lower (noise-limited).
         const double t2_cap = 2.0 * cal.t1_us;
         cal.t2_us = std::min(t2_cap, rng.Uniform(0.3, 1.4) * cal.t1_us);
         cal.readout_error =
-            std::clamp(rng.Normal(opt.mean_readout_error, 0.015), 0.01, 0.12);
+            std::clamp(rng.Normal(kMeanReadoutError, 0.015), 0.01, 0.12);
         cal.sq_error = std::clamp(rng.Normal(0.0006, 0.0002), 0.0001, 0.001);
-        cal.sq_duration_ns = opt.sq_duration_ns;
-        cal.readout_duration_ns = opt.readout_duration_ns;
+        cal.sq_duration_ns = kSqDurationNs;
+        cal.readout_duration_ns = kReadoutDurationNs;
         qubits->push_back(cal);
     }
     edges->clear();
     for (int e = 0; e < topo.num_edges(); ++e) {
         EdgeCalibration cal;
         // Log-normal-ish spread around the mean with occasional bad edges.
-        double err = opt.mean_cx_error * std::exp(rng.Normal(0.0, 0.35));
+        double err = kMeanCxError * std::exp(rng.Normal(0.0, 0.35));
         if (rng.Bernoulli(0.08)) {
             err *= rng.Uniform(2.0, 3.5);  // Occasional poorly-tuned coupler.
         }
-        cal.cx_error = std::clamp(err, opt.min_cx_error, opt.max_cx_error);
+        cal.cx_error = std::clamp(err, kMinCxError, kMaxCxError);
         cal.cx_duration_ns = std::clamp(
-            rng.Normal(opt.cx_duration_mean_ns, opt.cx_duration_spread_ns),
-            180.0, 800.0);
+            rng.Normal(kCxDurationMeanNs, kCxDurationSpreadNs), 180.0, 800.0);
         edges->push_back(cal);
     }
 }
@@ -92,22 +102,27 @@ E(const Topology& topo, QubitId a, QubitId b)
     return e;
 }
 
-}  // namespace
-
+/**
+ * Build a device from explicit parts with synthetic seeded calibration.
+ * @p pairs lists unordered coupler pairs to make high-crosstalk; each
+ * gets directional factors sampled in [5, 11].
+ */
 Device
 MakeSyntheticDevice(std::string name, Topology topology,
                     const std::vector<std::pair<EdgeId, EdgeId>>& pairs,
-                    uint64_t seed, const CalibrationOptions& options)
+                    uint64_t seed)
 {
     Rng rng(seed);
     std::vector<QubitCalibration> qubits;
     std::vector<EdgeCalibration> edges;
-    SampleCalibrations(topology, rng, options, &qubits, &edges);
+    SampleCalibrations(topology, rng, &qubits, &edges);
     CrosstalkGroundTruth truth = BuildGroundTruth(topology, pairs, rng);
     return Device(std::move(name), std::move(topology), std::move(qubits),
                   std::move(edges), std::move(truth), DeviceTraits{},
                   seed ^ 0xDEADBEEFull);
 }
+
+}  // namespace
 
 Device
 MakePoughkeepsie(uint64_t seed)

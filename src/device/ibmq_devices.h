@@ -22,20 +22,6 @@
 
 namespace xtalk {
 
-/** Options controlling synthetic calibration sampling. */
-struct CalibrationOptions {
-    double mean_cx_error = 0.018;
-    double min_cx_error = 0.005;
-    double max_cx_error = 0.065;
-    double mean_readout_error = 0.048;
-    double min_t1_us = 30.0;
-    double max_t1_us = 100.0;
-    double cx_duration_mean_ns = 400.0;
-    double cx_duration_spread_ns = 120.0;
-    double sq_duration_ns = 50.0;
-    double readout_duration_ns = 1000.0;
-};
-
 /** IBMQ Poughkeepsie: 20 qubits, 23 couplers, 5 high-crosstalk pairs. */
 Device MakePoughkeepsie(uint64_t seed = 20190726);
 
@@ -61,16 +47,6 @@ Device MakeLinearDevice(int num_qubits, uint64_t seed = 7,
  */
 Device MakeGridDevice(int rows, int cols, uint64_t seed = 11,
                       bool with_crosstalk = true);
-
-/**
- * Build a device from explicit parts with synthetic seeded calibration.
- * @p crosstalk_pairs lists unordered coupler pairs to make high-crosstalk;
- * each gets directional factors sampled in [4, 11].
- */
-Device MakeSyntheticDevice(
-    std::string name, Topology topology,
-    const std::vector<std::pair<EdgeId, EdgeId>>& crosstalk_pairs,
-    uint64_t seed, const CalibrationOptions& options = {});
 
 }  // namespace xtalk
 

@@ -12,6 +12,7 @@
 #include "sim/density_replay.h"
 #include "sim/noisy_simulator.h"
 #include "sim/stabilizer.h"
+#include "telemetry/json.h"
 #include "telemetry/telemetry.h"
 
 namespace xtalk::difftest {
@@ -39,42 +40,14 @@ namespace {
 constexpr uint64_t kSvStream = 0xA;
 constexpr uint64_t kStabStream = 0xB;
 
+/** Extra TVD slack for the stabilizer arm (Pauli-twirl is O(gamma^2)
+ *  approximate per decoherence step). */
+constexpr double kStabilizerMargin = 0.05;
+
 bool
 SameHistogram(const Counts& a, const Counts& b)
 {
     return a.histogram() == b.histogram();
-}
-
-std::string
-EscapeJson(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** Run one (family, device) case end to end. */
@@ -195,7 +168,7 @@ RunCase(const Device& device, AdversarialFamily family, uint64_t case_seed,
             result.tvd_stab_dm = TotalVariationDistance(
                 stab_counts.ToProbabilities(), exact.probabilities);
             const double stab_threshold =
-                result.threshold + options.stabilizer_margin;
+                result.threshold + kStabilizerMargin;
             if (result.tvd_stab_dm > stab_threshold) {
                 std::ostringstream oss;
                 oss << "stabilizer vs density-matrix TVD "
@@ -292,6 +265,7 @@ OracleReport::Summary() const
 std::string
 OracleReport::ToJson() const
 {
+    using telemetry::JsonEscape;
     std::ostringstream oss;
     oss << "{\"cases\":[";
     for (size_t i = 0; i < cases.size(); ++i) {
@@ -299,22 +273,22 @@ OracleReport::ToJson() const
         if (i) {
             oss << ",";
         }
-        oss << "{\"family\":\"" << EscapeJson(c.family) << "\""
-            << ",\"device\":\"" << EscapeJson(c.device) << "\""
+        oss << "{\"family\":\"" << JsonEscape(c.family) << "\""
+            << ",\"device\":\"" << JsonEscape(c.device) << "\""
             << ",\"seed\":" << c.seed << ",\"width\":" << c.width
             << ",\"depth\":" << c.depth
             << ",\"clifford\":" << (c.clifford ? "true" : "false")
             << ",\"tvd_sv_dm\":" << c.tvd_sv_dm
             << ",\"tvd_stab_dm\":" << c.tvd_stab_dm
             << ",\"threshold\":" << c.threshold << ",\"degradation\":\""
-            << EscapeJson(c.degradation) << "\""
-            << ",\"fault_outcome\":\"" << EscapeJson(c.fault_outcome)
+            << JsonEscape(c.degradation) << "\""
+            << ",\"fault_outcome\":\"" << JsonEscape(c.fault_outcome)
             << "\",\"failures\":[";
         for (size_t j = 0; j < c.failures.size(); ++j) {
             if (j) {
                 oss << ",";
             }
-            oss << "\"" << EscapeJson(c.failures[j]) << "\"";
+            oss << "\"" << JsonEscape(c.failures[j]) << "\"";
         }
         oss << "]}";
     }

@@ -58,9 +58,6 @@ struct OracleOptions {
     int intensity = 2;
     /** TVD slack on top of the sqrt(support/shots) sampling term. */
     double base_tvd = 0.03;
-    /** Extra slack for the stabilizer arm (Pauli-twirl is O(gamma^2)
-     *  approximate per decoherence step). */
-    double stabilizer_margin = 0.05;
     /** Compile policy key (greedy by default: fast and deterministic). */
     std::string scheduler = "greedy";
     /**

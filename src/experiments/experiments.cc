@@ -41,8 +41,7 @@ CharacterizeDevice(const Device& device, const RbConfig& config,
             return full;
         }
         const auto daily_plan = BuildCharacterizationPlan(
-            device.topology(), CharacterizationPolicy::kHighOnly, rng,
-            PlanOptions{.known_high_pairs = high});
+            device.topology(), CharacterizationPolicy::kHighOnly, rng, high);
         CrosstalkCharacterization merged = full;
         merged.Merge(characterizer.Run(daily_plan));
         return merged;

@@ -16,6 +16,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** The smallest chunk a job is split into, in shots. */
+constexpr int kMinShotsPerChunk = 64;
+
 double
 MsSince(Clock::time_point start)
 {
@@ -54,16 +57,15 @@ RunChunk(const Device& device, const ExecutionJob& job, uint64_t chunk_seed,
 }  // namespace
 
 std::vector<int>
-Executor::ChunkShots(const RunSpec& spec, const ExecutorOptions& options)
+Executor::ChunkShots(const RunSpec& spec)
 {
     XTALK_REQUIRE(spec.shots > 0, "shots must be positive");
     XTALK_REQUIRE(spec.max_parallel_chunks >= 1,
                   "max_parallel_chunks must be >= 1, got "
                       << spec.max_parallel_chunks);
-    const int min_chunk = std::max(1, options.min_shots_per_chunk);
-    int chunks = std::min(spec.max_parallel_chunks,
-                          (spec.shots + min_chunk - 1) / min_chunk);
-    chunks = std::max(1, chunks);
+    const int chunks =
+        std::min(spec.max_parallel_chunks,
+                 (spec.shots + kMinShotsPerChunk - 1) / kMinShotsPerChunk);
     std::vector<int> plan(chunks, spec.shots / chunks);
     for (int c = 0; c < spec.shots % chunks; ++c) {
         ++plan[c];
@@ -72,13 +74,13 @@ Executor::ChunkShots(const RunSpec& spec, const ExecutorOptions& options)
 }
 
 Executor::Executor(const Device& device, ExecutorOptions options)
-    : device_(&device), options_(options)
+    : device_(&device)
 {
-    XTALK_REQUIRE(options_.num_threads >= 0,
-                  "num_threads must be >= 0, got " << options_.num_threads);
-    pool_ = options_.num_threads == 0
+    XTALK_REQUIRE(options.num_threads >= 0,
+                  "num_threads must be >= 0, got " << options.num_threads);
+    pool_ = options.num_threads == 0
                 ? ThreadPool::Shared()
-                : std::make_shared<ThreadPool>(options_.num_threads);
+                : std::make_shared<ThreadPool>(options.num_threads);
 }
 
 std::vector<ExecutionResult>
@@ -114,7 +116,7 @@ Executor::Submit(ExecutionRequest request)
     uint64_t total_shots = 0, total_chunks = 0;
     for (size_t j = 0; j < num_jobs; ++j) {
         const ExecutionJob& job = request.jobs[j];
-        plans[j] = ChunkShots(job.spec, options_);
+        plans[j] = ChunkShots(job.spec);
         const int chunks = static_cast<int>(plans[j].size());
         total_chunks += chunks;
         total_shots += static_cast<uint64_t>(job.spec.shots);

@@ -105,7 +105,7 @@ struct ExecutionResult {
     int chunks = 1;
 };
 
-/** Executor tuning knobs. */
+/** Executor sizing. */
 struct ExecutorOptions {
     /**
      * Worker threads: 0 = share the process-wide pool sized by
@@ -113,13 +113,6 @@ struct ExecutorOptions {
      * that many workers.
      */
     int num_threads = 0;
-    /**
-     * Never split a job into chunks smaller than this many shots
-     * (tiny chunks waste their per-chunk simulator setup). Does not
-     * affect determinism: the bound is applied before the chunk plan
-     * is fixed, identically for every thread count.
-     */
-    int min_shots_per_chunk = 64;
 };
 
 /** Parallel circuit-execution facade bound to one device. */
@@ -142,15 +135,15 @@ class Executor {
     ThreadPool& pool() { return *pool_; }
 
     /**
-     * Chunk plan for @p spec under @p options: per-chunk shot counts,
-     * deterministic in the spec alone. Exposed for tests.
+     * Chunk plan for @p spec: per-chunk shot counts, deterministic in
+     * the spec alone. No chunk is smaller than 64 shots (tiny chunks
+     * waste their per-chunk simulator setup) unless the job is. Exposed
+     * for tests.
      */
-    static std::vector<int> ChunkShots(const RunSpec& spec,
-                                       const ExecutorOptions& options);
+    static std::vector<int> ChunkShots(const RunSpec& spec);
 
   private:
     const Device* device_;
-    ExecutorOptions options_;
     std::shared_ptr<ThreadPool> pool_;
 };
 

@@ -28,6 +28,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Seed of every on-the-fly characterization (part of its cache key). */
+constexpr uint64_t kCharacterizationSeed = 1;
+
 Device
 ResolveDevice(const ServiceRequest& request)
 {
@@ -198,7 +201,7 @@ CharacterizationKey(const Device& device, const RbConfig& config,
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      cache_(SnapshotCacheOptions{options.cache_entries}),
+      cache_(options.cache_entries),
       gate_(options.admission)
 {
 }
@@ -385,9 +388,7 @@ Engine::RunCompile(const ServiceRequest& request,
             // Bounded retry: characterization files typically live on
             // network filesystems in real deployments, and transient
             // read failures should not kill a compile.
-            RetryPolicy io_retry;
-            Rng io_rng(0x10AD);
-            RetryCall(io_retry, io_rng, [&] {
+            RetryCall([&] {
                 characterization = LoadCharacterization(
                     request.characterization_path, &measured_on);
             });
@@ -406,13 +407,13 @@ Engine::RunCompile(const ServiceRequest& request,
         }
         const RbConfig rb_config = BenchRbConfig();
         const std::string key = CharacterizationKey(
-            device, rb_config, options_.characterization_seed);
+            device, rb_config, kCharacterizationSeed);
         const SnapshotCache::Entry entry = cache_.GetOrCompute(key, [&] {
             Inform("characterizing device (bin-packed SRB)...");
             telemetry::ScopedSpan span("tool.characterize");
             return CharacterizeDevice(
                 device, rb_config, CharacterizationPolicy::kOneHopBinPacked,
-                options_.characterization_seed);
+                kCharacterizationSeed);
         });
         characterization = *entry.data;
         response.cache_hit = entry.hit;

@@ -47,8 +47,6 @@ namespace xtalk::service {
 
 /** Engine-level knobs (per-request knobs live in ServiceRequest). */
 struct EngineOptions {
-    /** Seed for on-the-fly characterization plans (the CLI default). */
-    uint64_t characterization_seed = 1;
     /** Snapshot-cache capacity (completed entries; 0 = unbounded). */
     size_t cache_entries = 64;
     /** Run slots and wait-queue bound in front of every compile. */

@@ -29,18 +29,17 @@ JournalCacheLink(const telemetry::TraceContext& leader, uint64_t fill_span)
 
 }  // namespace
 
-SnapshotCache::SnapshotCache(SnapshotCacheOptions options)
-    : options_(options)
+SnapshotCache::SnapshotCache(size_t max_entries) : max_entries_(max_entries)
 {
 }
 
 void
 SnapshotCache::EvictOverCapacityLocked()
 {
-    if (options_.max_entries == 0) {
+    if (max_entries_ == 0) {
         return;  // Unbounded.
     }
-    while (lru_.size() > options_.max_entries) {
+    while (lru_.size() > max_entries_) {
         // Only ready slots live in lru_, so the victim is never an
         // in-flight computation with blocked followers.
         const std::string victim = lru_.back();

@@ -47,19 +47,15 @@
 
 namespace xtalk::service {
 
-/** Capacity knobs. */
-struct SnapshotCacheOptions {
-    /** Completed snapshots retained; 0 = unbounded (legacy behavior). */
-    size_t max_entries = 64;
-};
-
 /** Single-flight snapshot cache with an LRU bound. */
 class SnapshotCache {
   public:
     /** The measurement to run on a miss (executed outside the lock). */
     using Compute = std::function<CrosstalkCharacterization()>;
 
-    explicit SnapshotCache(SnapshotCacheOptions options = {});
+    /** Retain at most @p max_entries completed snapshots; 0 =
+     *  unbounded. */
+    explicit SnapshotCache(size_t max_entries);
 
     struct Entry {
         std::shared_ptr<const CrosstalkCharacterization> data;
@@ -107,7 +103,7 @@ class SnapshotCache {
     /** Evict ready slots beyond max_entries. Caller holds mutex_. */
     void EvictOverCapacityLocked();
 
-    SnapshotCacheOptions options_;
+    const size_t max_entries_;
     mutable std::mutex mutex_;
     std::condition_variable slot_ready_;
     std::map<std::string, std::shared_ptr<Slot>> slots_;

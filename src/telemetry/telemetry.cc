@@ -1,7 +1,6 @@
 #include "telemetry/telemetry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -387,59 +386,12 @@ SetLabel(const std::string& key, const std::string& value)
     Registry::Global().SetLabel(key, value);
 }
 
-namespace {
-
-/** Parse XTALK_HIST_BOUNDS ("0.5,1,5,10" in ms). Empty on any
- *  malformed or non-ascending input so callers fall back cleanly. */
-std::vector<double>
-ParseHistBoundsEnv(const char* env)
-{
-    std::vector<double> bounds;
-    std::string text(env);
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos) {
-            comma = text.size();
-        }
-        const std::string token = text.substr(start, comma - start);
-        start = comma + 1;
-        if (token.empty()) {
-            continue;
-        }
-        try {
-            size_t used = 0;
-            const double v = std::stod(token, &used);
-            if (used != token.size() || !std::isfinite(v)) {
-                return {};
-            }
-            if (!bounds.empty() && v <= bounds.back()) {
-                return {};
-            }
-            bounds.push_back(v);
-        } catch (const std::exception&) {
-            return {};
-        }
-    }
-    return bounds;
-}
-
-}  // namespace
-
 const std::vector<double>&
 DefaultTimeBucketsMs()
 {
-    static const std::vector<double> buckets = [] {
-        if (const char* env = std::getenv("XTALK_HIST_BOUNDS")) {
-            std::vector<double> parsed = ParseHistBoundsEnv(env);
-            if (!parsed.empty()) {
-                return parsed;
-            }
-        }
-        return std::vector<double>{
-            0.001, 0.003, 0.01, 0.03, 0.1,  0.3,  1.0,     3.0,
-            10.0,  30.0,  100.0, 300.0, 1e3, 3e3, 10e3, 30e3, 120e3};
-    }();
+    static const std::vector<double> buckets{
+        0.001, 0.003, 0.01, 0.03, 0.1,  0.3,  1.0,     3.0,
+        10.0,  30.0,  100.0, 300.0, 1e3, 3e3, 10e3, 30e3, 120e3};
     return buckets;
 }
 

@@ -213,11 +213,8 @@ void SetLabel(const std::string& key, const std::string& value);
 /**
  * Default duration buckets in milliseconds: 1us to ~2min in roughly
  * 3x steps. Suits everything from a single gate application to a full
- * characterization run. Overridable process-wide via the
- * XTALK_HIST_BOUNDS environment variable (comma-separated ascending
- * upper bounds in ms, read once at first use; malformed values are
- * ignored), for workloads whose durations cluster outside the default
- * range. Histograms created with explicit bounds are unaffected.
+ * characterization run; a histogram whose samples cluster elsewhere
+ * passes explicit bounds.
  */
 const std::vector<double>& DefaultTimeBucketsMs();
 

@@ -23,20 +23,19 @@ namespace {
 std::vector<double>
 CouplerCosts(const Device& device,
              const CrosstalkCharacterization* characterization,
-             const NoiseAwareLayoutOptions& options)
+             double crosstalk_penalty_weight)
 {
     const Topology& topo = device.topology();
     std::vector<double> cost(topo.num_edges());
     for (EdgeId e = 0; e < topo.num_edges(); ++e) {
         cost[e] = device.CxError(e);
-        if (!characterization ||
-            options.crosstalk_penalty_weight <= 0.0) {
+        if (!characterization || crosstalk_penalty_weight <= 0.0) {
             continue;
         }
         for (EdgeId other = 0; other < topo.num_edges(); ++other) {
             if (other != e &&
                 characterization->IsHighCrosstalk(e, other)) {
-                cost[e] += options.crosstalk_penalty_weight *
+                cost[e] += crosstalk_penalty_weight *
                            (characterization->ConditionalError(e, other) -
                             characterization->IndependentError(e));
             }
@@ -50,7 +49,7 @@ CouplerCosts(const Device& device,
 std::vector<QubitId>
 NoiseAwareLayout(const Device& device, const Circuit& logical,
                  const CrosstalkCharacterization* characterization,
-                 const NoiseAwareLayoutOptions& options)
+                 double crosstalk_penalty_weight)
 {
     const Topology& topo = device.topology();
     const int n_logical = logical.num_qubits();
@@ -71,7 +70,7 @@ NoiseAwareLayout(const Device& device, const Circuit& logical,
     }
 
     const std::vector<double> edge_cost =
-        CouplerCosts(device, characterization, options);
+        CouplerCosts(device, characterization, crosstalk_penalty_weight);
     // Cheapest adjacent coupler per qubit, used as the per-hop SWAP scale.
     double typical_cost = 0.0;
     for (EdgeId e = 0; e < topo.num_edges(); ++e) {

@@ -24,15 +24,6 @@ namespace xtalk {
 /** logical i -> physical i. */
 std::vector<QubitId> TrivialLayout(const Circuit& logical);
 
-/** Options for the noise-aware placement. */
-struct NoiseAwareLayoutOptions {
-    /**
-     * Extra per-coupler cost for each high-crosstalk partnership the
-     * coupler participates in (requires characterization; 0 disables).
-     */
-    double crosstalk_penalty_weight = 0.5;
-};
-
 /**
  * Greedy noise-aware placement: logical qubits are placed in descending
  * order of two-qubit interaction count; each goes to the free physical
@@ -42,11 +33,15 @@ struct NoiseAwareLayoutOptions {
  * is supplied). Returns initial_layout[logical] = physical.
  *
  * @p characterization may be null (pure gate-error placement).
+ * @p crosstalk_penalty_weight scales the extra per-coupler cost for
+ * each high-crosstalk partnership the coupler participates in (0
+ * disables it; the compiler passes
+ * CompilerOptions::layout_crosstalk_penalty).
  */
 std::vector<QubitId> NoiseAwareLayout(
     const Device& device, const Circuit& logical,
     const CrosstalkCharacterization* characterization = nullptr,
-    const NoiseAwareLayoutOptions& options = {});
+    double crosstalk_penalty_weight = 0.0);
 
 }  // namespace xtalk
 

@@ -386,8 +386,7 @@ TEST(CostModel, OptimizationsReduceTimeMonotonically)
     // Use the device ground truth as the "previously discovered" set.
     std::vector<GatePair> high = device.ground_truth().HighCrosstalkPairs();
     const auto high_only = BuildCharacterizationPlan(
-        topo, CharacterizationPolicy::kHighOnly, rng,
-        PlanOptions{.known_high_pairs = high});
+        topo, CharacterizationPolicy::kHighOnly, rng, high);
 
     CharacterizationCostModel model;
     const RbConfig config = PaperScaleRbConfig();

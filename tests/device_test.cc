@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "device/device_io.h"
 #include "device/ibmq_devices.h"
+#include "telemetry/ledger.h"
 
 namespace xtalk {
 namespace {
@@ -220,6 +221,27 @@ TEST(DeviceFactories, LinearAndGridShapes)
     EXPECT_EQ(grid.topology().num_edges(), 17);
     EXPECT_FALSE(grid.ground_truth().HighCrosstalkPairs(3.0).empty());
     EXPECT_THROW(MakeLinearDevice(1), Error);
+}
+
+TEST(DeviceFactories, PinnedSpecsForSeededDevices)
+{
+    // Every sampled calibration and crosstalk factor, serialized at 17
+    // significant digits, is pinned by hash: a change to the synthetic
+    // calibration ranges or the sampling order moves one of these.
+    const struct {
+        Device device;
+        const char* spec_hash;
+    } pinned[] = {
+        {MakePoughkeepsie(), "7fe24bd64feb43ac"},
+        {MakeJohannesburg(), "179e3ca4cbeb8a8c"},
+        {MakeBoeblingen(), "c31248e1a727dfff"},
+        {MakeLinearDevice(6, 3, true), "771271d01385ee8f"},
+        {MakeGridDevice(4, 5), "62b3ea49d68ece11"},
+    };
+    for (const auto& [device, spec_hash] : pinned) {
+        EXPECT_EQ(telemetry::FnvHex(SerializeDeviceSpec(device)), spec_hash)
+            << device.name();
+    }
 }
 
 TEST(DeviceIo, RoundTripsPaperDevice)

@@ -3,19 +3,17 @@
  * Tests for the fault-injection registry (faults/faults.h) and the
  * bounded-retry machinery (common/retry.h): plan grammar, trigger
  * semantics, determinism of probability draws, the error-kind contract
- * (InjectedFault vs InternalError), and the backoff schedule.
+ * (InjectedFault vs InternalError), and the retry budget.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/retry.h"
-#include "common/rng.h"
 #include "faults/faults.h"
 
 namespace xtalk {
@@ -320,67 +318,13 @@ TEST(FaultInjection, ScopedPlanRestoresPreviousPlan)
     EXPECT_THROW(faults::MaybeInject("faults_test.outer"), InjectedFault);
 }
 
-// -- Backoff schedule ------------------------------------------------------
-
-TEST(Backoff, ZeroBaseMeansNoDelay)
-{
-    RetryPolicy policy;  // base_delay_ms defaults to 0.
-    Rng rng(1);
-    EXPECT_DOUBLE_EQ(BackoffDelayMs(policy, 1, rng), 0.0);
-    EXPECT_DOUBLE_EQ(BackoffDelayMs(policy, 5, rng), 0.0);
-}
-
-TEST(Backoff, GrowsExponentiallyAndCaps)
-{
-    RetryPolicy policy;
-    policy.base_delay_ms = 10.0;
-    policy.backoff_factor = 2.0;
-    policy.max_delay_ms = 50.0;
-    policy.jitter_fraction = 0.0;
-    Rng rng(1);
-    EXPECT_DOUBLE_EQ(BackoffDelayMs(policy, 1, rng), 10.0);
-    EXPECT_DOUBLE_EQ(BackoffDelayMs(policy, 2, rng), 20.0);
-    EXPECT_DOUBLE_EQ(BackoffDelayMs(policy, 3, rng), 40.0);
-    EXPECT_DOUBLE_EQ(BackoffDelayMs(policy, 4, rng), 50.0);  // capped
-    EXPECT_DOUBLE_EQ(BackoffDelayMs(policy, 10, rng), 50.0);
-}
-
-TEST(Backoff, JitterIsDeterministicAndBounded)
-{
-    RetryPolicy policy;
-    policy.base_delay_ms = 100.0;
-    policy.jitter_fraction = 0.25;
-    Rng a(7), b(7);
-    for (int retry = 1; retry <= 5; ++retry) {
-        const double da = BackoffDelayMs(policy, retry, a);
-        const double db = BackoffDelayMs(policy, retry, b);
-        EXPECT_DOUBLE_EQ(da, db);
-        const double nominal = std::min(
-            policy.base_delay_ms * std::pow(2.0, retry - 1),
-            policy.max_delay_ms);
-        EXPECT_GE(da, nominal * 0.75 - 1e-9);
-        EXPECT_LE(da, nominal * 1.25 + 1e-9);
-    }
-}
-
-TEST(Backoff, RejectsZeroRetryIndex)
-{
-    RetryPolicy policy;
-    Rng rng(1);
-    EXPECT_THROW(BackoffDelayMs(policy, 0, rng), Error);
-}
-
 // -- RetryCall -------------------------------------------------------------
 
 TEST(RetryCall, SucceedsAfterTransientFailures)
 {
-    RetryPolicy policy;
-    policy.max_attempts = 3;
-    Rng rng(1);
     int calls = 0;
     RetryStats stats;
     const bool ok = RetryCall(
-        policy, rng,
         [&] {
             if (++calls < 3) {
                 throw Error("transient");
@@ -395,53 +339,25 @@ TEST(RetryCall, SucceedsAfterTransientFailures)
 
 TEST(RetryCall, ExhaustionReturnsFalseWithStats)
 {
-    RetryPolicy policy;
-    policy.max_attempts = 2;
-    Rng rng(1);
     RetryStats stats;
-    const bool ok = RetryCall(
-        policy, rng, [] { throw Error("always down"); }, &stats);
+    const bool ok =
+        RetryCall([] { throw Error("always down"); }, &stats);
     EXPECT_FALSE(ok);
     EXPECT_FALSE(stats.succeeded);
-    EXPECT_EQ(stats.attempts, 2);
+    EXPECT_EQ(stats.attempts, kMaxAttempts);
     EXPECT_NE(stats.last_error.find("always down"), std::string::npos);
 }
 
 TEST(RetryCall, ExhaustionWithoutStatsRethrows)
 {
-    RetryPolicy policy;
-    policy.max_attempts = 2;
-    Rng rng(1);
-    EXPECT_THROW(
-        RetryCall(policy, rng, [] { throw Error("always down"); }), Error);
-}
-
-TEST(RetryCall, NonRetryablePredicateRethrowsImmediately)
-{
-    RetryPolicy policy;
-    policy.max_attempts = 5;
-    Rng rng(1);
-    int calls = 0;
-    EXPECT_THROW(RetryCall(
-                     policy, rng,
-                     [&] {
-                         ++calls;
-                         throw Error("fatal");
-                     },
-                     nullptr, [](const std::exception&) { return false; }),
-                 Error);
-    EXPECT_EQ(calls, 1);
+    EXPECT_THROW(RetryCall([] { throw Error("always down"); }), Error);
 }
 
 TEST(RetryCall, InternalErrorIsNeverRetried)
 {
-    RetryPolicy policy;
-    policy.max_attempts = 5;
-    Rng rng(1);
     int calls = 0;
     RetryStats stats;  // Even with stats, a bug must propagate.
     EXPECT_THROW(RetryCall(
-                     policy, rng,
                      [&] {
                          ++calls;
                          throw InternalError("bug");
@@ -454,15 +370,11 @@ TEST(RetryCall, InternalErrorIsNeverRetried)
 TEST(RetryCall, InjectedInternalFaultPropagatesThroughRetry)
 {
     ScopedFaultPlan scoped("faults_test.retrybug:p=1,kind=internal");
-    RetryPolicy policy;
-    policy.max_attempts = 5;
-    Rng rng(1);
     int calls = 0;
-    EXPECT_THROW(RetryCall(policy, rng,
-                           [&] {
-                               ++calls;
-                               faults::MaybeInject("faults_test.retrybug");
-                           }),
+    EXPECT_THROW(RetryCall([&] {
+                     ++calls;
+                     faults::MaybeInject("faults_test.retrybug");
+                 }),
                  InternalError);
     EXPECT_EQ(calls, 1);
 }
@@ -472,12 +384,9 @@ TEST(RetryCall, InjectedTransientFaultClearsWithinBudget)
     // n=1 models a one-off transient blip: the first call fails, the
     // retry succeeds. This is the exact shape the io.load site uses.
     ScopedFaultPlan scoped("faults_test.blip:n=1");
-    RetryPolicy policy;
-    Rng rng(1);
     RetryStats stats;
-    const bool ok = RetryCall(
-        policy, rng, [] { faults::MaybeInject("faults_test.blip"); },
-        &stats);
+    const bool ok =
+        RetryCall([] { faults::MaybeInject("faults_test.blip"); }, &stats);
     EXPECT_TRUE(ok);
     EXPECT_EQ(stats.attempts, 2);
     EXPECT_EQ(faults::InjectedCount("faults_test.blip"), 1u);

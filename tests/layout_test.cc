@@ -93,10 +93,8 @@ TEST(Layout, CrosstalkPenaltySteersAwayFromHighPairs)
     for (int i = 0; i < 8; ++i) {
         logical.CX(0, 1).CX(2, 3);
     }
-    NoiseAwareLayoutOptions options;
-    options.crosstalk_penalty_weight = 4.0;
-    const auto layout =
-        NoiseAwareLayout(device, logical, &characterization, options);
+    const auto layout = NoiseAwareLayout(device, logical, &characterization,
+                                         /*crosstalk_penalty_weight=*/4.0);
     const EdgeId e01 = device.topology().FindEdge(layout[0], layout[1]);
     const EdgeId e23 = device.topology().FindEdge(layout[2], layout[3]);
     ASSERT_GE(e01, 0);

@@ -352,14 +352,11 @@ LegacyCompile(const Device& device,
       case LayoutPolicy::kTrivial:
         result.initial_layout = TrivialLayout(logical);
         break;
-      case LayoutPolicy::kNoiseAware: {
-        NoiseAwareLayoutOptions layout_options;
-        layout_options.crosstalk_penalty_weight =
-            options.layout_crosstalk_penalty;
-        result.initial_layout = NoiseAwareLayout(
-            device, logical, &characterization, layout_options);
+      case LayoutPolicy::kNoiseAware:
+        result.initial_layout =
+            NoiseAwareLayout(device, logical, &characterization,
+                             options.layout_crosstalk_penalty);
         break;
-      }
     }
     const RoutingResult routed =
         RouteCircuit(device, logical, result.initial_layout);

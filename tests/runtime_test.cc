@@ -4,8 +4,8 @@
  * exception behaviour, Executor chunk planning, and — the load-bearing
  * property — bit-identical results at any thread count, both for a
  * chunked noisy-QAOA run and for a full bin-packed characterization.
- * Also covers the counter-based Rng::ForkAt() scheme the runtime's
- * seed derivation builds on.
+ * Also covers the counter-based Rng(DeriveSeed(seed, i)) scheme the
+ * runtime's seed derivation builds on.
  */
 #include <gtest/gtest.h>
 
@@ -93,28 +93,23 @@ TEST(ThreadPool, EnvAndOverridePrecedence)
 
 TEST(Executor, ChunkPlanIsDeterministicAndCoversShots)
 {
-    runtime::ExecutorOptions options;
-    options.min_shots_per_chunk = 64;
-
     // Small jobs stay in one chunk.
     RunSpec small{10, std::nullopt, 8};
-    EXPECT_EQ(runtime::Executor::ChunkShots(small, options),
-              std::vector<int>{10});
+    EXPECT_EQ(runtime::Executor::ChunkShots(small), std::vector<int>{10});
 
     // Large jobs split into at most max_parallel_chunks pieces that sum
     // to the budget and differ by at most one shot.
     RunSpec large{1000, std::nullopt, 8};
-    const std::vector<int> chunks =
-        runtime::Executor::ChunkShots(large, options);
+    const std::vector<int> chunks = runtime::Executor::ChunkShots(large);
     EXPECT_EQ(chunks.size(), 8u);
     EXPECT_EQ(std::accumulate(chunks.begin(), chunks.end(), 0), 1000);
     const auto [lo, hi] = std::minmax_element(chunks.begin(), chunks.end());
     EXPECT_LE(*hi - *lo, 1);
 
-    // min_shots_per_chunk bounds the split even when more chunks are
-    // allowed.
+    // The 64-shot chunk minimum bounds the split even when more chunks
+    // are allowed.
     RunSpec medium{130, std::nullopt, 8};
-    EXPECT_EQ(runtime::Executor::ChunkShots(medium, options).size(), 3u);
+    EXPECT_EQ(runtime::Executor::ChunkShots(medium).size(), 3u);
 }
 
 TEST(Executor, SingleChunkJobMatchesDirectSimulatorRun)
@@ -352,15 +347,15 @@ TEST(Determinism, BinPackedCharacterizationIdenticalAcrossThreadCounts)
 
 TEST(RngForkAt, IndependentOfParentConsumption)
 {
+    // Child 3 of seed 42 depends on (seed, index) alone: deriving it
+    // again gives the same stream, and that stream is not the parent's.
     Rng parent(42);
-    const Rng before = parent.ForkAt(3);
-    for (int i = 0; i < 100; ++i) {
-        parent.Next();
-    }
-    Rng after = parent.ForkAt(3);
-    Rng copy = before;
+    Rng child(DeriveSeed(42, 3));
+    Rng again(DeriveSeed(42, 3));
     for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(copy.Next(), after.Next());
+        const uint64_t draw = child.Next();
+        EXPECT_EQ(draw, again.Next());
+        EXPECT_NE(draw, parent.Next());
     }
 }
 
@@ -378,10 +373,9 @@ TEST(RngForkAt, SiblingStreamsAreStatisticallyIndependent)
     // consistent with independence (|r| ~ O(1/sqrt(N))).
     constexpr int kStreams = 6;
     constexpr int kSamples = 4096;
-    Rng parent(2024);
     std::vector<std::vector<double>> streams;
     for (int s = 0; s < kStreams; ++s) {
-        Rng child = parent.ForkAt(static_cast<uint64_t>(s));
+        Rng child(DeriveSeed(2024, static_cast<uint64_t>(s)));
         std::vector<double> samples(kSamples);
         for (double& x : samples) {
             x = child.Uniform();

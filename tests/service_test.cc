@@ -473,7 +473,7 @@ TEST(ServiceResponseTest, TimingIsTheOnlyNondeterministicField)
 
 TEST(SnapshotCacheTest, SecondLookupHits)
 {
-    SnapshotCache cache;
+    SnapshotCache cache(0);  // 0 = unbounded.
     int computed = 0;
     const auto compute = [&] {
         ++computed;
@@ -494,7 +494,7 @@ TEST(SnapshotCacheTest, SecondLookupHits)
 
 TEST(SnapshotCacheTest, ConcurrentCallersSingleFlight)
 {
-    SnapshotCache cache;
+    SnapshotCache cache(0);
     std::atomic<int> computed{0};
     const auto compute = [&] {
         computed.fetch_add(1);
@@ -524,7 +524,7 @@ TEST(SnapshotCacheTest, ConcurrentCallersSingleFlight)
 
 TEST(SnapshotCacheTest, FailedFlightPropagatesAndRetries)
 {
-    SnapshotCache cache;
+    SnapshotCache cache(0);
     int calls = 0;
     EXPECT_THROW(cache.GetOrCompute("k",
                                     [&]() -> CrosstalkCharacterization {
@@ -544,7 +544,7 @@ TEST(SnapshotCacheTest, FailedFlightPropagatesAndRetries)
 
 TEST(SnapshotCacheTest, DistinctKeysComputeSeparately)
 {
-    SnapshotCache cache;
+    SnapshotCache cache(0);
     int computed = 0;
     const auto compute = [&] {
         ++computed;
@@ -561,7 +561,7 @@ TEST(SnapshotCacheTest, DistinctKeysComputeSeparately)
 
 TEST(SnapshotCacheTest, LruBoundEvictsOldestAndCounts)
 {
-    SnapshotCache cache(SnapshotCacheOptions{2});
+    SnapshotCache cache(2);
     int computed = 0;
     const auto compute = [&] {
         ++computed;
@@ -586,7 +586,7 @@ TEST(SnapshotCacheTest, LruBoundEvictsOldestAndCounts)
 
 TEST(SnapshotCacheTest, KeyChurnStaysBounded)
 {
-    SnapshotCache cache(SnapshotCacheOptions{4});
+    SnapshotCache cache(4);
     for (int i = 0; i < 100; ++i) {
         cache.GetOrCompute("key-" + std::to_string(i),
                            [] { return CrosstalkCharacterization{}; });
@@ -597,7 +597,7 @@ TEST(SnapshotCacheTest, KeyChurnStaysBounded)
 
 TEST(SnapshotCacheTest, ZeroMaxEntriesIsUnbounded)
 {
-    SnapshotCache cache(SnapshotCacheOptions{0});
+    SnapshotCache cache(0);
     for (int i = 0; i < 100; ++i) {
         cache.GetOrCompute("key-" + std::to_string(i),
                            [] { return CrosstalkCharacterization{}; });
@@ -609,7 +609,7 @@ TEST(SnapshotCacheTest, ZeroMaxEntriesIsUnbounded)
 TEST(SnapshotCacheTest, CacheFillFaultFailsFlightThenRetries)
 {
     faults::ScopedFaultPlan plan("cache.fill:n=1;seed=3");
-    SnapshotCache cache;
+    SnapshotCache cache(0);
     int computed = 0;
     const auto compute = [&] {
         ++computed;

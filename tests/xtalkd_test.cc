@@ -453,8 +453,10 @@ TEST(XtalkdTest, ConcurrentClientsShareOneCharacterization)
     std::istringstream lines(journal);
     std::string line;
     while (std::getline(lines, line)) {
+        // Match the request id, not any field: the hex trace and span
+        // ids on every line may start with "cc" too.
         if (line.find("\"svc.done\"") != std::string::npos &&
-            line.find("\"cc") != std::string::npos) {
+            line.find("\"id\":\"cc") != std::string::npos) {
             ++done_count;
         }
         if (line.find("\"charz.experiment\"") != std::string::npos &&

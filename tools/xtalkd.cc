@@ -83,26 +83,27 @@ struct Options {
     cli::TelemetryPaths telemetry;
     std::string log_level;
     std::string faults;
-    int max_concurrent = 4;
-    int max_queue = 16;
+    service::EngineOptions engine;    // Admission gate and cache size.
     int threads = 0;
     long max_requests = 0;            // 0 = unlimited
     long max_line_bytes = 1 << 20;    // Request-line cap (1 MiB).
-    long cache_entries = 64;          // Snapshot-cache capacity.
     bool help = false;
 };
 
 void
 PrintUsage()
 {
+    const service::EngineOptions defaults;
     std::cout <<
         "usage: xtalkd --socket <path> [options]\n"
         "  --socket <path>        AF_UNIX socket to listen on (required;\n"
         "                         an existing file there is replaced)\n"
-        "  --max-concurrent <n>   compile requests run at once (default 4;\n"
+        "  --max-concurrent <n>   compile requests run at once (default "
+        << defaults.admission.max_concurrent << ";\n"
         "                         0 rejects every compile — test mode)\n"
         "  --max-queue <n>        requests that may wait for a run slot\n"
-        "                         beyond the running ones (default 16);\n"
+        "                         beyond the running ones (default "
+        << defaults.admission.max_queue << ");\n"
         "                         requests past the queue are rejected\n"
         "                         immediately with status 'rejected'\n"
         "  --max-requests <n>     shut down after serving n requests\n"
@@ -111,7 +112,8 @@ PrintUsage()
         "                         1048576); an oversized line gets a\n"
         "                         structured error and the connection\n"
         "                         is closed\n"
-        "  --cache-entries <n>    snapshot-cache capacity (default 64;\n"
+        "  --cache-entries <n>    snapshot-cache capacity (default "
+        << defaults.cache_entries << ";\n"
         "                         0 = unbounded); see svc.cache.evictions\n"
         "  --threads <n>          worker threads for simulation; same\n"
         "                         precedence as xtalkc: --threads beats\n"
@@ -152,10 +154,10 @@ ParseArgs(int argc, char** argv, Options* options)
         if (arg == "--socket") {
             options->socket_path = next("--socket");
         } else if (arg == "--max-concurrent") {
-            options->max_concurrent =
+            options->engine.admission.max_concurrent =
                 cli::ParseNumericFlag(arg, next("--max-concurrent"), 0);
         } else if (arg == "--max-queue") {
-            options->max_queue =
+            options->engine.admission.max_queue =
                 cli::ParseNumericFlag(arg, next("--max-queue"), 0);
         } else if (arg == "--max-requests") {
             options->max_requests =
@@ -164,8 +166,8 @@ ParseArgs(int argc, char** argv, Options* options)
             options->max_line_bytes =
                 cli::ParseNumericFlag(arg, next("--max-line-bytes"), 1L);
         } else if (arg == "--cache-entries") {
-            options->cache_entries =
-                cli::ParseNumericFlag(arg, next("--cache-entries"), 0L);
+            options->engine.cache_entries = static_cast<size_t>(
+                cli::ParseNumericFlag(arg, next("--cache-entries"), 0L));
         } else if (arg == "--threads") {
             options->threads =
                 cli::ParseNumericFlag(arg, next("--threads"), 1);
@@ -247,16 +249,6 @@ class ConnectionRegistry {
     std::set<int> fds_;
 };
 
-service::EngineOptions
-MakeEngineOptions(const Options& options)
-{
-    service::EngineOptions engine_options;
-    engine_options.cache_entries =
-        static_cast<size_t>(options.cache_entries);
-    engine_options.admission = {options.max_concurrent, options.max_queue};
-    return engine_options;
-}
-
 /** Everything one connection thread needs, shared across all of them. */
 struct Daemon {
     Options options;
@@ -278,7 +270,7 @@ struct Daemon {
     long active_connections = 0;
 
     explicit Daemon(const Options& opts)
-        : options(opts), engine(MakeEngineOptions(opts))
+        : options(opts), engine(opts.engine)
     {
     }
 };
@@ -587,8 +579,9 @@ main(int argc, char** argv)
         std::signal(SIGPIPE, SIG_IGN);
         Inform("xtalkd listening on " + options.socket_path +
                " (max-concurrent " +
-               std::to_string(options.max_concurrent) + ", max-queue " +
-               std::to_string(options.max_queue) + ")");
+               std::to_string(options.engine.admission.max_concurrent) +
+               ", max-queue " +
+               std::to_string(options.engine.admission.max_queue) + ")");
 
         while (!g_stop) {
             const int conn = ::accept(listen_fd, nullptr, nullptr);
