@@ -137,7 +137,7 @@ BM_ExecutorBatch(benchmark::State& state)
             job.spec = RunSpec{32, std::nullopt, 1};
             request.jobs.push_back(std::move(job));
         }
-        benchmark::DoNotOptimize(executor.Submit(std::move(request)));
+        benchmark::DoNotOptimize(executor.Submit(request));
     }
     state.SetItemsProcessed(state.iterations() * 16 * 32);
 }

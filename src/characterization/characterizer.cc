@@ -1,7 +1,11 @@
 #include "characterization/characterizer.h"
 
 #include <algorithm>
+#include <exception>
 #include <functional>
+#include <future>
+#include <iterator>
+#include <span>
 #include <sstream>
 
 #include "common/error.h"
@@ -207,12 +211,60 @@ namespace {
 constexpr const char* kSrbRunSite = "srb.run";
 
 /**
- * Prepare one SRB experiment per entry of @p groups on @p runner, run
- * every circuit job of every experiment as ONE Executor batch, and
- * hand each experiment's result slice to @p consume — in group order,
- * so the happy path is bit-identical to a serial run. Preparation
- * stays serial (it owns the runner's generator); only simulation fans
- * out.
+ * Build the jobs of every experiment on @p pool, one task per
+ * experiment, tag them with kSrbRunSite, and concatenate them in
+ * experiment order. Each task catches its own failure; the first one is
+ * rethrown only after every task has joined, since the tasks read
+ * @p experiments.
+ */
+std::vector<runtime::ExecutionJob>
+BuildJobsOnPool(const RbRunner& runner, runtime::ThreadPool& pool,
+                const std::vector<SrbExperiment>& experiments)
+{
+    struct Built {
+        std::vector<runtime::ExecutionJob> jobs;
+        std::exception_ptr error;
+    };
+    std::vector<std::future<Built>> builds;
+    builds.reserve(experiments.size());
+    for (const SrbExperiment& experiment : experiments) {
+        builds.push_back(pool.Submit([&runner, &experiment] {
+            Built built;
+            try {
+                telemetry::ScopedSpan span("charz.build");
+                built.jobs = runner.BuildJobs(experiment);
+                for (runtime::ExecutionJob& job : built.jobs) {
+                    job.fault_site = kSrbRunSite;
+                }
+            } catch (...) {
+                built.error = std::current_exception();
+            }
+            return built;
+        }));
+    }
+    std::vector<runtime::ExecutionJob> jobs;
+    std::exception_ptr error;
+    for (std::future<Built>& future : builds) {
+        Built built = future.get();
+        if (built.error) {
+            error = error ? error : built.error;
+            continue;
+        }
+        jobs.insert(jobs.end(), std::make_move_iterator(built.jobs.begin()),
+                    std::make_move_iterator(built.jobs.end()));
+    }
+    if (error) {
+        std::rethrow_exception(error);
+    }
+    return jobs;
+}
+
+/**
+ * Run one SRB experiment per entry of @p groups on @p runner as ONE
+ * Executor batch and hand each experiment's results to @p consume, in
+ * group order, so the happy path is bit-identical to a serial run. The
+ * calling thread draws every experiment (the draws own the runner's
+ * generator); the pool builds their jobs, then simulates them.
  *
  * Resilience: job errors are captured per job instead of aborting the
  * batch. An experiment with any failed job is resubmitted with its
@@ -229,16 +281,16 @@ RunExperimentBatch(
     const std::function<void(size_t, const std::vector<RbResult>&)>& consume)
 {
     std::vector<SrbExperiment> experiments;
-    experiments.reserve(groups.size());
     runtime::ExecutionRequest request;
     request.capture_job_errors = true;
-    for (const std::vector<EdgeId>& edges : groups) {
-        SrbExperiment experiment = runner.PrepareSimultaneous(edges);
-        for (runtime::ExecutionJob& job : experiment.jobs) {
-            job.fault_site = kSrbRunSite;
-            request.jobs.push_back(job);  // Copy: kept for retries.
+    {
+        telemetry::ScopedSpan span("charz.prepare");
+        experiments.reserve(groups.size());
+        for (const std::vector<EdgeId>& edges : groups) {
+            experiments.push_back(runner.DrawSimultaneous(edges));
         }
-        experiments.push_back(std::move(experiment));
+        request.jobs =
+            BuildJobsOnPool(runner, runner.executor().pool(), experiments);
     }
     const size_t jobs_per_experiment =
         groups.empty() ? 0 : request.jobs.size() / groups.size();
@@ -247,7 +299,7 @@ RunExperimentBatch(
                  "uneven result slices");
 
     std::vector<runtime::ExecutionResult> results =
-        runner.executor().Submit(std::move(request));
+        runner.executor().Submit(request);
 
     auto failed_experiments = [&] {
         std::vector<size_t> failed;
@@ -306,14 +358,12 @@ RunExperimentBatch(
         runtime::ExecutionRequest retry_request;
         retry_request.capture_job_errors = true;
         for (size_t i : failed) {
-            for (const runtime::ExecutionJob& job : experiments[i].jobs) {
-                runtime::ExecutionJob copy = job;
-                copy.fault_site = kSrbRunSite;
-                retry_request.jobs.push_back(std::move(copy));
-            }
+            const auto begin = request.jobs.begin() + i * jobs_per_experiment;
+            retry_request.jobs.insert(retry_request.jobs.end(), begin,
+                                      begin + jobs_per_experiment);
         }
         const std::vector<runtime::ExecutionResult> retry_results =
-            runner.executor().Submit(std::move(retry_request));
+            runner.executor().Submit(retry_request);
         for (size_t f = 0; f < failed.size(); ++f) {
             const size_t i = failed[f];
             for (size_t k = 0; k < jobs_per_experiment; ++k) {
@@ -343,6 +393,7 @@ RunExperimentBatch(
         Warn(msg.str());
     }
 
+    telemetry::ScopedSpan span("charz.reduce");
     for (size_t i = 0; i < experiments.size(); ++i) {
         if (quarantine_set.count(i) > 0) {
             telemetry::JournalEmit(
@@ -354,10 +405,11 @@ RunExperimentBatch(
             }
             continue;
         }
-        const auto begin = results.begin() + i * jobs_per_experiment;
-        const std::vector<runtime::ExecutionResult> slice(
-            begin, begin + jobs_per_experiment);
-        consume(i, runner.ReduceSimultaneous(experiments[i], slice));
+        consume(i, runner.ReduceSimultaneous(
+                       experiments[i],
+                       std::span<const runtime::ExecutionResult>(results)
+                           .subspan(i * jobs_per_experiment,
+                                    jobs_per_experiment)));
     }
 }
 

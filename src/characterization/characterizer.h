@@ -196,9 +196,9 @@ class CrosstalkCharacterizer {
      * Run the plan: first independent RB on every coupler appearing in
      * it, then one SRB per gate pair (batches run "in parallel" — i.e.
      * the pairs of a batch are characterized within the same schedule).
-     * All SRB circuit jobs of the plan round are submitted to the
-     * Executor as one batch, so wall time scales down with the worker
-     * count.
+     * The calling thread draws every SRB sequence of the plan round;
+     * the pool builds their circuit jobs and then runs them as one
+     * Executor batch, so wall time scales down with the worker count.
      *
      * Failure semantics: a failed experiment (e.g. an injected
      * `srb.run` fault) is retried up to kMaxAttempts tries and

@@ -53,10 +53,9 @@ AppendLoweringSwaps(Circuit* target, const Circuit& source,
 
 }  // namespace
 
-ScheduledCircuit
-RbRunner::BuildSrbSchedule(const std::vector<EdgeId>& edges,
-                           int num_cliffords, Rng& rng,
-                           bool interleave) const
+std::vector<size_t>
+RbRunner::DrawCliffords(const std::vector<EdgeId>& edges, int num_cliffords,
+                        Rng& rng) const
 {
     XTALK_REQUIRE(!edges.empty(), "SRB needs at least one coupler");
     XTALK_REQUIRE(num_cliffords >= 1, "sequence length must be >= 1");
@@ -68,15 +67,30 @@ RbRunner::BuildSrbSchedule(const std::vector<EdgeId>& edges,
                 "SRB couplers must be disjoint");
         }
     }
-
     const CliffordGroup& group = CliffordGroup::Shared(2);
+    std::vector<size_t> cliffords(edges.size() * num_cliffords);
+    for (size_t& index : cliffords) {
+        index = group.Sample(rng);
+    }
+    return cliffords;
+}
+
+ScheduledCircuit
+RbRunner::BuildSchedule(const std::vector<EdgeId>& edges,
+                        const std::vector<size_t>& cliffords,
+                        bool interleave) const
+{
+    const Topology& topo = device_->topology();
+    const CliffordGroup& group = CliffordGroup::Shared(2);
+    const size_t num_cliffords = cliffords.size() / edges.size();
     Circuit circuit(device_->num_qubits());
     for (size_t pair_index = 0; pair_index < edges.size(); ++pair_index) {
         const Edge& e = topo.edge(edges[pair_index]);
         const std::vector<QubitId> map{e.a, e.b};
         Tableau accumulated(2);
-        for (int k = 0; k < num_cliffords; ++k) {
-            const Circuit& element = group.circuit(group.Sample(rng));
+        for (size_t k = 0; k < num_cliffords; ++k) {
+            const Circuit& element =
+                group.circuit(cliffords[pair_index * num_cliffords + k]);
             AppendLoweringSwaps(&circuit, element, map);
             for (const Gate& g : element.gates()) {
                 accumulated.ApplyGate(g);
@@ -122,9 +136,18 @@ RbRunner::BuildSrbSchedule(const std::vector<EdgeId>& edges,
     return schedule;
 }
 
+ScheduledCircuit
+RbRunner::BuildSrbSchedule(const std::vector<EdgeId>& edges,
+                           int num_cliffords, Rng& rng,
+                           bool interleave) const
+{
+    return BuildSchedule(edges, DrawCliffords(edges, num_cliffords, rng),
+                         interleave);
+}
+
 SrbExperiment
-RbRunner::PrepareSimultaneous(const std::vector<EdgeId>& edges,
-                              bool interleave)
+RbRunner::DrawSimultaneous(const std::vector<EdgeId>& edges,
+                           bool interleave)
 {
     if (telemetry::Enabled()) {
         const uint64_t sequences =
@@ -140,31 +163,43 @@ RbRunner::PrepareSimultaneous(const std::vector<EdgeId>& edges,
 
     SrbExperiment experiment;
     experiment.edges = edges;
-    experiment.jobs.reserve(config_.lengths.size() *
-                            config_.sequences_per_length);
-    // Same rng_ consumption order as the historical serial loop
-    // (schedule, then seed, per sequence), so batched execution is
-    // bit-identical to the old one-sim-at-a-time path.
-    for (size_t li = 0; li < config_.lengths.size(); ++li) {
+    experiment.interleave = interleave;
+    experiment.sequences.reserve(config_.lengths.size() *
+                                 config_.sequences_per_length);
+    for (const int length : config_.lengths) {
         for (int s = 0; s < config_.sequences_per_length; ++s) {
-            runtime::ExecutionJob job;
-            job.schedule = BuildSrbSchedule(edges, config_.lengths[li],
-                                            rng_, interleave);
-            job.seed = rng_.Next();
-            job.spec = RunSpec{config_.shots, std::nullopt, 1};
-            job.backend = config_.use_stabilizer_backend
-                              ? runtime::SimBackend::kStabilizer
-                              : runtime::SimBackend::kStatevector;
-            experiment.jobs.push_back(std::move(job));
+            SrbExperiment::Sequence sequence;
+            sequence.cliffords = DrawCliffords(edges, length, rng_);
+            sequence.seed = rng_.Next();
+            experiment.sequences.push_back(std::move(sequence));
         }
     }
     return experiment;
 }
 
+std::vector<runtime::ExecutionJob>
+RbRunner::BuildJobs(const SrbExperiment& experiment) const
+{
+    std::vector<runtime::ExecutionJob> jobs;
+    jobs.reserve(experiment.sequences.size());
+    for (const SrbExperiment::Sequence& sequence : experiment.sequences) {
+        runtime::ExecutionJob job;
+        job.schedule = BuildSchedule(experiment.edges, sequence.cliffords,
+                                     experiment.interleave);
+        job.seed = sequence.seed;
+        job.spec = RunSpec{config_.shots, std::nullopt, 1};
+        job.backend = config_.use_stabilizer_backend
+                          ? runtime::SimBackend::kStabilizer
+                          : runtime::SimBackend::kStatevector;
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
 std::vector<RbResult>
 RbRunner::ReduceSimultaneous(
     const SrbExperiment& experiment,
-    const std::vector<runtime::ExecutionResult>& results) const
+    std::span<const runtime::ExecutionResult> results) const
 {
     const std::vector<EdgeId>& edges = experiment.edges;
     const size_t expected_jobs =
@@ -224,11 +259,10 @@ RbRunner::MeasureSimultaneous(const std::vector<EdgeId>& edges,
                               bool interleave)
 {
     telemetry::ScopedSpan span("charz.srb.measure");
-    SrbExperiment experiment = PrepareSimultaneous(edges, interleave);
+    const SrbExperiment experiment = DrawSimultaneous(edges, interleave);
     runtime::ExecutionRequest request;
-    request.jobs = std::move(experiment.jobs);
-    return ReduceSimultaneous(experiment,
-                              executor_.Submit(std::move(request)));
+    request.jobs = BuildJobs(experiment);
+    return ReduceSimultaneous(experiment, executor_.Submit(request));
 }
 
 RbResult

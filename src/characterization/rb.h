@@ -18,6 +18,7 @@
 #ifndef XTALK_CHARACTERIZATION_RB_H
 #define XTALK_CHARACTERIZATION_RB_H
 
+#include <span>
 #include <vector>
 
 #include "circuit/schedule.h"
@@ -75,16 +76,23 @@ struct InterleavedRbResult {
 };
 
 /**
- * One SRB experiment prepared for the Executor but not yet run: the
- * circuit jobs (lengths-major, sequences-minor, matching the serial
- * execution order) plus the metadata needed to reduce the per-job
- * Counts into per-coupler RbResults. Sequence generation stays serial
- * and deterministic; only the embarrassingly parallel simulation is
- * deferred, so batching whole plans changes nothing numerically.
+ * The random draws of one SRB experiment, made but not yet built: per
+ * sequence (lengths-major, sequences-minor, the execution order) the
+ * Clifford indices of every coupler, pair-major, and the job seed.
+ * Drawing is serial, since it is the only use of the runner's
+ * generator. Building the circuit jobs from the draws
+ * (RbRunner::BuildJobs) is a pure function of them, so experiments can
+ * be built in parallel and the jobs are the same at any thread count.
  */
 struct SrbExperiment {
+    /** One sequence: edges.size() x its length Clifford indices. */
+    struct Sequence {
+        std::vector<size_t> cliffords;
+        uint64_t seed = 0;
+    };
     std::vector<EdgeId> edges;
-    std::vector<runtime::ExecutionJob> jobs;
+    bool interleave = false;
+    std::vector<Sequence> sequences;
 };
 
 /** Drives RB/SRB experiments against the noisy simulator. */
@@ -117,23 +125,31 @@ class RbRunner {
         const std::vector<EdgeId>& edges, bool interleave = false);
 
     /**
-     * Build the full job set of one SRB experiment (consumes this
-     * runner's generator exactly as the serial path would). Callers
-     * that batch several experiments — e.g. the characterizer running
-     * a whole plan round — prepare them all, submit the combined jobs
-     * as one Executor batch, and reduce each experiment's slice.
+     * Draw one SRB experiment from this runner's generator, in the
+     * order the serial measurement always used: per length, per
+     * sequence, the Clifford indices pair-major, then the job seed.
+     * Callers that batch several experiments (the characterizer running
+     * a whole plan round) draw them all, build their jobs in parallel,
+     * submit the combined jobs as one Executor batch, and reduce each
+     * experiment's slice.
      */
-    SrbExperiment PrepareSimultaneous(const std::vector<EdgeId>& edges,
-                                      bool interleave = false);
+    SrbExperiment DrawSimultaneous(const std::vector<EdgeId>& edges,
+                                   bool interleave = false);
+
+    /**
+     * The circuit jobs of @p experiment, one per sequence, in order.
+     * Const and safe to call from several threads at once.
+     */
+    std::vector<runtime::ExecutionJob> BuildJobs(
+        const SrbExperiment& experiment) const;
 
     /**
      * Fit per-coupler decays from the executed jobs of @p experiment.
-     * @p results must be the ExecutionResults for experiment.jobs, in
-     * order.
+     * @p results must be the ExecutionResults of its jobs, in order.
      */
     std::vector<RbResult> ReduceSimultaneous(
         const SrbExperiment& experiment,
-        const std::vector<runtime::ExecutionResult>& results) const;
+        std::span<const runtime::ExecutionResult> results) const;
 
     /** The parallel runtime this runner executes jobs on. */
     runtime::Executor& executor() { return executor_; }
@@ -142,14 +158,24 @@ class RbRunner {
      * Build one (S)RB schedule: for each coupler an independent random
      * m-Clifford sequence plus its inverse, ASAP-scheduled with gates on
      * different couplers free to overlap. When @p interleave is true the
-     * coupler's CNOT is inserted after every random Clifford. Exposed
-     * for tests.
+     * coupler's CNOT is inserted after every random Clifford. Draws the
+     * indices from @p rng, then builds. Exposed for tests.
      */
     ScheduledCircuit BuildSrbSchedule(const std::vector<EdgeId>& edges,
                                       int num_cliffords, Rng& rng,
                                       bool interleave = false) const;
 
   private:
+    /** Check @p edges and @p num_cliffords, then draw the sequence's
+     *  Clifford indices, pair-major. */
+    std::vector<size_t> DrawCliffords(const std::vector<EdgeId>& edges,
+                                      int num_cliffords, Rng& rng) const;
+
+    /** The schedule of one sequence from its drawn indices. */
+    ScheduledCircuit BuildSchedule(const std::vector<EdgeId>& edges,
+                                   const std::vector<size_t>& cliffords,
+                                   bool interleave) const;
+
     const Device* device_;
     RbConfig config_;
     runtime::Executor executor_;

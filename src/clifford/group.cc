@@ -92,13 +92,16 @@ CliffordGroup::Find(const Tableau& tableau) const
 const CliffordGroup&
 CliffordGroup::Shared(int num_qubits)
 {
+    // Leaked on purpose: pool workers build SRB sequences from these
+    // groups, and the shared pool drains its queue during static
+    // destruction.
     static std::once_flag flags[2];
-    static std::unique_ptr<CliffordGroup> groups[2];
+    static const CliffordGroup* groups[2];
     XTALK_REQUIRE(num_qubits == 1 || num_qubits == 2,
                   "CliffordGroup supports 1 or 2 qubits");
     const int slot = num_qubits - 1;
     std::call_once(flags[slot], [&] {
-        groups[slot] = std::make_unique<CliffordGroup>(num_qubits);
+        groups[slot] = new CliffordGroup(num_qubits);
     });
     return *groups[slot];
 }

@@ -87,7 +87,7 @@ RunSwapExperiment(const Device& device, Scheduler& scheduler,
     }
     runtime::Executor executor(device);
     const std::vector<runtime::ExecutionResult> executed =
-        executor.Submit(std::move(request));
+        executor.Submit(request);
 
     std::vector<std::vector<double>> distributions;
     for (const runtime::ExecutionResult& r : executed) {
@@ -140,7 +140,7 @@ ExecuteSweep(const Device& device, const std::vector<ExperimentJob>& jobs,
     }
     runtime::Executor executor(device, exec_options);
     const std::vector<runtime::ExecutionResult> executed =
-        executor.Submit(std::move(request));
+        executor.Submit(request);
 
     std::vector<ExecutedPoint> out(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {

@@ -84,7 +84,7 @@ Executor::Executor(const Device& device, ExecutorOptions options)
 }
 
 std::vector<ExecutionResult>
-Executor::Submit(ExecutionRequest request)
+Executor::Submit(const ExecutionRequest& request)
 {
     telemetry::ScopedSpan span("runtime.executor.submit");
     const size_t num_jobs = request.jobs.size();
@@ -243,7 +243,7 @@ Executor::Run(ExecutionJob job)
 {
     ExecutionRequest request;
     request.jobs.push_back(std::move(job));
-    return std::move(Submit(std::move(request)).front());
+    return std::move(Submit(request).front());
 }
 
 }  // namespace xtalk::runtime

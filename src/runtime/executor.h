@@ -123,9 +123,11 @@ class Executor {
     /**
      * Execute every job of the request and return results in job
      * order. Blocks until the batch completes; rethrows the first job
-     * exception after the batch drains.
+     * exception after the batch drains. The jobs are only read, and
+     * only until Submit returns, so the request is taken by reference:
+     * a batch of large schedules is never copied to be run.
      */
-    std::vector<ExecutionResult> Submit(ExecutionRequest request);
+    std::vector<ExecutionResult> Submit(const ExecutionRequest& request);
 
     /** Single-job convenience wrapper over Submit(). */
     ExecutionResult Run(ExecutionJob job);

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
+#include <deque>
 #include <numeric>
 #include <span>
+#include <type_traits>
 
 #include "common/error.h"
 #include "sim/gate_matrices.h"
@@ -19,18 +20,18 @@ namespace {
 
 /** Map device qubits used by the schedule to a compact local register. */
 struct QubitCompaction {
-    std::map<QubitId, int> local_of_device;
+    std::vector<int> local_of_device;  ///< -1 = untouched.
     std::vector<QubitId> device_of_local;
 
     explicit
     QubitCompaction(const ScheduledCircuit& schedule)
+        : local_of_device(schedule.num_qubits(), -1)
     {
         for (const TimedGate& tg : schedule.gates()) {
             for (QubitId q : tg.gate.qubits) {
-                if (!local_of_device.count(q)) {
-                    const int local =
-                        static_cast<int>(device_of_local.size());
-                    local_of_device[q] = local;
+                int& local = local_of_device[q];
+                if (local < 0) {
+                    local = static_cast<int>(device_of_local.size());
                     device_of_local.push_back(q);
                 }
             }
@@ -40,7 +41,7 @@ struct QubitCompaction {
     int
     Local(QubitId device_qubit) const
     {
-        return local_of_device.at(device_qubit);
+        return local_of_device[device_qubit];
     }
 };
 
@@ -66,48 +67,120 @@ PureDephasingTimeNs(double t1_ns, double t2_ns)
     return 1.0 / inv;
 }
 
-/** See NoisySimulator::EffectiveGateError. */
-double
-EffectiveGateError(const Device& device, bool crosstalk,
-                   const ScheduledCircuit& schedule, int index)
+/**
+ * NoisySimulator::EffectiveGateError of every gate of @p schedule (0 for
+ * barriers and measures), in one pass over its two-qubit unitaries.
+ */
+std::vector<double>
+EffectiveGateErrors(const Device& device, bool crosstalk,
+                    const ScheduledCircuit& schedule)
 {
-    const TimedGate& tg = schedule.gates().at(index);
-    const Gate& gate = tg.gate;
-    if (gate.IsBarrier() || gate.IsMeasure()) {
-        return 0.0;
+    const std::vector<TimedGate>& gates = schedule.gates();
+    std::vector<double> errors(gates.size(), 0.0);
+    // The two-qubit unitaries, in start order, and their couplers.
+    std::vector<std::pair<int, EdgeId>> coupled;
+    for (size_t i = 0; i < gates.size(); ++i) {
+        const Gate& gate = gates[i].gate;
+        if (gate.IsBarrier() || gate.IsMeasure()) {
+            continue;
+        }
+        if (!gate.IsTwoQubitUnitary()) {
+            errors[i] = device.GateError(gate);
+            continue;
+        }
+        const EdgeId edge =
+            device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
+        XTALK_REQUIRE(edge >= 0, "two-qubit gate on uncoupled qubits: "
+                                     << xtalk::ToString(gate));
+        errors[i] = device.CxError(edge);
+        coupled.emplace_back(static_cast<int>(i), edge);
     }
-    if (!gate.IsTwoQubitUnitary()) {
-        return device.GateError(gate);
-    }
-    const EdgeId victim =
-        device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-    XTALK_REQUIRE(victim >= 0, "two-qubit gate on uncoupled qubits: "
-                                   << xtalk::ToString(gate));
-    double err = device.CxError(victim);
     if (!crosstalk) {
-        return err;
+        return errors;
     }
     // Paper's model: the error under overlap is the max conditional rate
-    // over the concurrently executing aggressors (constraint 7).
-    for (int j : schedule.OverlappingTwoQubitGates(index)) {
-        const Gate& other = schedule.gates()[j].gate;
-        const EdgeId aggressor =
-            device.topology().FindEdge(other.qubits[0], other.qubits[1]);
-        if (aggressor >= 0 && aggressor != victim) {
-            err = std::max(err, device.ConditionalCxError(victim, aggressor));
+    // over the concurrently executing aggressors (constraint 7). Gates
+    // are sorted by start, so every gate overlapping gate a that starts
+    // after it starts before a ends: each overlapping pair is met once,
+    // from its earlier gate.
+    for (size_t a = 0; a < coupled.size(); ++a) {
+        const auto [first, first_edge] = coupled[a];
+        for (size_t b = a + 1; b < coupled.size(); ++b) {
+            const auto [second, second_edge] = coupled[b];
+            if (gates[second].start_ns >= gates[first].end_ns()) {
+                break;
+            }
+            if (first_edge == second_edge ||
+                !TimedGate::Overlaps(gates[first], gates[second])) {
+                continue;
+            }
+            errors[first] = std::max(
+                errors[first], device.ConditionalCxError(first_edge,
+                                                         second_edge));
+            errors[second] = std::max(
+                errors[second], device.ConditionalCxError(second_edge,
+                                                          first_edge));
         }
     }
-    return err;
+    return errors;
 }
 
-/** I, X, Y, Z coefficients, indexed as in a Pauli-error pick. */
-const std::array<Unitary1Q, 4>&
+/** Gate kinds, for tables keyed by kind (kMeasure is the last kind). */
+constexpr size_t kNumGateKinds = static_cast<size_t>(GateKind::kMeasure) + 1;
+
+/**
+ * Coefficients of every parameterless unitary kind, keyed by kind and
+ * built once per process from GateUnitary, so they hold the same values
+ * a per-gate GateUnitary would. Trivially destructible: no exit-time
+ * destructor runs while a pool worker may still read it.
+ */
+struct FixedUnitaries {
+    std::array<bool, kNumGateKinds> has_1q{};
+    std::array<bool, kNumGateKinds> has_2q{};
+    std::array<Unitary1Q, kNumGateKinds> coeffs_1q{};
+    std::array<Unitary2Q, kNumGateKinds> coeffs_2q{};
+
+    static const FixedUnitaries&
+    Get()
+    {
+        static const FixedUnitaries table = [] {
+            FixedUnitaries t;
+            for (size_t k = 0; k < kNumGateKinds; ++k) {
+                const GateKind kind = static_cast<GateKind>(k);
+                if (kind == GateKind::kBarrier ||
+                    kind == GateKind::kMeasure ||
+                    GateKindNumParams(kind) != 0) {
+                    continue;
+                }
+                Gate gate;
+                gate.kind = kind;
+                if (GateKindNumQubits(kind) == 1) {
+                    gate.qubits = {0};
+                    t.has_1q[k] = true;
+                    t.coeffs_1q[k] = ToUnitary1Q(GateUnitary(gate));
+                } else {
+                    gate.qubits = {0, 1};
+                    t.has_2q[k] = true;
+                    t.coeffs_2q[k] = ToUnitary2Q(GateUnitary(gate));
+                }
+            }
+            return t;
+        }();
+        return table;
+    }
+};
+static_assert(std::is_trivially_destructible_v<FixedUnitaries>);
+
+/** X, Y and Z coefficients at indices 1 to 3, as in a Pauli-error pick;
+ *  index 0 (identity) is never applied. */
+std::array<const Unitary1Q*, 4>
 PauliCoefficients()
 {
-    static const std::array<Unitary1Q, 4> paulis{
-        ToUnitary1Q(MatI()), ToUnitary1Q(MatX()), ToUnitary1Q(MatY()),
-        ToUnitary1Q(MatZ())};
-    return paulis;
+    const FixedUnitaries& fixed = FixedUnitaries::Get();
+    auto of = [&](GateKind kind) {
+        return &fixed.coeffs_1q[static_cast<size_t>(kind)];
+    };
+    return {nullptr, of(GateKind::kX), of(GateKind::kY), of(GateKind::kZ)};
 }
 
 /** State checkpoints one run may keep for its no-event path. */
@@ -160,7 +233,8 @@ class Trajectory {
         int cbit = 0;
         double p = 0.0;     ///< Damping gamma, flip, error or readout prob.
         double keep = 0.0;  ///< kDamp: sqrt(1 - gamma).
-        size_t coeffs = 0;  ///< kUnitary*: index into its coefficient table.
+        const Unitary1Q* u1q = nullptr;  ///< kUnitary1Q coefficients.
+        const Unitary2Q* u2q = nullptr;  ///< kUnitary2Q coefficients.
     };
 
     /** One draw on the no-event path: which side of `threshold` is an
@@ -199,8 +273,9 @@ class Trajectory {
     std::vector<std::pair<int, int>> slot_of_local_;
     std::vector<StateVector> registers_;
     std::vector<Step> steps_;
-    std::vector<Unitary1Q> unitaries_1q_;
-    std::vector<Unitary2Q> unitaries_2q_;
+    /** Coefficients of the parameterized gates; a deque, so steps can
+     *  point into it. */
+    std::deque<Unitary1Q> own_1q_;
     std::vector<Draw> draws_;
     /** Checkpoint c holds the path state before step checkpoint_step_[c],
      *  reached after checkpoint_ops_[c] kernel applications: every
@@ -246,6 +321,7 @@ Trajectory::Trajectory(const RunPlan& plan)
         dimension_ += registers_.back().dimension();
     }
 
+    const FixedUnitaries& fixed = FixedUnitaries::Get();
     for (const RunPlan::Op& op : plan.ops) {
         const Gate& gate = op.gate;
         for (int d = op.decay_begin; d < op.busy_begin; ++d) {
@@ -266,15 +342,19 @@ Trajectory::Trajectory(const RunPlan& plan)
         }
         const int q1 = gate.qubits.size() == 2 ? gate.qubits[1] : -1;
         if (gate.kind != GateKind::kI) {
-            const Matrix u = GateUnitary(gate);
+            const size_t k = static_cast<size_t>(gate.kind);
             Step step = MakeStep(Kind::kUnitary1Q, gate.qubits[0], q1);
             if (q1 < 0) {
-                step.coeffs = unitaries_1q_.size();
-                unitaries_1q_.push_back(ToUnitary1Q(u));
+                step.u1q = fixed.has_1q[k]
+                               ? &fixed.coeffs_1q[k]
+                               : &own_1q_.emplace_back(
+                                     ToUnitary1Q(GateUnitary(gate)));
             } else {
+                // Every two-qubit kind is parameterless.
+                XTALK_ASSERT(fixed.has_2q[k], "no two-qubit unitary for "
+                                                  << xtalk::ToString(gate));
                 step.kind = Kind::kUnitary2Q;
-                step.coeffs = unitaries_2q_.size();
-                unitaries_2q_.push_back(ToUnitary2Q(u));
+                step.u2q = &fixed.coeffs_2q[k];
             }
             steps_.push_back(step);
         }
@@ -327,9 +407,9 @@ Trajectory::ApplyUnitary(const Step& step)
 {
     StateVector& sv = registers_[step.reg];
     if (step.kind == Kind::kUnitary1Q) {
-        sv.Apply1Q(step.q0, unitaries_1q_[step.coeffs]);
+        sv.Apply1Q(step.q0, *step.u1q);
     } else {
-        sv.Apply2Q(step.q0, step.q1, unitaries_2q_[step.coeffs]);
+        sv.Apply2Q(step.q0, step.q1, *step.u2q);
     }
 }
 
@@ -510,7 +590,7 @@ Trajectory::Resume(const Draw& draw, double u, Rng& rng, uint64_t* bits)
         }
         return rng.Uniform();
     };
-    const std::array<Unitary1Q, 4>& pauli = PauliCoefficients();
+    const std::array<const Unitary1Q*, 4> pauli = PauliCoefficients();
     for (; s < steps_.size(); ++s) {
         const Step& step = steps_[s];
         StateVector& sv = registers_[step.reg];
@@ -530,7 +610,7 @@ Trajectory::Resume(const Draw& draw, double u, Rng& rng, uint64_t* bits)
             if (!(next() < step.p)) {
                 continue;
             }
-            sv.Apply1Q(step.q0, pauli[3]);
+            sv.Apply1Q(step.q0, *pauli[3]);
             break;
           case Kind::kPauliError: {
             if (!(next() < step.p)) {
@@ -546,7 +626,7 @@ Trajectory::Resume(const Draw& draw, double u, Rng& rng, uint64_t* bits)
                 const int p = pick & 3;
                 pick >>= 2;
                 if (p != 0) {
-                    sv.Apply1Q(q, pauli[p]);
+                    sv.Apply1Q(q, *pauli[p]);
                     ++executed_;
                 }
             }
@@ -580,18 +660,32 @@ BuildRunPlan(const Device& device, const NoisySimOptions& options,
     XTALK_REQUIRE(plan.width > 0, "schedule touches no qubits");
     plan.device_of_local = compact.device_of_local;
     plan.readout_noise = options.readout_noise;
+    // Computed even with gate noise off: it also rejects a two-qubit
+    // gate on uncoupled qubits.
+    const std::vector<double> errors =
+        EffectiveGateErrors(device, options.crosstalk, schedule);
 
     // Per-local-qubit decoherence parameters; clocks start at each
-    // qubit's first operation.
+    // qubit's first operation (0 for a qubit only barriers touch).
     std::vector<double> t1_ns(plan.width), tphi_ns(plan.width);
-    std::vector<double> clock(plan.width);
+    std::vector<double> clock(plan.width, -1.0);
+    for (const TimedGate& tg : schedule.gates()) {
+        if (tg.gate.IsBarrier()) {
+            continue;
+        }
+        for (QubitId q : tg.gate.qubits) {
+            double& first = clock[compact.Local(q)];
+            if (first < 0.0 || tg.start_ns < first) {
+                first = tg.start_ns;
+            }
+        }
+    }
     for (int local = 0; local < plan.width; ++local) {
         const QubitId q = plan.device_of_local[local];
         t1_ns[local] = device.T1us(q) * 1000.0;
         tphi_ns[local] =
             PureDephasingTimeNs(t1_ns[local], device.T2us(q) * 1000.0);
-        const double fs = schedule.FirstStartOn(q);
-        clock[local] = fs < 0.0 ? 0.0 : fs;
+        clock[local] = std::max(clock[local], 0.0);
     }
     auto add_decay = [&](int local, double from, double to) {
         if (!options.decoherence || to <= from) {
@@ -608,6 +702,7 @@ BuildRunPlan(const Device& device, const NoisySimOptions& options,
         plan.decays.push_back(decay);
     };
 
+    plan.ops.reserve(schedule.size());
     for (int i = 0; i < schedule.size(); ++i) {
         const TimedGate& tg = schedule.gates()[i];
         if (tg.gate.IsBarrier()) {
@@ -635,11 +730,7 @@ BuildRunPlan(const Device& device, const NoisySimOptions& options,
             plan.num_clbits = std::max(plan.num_clbits, cbit + 1);
             op.readout_error = device.ReadoutError(tg.gate.qubits[0]);
         } else {
-            // Looked up even with gate noise off: it also rejects a
-            // two-qubit gate on uncoupled qubits.
-            const double error =
-                EffectiveGateError(device, options.crosstalk, schedule, i);
-            op.error = options.gate_noise ? error : 0.0;
+            op.error = options.gate_noise ? errors[i] : 0.0;
         }
         plan.ops.push_back(std::move(op));
     }
@@ -655,8 +746,8 @@ double
 NoisySimulator::EffectiveGateError(const ScheduledCircuit& schedule,
                                    int index) const
 {
-    return xtalk::EffectiveGateError(*device_, options_.crosstalk, schedule,
-                                     index);
+    return EffectiveGateErrors(*device_, options_.crosstalk, schedule)
+        .at(index);
 }
 
 Counts

@@ -20,13 +20,15 @@
  * compacted), so 20-qubit devices with few active qubits stay cheap.
  *
  * How a run executes. BuildRunPlan() does the setup both trajectory
- * backends share, once per run: compaction, the effective gate errors,
- * every decoherence interval with its damping and dephasing
- * probabilities (the schedule fixes every shot's qubit clocks, so these
- * are the same in every shot), the readout errors and the classical-bit
- * check. The state-vector engine compiles that plan into kernel steps
- * with fixed-size gate coefficients, then replays shots from a cached
- * no-event path:
+ * backends share, once per run and in time linear in the gates (plus
+ * one step per overlapping pair of two-qubit gates): compaction, the
+ * effective gate errors, every decoherence interval with its damping
+ * and dephasing probabilities (the schedule fixes every shot's qubit
+ * clocks, so these are the same in every shot), the readout errors and
+ * the classical-bit check. The state-vector engine compiles that plan
+ * into kernel steps with fixed-size gate coefficients (a parameterless
+ * gate's come from a table built once per process), then replays shots
+ * from a cached no-event path:
  *
  *  - Qubits that no two-qubit operation joins stay in a product state,
  *    so each connected group gets its own register, and every step

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "characterization/binpack.h"
 #include "characterization/characterizer.h"
@@ -17,7 +18,9 @@
 #include "characterization/rb.h"
 #include "common/error.h"
 #include "device/ibmq_devices.h"
+#include "experiments/experiments.h"
 #include "faults/faults.h"
+#include "telemetry/ledger.h"
 
 namespace xtalk {
 namespace {
@@ -268,6 +271,42 @@ TEST(Characterizer, DiscoversInjectedHighCrosstalkPair)
               2.0 * result.IndependentError(victim));
     const auto high = result.HighCrosstalkPairs(2.0);
     EXPECT_FALSE(high.empty());
+}
+
+TEST(Characterizer, PinnedSnapshotIds)
+{
+    // Every SRB sequence, job seed and shot of a bin-packed
+    // characterization and of one interleaved RB is pinned by hash, at
+    // one worker and at four: a change to how sequences are drawn,
+    // built or submitted that moves a single count moves one of these.
+    const Device device = MakeLinearDevice(6, 3, /*with_crosstalk=*/true);
+    RbConfig config = BenchRbConfig(5);
+    config.sequences_per_length = 3;
+    config.shots = 96;
+    for (const int threads : {1, 4}) {
+        runtime::ExecutorOptions exec;
+        exec.num_threads = threads;
+        Rng rng(17);
+        const auto plan = BuildCharacterizationPlan(
+            device.topology(), CharacterizationPolicy::kOneHopBinPacked,
+            rng);
+        CrosstalkCharacterizer characterizer(
+            device, CharacterizerConfig{.rb = config, .exec = exec});
+        EXPECT_EQ(characterizer.Run(plan).SnapshotId(), "e1bd8dc77750b9f4")
+            << threads << " threads";
+
+        RbRunner runner(device, config, exec);
+        const InterleavedRbResult result = runner.MeasureInterleaved(0);
+        std::ostringstream text;
+        text.precision(17);
+        for (const RbResult* r : {&result.standard, &result.interleaved}) {
+            text << r->fit.a << " " << r->fit.p << " " << r->fit.b << " "
+                 << r->fit.sse << "\n";
+        }
+        text << result.gate_error << "\n";
+        EXPECT_EQ(telemetry::FnvHex(text.str()), "492df365e8573bba")
+            << threads << " threads";
+    }
 }
 
 TEST(CharacterizerResilience, RetriedExperimentIsBitIdenticalToFaultFree)
