@@ -122,6 +122,14 @@ CrosstalkCharacterization::IndependentError(EdgeId edge) const
     return it->second;
 }
 
+double
+CrosstalkCharacterization::IndependentOrCalibratedError(
+    EdgeId edge, const Device& device) const
+{
+    const auto it = independent_.find(edge);
+    return it != independent_.end() ? it->second : device.CxError(edge);
+}
+
 bool
 CrosstalkCharacterization::HasConditionalError(EdgeId victim,
                                                EdgeId aggressor) const

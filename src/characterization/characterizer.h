@@ -92,6 +92,11 @@ class CrosstalkCharacterization {
     /** Independent estimate; throws if absent. */
     double IndependentError(EdgeId edge) const;
 
+    /** Independent estimate, or @p device's calibrated CX error when the
+     *  coupler was not measured. */
+    double IndependentOrCalibratedError(EdgeId edge,
+                                        const Device& device) const;
+
     /** True if a conditional estimate exists for the ordered pair. */
     bool HasConditionalError(EdgeId victim, EdgeId aggressor) const;
 

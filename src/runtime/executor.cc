@@ -31,11 +31,6 @@ Counts
 RunChunk(const Device& device, const ExecutionJob& job, uint64_t chunk_seed,
          int chunk_shots, bool first_chunk)
 {
-    // Cancellation gates the chunk before any simulator is built; a
-    // chunk that already started is never interrupted mid-shot.
-    if (job.cancel) {
-        job.cancel->ThrowIfCancelled("job cancelled before chunk ran");
-    }
     // Identity-keyed fault points: decisions depend on the chunk/job
     // seed, never on thread interleaving, so injected failures are
     // reproducible at any worker count (see faults/faults.h).

@@ -23,8 +23,9 @@
  *
  * Concurrency contract: jobs only touch their own simulator instance
  * plus the shared const Device, so they need no locking. Submit()
- * blocks until the whole batch completes and must not be called from a
- * pool worker thread (the blocked worker could deadlock the queue).
+ * blocks until every job of the batch has run to completion (nothing
+ * stops a job early) and must not be called from a pool worker thread
+ * (the blocked worker could deadlock the queue).
  */
 #ifndef XTALK_RUNTIME_EXECUTOR_H
 #define XTALK_RUNTIME_EXECUTOR_H
@@ -34,7 +35,6 @@
 
 #include "circuit/schedule.h"
 #include "device/device.h"
-#include "runtime/cancellation.h"
 #include "runtime/thread_pool.h"
 #include "sim/counts.h"
 #include "sim/noisy_simulator.h"
@@ -66,16 +66,6 @@ struct ExecutionJob {
      * retry/quarantine machinery.
      */
     std::string fault_site;
-    /**
-     * Optional cooperative cancellation: when set and cancelled, chunks
-     * that have not started yet fail with OperationCancelled instead of
-     * simulating. Chunks already running finish normally (cancellation
-     * is advisory; see runtime/cancellation.h). Racing producers — the
-     * scheduler portfolio's simulation-scored members, deadline-bound
-     * service requests — use this to stop paying for work whose result
-     * can no longer matter.
-     */
-    std::shared_ptr<const CancelToken> cancel;
 };
 
 /** A batch of independent jobs submitted together. */

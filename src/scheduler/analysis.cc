@@ -18,6 +18,26 @@ ScheduleErrorEstimate::Objective(double omega) const
            (1.0 - omega) * (-log_decoherence_success);
 }
 
+namespace {
+
+/** Independent rate of coupler @p edge: the characterized estimate
+ *  under kCharacterized when one exists, the calibration otherwise. */
+double
+IndependentRate(EdgeId edge, const Device& device,
+                const CrosstalkCharacterization* characterization,
+                ErrorDataSource source)
+{
+    if (source == ErrorDataSource::kCharacterized && characterization) {
+        return characterization->IndependentOrCalibratedError(edge, device);
+    }
+    return device.CxError(edge);
+}
+
+/**
+ * Effective error rate of gate @p index in the schedule: independent
+ * rate, or the max conditional rate over overlapping two-qubit gates
+ * (constraint 7 semantics).
+ */
 double
 ModeledGateError(const ScheduledCircuit& schedule, int index,
                  const Device& device,
@@ -36,13 +56,8 @@ ModeledGateError(const ScheduledCircuit& schedule, int index,
         device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
     XTALK_REQUIRE(victim >= 0, "two-qubit gate on uncoupled qubits");
 
-    auto independent = [&]() {
-        if (source == ErrorDataSource::kCharacterized && characterization &&
-            characterization->HasIndependentError(victim)) {
-            return characterization->IndependentError(victim);
-        }
-        return device.CxError(victim);
-    };
+    const double independent =
+        IndependentRate(victim, device, characterization, source);
     auto conditional = [&](EdgeId aggressor) {
         if (source == ErrorDataSource::kGroundTruth) {
             return device.ConditionalCxError(victim, aggressor);
@@ -52,10 +67,10 @@ ModeledGateError(const ScheduledCircuit& schedule, int index,
         if (characterization->HasConditionalError(victim, aggressor)) {
             return characterization->ConditionalError(victim, aggressor);
         }
-        return independent();
+        return independent;
     };
 
-    double err = independent();
+    double err = independent;
     for (int j : schedule.OverlappingTwoQubitGates(index)) {
         const Gate& other = schedule.gates()[j].gate;
         const EdgeId aggressor =
@@ -66,6 +81,8 @@ ModeledGateError(const ScheduledCircuit& schedule, int index,
     }
     return err;
 }
+
+}  // namespace
 
 ScheduleErrorEstimate
 EstimateScheduleError(const ScheduledCircuit& schedule, const Device& device,
@@ -85,11 +102,7 @@ EstimateScheduleError(const ScheduledCircuit& schedule, const Device& device,
             const EdgeId e =
                 device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
             const double base =
-                (source == ErrorDataSource::kCharacterized &&
-                 characterization &&
-                 characterization->HasIndependentError(e))
-                    ? characterization->IndependentError(e)
-                    : device.CxError(e);
+                IndependentRate(e, device, characterization, source);
             if (err > base * 2.0) {
                 ++estimate.crosstalk_overlaps;
             }

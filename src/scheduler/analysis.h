@@ -52,16 +52,6 @@ ScheduleErrorEstimate EstimateScheduleError(
     const CrosstalkCharacterization* characterization,
     ErrorDataSource source = ErrorDataSource::kCharacterized);
 
-/**
- * Effective error rate of gate @p index in the schedule: independent
- * rate, or the max conditional rate over overlapping two-qubit gates
- * (constraint 7 semantics).
- */
-double ModeledGateError(const ScheduledCircuit& schedule, int index,
-                        const Device& device,
-                        const CrosstalkCharacterization* characterization,
-                        ErrorDataSource source);
-
 }  // namespace xtalk
 
 #endif  // XTALK_SCHEDULER_ANALYSIS_H

@@ -30,8 +30,8 @@ constexpr uint64_t kSeed = 0xA22EA1;
 constexpr double kInitialTemperature = 0.05;
 /** Geometric cooling factor applied per iteration. */
 constexpr double kCooling = 0.99;
-/** Poll the cancel token and the budget every this many iterations. */
-constexpr int kCancelPollInterval = 8;
+/** Poll the budget every this many iterations. */
+constexpr int kBudgetPollInterval = 8;
 
 }  // namespace
 
@@ -48,13 +48,6 @@ AnnealScheduler::AnnealScheduler(
 
 ScheduledCircuit
 AnnealScheduler::Schedule(const Circuit& circuit)
-{
-    return Schedule(circuit, nullptr);
-}
-
-ScheduledCircuit
-AnnealScheduler::Schedule(const Circuit& circuit,
-                          const runtime::CancelToken* cancel)
 {
     faults::MaybeInject("sched.anneal");
     telemetry::ScopedSpan span("sched.anneal.run");
@@ -136,8 +129,7 @@ AnnealScheduler::Schedule(const Circuit& circuit,
     double temperature = kInitialTemperature;
     if (!pairs.empty()) {
         for (int it = 0; it < kIterations; ++it) {
-            if (it % kCancelPollInterval == 0 &&
-                ((cancel && cancel->Cancelled()) || expired())) {
+            if (it % kBudgetPollInterval == 0 && expired()) {
                 stats_.cancelled = true;
                 break;
             }

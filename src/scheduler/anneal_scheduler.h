@@ -16,8 +16,8 @@
  * Everything is seeded (common/rng.h), so a given (circuit, ω) pair
  * always produces the same schedule — the property the scheduler
  * portfolio relies on for bit-identical winners at any thread count.
- * Cancellation is cooperative: the token is polled every eight
- * iterations and the best schedule found so far is returned.
+ * The only early exit is the wall-clock budget: it is polled every
+ * eight iterations and the best schedule found so far is returned.
  *
  * Fault site: "sched.anneal", checked once per Schedule() call.
  */
@@ -25,7 +25,6 @@
 #define XTALK_SCHEDULER_ANNEAL_SCHEDULER_H
 
 #include "characterization/characterizer.h"
-#include "runtime/cancellation.h"
 #include "scheduler/scheduler.h"
 
 namespace xtalk {
@@ -43,13 +42,13 @@ struct AnnealSchedulerOptions {
 struct AnnealSchedulerStats {
     /** Eligible high-crosstalk pairs (decision-vector length). */
     int candidate_pairs = 0;
-    /** Iterations actually run (fewer than 300 if cancelled). */
+    /** Iterations actually run (fewer than 300 if the budget expired). */
     int iterations_run = 0;
     /** Accepted flips, including uphill Metropolis accepts. */
     int accepted = 0;
     /** Serialization decisions active in the returned schedule. */
     int serialized = 0;
-    /** True when the loop stopped on cancellation or budget expiry. */
+    /** True when the loop stopped on budget expiry. */
     bool cancelled = false;
 };
 
@@ -61,14 +60,6 @@ class AnnealScheduler : public Scheduler {
                     AnnealSchedulerOptions options = {});
 
     ScheduledCircuit Schedule(const Circuit& circuit) override;
-
-    /**
-     * Cancellable spelling: polls @p cancel (may be null) every eight
-     * iterations and returns the best schedule found so far when it
-     * fires.
-     */
-    ScheduledCircuit Schedule(const Circuit& circuit,
-                              const runtime::CancelToken* cancel);
 
     std::string name() const override { return "AnnealSched"; }
 

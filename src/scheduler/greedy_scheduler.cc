@@ -28,13 +28,6 @@ GreedyXtalkScheduler::Schedule(const Circuit& circuit)
     std::vector<Gate> measures;
     std::vector<double> ready(circuit.num_qubits(), 0.0);
 
-    auto independent_error = [&](EdgeId e) {
-        if (characterization_->HasIndependentError(e)) {
-            return characterization_->IndependentError(e);
-        }
-        return device_->CxError(e);
-    };
-
     for (const Gate& g : circuit.gates()) {
         if (g.IsMeasure()) {
             measures.push_back(g);
@@ -71,7 +64,9 @@ GreedyXtalkScheduler::Schedule(const Circuit& circuit)
                     }
                     const double cond =
                         characterization_->ConditionalError(edge, p.edge);
-                    const double indep = independent_error(edge);
+                    const double indep =
+                        characterization_->IndependentOrCalibratedError(
+                            edge, *device_);
                     // Crosstalk penalty (log-error increase) vs the
                     // decoherence cost of pushing this gate later.
                     const double delay = p.start + p.duration - start;

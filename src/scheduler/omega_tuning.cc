@@ -9,8 +9,7 @@ SelectOmegaByModel(const Device& device,
                    const CrosstalkCharacterization& characterization,
                    const Circuit& circuit,
                    const std::vector<double>& candidates,
-                   const XtalkSchedulerOptions& base,
-                   const runtime::CancelToken* cancel)
+                   const XtalkSchedulerOptions& base)
 {
     XTALK_REQUIRE(!candidates.empty(), "need at least one candidate omega");
     // One warm-started sweep: candidates share the solver context and
@@ -18,7 +17,7 @@ SelectOmegaByModel(const Device& device,
     // this is much cheaper than solving each candidate from scratch.
     XtalkScheduler scheduler(device, characterization, base);
     std::vector<OmegaSolveResult> solved =
-        scheduler.ScheduleForOmegas(circuit, candidates, cancel);
+        scheduler.ScheduleForOmegas(circuit, candidates);
     OmegaSelection best;
     bool have_best = false;
     for (OmegaSolveResult& result : solved) {

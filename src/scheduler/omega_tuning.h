@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/cancellation.h"
 #include "scheduler/analysis.h"
 #include "scheduler/portfolio.h"
 #include "scheduler/xtalk_scheduler.h"
@@ -37,15 +36,14 @@ struct OmegaSelection {
 /**
  * Solve the schedule for each candidate omega and pick the one with the
  * highest modeled success probability, ties to the earlier candidate.
- * @p base supplies every other scheduler option; @p cancel (may be
- * null) can end the sweep early, as in ScheduleForOmegas.
+ * @p base supplies every other scheduler option; its total_budget_ms
+ * can end the sweep early, as in ScheduleForOmegas.
  */
 OmegaSelection SelectOmegaByModel(
     const Device& device, const CrosstalkCharacterization& characterization,
     const Circuit& circuit,
     const std::vector<double>& candidates = DefaultOmegaCandidates(),
-    const XtalkSchedulerOptions& base = {},
-    const runtime::CancelToken* cancel = nullptr);
+    const XtalkSchedulerOptions& base = {});
 
 }  // namespace xtalk
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <future>
 
 #include "common/error.h"
@@ -112,8 +111,7 @@ ScheduleAnneal(const Circuit& circuit, const PortfolioContext& ctx,
     anneal.omega = options.xtalk.omega;
     anneal.budget_ms = ctx.budget_ms;
     AnnealScheduler scheduler(*ctx.device, *ctx.characterization, anneal);
-    return Scored(scheduler.Schedule(circuit, ctx.cancel), ctx,
-                  anneal.omega);
+    return Scored(scheduler.Schedule(circuit), ctx, anneal.omega);
 }
 
 ScheduleCandidate
@@ -122,8 +120,8 @@ ScheduleXtalk(const Circuit& circuit, const PortfolioContext& ctx,
 {
     XtalkScheduler scheduler(*ctx.device, *ctx.characterization,
                              WithRaceBudget(options.xtalk, ctx));
-    ScheduleCandidate candidate = Scored(
-        scheduler.Schedule(circuit, ctx.cancel), ctx, options.xtalk.omega);
+    ScheduleCandidate candidate =
+        Scored(scheduler.Schedule(circuit), ctx, options.xtalk.omega);
     candidate.start_ns = scheduler.last_start_times();
     candidate.candidate_pairs = scheduler.last_candidate_pairs();
     return candidate;
@@ -135,8 +133,7 @@ ScheduleAutoOmega(const Circuit& circuit, const PortfolioContext& ctx,
 {
     OmegaSelection selected = SelectOmegaByModel(
         *ctx.device, *ctx.characterization, circuit,
-        options.omega_candidates, WithRaceBudget(options.xtalk, ctx),
-        ctx.cancel);
+        options.omega_candidates, WithRaceBudget(options.xtalk, ctx));
     ScheduleCandidate candidate;
     candidate.schedule = std::move(selected.schedule);
     candidate.estimate = selected.estimate;
@@ -150,7 +147,6 @@ ScheduleAutoOmega(const Circuit& circuit, const PortfolioContext& ctx,
 /** One member's race bookkeeping. */
 struct MemberAttempt {
     bool attempted = false;
-    std::shared_ptr<runtime::CancelToken> token;
     std::optional<ScheduleCandidate> candidate;
     std::exception_ptr error;
     std::string error_message;
@@ -358,52 +354,27 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
         telemetry::GetCounter("sched.portfolio.races").Add(1);
     }
 
-    // The theoretical score ceiling: used for bound-based cancellation.
-    // A completed candidate AT the ceiling cannot be beaten, only tied,
-    // and ties go to the earlier rank — so members ranked after it can
-    // be cancelled without affecting the winner at any thread count.
-    const double upper_bound = UpperBoundSuccessProbability(
-        circuit, *ctx.device, ctx.characterization);
-
     std::vector<MemberAttempt> attempts(members_.size());
-    const auto member_ctx = [&](int rank) {
-        attempts[rank].token = std::make_shared<runtime::CancelToken>(
-            options.cancel);
-        PortfolioContext derived = ctx;
-        derived.cancel = attempts[rank].token.get();
-        derived.budget_ms = MinBudget(ctx.budget_ms, options.budget_ms);
-        return derived;
-    };
+    PortfolioContext member_ctx = ctx;
+    member_ctx.budget_ms = MinBudget(ctx.budget_ms, options.budget_ms);
 
-    // Race members [first, n) concurrently on the pool, joining in rank
-    // order; once a joined candidate reaches the ceiling, cancel the
-    // rest.
+    // Race members [first, n) concurrently on the pool and join them
+    // all: every member runs to completion (or to its budget).
     const auto race = [&](int first) {
         std::shared_ptr<runtime::ThreadPool> pool =
             options.pool ? options.pool : runtime::ThreadPool::Shared();
         std::vector<std::future<void>> futures;
         futures.reserve(n - first);
         for (int rank = first; rank < n; ++rank) {
-            const PortfolioContext derived = member_ctx(rank);
             MemberAttempt* attempt = &attempts[rank];
             const PortfolioMember* member = members_[rank].get();
-            futures.push_back(pool->Submit([member, &circuit, derived,
+            futures.push_back(pool->Submit([member, &circuit, &member_ctx,
                                             attempt] {
-                RunOne(*member, circuit, derived, attempt);
+                RunOne(*member, circuit, member_ctx, attempt);
             }));
         }
-        for (int rank = first; rank < n; ++rank) {
-            futures[rank - first].get();
-            const MemberAttempt& attempt = attempts[rank];
-            if (attempt.candidate &&
-                attempt.candidate->estimate.success_probability >=
-                    upper_bound) {
-                for (int later = rank + 1; later < n; ++later) {
-                    if (attempts[later].token) {
-                        attempts[later].token->Cancel();
-                    }
-                }
-            }
+        for (std::future<void>& future : futures) {
+            future.get();
         }
     };
 
@@ -413,7 +384,7 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
         // after a failure. A lone member has no race at all. Running it
         // inline keeps the common path free of pool-scheduling effects
         // entirely: no wait behind other requests' pool work.
-        RunOne(*members_[0], circuit, member_ctx(0), &attempts[0]);
+        RunOne(*members_[0], circuit, member_ctx, &attempts[0]);
         if (!attempts[0].candidate && !attempts[0].internal && n > 1) {
             race(1);
         }
@@ -551,52 +522,6 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
          {"rank", result.winner_rank},
          {"degradation", result.degradation}});
     return result;
-}
-
-double
-UpperBoundSuccessProbability(
-    const Circuit& circuit, const Device& device,
-    const CrosstalkCharacterization* characterization)
-{
-    double log_gate_success = 0.0;
-    std::vector<double> busy_ns(circuit.num_qubits(), 0.0);
-    for (GateId g = 0; g < circuit.size(); ++g) {
-        const Gate& gate = circuit.gate(g);
-        if (gate.IsBarrier()) {
-            continue;
-        }
-        if (gate.IsMeasure()) {
-            for (QubitId q : gate.qubits) {
-                busy_ns[q] += device.ReadoutDuration(q);
-            }
-            continue;
-        }
-        double base_error;
-        if (gate.IsTwoQubitUnitary()) {
-            const EdgeId e =
-                device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-            XTALK_REQUIRE(e >= 0, "two-qubit gate on uncoupled qubits");
-            base_error = (characterization &&
-                          characterization->HasIndependentError(e))
-                             ? characterization->IndependentError(e)
-                             : device.CxError(e);
-        } else {
-            base_error = device.GateError(gate);
-        }
-        log_gate_success += std::log(std::max(1e-12, 1.0 - base_error));
-        const double duration = device.GateDuration(gate);
-        for (QubitId q : gate.qubits) {
-            busy_ns[q] += duration;
-        }
-    }
-    double log_decoherence_success = 0.0;
-    for (QubitId q = 0; q < circuit.num_qubits(); ++q) {
-        if (busy_ns[q] > 0.0) {
-            log_decoherence_success -=
-                busy_ns[q] / device.CoherenceTimeNs(q);
-        }
-    }
-    return std::exp(log_gate_success + log_decoherence_success);
 }
 
 }  // namespace xtalk

@@ -10,23 +10,22 @@
  * (scheduler/analysis.h) and whatever ordering artifacts barrier
  * lowering needs. A PortfolioMember is a row and the options it runs
  * with. SchedulerPortfolio races its members on the runtime
- * ThreadPool; a member that exhausts its budget, gets cancelled, or
- * throws a recoverable error is just a member losing the race. The
- * winner is the candidate with the highest modeled success probability;
- * an exact tie goes to the member listed first. Selection is a pure
- * function of the member list and the candidates, and every member is
- * deterministic (seeded, no wall-clock dependence in its output), so
- * the winning schedule is bit-identical at any thread count.
+ * ThreadPool; a member that exhausts its budget or throws a recoverable
+ * error is just a member losing the race. The winner is the candidate
+ * with the highest modeled success probability; an exact tie goes to
+ * the member listed first. Selection is a pure function of the member
+ * list and the candidates, and every member is deterministic (seeded,
+ * no wall-clock dependence in its output), so the winning schedule is
+ * bit-identical at any thread count.
  *
  * The member registry (PortfolioRegistry) is the one place a scheduler
  * is named. A scheduling policy is a member key or "portfolio", and
  * LineupFor derives the members a policy races from the rows.
  *
- * Cancellation is cooperative and bound-based: once a joined member's
- * score reaches the theoretical upper bound for the circuit
- * (UpperBoundSuccessProbability), members ranked after it are cancelled
- * — they could at best tie, and a tie loses to the earlier rank, so
- * cancelling them cannot change the winner.
+ * Every attempted member runs to completion: no member is stopped
+ * because another finished first or scored well, so without a budget
+ * every member's outcome depends only on the inputs. Budgets are the
+ * only early exit.
  *
  * Threading contract: Run() blocks on pool futures, so — like
  * runtime::Executor::Submit — it must NOT be called from a pool worker
@@ -49,7 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/cancellation.h"
 #include "runtime/thread_pool.h"
 #include "scheduler/analysis.h"
 #include "scheduler/xtalk_scheduler.h"
@@ -65,8 +63,6 @@ struct PortfolioContext {
      * rates. The others fail without it.
      */
     const CrosstalkCharacterization* characterization = nullptr;
-    /** Cooperative cancellation; polled by anneal/xtalk. May be null. */
-    const runtime::CancelToken* cancel = nullptr;
     /**
      * Advisory wall-clock budget for this member, in ms; 0 = none.
      * Tightens (never loosens) the member's own configured budget.
@@ -253,8 +249,6 @@ struct PortfolioRunOptions {
      * of a policy with backups byte-deterministic and wasted-work-free.
      */
     bool prefer_first = false;
-    /** Parent cancel token: chains into every member's token. */
-    std::shared_ptr<const runtime::CancelToken> cancel;
 };
 
 /** The race runner; see the file comment for the full contract. */
@@ -276,18 +270,6 @@ class SchedulerPortfolio {
   private:
     std::vector<std::unique_ptr<PortfolioMember>> members_;
 };
-
-/**
- * Theoretical ceiling on any schedule's modeled success probability for
- * @p circuit: every gate at its independent (crosstalk-free) error rate
- * and every qubit busy only for the gates it must execute (gate plus
- * readout durations — no waiting at all). Valid for every legal
- * schedule, so a candidate scoring at the bound cannot be beaten, only
- * tied. @p characterization may be null (calibration-only rates).
- */
-double UpperBoundSuccessProbability(
-    const Circuit& circuit, const Device& device,
-    const CrosstalkCharacterization* characterization);
 
 }  // namespace xtalk
 

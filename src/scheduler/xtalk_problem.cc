@@ -290,10 +290,8 @@ BuildXtalkProblem(const Circuit& circuit, const Device& device,
         if (eligible_gate[g]) {
             const EdgeId e = edge_of[g];
             problem.eligible_gates.push_back(g);
-            problem.log_independent[g] =
-                LogOf(characterization.HasIndependentError(e)
-                          ? characterization.IndependentError(e)
-                          : device.CxError(e));
+            problem.log_independent[g] = LogOf(
+                characterization.IndependentOrCalibratedError(e, device));
         }
     }
     return problem;

@@ -463,15 +463,8 @@ XtalkScheduler::XtalkScheduler(
 ScheduledCircuit
 XtalkScheduler::Schedule(const Circuit& circuit)
 {
-    return Schedule(circuit, nullptr);
-}
-
-ScheduledCircuit
-XtalkScheduler::Schedule(const Circuit& circuit,
-                         const runtime::CancelToken* cancel)
-{
     std::vector<OmegaSolveResult> results =
-        ScheduleForOmegas(circuit, {options_.omega}, cancel);
+        ScheduleForOmegas(circuit, {options_.omega});
     XTALK_REQUIRE(!results.empty(), "single-omega solve returned nothing");
     return std::move(results.front().schedule);
 }
@@ -502,8 +495,7 @@ SolveXtalkProblemWithZ3(const XtalkProblem& problem,
 
 std::vector<OmegaSolveResult>
 XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
-                                  const std::vector<double>& omegas,
-                                  const runtime::CancelToken* cancel)
+                                  const std::vector<double>& omegas)
 {
     XTALK_REQUIRE(!omegas.empty(), "need at least one omega candidate");
     telemetry::ScopedSpan total_span("sched.xtalk.schedule");
@@ -558,16 +550,6 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                 "XtalkSched: total budget of " +
                 std::to_string(options_.total_budget_ms) +
                 " ms expired before any model was found");
-        }
-        if (cancel && cancel->Cancelled()) {
-            if (have_model) {
-                return 1;
-            }
-            if (have_results) {
-                return 2;
-            }
-            throw SolverFailure(
-                "XtalkSched: cancelled before any model was found");
         }
         return 0;
     };
@@ -624,12 +606,12 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
             // fall back to a non-SMT member.
             const int state = budget_state(have_model, !results.empty());
             if (state == 1) {
-                Warn("XtalkSched: budget/cancellation after round " +
+                Warn("XtalkSched: budget expired after round " +
                      std::to_string(round) + "; using best known model");
                 break;
             }
             if (state == 2) {
-                Warn("XtalkSched: budget/cancellation mid-sweep; "
+                Warn("XtalkSched: budget expired mid-sweep; "
                      "returning the " +
                      std::to_string(results.size()) +
                      " omega candidates already solved");

@@ -34,7 +34,8 @@
  * on the first round that encodes a pair (refinement found the flow
  * schedule overlapping an eligible pair outside the layer window, or
  * the window held pairs from the start), and refinement continues in
- * Z3 from there.
+ * Z3 from there. The wall-clock budgets (timeout_ms per solve,
+ * total_budget_ms per call) are the only early exit.
  */
 #ifndef XTALK_SCHEDULER_XTALK_SCHEDULER_H
 #define XTALK_SCHEDULER_XTALK_SCHEDULER_H
@@ -44,7 +45,6 @@
 
 #include "characterization/characterizer.h"
 #include "common/error.h"
-#include "runtime/cancellation.h"
 #include "scheduler/scheduler.h"
 
 namespace xtalk {
@@ -138,11 +138,6 @@ class XtalkScheduler : public Scheduler {
 
     ScheduledCircuit Schedule(const Circuit& circuit) override;
 
-    /** Cancellable spelling: @p cancel (may be null) is polled between
-     *  refinement rounds; see ScheduleForOmegas for the semantics. */
-    ScheduledCircuit Schedule(const Circuit& circuit,
-                              const runtime::CancelToken* cancel);
-
     /**
      * Solve the same circuit for several ω candidates in one pass. In
      * the lower-bound encoding (the default) the Z3 context, the
@@ -152,16 +147,15 @@ class XtalkScheduler : public Scheduler {
      * so later candidates start from everything earlier ones learned
      * instead of rebuilding from scratch.
      *
-     * total_budget_ms spans the whole sweep. When the budget expires or
-     * @p cancel fires mid-sweep, the ω candidates already solved are
-     * returned (a partial sweep); if no candidate has a model yet,
-     * throws SolverFailure. Results are in input ω order, truncated on
-     * early exit — never reordered.
+     * total_budget_ms spans the whole sweep. When the budget expires
+     * mid-sweep, the ω candidates already solved are returned (a
+     * partial sweep); if no candidate has a model yet, throws
+     * SolverFailure. Results are in input ω order, truncated on early
+     * exit — never reordered.
      */
     std::vector<OmegaSolveResult>
     ScheduleForOmegas(const Circuit& circuit,
-                      const std::vector<double>& omegas,
-                      const runtime::CancelToken* cancel = nullptr);
+                      const std::vector<double>& omegas);
 
     std::string name() const override { return "XtalkSched"; }
 

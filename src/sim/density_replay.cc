@@ -52,7 +52,11 @@ ReplayScheduleDensity(const Device& device, const ScheduledCircuit& schedule,
 
     // The crosstalk-aware per-gate error rates come from the trajectory
     // engine itself so both backends model the identical channel strength.
-    const NoisySimulator reference(device, options);
+    std::vector<double> gate_errors;
+    if (options.gate_noise) {
+        gate_errors =
+            NoisySimulator(device, options).EffectiveGateErrors(schedule);
+    }
 
     std::vector<double> t1_ns(width), tphi_ns(width), clock(width);
     for (int local = 0; local < width; ++local) {
@@ -112,7 +116,7 @@ ReplayScheduleDensity(const Device& device, const ScheduledCircuit& schedule,
         }
         rho.ApplyGate(local_gate);
         if (options.gate_noise) {
-            const double error = reference.EffectiveGateError(schedule, i);
+            const double error = gate_errors[i];
             if (error > 0.0) {
                 rho.ApplyDepolarizing(local_gate.qubits, error);
             }

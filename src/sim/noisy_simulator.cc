@@ -68,12 +68,12 @@ PureDephasingTimeNs(double t1_ns, double t2_ns)
 }
 
 /**
- * NoisySimulator::EffectiveGateError of every gate of @p schedule (0 for
- * barriers and measures), in one pass over its two-qubit unitaries.
+ * NoisySimulator::EffectiveGateErrors of @p schedule (0 for barriers
+ * and measures), in one pass over its two-qubit unitaries.
  */
 std::vector<double>
-EffectiveGateErrors(const Device& device, bool crosstalk,
-                    const ScheduledCircuit& schedule)
+CrosstalkAwareGateErrors(const Device& device, bool crosstalk,
+                         const ScheduledCircuit& schedule)
 {
     const std::vector<TimedGate>& gates = schedule.gates();
     std::vector<double> errors(gates.size(), 0.0);
@@ -663,7 +663,7 @@ BuildRunPlan(const Device& device, const NoisySimOptions& options,
     // Computed even with gate noise off: it also rejects a two-qubit
     // gate on uncoupled qubits.
     const std::vector<double> errors =
-        EffectiveGateErrors(device, options.crosstalk, schedule);
+        CrosstalkAwareGateErrors(device, options.crosstalk, schedule);
 
     // Per-local-qubit decoherence parameters; clocks start at each
     // qubit's first operation (0 for a qubit only barriers touch).
@@ -742,12 +742,10 @@ NoisySimulator::NoisySimulator(const Device& device, NoisySimOptions options)
 {
 }
 
-double
-NoisySimulator::EffectiveGateError(const ScheduledCircuit& schedule,
-                                   int index) const
+std::vector<double>
+NoisySimulator::EffectiveGateErrors(const ScheduledCircuit& schedule) const
 {
-    return EffectiveGateErrors(*device_, options_.crosstalk, schedule)
-        .at(index);
+    return CrosstalkAwareGateErrors(*device_, options_.crosstalk, schedule);
 }
 
 Counts

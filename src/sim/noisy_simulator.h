@@ -176,12 +176,12 @@ class NoisySimulator {
         const;
 
     /**
-     * Effective error rate the trajectory engine will use for gate
-     * @p index of the schedule (exposes the crosstalk-aware rates for
-     * tests and diagnostics).
+     * Effective error rate the trajectory engine will use for each gate
+     * of the schedule, indexed like schedule.gates() (0 for barriers and
+     * measures): the crosstalk-aware rates, computed once per schedule.
      */
-    double EffectiveGateError(const ScheduledCircuit& schedule,
-                              int index) const;
+    std::vector<double> EffectiveGateErrors(
+        const ScheduledCircuit& schedule) const;
 
     const Device& device() const { return *device_; }
 

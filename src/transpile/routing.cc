@@ -200,9 +200,7 @@ LowestCrosstalkPath(const Device& device,
     // coupler's high-crosstalk partnerships, weighted.
     std::vector<double> edge_cost(topo.num_edges(), 0.0);
     for (EdgeId e = 0; e < topo.num_edges(); ++e) {
-        double cost = characterization.HasIndependentError(e)
-                          ? characterization.IndependentError(e)
-                          : device.CxError(e);
+        double cost = characterization.IndependentOrCalibratedError(e, device);
         for (EdgeId other = 0; other < topo.num_edges(); ++other) {
             if (other == e ||
                 !characterization.IsHighCrosstalk(e, other)) {

@@ -2,16 +2,17 @@
  * @file
  * Tests for scheduler portfolio racing (scheduler/portfolio.h): the
  * candidate-producing member interface, winner selection and tie-break,
- * thread-count-invariant (bit-identical) winners, degradation reporting
- * when the preferred member fails, cooperative cancellation, and the
- * success-probability upper bound the race cancels against.
+ * thread-count-invariant (bit-identical) winners and outcomes, and
+ * degradation reporting when the preferred member fails.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <iomanip>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,8 +21,6 @@
 #include "compiler/compiler.h"
 #include "device/ibmq_devices.h"
 #include "faults/faults.h"
-#include "runtime/cancellation.h"
-#include "runtime/executor.h"
 #include "runtime/thread_pool.h"
 #include "scheduler/anneal_scheduler.h"
 #include "scheduler/portfolio.h"
@@ -171,6 +170,52 @@ TEST(Portfolio, WinnerIsBitIdenticalAtAnyThreadCount)
     }
 }
 
+TEST(Portfolio, RaceOutcomesDoNotDependOnThreadTiming)
+{
+    // On a Bell pair ParSched scores the crosstalk-free, wait-free
+    // product, and XtalkSched's durations, rounded to 0.01 ns, score a
+    // hair above it. Every raced member runs to completion, so the
+    // verdict is the same however the pool interleaves the two.
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    Circuit bell(20);
+    bell.H(10).CX(10, 15).Measure(10, 0).Measure(15, 1);
+    PortfolioContext ctx;
+    ctx.device = &device;
+    ctx.characterization = &characterization;
+    SchedulerPortfolio portfolio(MakeMembers({"parallel", "xtalk"}));
+
+    // The winner and every outcome's status, score and reason.
+    const auto verdict = [](const PortfolioResult& result) {
+        std::ostringstream oss;
+        oss << std::setprecision(17) << "winner " << result.winner.member;
+        for (const PortfolioMemberOutcome& outcome : result.outcomes) {
+            oss << "\n" << outcome.member << " "
+                << PortfolioOutcomeStatusName(outcome.status) << " "
+                << outcome.has_score << " " << outcome.score << " '"
+                << outcome.reason << "'";
+        }
+        return oss.str();
+    };
+    std::string first;
+    for (int threads : {1, 2, 4}) {
+        PortfolioRunOptions run_options;
+        run_options.pool = std::make_shared<runtime::ThreadPool>(threads);
+        for (int rep = 0; rep < 100; ++rep) {
+            const PortfolioResult result =
+                portfolio.Run(bell, ctx, run_options);
+            const std::string current = verdict(result);
+            if (first.empty()) {
+                first = current;
+            }
+            ASSERT_EQ(current, first)
+                << "threads=" << threads << " rep=" << rep;
+            ASSERT_EQ(result.winner.member, "xtalk")
+                << "threads=" << threads << " rep=" << rep;
+        }
+    }
+}
+
 TEST(Portfolio, ExactScoreTieGoesToTheEarlierRank)
 {
     // One lone CX: serial and parallel schedules are identical, so the
@@ -229,10 +274,6 @@ TEST(Portfolio, RaceWinnerIsAtLeastAsGoodAsEveryStandaloneMember)
         const PortfolioResult raced = portfolio.Run(circuit, ctx);
         EXPECT_GE(raced.winner.estimate.success_probability,
                   best_single - 1e-12);
-        EXPECT_LE(raced.winner.estimate.success_probability,
-                  UpperBoundSuccessProbability(circuit, device,
-                                               &characterization) +
-                      1e-12);
     }
 }
 
@@ -368,49 +409,6 @@ TEST(AnnealScheduler, IsDeterministicAndRespectsDependencies)
     EXPECT_GT(scheduler.stats().iterations_run, 0);
 }
 
-TEST(AnnealScheduler, CancelledRunStillReturnsAValidSchedule)
-{
-    const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
-    AnnealScheduler scheduler(device, characterization);
-    runtime::CancelToken cancel;
-    cancel.Cancel();
-    const ScheduledCircuit s =
-        scheduler.Schedule(ConflictCircuit(), &cancel);
-    EXPECT_EQ(s.size(), ConflictCircuit().size());
-    EXPECT_TRUE(scheduler.stats().cancelled);
-}
-
-TEST(CancelToken, ChainsThroughParents)
-{
-    auto parent = std::make_shared<runtime::CancelToken>();
-    runtime::CancelToken child(parent);
-    EXPECT_FALSE(child.Cancelled());
-    parent->Cancel();
-    EXPECT_TRUE(child.Cancelled());
-    EXPECT_THROW(child.ThrowIfCancelled("raced work lost"),
-                 runtime::OperationCancelled);
-}
-
-TEST(Executor, CancelledJobFailsBeforeSimulating)
-{
-    const Device device = MakePoughkeepsie();
-    SchedulerPortfolio portfolio(MakeMembers({"parallel"}));
-    PortfolioContext ctx;
-    ctx.device = &device;
-    const PortfolioResult raced = portfolio.Run(ConflictCircuit(), ctx);
-
-    runtime::Executor executor(device);
-    runtime::ExecutionJob job;
-    job.schedule = raced.winner.schedule;
-    job.spec = RunSpec{64, std::nullopt, 4};
-    auto cancel = std::make_shared<runtime::CancelToken>();
-    cancel->Cancel();
-    job.cancel = cancel;
-    EXPECT_THROW(executor.Run(std::move(job)),
-                 runtime::OperationCancelled);
-}
-
 TEST(CompilerPortfolio, PortfolioPolicyCompilesAndReportsOutcomes)
 {
     const Device device = MakePoughkeepsie();
@@ -488,27 +486,6 @@ TEST(Portfolio, LoneMemberRunsOnTheCallingThread)
     blocker.get();
     EXPECT_TRUE(pool_still_busy);
     EXPECT_EQ(result.winner.member, "greedy");
-}
-
-TEST(Portfolio, UpperBoundDominatesEveryMember)
-{
-    const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
-    const Circuit circuit = ConflictCircuit();
-    const double bound =
-        UpperBoundSuccessProbability(circuit, device, &characterization);
-    EXPECT_GT(bound, 0.0);
-    EXPECT_LE(bound, 1.0);
-    PortfolioContext ctx;
-    ctx.device = &device;
-    ctx.characterization = &characterization;
-    for (const PortfolioMemberInfo& row : PortfolioRegistry()) {
-        SchedulerPortfolio solo(MakeMembers({row.key}));
-        const PortfolioResult result = solo.Run(circuit, ctx);
-        EXPECT_LE(result.winner.estimate.success_probability,
-                  bound + 1e-12)
-            << row.key;
-    }
 }
 
 }  // namespace

@@ -323,8 +323,8 @@ TEST(NoisySimulator, EffectiveErrorUsesConditionalRateWhenOverlapping)
     serial.Add(Gate{GateKind::kCX, {11, 12}, {}, -1}, 500.0, 400.0);
 
     NoisySimulator sim(device);
-    const double overlapped_err = sim.EffectiveGateError(overlapped, 0);
-    const double serial_err = sim.EffectiveGateError(serial, 0);
+    const double overlapped_err = sim.EffectiveGateErrors(overlapped)[0];
+    const double serial_err = sim.EffectiveGateErrors(serial)[0];
     EXPECT_GT(overlapped_err, 3.0 * serial_err);
     EXPECT_NEAR(serial_err, device.CxError(victim), 1e-12);
     EXPECT_NEAR(overlapped_err,
