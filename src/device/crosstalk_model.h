@@ -75,6 +75,8 @@ class DriftModel {
     /** Multiplier applied to a conditional crosstalk factor on @p day. */
     double ConditionalFactor(int victim, int aggressor, int day) const;
 
+    uint64_t seed() const { return seed_; }
+
   private:
     double Wobble(uint64_t key, int day, double amplitude) const;
 

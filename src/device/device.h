@@ -49,6 +49,10 @@ class Device {
     int day() const { return day_; }
     void SetDay(int day) { day_ = day; }
 
+    /** Seed of the daily drift. The spec format does not carry it, so
+     *  two devices with one spec text can differ in every drifted rate. */
+    uint64_t drift_seed() const { return drift_.seed(); }
+
     // -- Calibration view (published daily; safe for the compiler) --------
 
     /** Independent CNOT error rate on a coupler, with daily drift. */

@@ -1,7 +1,10 @@
 #include "service/engine.h"
 
 #include <algorithm>
+#include <array>
+#include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "characterization/io.h"
 #include "circuit/qasm.h"
@@ -31,22 +34,83 @@ using Clock = std::chrono::steady_clock;
 /** Seed of every on-the-fly characterization (part of its cache key). */
 constexpr uint64_t kCharacterizationSeed = 1;
 
-Device
-ResolveDevice(const ServiceRequest& request)
+/** Content key for the snapshot cache: everything that shapes the
+ *  measurement, hashed. Two requests share a key exactly when their
+ *  on-the-fly characterizations would be bit-identical. The spec text
+ *  does not carry the drift seed, which moves every drifted rate, so
+ *  the key names it. */
+std::string
+CharacterizationKey(const Device& device)
 {
-    if (!request.device_file.empty()) {
-        return LoadDeviceSpec(request.device_file);
+    const RbConfig config = BenchRbConfig();
+    std::ostringstream canon;
+    canon << "policy=one-hop-bin-packed;seed=" << kCharacterizationSeed
+          << ";shots=" << config.shots
+          << ";seqs=" << config.sequences_per_length
+          << ";rb_seed=" << config.seed << ";lengths=";
+    for (int length : config.lengths) {
+        canon << length << ",";
     }
-    if (request.device == "poughkeepsie") {
-        return MakePoughkeepsie();
+    canon << ";drift_seed=" << device.drift_seed()
+          << ";device=" << SerializeDeviceSpec(device);
+    return telemetry::FnvHex(canon.str());
+}
+
+/**
+ * A built-in device, built on its name's first request and kept for the
+ * life of the process. Its snapshot key is derived on the first request
+ * that characterizes it; the RB budget and seed in the key are
+ * constants, so the key is the device's alone.
+ */
+class NamedDevice {
+  public:
+    NamedDevice(std::string_view name, Device (*make)())
+        : name_(name), make_(make)
+    {
     }
-    if (request.device == "johannesburg") {
-        return MakeJohannesburg();
+
+    std::string_view name() const { return name_; }
+
+    const Device& device()
+    {
+        std::call_once(built_, [this] { device_.emplace(make_()); });
+        return *device_;
     }
-    if (request.device == "boeblingen") {
-        return MakeBoeblingen();
+
+    const std::string& key()
+    {
+        std::call_once(keyed_,
+                       [this] { key_ = CharacterizationKey(device()); });
+        return key_;
     }
-    XTALK_REQUIRE(false, "unknown device '" << request.device << "'");
+
+  private:
+    std::string_view name_;
+    Device (*make_)();
+    std::once_flag built_;
+    std::optional<Device> device_;
+    std::once_flag keyed_;
+    std::string key_;
+};
+
+/** The built-in device a request names; throws on an unknown name. */
+NamedDevice&
+FindNamedDevice(const std::string& name)
+{
+    // Leaked on purpose, like CliffordGroup::Shared: a daemon thread
+    // may still be compiling against a device during static
+    // destruction.
+    static auto* const table = new std::array<NamedDevice, 3>{{
+        {"poughkeepsie", [] { return MakePoughkeepsie(); }},
+        {"johannesburg", [] { return MakeJohannesburg(); }},
+        {"boeblingen", [] { return MakeBoeblingen(); }},
+    }};
+    for (NamedDevice& entry : *table) {
+        if (entry.name() == name) {
+            return entry;
+        }
+    }
+    XTALK_REQUIRE(false, "unknown device '" << name << "'");
 }
 
 CompilerOptions
@@ -179,24 +243,6 @@ AdoptTraceContext(const ServiceRequest& request, bool* client_supplied)
     return telemetry::MintTraceContext();
 }
 
-/** Content key for the snapshot cache: everything that shapes the
- *  measurement, hashed. Two requests share a key exactly when their
- *  on-the-fly characterizations would be bit-identical. */
-std::string
-CharacterizationKey(const Device& device, const RbConfig& config,
-                    uint64_t seed)
-{
-    std::ostringstream canon;
-    canon << "policy=one-hop-bin-packed;seed=" << seed << ";shots="
-          << config.shots << ";seqs=" << config.sequences_per_length
-          << ";rb_seed=" << config.seed << ";lengths=";
-    for (int length : config.lengths) {
-        canon << length << ",";
-    }
-    canon << ";device=" << SerializeDeviceSpec(device);
-    return telemetry::FnvHex(canon.str());
-}
-
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -294,7 +340,9 @@ Engine::Handle(const ServiceRequest& request,
     if (compile) {
         // Budget attribution: close the books so the phases partition
         // run_ms exactly — "other" absorbs whatever the timed stages
-        // did not cover (device resolution, state setup, the error
+        // did not cover (device resolution: a table lookup for a named
+        // device after its first request, a file load otherwise; the
+        // pipeline and state setup; the response copy-out; the error
         // path). Then price each phase against the deadline.
         response.queue_ms = phases.front().ms;
         double accounted = 0.0;
@@ -350,7 +398,17 @@ Engine::RunCompile(const ServiceRequest& request,
     }
     const Circuit& circuit = *parsed;
 
-    const Device device = ResolveDevice(request);
+    // A named device is the process's one copy; a device file is
+    // loaded, and later keyed by its content, on every request, so a
+    // file rewritten between requests is seen.
+    std::optional<Device> loaded;
+    NamedDevice* named = nullptr;
+    if (!request.device_file.empty()) {
+        loaded.emplace(LoadDeviceSpec(request.device_file));
+    } else {
+        named = &FindNamedDevice(request.device);
+    }
+    const Device& device = loaded ? *loaded : named->device();
     Inform("device: " + device.name() + " (" +
            std::to_string(device.num_qubits()) + " qubits)");
     telemetry::SetLabel("tool.device", device.name());
@@ -376,20 +434,23 @@ Engine::RunCompile(const ServiceRequest& request,
                                    << " qubits, device has "
                                    << device.num_qubits());
 
-    CrosstalkCharacterization characterization;
+    // The pipeline reads either the snapshot the request supplies or
+    // the cached one, held rather than copied.
+    CrosstalkCharacterization supplied;
+    SnapshotCache::Entry cached;
     if (!request.characterization_text.empty() ||
         !request.characterization_path.empty()) {
         PhaseTimer phase_timer(phases, "characterize");
         std::string measured_on;
         if (!request.characterization_text.empty()) {
-            characterization = ParseCharacterization(
-                request.characterization_text, &measured_on);
+            supplied = ParseCharacterization(request.characterization_text,
+                                             &measured_on);
         } else {
             // Bounded retry: characterization files typically live on
             // network filesystems in real deployments, and transient
             // read failures should not kill a compile.
             RetryCall([&] {
-                characterization = LoadCharacterization(
+                supplied = LoadCharacterization(
                     request.characterization_path, &measured_on);
             });
         }
@@ -405,22 +466,24 @@ Engine::RunCompile(const ServiceRequest& request,
                 request, StatusCode::kTimeout,
                 "deadline expired before characterization");
         }
-        const RbConfig rb_config = BenchRbConfig();
-        const std::string key = CharacterizationKey(
-            device, rb_config, kCharacterizationSeed);
-        const SnapshotCache::Entry entry = cache_.GetOrCompute(key, [&] {
+        const std::string key =
+            named != nullptr ? named->key() : CharacterizationKey(device);
+        cached = cache_.GetOrCompute(key, [&] {
             Inform("characterizing device (bin-packed SRB)...");
             telemetry::ScopedSpan span("tool.characterize");
             return CharacterizeDevice(
-                device, rb_config, CharacterizationPolicy::kOneHopBinPacked,
+                device, BenchRbConfig(),
+                CharacterizationPolicy::kOneHopBinPacked,
                 kCharacterizationSeed);
         });
-        characterization = *entry.data;
-        response.cache_hit = entry.hit;
+        response.cache_hit = cached.hit;
     }
+    const CrosstalkCharacterization& characterization =
+        cached.data ? *cached.data : supplied;
     if (!characterization.independent_entries().empty() ||
         !characterization.conditional_entries().empty()) {
-        response.characterization_id = characterization.SnapshotId();
+        response.characterization_id =
+            cached.data ? cached.id : characterization.SnapshotId();
     }
     if (!request.save_characterization_path.empty()) {
         SaveCharacterization(request.save_characterization_path,

@@ -84,7 +84,7 @@ SnapshotCache::GetOrCompute(const std::string& key, const Compute& compute)
                 telemetry::GetCounter("svc.cache.hits").Add(1);
             }
             JournalCacheLink(slot->leader, slot->fill_span);
-            return Entry{slot->data, true};
+            return Entry{slot->data, slot->id, true};
         }
         slot = std::make_shared<Slot>();
         // Record who is paying for this flight before any follower can
@@ -104,6 +104,7 @@ SnapshotCache::GetOrCompute(const std::string& key, const Compute& compute)
         faults::MaybeInject("cache.fill");
         auto data = std::make_shared<const CrosstalkCharacterization>(
             compute());
+        std::string id = data->SnapshotId();
         // "fill_span", not "span": Emit appends the emitting context's
         // own "span" field centrally, and the two must not collide.
         telemetry::JournalEmit(
@@ -111,12 +112,13 @@ SnapshotCache::GetOrCompute(const std::string& key, const Compute& compute)
             {{"fill_span", telemetry::SpanIdHex(slot->fill_span)}});
         std::lock_guard<std::mutex> lock(mutex_);
         slot->data = std::move(data);
+        slot->id = std::move(id);
         slot->ready = true;
         lru_.push_front(key);
         slot->lru_it = lru_.begin();
         EvictOverCapacityLocked();
         slot_ready_.notify_all();
-        return Entry{slot->data, false};
+        return Entry{slot->data, slot->id, false};
     } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         slot->failed = true;

@@ -25,10 +25,10 @@
  * `cache.fill` fault site fires inside the leader (before the
  * measurement), making exactly this path injectable.
  *
- * Keys are content-derived by the caller (device spec + RB budget +
- * policy + seed — see Engine::CharacterizationKey), so two requests
- * agree on a key exactly when the measurement they would run is
- * bit-identical.
+ * Keys are content-derived by the caller (device spec and drift seed +
+ * RB budget + policy + seed — see CharacterizationKey in engine.cc), so
+ * two requests agree on a key exactly when the measurement they would
+ * run is bit-identical.
  */
 #ifndef XTALK_SERVICE_SNAPSHOT_CACHE_H
 #define XTALK_SERVICE_SNAPSHOT_CACHE_H
@@ -59,6 +59,9 @@ class SnapshotCache {
 
     struct Entry {
         std::shared_ptr<const CrosstalkCharacterization> data;
+        /** data->SnapshotId(), computed once by the call that filled
+         *  the entry, so a hit hashes nothing. */
+        std::string id;
         /** True when this call did not run the measurement itself —
          *  the snapshot was already cached or another request's
          *  in-flight computation was joined. */
@@ -89,6 +92,7 @@ class SnapshotCache {
         bool ready = false;
         bool failed = false;
         std::shared_ptr<const CrosstalkCharacterization> data;
+        std::string id;
         std::exception_ptr error;
         /** Trace context of the request that ran the measurement, so
          *  followers (and later hits) can journal a link to the fill

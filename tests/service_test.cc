@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "device/device_io.h"
+#include "device/ibmq_devices.h"
 #include "faults/faults.h"
 #include "service/admission.h"
 #include "service/api.h"
@@ -48,6 +50,46 @@ TinyRequest()
     request.qasm = kTinyQasm;
     request.layout = "trivial";
     request.scheduler = "serial";  // No characterization needed: fast.
+    return request;
+}
+
+/** A per-process temp path for a device spec named @p tag. */
+std::string
+TempDevicePath(const std::string& tag)
+{
+    return ::testing::TempDir() + "/svc_" + tag + "_device_" +
+           std::to_string(static_cast<long>(::getpid())) + ".txt";
+}
+
+/**
+ * Write a 4-qubit linear device spec to @p path, its first coupler at
+ * @p cx_error. Its outer couplers are one hop apart, so its on-the-fly
+ * snapshot is not empty, yet cheap where the 20-qubit defaults take
+ * seconds.
+ */
+void
+WriteTinyDevice(const std::string& path, double cx_error = 0.015)
+{
+    std::ofstream device(path);
+    device << "device tiny\nqubits 4\ntraits 1 1\n";
+    for (int q = 0; q < 4; ++q) {
+        device << "qubit " << q
+               << " t1_us 50 t2_us 40 readout_err 0.03"
+                  " sq_err 0.0005 sq_ns 50 readout_ns 1000\n";
+    }
+    device << "edge 0 1 cx_err " << cx_error << " cx_ns 400\n"
+           << "edge 1 2 cx_err 0.02 cx_ns 450\n"
+           << "edge 2 3 cx_err 0.017 cx_ns 420\n";
+}
+
+/** TinyRequest on the device file at @p path, with a scheduler that
+ *  characterizes on the fly. */
+ServiceRequest
+CharacterizingRequest(const std::string& path)
+{
+    ServiceRequest request = TinyRequest();
+    request.device_file = path;
+    request.scheduler = "greedy";
     return request;
 }
 
@@ -626,30 +668,35 @@ TEST(SnapshotCacheTest, CacheFillFaultFailsFlightThenRetries)
     EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(SnapshotCacheTest, EntryCarriesTheSnapshotIdOnMissAndHits)
+{
+    SnapshotCache cache(0);
+    const auto compute = [] {
+        CrosstalkCharacterization data;
+        data.SetIndependentError(EdgeId{0}, 0.01);
+        data.SetIndependentError(EdgeId{1}, 0.02);
+        data.SetConditionalError(EdgeId{0}, EdgeId{1}, 0.07);
+        return data;
+    };
+    const SnapshotCache::Entry miss = cache.GetOrCompute("k", compute);
+    ASSERT_FALSE(miss.hit);
+    EXPECT_EQ(miss.id, miss.data->SnapshotId());
+    for (int i = 0; i < 2; ++i) {
+        const SnapshotCache::Entry hit = cache.GetOrCompute("k", compute);
+        ASSERT_TRUE(hit.hit);
+        EXPECT_EQ(hit.id, hit.data->SnapshotId());
+        EXPECT_EQ(hit.id, miss.id);
+    }
+}
+
 TEST(EngineTest, CacheFillFaultAnswersStructuredErrorThenHeals)
 {
     faults::ScopedFaultPlan plan("cache.fill:n=1;seed=3");
-    // A 3-qubit linear device keeps the on-the-fly SRB of the healed
-    // request cheap (the 20-qubit defaults take seconds).
-    const std::string device_path =
-        ::testing::TempDir() + "/svc_cache_fill_device_" +
-        std::to_string(static_cast<long>(::getpid())) + ".txt";
-    {
-        std::ofstream device(device_path);
-        device << "device tiny\nqubits 3\ntraits 1 1\n";
-        for (int q = 0; q < 3; ++q) {
-            device << "qubit " << q
-                   << " t1_us 50 t2_us 40 readout_err 0.03"
-                      " sq_err 0.0005 sq_ns 50 readout_ns 1000\n";
-        }
-        device << "edge 0 1 cx_err 0.015 cx_ns 400\n"
-               << "edge 1 2 cx_err 0.02 cx_ns 450\n";
-    }
+    const std::string device_path = TempDevicePath("cache_fill");
+    WriteTinyDevice(device_path);
     Engine engine;
-    ServiceRequest request = TinyRequest();
+    ServiceRequest request = CharacterizingRequest(device_path);
     request.id = "cache-fill-fault";
-    request.device_file = device_path;
-    request.scheduler = "greedy";  // Needs an on-the-fly snapshot.
     // The injected Error surfaces as a structured response, never an
     // exception or a silent wrong answer.
     const ServiceResponse faulted = engine.Handle(request);
@@ -660,6 +707,42 @@ TEST(EngineTest, CacheFillFaultAnswersStructuredErrorThenHeals)
     const ServiceResponse healed = engine.Handle(request);
     EXPECT_EQ(healed.code, StatusCode::kOk) << healed.error;
     EXPECT_FALSE(healed.cache_hit);
+    std::remove(device_path.c_str());
+}
+
+TEST(EngineTest, WarmHitReportsTheFillsSnapshotId)
+{
+    const std::string device_path = TempDevicePath("warm_hit");
+    WriteTinyDevice(device_path);
+    Engine engine;
+    const ServiceRequest request = CharacterizingRequest(device_path);
+    const ServiceResponse fill = engine.Handle(request);
+    ASSERT_EQ(fill.code, StatusCode::kOk) << fill.error;
+    EXPECT_FALSE(fill.cache_hit);
+    EXPECT_FALSE(fill.characterization_id.empty());
+    const ServiceResponse hit = engine.Handle(request);
+    ASSERT_EQ(hit.code, StatusCode::kOk) << hit.error;
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.characterization_id, fill.characterization_id);
+    std::remove(device_path.c_str());
+}
+
+TEST(EngineTest, RewrittenDeviceFileIsANewSnapshot)
+{
+    // A device file is keyed by its content, not its path: the same
+    // path rewritten between two requests is measured again.
+    const std::string device_path = TempDevicePath("rewritten");
+    WriteTinyDevice(device_path, 0.015);
+    Engine engine;
+    const ServiceRequest request = CharacterizingRequest(device_path);
+    const ServiceResponse before = engine.Handle(request);
+    ASSERT_EQ(before.code, StatusCode::kOk) << before.error;
+    WriteTinyDevice(device_path, 0.03);
+    const ServiceResponse after = engine.Handle(request);
+    ASSERT_EQ(after.code, StatusCode::kOk) << after.error;
+    EXPECT_FALSE(after.cache_hit);
+    EXPECT_NE(after.characterization_id, before.characterization_id);
+    EXPECT_EQ(engine.cache().misses(), 2u);
     std::remove(device_path.c_str());
 }
 
@@ -1178,6 +1261,91 @@ TEST(EngineTest, FillRunRecordMapsStatusToExitCode)
     EXPECT_EQ(record.config_hash, request.ConfigHash());
     EXPECT_EQ(record.device, request.device);
     EXPECT_EQ(record.degradation_reason, "server at capacity");
+}
+
+// ---------------------------------------------------------------------
+// Named devices and snapshot keys
+
+TEST(EngineConcurrency, NamedDevicesAnswerAsTheyDoSerially)
+{
+    // Four threads race into the first request on each named device,
+    // then keep compiling; every answer must equal the serial one.
+    const std::vector<std::string> devices = {"poughkeepsie", "johannesburg",
+                                              "boeblingen"};
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    Engine engine;
+    std::atomic<bool> go{false};
+    std::vector<std::vector<std::pair<size_t, std::string>>> answers(
+        kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load()) {
+                std::this_thread::yield();
+            }
+            for (int round = 0; round < kRounds; ++round) {
+                for (size_t i = 0; i < devices.size(); ++i) {
+                    // Each thread starts on another device.
+                    const size_t d = (i + t) % devices.size();
+                    ServiceRequest request = TinyRequest();
+                    request.device = devices[d];
+                    answers[t].emplace_back(
+                        d, engine.Handle(request).ToJson(false));
+                }
+            }
+        });
+    }
+    go.store(true);
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    for (size_t d = 0; d < devices.size(); ++d) {
+        ServiceRequest request = TinyRequest();
+        request.device = devices[d];
+        const ServiceResponse serial = engine.Handle(request);
+        ASSERT_EQ(serial.code, StatusCode::kOk) << serial.error;
+        const std::string expected = serial.ToJson(false);
+        for (int t = 0; t < kThreads; ++t) {
+            for (const auto& [device, answer] : answers[t]) {
+                if (device == d) {
+                    EXPECT_EQ(answer, expected)
+                        << devices[d] << ", thread " << t;
+                }
+            }
+        }
+    }
+}
+
+TEST(EngineSnapshotKey, NamedDeviceAndItsSpecFileAreDifferentSnapshots)
+{
+    // The spec text carries no drift seed: a file holding Poughkeepsie's
+    // spec parses back to the same text, yet drifts with the parser's
+    // seed, so every drifted rate differs. It must not be served the
+    // named device's snapshot.
+    const std::string spec = SerializeDeviceSpec(MakePoughkeepsie());
+    const std::string device_path = TempDevicePath("poughkeepsie_spec");
+    {
+        std::ofstream file(device_path);
+        file << spec;
+    }
+    const Device from_file = LoadDeviceSpec(device_path);
+    ASSERT_EQ(SerializeDeviceSpec(from_file), spec);
+    ASSERT_NE(from_file.drift_seed(), MakePoughkeepsie().drift_seed());
+
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.scheduler = "greedy";
+    const ServiceResponse named = engine.Handle(request);
+    ASSERT_EQ(named.code, StatusCode::kOk) << named.error;
+    EXPECT_FALSE(named.cache_hit);
+    request.device_file = device_path;
+    const ServiceResponse filed = engine.Handle(request);
+    ASSERT_EQ(filed.code, StatusCode::kOk) << filed.error;
+    EXPECT_FALSE(filed.cache_hit);
+    EXPECT_NE(filed.characterization_id, named.characterization_id);
+    std::remove(device_path.c_str());
 }
 
 }  // namespace
