@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the performance-critical library
- * components: state-vector gate application, noisy trajectory shots,
- * Clifford tableau operations and synthesis, SRB schedule construction,
- * bin packing, and the SMT scheduler itself.
+ * components: state-vector gate application, noisy trajectory shots
+ * against exact outcome distributions, Clifford tableau operations and
+ * synthesis, SRB schedule construction, bin packing, and the SMT
+ * scheduler itself.
  */
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include "device/ibmq_devices.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/xtalk_scheduler.h"
+#include "sim/exact_distribution.h"
 #include "sim/gate_matrices.h"
 #include "sim/noisy_simulator.h"
 #include "sim/stabilizer.h"
@@ -30,6 +32,7 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_context.h"
+#include "workloads/qaoa.h"
 #include "workloads/swap_circuits.h"
 
 namespace xtalk {
@@ -143,6 +146,43 @@ BM_ExecutorBatch(benchmark::State& state)
 }
 BENCHMARK(BM_ExecutorBatch)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_ExactVsTrajectory(benchmark::State& state)
+{
+    // One register of k qubits (a QAOA chain, ParSched) at a shot
+    // budget, run as trajectories (engine 0) or as the exact
+    // distribution plus sampling (engine 1). Exact costs grow 4^k and
+    // stay flat in shots; trajectories grow with shots. The table is
+    // what sets the executor's cost test (2^k <= shots, k <= 10).
+    const int k = static_cast<int>(state.range(0));
+    const int shots = static_cast<int>(state.range(1));
+    const bool exact = state.range(2) == 1;
+    const Device device = MakePoughkeepsie();
+    const std::vector<QubitId> path{0, 1, 2, 3, 4, 9, 8, 7, 6, 5};
+    const ScheduledCircuit schedule = ParallelScheduler(device).Schedule(
+        BuildQaoaCircuit(device, std::vector<QubitId>(path.begin(),
+                                                      path.begin() + k)));
+    uint64_t seed = 1;
+    for (auto _ : state) {
+        Rng rng(seed);
+        if (exact) {
+            const ExactDistribution distribution(
+                BuildRunPlan(device, {}, schedule));
+            benchmark::DoNotOptimize(distribution.Sample(shots, rng));
+        } else {
+            NoisySimulator sim(device);
+            benchmark::DoNotOptimize(
+                sim.Run(schedule, RunSpec{shots, seed}));
+        }
+        ++seed;
+    }
+    state.SetItemsProcessed(state.iterations() * shots);
+}
+BENCHMARK(BM_ExactVsTrajectory)
+    ->ArgNames({"k", "shots", "exact"})
+    ->ArgsProduct({{2, 4, 6, 8, 10}, {16, 128, 1024, 8192}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_TableauCxApply(benchmark::State& state)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "common/error.h"
@@ -10,6 +11,7 @@
 #include "device/ibmq_devices.h"
 #include "faults/faults.h"
 #include "sim/density_replay.h"
+#include "sim/exact_distribution.h"
 #include "sim/noisy_simulator.h"
 #include "sim/stabilizer.h"
 #include "telemetry/json.h"
@@ -48,6 +50,27 @@ bool
 SameHistogram(const Counts& a, const Counts& b)
 {
     return a.histogram() == b.histogram();
+}
+
+/**
+ * The first bit pattern at which two distributions differ by more than
+ * @p tolerance, as "bit pattern i: a vs b" (a shorter one reads as
+ * zeros past its end); nullopt when they agree.
+ */
+std::optional<std::string>
+Divergence(const std::vector<double>& a, const std::vector<double>& b,
+           double tolerance)
+{
+    for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        const double x = i < a.size() ? a[i] : 0.0;
+        const double y = i < b.size() ? b[i] : 0.0;
+        if (std::abs(x - y) > tolerance) {
+            std::ostringstream oss;
+            oss << "bit pattern " << i << ": " << x << " vs " << y;
+            return oss.str();
+        }
+    }
+    return std::nullopt;
 }
 
 /** Run one (family, device) case end to end. */
@@ -144,18 +167,21 @@ RunCase(const Device& device, AdversarialFamily family, uint64_t case_seed,
                 .probabilities;
         const std::vector<double> ideal_sv =
             sv.IdealProbabilities(compiled.schedule);
-        const size_t n = std::max(ideal_dm.size(), ideal_sv.size());
-        for (size_t i = 0; i < n; ++i) {
-            const double a = i < ideal_dm.size() ? ideal_dm[i] : 0.0;
-            const double b = i < ideal_sv.size() ? ideal_sv[i] : 0.0;
-            if (std::abs(a - b) > 1e-9) {
-                std::ostringstream oss;
-                oss << "noise-free replay diverges from ideal at bit "
-                       "pattern "
-                    << i << ": " << a << " vs " << b;
-                result.failures.push_back(oss.str());
-                break;
-            }
+        if (const auto at = Divergence(ideal_dm, ideal_sv, 1e-9)) {
+            result.failures.push_back(
+                "noise-free replay diverges from ideal at " + *at);
+        }
+
+        // Deterministic projection 3: the exact engine, which
+        // default-backend Executor jobs sample, computes the replay's
+        // distribution.
+        const std::vector<double> engine =
+            ExactDistribution(
+                BuildRunPlan(device, NoisySimOptions{}, compiled.schedule))
+                .Probabilities();
+        if (const auto at = Divergence(engine, exact.probabilities, 1e-12)) {
+            result.failures.push_back(
+                "exact engine diverges from density replay at " + *at);
         }
 
         // Sampled arm 2: Pauli-twirled stabilizer, Clifford inputs only.

@@ -14,9 +14,10 @@
  * TVD threshold of the exact distribution, where the threshold scales
  * with the multinomial sampling error sqrt(support/shots) so the check
  * is meaningful at any shot budget. Deterministic projections must be
- * *exact*: a same-seed trajectory rerun is bit-identical, and the
+ * *exact*: a same-seed trajectory rerun is bit-identical, the
  * noise-free replay matches `NoisySimulator::IdealProbabilities`
- * elementwise.
+ * elementwise, and the exact engine (`ExactDistribution`, which
+ * default-backend Executor jobs sample) matches the replay to 1e-12.
  *
  * With a fault plan active the oracle re-runs each case and requires
  * every injected `Error` to either heal bit-identically (retry with

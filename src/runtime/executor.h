@@ -10,16 +10,24 @@
  * at two levels on a fixed-size ThreadPool:
  *
  *  1. across the jobs of a batch, and
- *  2. across shot chunks *within* a job, when the job's RunSpec allows
- *     more than one chunk.
+ *  2. across shot chunks *within* a trajectory job, when the job's
+ *     RunSpec allows more than one chunk.
  *
  * Determinism: the chunk plan is a pure function of the RunSpec, and
  * chunk c of a job draws from Rng(DeriveSeed(job seed, c)) (chunk 0 of
- * a single-chunk job keeps the job seed itself, so a one-chunk job is
- * bit-identical to a direct serial NoisySimulator run). Chunk counts
- * are merged in index order, and histogram merging is commutative —
- * so a request returns bit-identical ExecutionResults for ANY thread
- * count, including 1. See docs/PARALLELISM.md.
+ * a single-chunk job keeps the job seed itself, so a one-chunk
+ * kStatevector job is bit-identical to a direct serial NoisySimulator
+ * run). Chunk counts are merged in index order, and histogram merging
+ * is commutative — so a request returns bit-identical ExecutionResults
+ * for ANY thread count, including 1. See docs/PARALLELISM.md.
+ *
+ * Two kinds of work reach the pool. A trajectory job (kStatevector,
+ * kStabilizer, or a kExact job that falls back) runs each chunk as its
+ * own pool task on a fresh simulator. A kExact job whose measures are
+ * all terminal builds its RunPlan once, on the submitting thread, and
+ * runs as one pool task: it computes the outcome distribution, then
+ * draws each chunk's shots from that chunk's seed in chunk order. Both
+ * keep the same chunk plan, fault points and `exec.chunk` events.
  *
  * Concurrency contract: jobs only touch their own simulator instance
  * plus the shared const Device, so they need no locking. Submit()
@@ -41,10 +49,17 @@
 
 namespace xtalk::runtime {
 
-/** Which trajectory engine executes a job. */
+/** Which engine executes a job. */
 enum class SimBackend {
-    kStatevector,  ///< NoisySimulator (any gate set).
+    kStatevector,  ///< NoisySimulator trajectories (any gate set).
     kStabilizer,   ///< StabilizerSimulator (Clifford-only, much faster).
+    /**
+     * Shots drawn from the exact outcome distribution (ExactDistribution,
+     * any gate set). A job with a mid-circuit measure, or whose widest
+     * measured register k fails the cost test (2^k <= shots and
+     * k <= 10, kMaxExactRegisterQubits), runs as kStatevector instead.
+     */
+    kExact,
 };
 
 /** One independent circuit execution within a batch. */
@@ -55,7 +70,7 @@ struct ExecutionJob {
     RunSpec spec;
     /** Base seed; chunk streams derive from it via DeriveSeed. */
     uint64_t seed = 0x5EED;
-    SimBackend backend = SimBackend::kStatevector;
+    SimBackend backend = SimBackend::kExact;
     /** Noise toggles (the seed field inside is ignored). */
     NoisySimOptions noise;
     /**

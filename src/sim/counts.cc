@@ -15,6 +15,13 @@ Counts::Record(uint64_t bits)
 }
 
 void
+Counts::Record(uint64_t bits, int shots)
+{
+    histogram_[bits] += shots;
+    shots_ += shots;
+}
+
+void
 Counts::Merge(const Counts& other)
 {
     num_clbits_ = std::max(num_clbits_, other.num_clbits_);

@@ -26,6 +26,9 @@ class Counts {
     /** Record one shot's outcome. */
     void Record(uint64_t bits);
 
+    /** Record @p shots shots of one outcome. */
+    void Record(uint64_t bits, int shots);
+
     /**
      * Add another histogram's shots into this one (used to combine the
      * per-chunk results of a parallel run). Histogram addition is

@@ -291,32 +291,9 @@ class Trajectory {
 
 Trajectory::Trajectory(const RunPlan& plan)
 {
-    // Union the local qubits over the two-qubit operations. Registers
-    // are numbered by their lowest local qubit and keep local order.
-    std::vector<int> root(plan.width);
-    std::iota(root.begin(), root.end(), 0);
-    auto find = [&](int q) {
-        while (root[q] != q) {
-            q = root[q] = root[root[q]];
-        }
-        return q;
-    };
-    for (const RunPlan::Op& op : plan.ops) {
-        if (op.gate.qubits.size() == 2) {
-            root[find(op.gate.qubits[1])] = find(op.gate.qubits[0]);
-        }
-    }
-    std::vector<int> register_of_root(plan.width, -1);
-    std::vector<int> widths;
-    for (int q = 0; q < plan.width; ++q) {
-        int& reg = register_of_root[find(q)];
-        if (reg < 0) {
-            reg = static_cast<int>(widths.size());
-            widths.push_back(0);
-        }
-        slot_of_local_.emplace_back(reg, widths[reg]++);
-    }
-    for (int width : widths) {
+    RegisterLayout layout = PlanRegisters(plan);
+    slot_of_local_ = std::move(layout.slot_of_local);
+    for (int width : layout.widths) {
         registers_.emplace_back(width);
         dimension_ += registers_.back().dimension();
     }
@@ -649,6 +626,37 @@ Trajectory::Resume(const Draw& draw, double u, Rng& rng, uint64_t* bits)
 }
 
 }  // namespace
+
+RegisterLayout
+PlanRegisters(const RunPlan& plan)
+{
+    // Union the local qubits over the two-qubit operations.
+    std::vector<int> root(plan.width);
+    std::iota(root.begin(), root.end(), 0);
+    auto find = [&](int q) {
+        while (root[q] != q) {
+            q = root[q] = root[root[q]];
+        }
+        return q;
+    };
+    for (const RunPlan::Op& op : plan.ops) {
+        if (op.gate.qubits.size() == 2) {
+            root[find(op.gate.qubits[1])] = find(op.gate.qubits[0]);
+        }
+    }
+    std::vector<int> register_of_root(plan.width, -1);
+    RegisterLayout layout;
+    layout.slot_of_local.reserve(plan.width);
+    for (int q = 0; q < plan.width; ++q) {
+        int& reg = register_of_root[find(q)];
+        if (reg < 0) {
+            reg = static_cast<int>(layout.widths.size());
+            layout.widths.push_back(0);
+        }
+        layout.slot_of_local.emplace_back(reg, layout.widths[reg]++);
+    }
+    return layout;
+}
 
 RunPlan
 BuildRunPlan(const Device& device, const NoisySimOptions& options,

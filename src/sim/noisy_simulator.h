@@ -19,6 +19,15 @@
  * Only the qubits the schedule touches are simulated (the register is
  * compacted), so 20-qubit devices with few active qubits stay cheap.
  *
+ * Who runs it. A default-backend runtime::Executor job whose measures
+ * are all terminal does not: it samples the exact outcome distribution
+ * (sim/exact_distribution.h), which BuildRunPlan and PlanRegisters
+ * below also feed. This engine runs SRB and interleaved-RB sequences
+ * (RbRunner::BuildJobs names runtime::SimBackend::kStatevector),
+ * default-backend jobs with a mid-circuit measure or a register too
+ * wide for the exact engine's cost test, and the differential oracle's
+ * Monte-Carlo arm.
+ *
  * How a run executes. BuildRunPlan() does the setup both trajectory
  * backends share, once per run and in time linear in the gates (plus
  * one step per overlapping pair of two-qubit gates): compaction, the
@@ -158,6 +167,22 @@ struct RunPlan {
  */
 RunPlan BuildRunPlan(const Device& device, const NoisySimOptions& options,
                      const ScheduledCircuit& schedule);
+
+/**
+ * The registers a run evolves: qubits that no chain of two-qubit
+ * operations joins stay in a product state, so each connected group
+ * gets a register of its own. Registers are numbered by their lowest
+ * local qubit and keep local order.
+ */
+struct RegisterLayout {
+    /** Entry q: local qubit q's register and its index there. */
+    std::vector<std::pair<int, int>> slot_of_local;
+    /** Qubits of each register. */
+    std::vector<int> widths;
+};
+
+/** The register layout of a run of @p plan. */
+RegisterLayout PlanRegisters(const RunPlan& plan);
 
 /** Trajectory simulator bound to one device. */
 class NoisySimulator {

@@ -153,6 +153,7 @@ TEST_F(ProfilerTest, CostTreeStructureDeterministicAcrossThreadCounts)
             job.schedule = schedule;
             job.seed = 99;
             job.spec = RunSpec{512, std::nullopt, 8};
+            job.backend = runtime::SimBackend::kStatevector;
             const runtime::ExecutionResult result =
                 executor.Run(std::move(job));
             EXPECT_TRUE(result.ok);

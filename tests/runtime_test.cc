@@ -5,12 +5,15 @@
  * property — bit-identical results at any thread count, both for a
  * chunked noisy-QAOA run and for a full bin-packed characterization.
  * Also covers the counter-based Rng(DeriveSeed(seed, i)) scheme the
- * runtime's seed derivation builds on.
+ * runtime's seed derivation builds on, and holds the distribution that
+ * default-backend jobs sample to the density replay on the compiled
+ * differential-oracle cases (sim_test covers the rest of kExact).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -20,13 +23,18 @@
 #include "characterization/characterizer.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "compiler/compiler.h"
 #include "device/ibmq_devices.h"
+#include "difftest/difftest.h"
 #include "faults/faults.h"
 #include "experiments/experiments.h"
 #include "runtime/executor.h"
 #include "runtime/thread_pool.h"
 #include "scheduler/scheduler.h"
+#include "sim/density_replay.h"
+#include "sim/exact_distribution.h"
 #include "sim/noisy_simulator.h"
+#include "workloads/adversarial.h"
 #include "workloads/qaoa.h"
 
 namespace xtalk {
@@ -112,6 +120,19 @@ TEST(Executor, ChunkPlanIsDeterministicAndCoversShots)
     EXPECT_EQ(runtime::Executor::ChunkShots(medium).size(), 3u);
 }
 
+TEST(Executor, ChunkPlanCoversIntMaxShots)
+{
+    // The largest budget --simulate and the wire accept: counting its
+    // chunks must not overflow.
+    const std::vector<int> chunks = runtime::Executor::ChunkShots(
+        RunSpec{std::numeric_limits<int>::max(), std::nullopt, 16});
+    ASSERT_EQ(chunks.size(), 16u);
+    EXPECT_EQ(std::accumulate(chunks.begin(), chunks.end(), int64_t{0}),
+              int64_t{2147483647});
+    const auto [lo, hi] = std::minmax_element(chunks.begin(), chunks.end());
+    EXPECT_LE(*hi - *lo, 1);
+}
+
 TEST(Executor, SingleChunkJobMatchesDirectSimulatorRun)
 {
     // chunks == 1 must reproduce the historical serial path bit for bit:
@@ -131,6 +152,7 @@ TEST(Executor, SingleChunkJobMatchesDirectSimulatorRun)
     job.schedule = schedule;
     job.seed = 321;
     job.spec = RunSpec{500, std::nullopt, 1};
+    job.backend = runtime::SimBackend::kStatevector;
     const runtime::ExecutionResult result = executor.Run(std::move(job));
     EXPECT_EQ(result.chunks, 1);
     EXPECT_EQ(result.counts.histogram(), direct.histogram());
@@ -179,6 +201,44 @@ TEST(Executor, ExceptionInOneJobPropagatesAfterDrain)
     job.backend = runtime::SimBackend::kStabilizer;
     request.jobs.push_back(std::move(job));
     EXPECT_THROW(executor.Submit(std::move(request)), Error);
+}
+
+TEST(ExactBackend, MatchesDensityReplayOnDifftestCases)
+{
+    // The CI oracle's twelve cases (`xtalk_difftest --seed 2020
+    // --max-qubits 5 --intensity 2`): every adversarial family on every
+    // paper device, seeded and compiled as RunDifferentialOracle does.
+    // The distribution default-backend jobs sample must be the replay's.
+    uint64_t case_index = 0;
+    for (const Device& device : MakePaperDevices()) {
+        const CrosstalkCharacterization characterization =
+            difftest::SynthesizeCharacterization(device);
+        for (AdversarialFamily family : AllAdversarialFamilies()) {
+            AdversarialOptions options;
+            options.family = family;
+            options.max_qubits = 5;
+            options.intensity = 2;
+            options.seed = DeriveSeed(2020, case_index++);
+            CompilerOptions compile;
+            compile.scheduler = "greedy";
+            const ScheduledCircuit schedule =
+                Compile(device, characterization,
+                        BuildAdversarialCircuit(device, options), compile)
+                    .schedule;
+            const std::vector<double> exact =
+                ExactDistribution(BuildRunPlan(device, {}, schedule))
+                    .Probabilities();
+            const std::vector<double> replay =
+                ReplayScheduleDensity(device, schedule).probabilities;
+            ASSERT_EQ(exact.size(), replay.size());
+            for (size_t i = 0; i < exact.size(); ++i) {
+                EXPECT_NEAR(exact[i], replay[i], 1e-12)
+                    << ToString(family) << " x " << device.name()
+                    << ", outcome " << i;
+            }
+        }
+    }
+    EXPECT_EQ(case_index, 12u);
 }
 
 /** A small scheduled circuit + device for the fault-injection tests. */

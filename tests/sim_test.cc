@@ -14,9 +14,12 @@
 #include "circuit/schedule.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/statistics.h"
 #include "device/ibmq_devices.h"
 #include "runtime/executor.h"
 #include "sim/counts.h"
+#include "sim/density_replay.h"
+#include "sim/exact_distribution.h"
 #include "sim/gate_matrices.h"
 #include "sim/noisy_simulator.h"
 #include "sim/stabilizer.h"
@@ -629,6 +632,297 @@ TEST(NoisySimulator, PinnedCountsForSeededRuns)
         EXPECT_EQ(telemetry::FnvHex(counts.ToString()), run.counts_hash)
             << run.name;
     }
+}
+
+/** Noise settings the exact engine must honour like the replay does. */
+std::vector<std::pair<std::string, NoisySimOptions>>
+NoiseToggles()
+{
+    std::vector<std::pair<std::string, NoisySimOptions>> toggles{
+        {"full", {}}};
+    const std::pair<const char*, bool NoisySimOptions::*> each[] = {
+        {"no-gate-noise", &NoisySimOptions::gate_noise},
+        {"no-crosstalk", &NoisySimOptions::crosstalk},
+        {"no-decoherence", &NoisySimOptions::decoherence},
+        {"no-readout-noise", &NoisySimOptions::readout_noise}};
+    NoisySimOptions noiseless;
+    for (const auto& [name, toggle] : each) {
+        NoisySimOptions options;
+        options.*toggle = false;
+        noiseless.*toggle = false;
+        toggles.emplace_back(name, options);
+    }
+    toggles.emplace_back("noiseless", noiseless);
+    return toggles;
+}
+
+/** Largest elementwise gap between two distributions over bit patterns
+ *  (a shorter one is padded with zeros). */
+double
+MaxAbsDifference(const std::vector<double>& a, const std::vector<double>& b)
+{
+    double gap = 0.0;
+    for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        gap = std::max(gap, std::abs((i < a.size() ? a[i] : 0.0) -
+                                     (i < b.size() ? b[i] : 0.0)));
+    }
+    return gap;
+}
+
+std::vector<double>
+ExactProbabilities(const Device& device, const ScheduledCircuit& schedule,
+                   const NoisySimOptions& options = {})
+{
+    return ExactDistribution(BuildRunPlan(device, options, schedule))
+        .Probabilities();
+}
+
+/** One seeded Executor job's Counts on @p backend. */
+Counts
+RunJob(const Device& device, const ScheduledCircuit& schedule,
+       runtime::SimBackend backend, int shots, int max_chunks,
+       uint64_t seed, int threads = 0)
+{
+    runtime::ExecutorOptions options;
+    options.num_threads = threads;
+    runtime::Executor executor(device, options);
+    runtime::ExecutionJob job;
+    job.schedule = schedule;
+    job.spec = RunSpec{shots, std::nullopt, max_chunks};
+    job.seed = seed;
+    job.backend = backend;
+    return executor.Run(std::move(job)).counts;
+}
+
+TEST(ExactBackend, IsTheDefault)
+{
+    EXPECT_EQ(runtime::ExecutionJob{}.backend, runtime::SimBackend::kExact);
+}
+
+TEST(ExactBackend, MatchesDensityReplayOnPinnedSchedules)
+{
+    // Every terminal-measure schedule of the pinned runs, once each
+    // (their stabilizer, chunked and toggle rows repeat a schedule),
+    // under every noise toggle. The replay holds at most 10 qubits, so
+    // the two twelve-qubit schedules are left out.
+    const Device pough = MakePoughkeepsie();
+    const Device linear = MakeLinearDevice(3, 3);
+    int compared = 0;
+    for (const PinnedRun& run : PinnedRuns(pough, linear)) {
+        const RunPlan plan = BuildRunPlan(*run.device, {}, run.schedule);
+        if (run.backend != runtime::SimBackend::kStatevector ||
+            run.max_chunks != 1 || !run.noise.gate_noise ||
+            !run.noise.crosstalk || !run.noise.decoherence ||
+            !run.noise.readout_noise || !ExactRegisterWidth(plan) ||
+            plan.width > 10) {
+            continue;
+        }
+        for (const auto& [toggle, options] : NoiseToggles()) {
+            const DensityReplayResult replay =
+                ReplayScheduleDensity(*run.device, run.schedule, options);
+            EXPECT_LE(MaxAbsDifference(
+                          ExactProbabilities(*run.device, run.schedule,
+                                             options),
+                          replay.probabilities),
+                      1e-12)
+                << run.name << " " << toggle;
+        }
+        ++compared;
+    }
+    EXPECT_EQ(compared, 12);
+}
+
+TEST(ExactBackend, SampledCountsFallWithinTheDifftestTvdBound)
+{
+    const Device pough = MakePoughkeepsie();
+    const Device linear = MakeLinearDevice(3, 3);
+    constexpr int kShots = 4096;
+    for (const PinnedRun& run : PinnedRuns(pough, linear)) {
+        if (run.name != "qaoa" && run.name != "hidden-shift-redundant" &&
+            run.name != "adversarial-parallel-cx-mesh" &&
+            run.name != "srb-2couplers-len30" &&
+            run.name != "decay-to-certainty") {
+            continue;
+        }
+        const std::vector<double> exact =
+            ReplayScheduleDensity(*run.device, run.schedule).probabilities;
+        // The oracle's bound: base slack plus the multinomial term.
+        size_t support = 0;
+        for (double p : exact) {
+            support += p > 1e-9 ? 1 : 0;
+        }
+        const double bound =
+            0.03 + std::sqrt(static_cast<double>(
+                                 std::max<size_t>(support, 2)) /
+                             kShots);
+        const Counts counts =
+            RunJob(*run.device, run.schedule, runtime::SimBackend::kExact,
+                   kShots, 8, 2024);
+        EXPECT_EQ(counts.shots(), kShots);
+        EXPECT_LE(TotalVariationDistance(counts.ToProbabilities(), exact),
+                  bound)
+            << run.name;
+    }
+}
+
+TEST(ExactBackend, CountsAreIdenticalAcrossThreadCounts)
+{
+    const Device pough = MakePoughkeepsie();
+    const ScheduledCircuit qaoa =
+        AsapSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
+    const ScheduledCircuit shift =
+        AsapSchedule(BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}), pough);
+    auto batch_at = [&](int threads) {
+        runtime::ExecutorOptions options;
+        options.num_threads = threads;
+        runtime::Executor executor(pough, options);
+        runtime::ExecutionRequest request;
+        for (const ScheduledCircuit* schedule : {&qaoa, &shift, &qaoa}) {
+            runtime::ExecutionJob job;
+            job.schedule = *schedule;
+            job.spec = RunSpec{2048, std::nullopt, 8};
+            job.seed = 77 + request.jobs.size();
+            request.jobs.push_back(std::move(job));
+        }
+        std::vector<std::map<uint64_t, int>> histograms;
+        for (const runtime::ExecutionResult& result :
+             executor.Submit(request)) {
+            EXPECT_EQ(result.chunks, 8);
+            histograms.push_back(result.counts.histogram());
+        }
+        return histograms;
+    };
+    const auto at1 = batch_at(1);
+    EXPECT_EQ(at1, batch_at(2));
+    EXPECT_EQ(at1, batch_at(8));
+    // Two jobs of one schedule with different seeds draw different
+    // streams.
+    EXPECT_NE(at1[0], at1[2]);
+}
+
+TEST(ExactBackend, MidCircuitMeasureRunsTrajectories)
+{
+    const Device linear = MakeLinearDevice(3, 3);
+    const ScheduledCircuit mid =
+        AsapSchedule(MidCircuitMeasureCircuit(), linear);
+    telemetry::Counter& fallbacks =
+        telemetry::GetCounter("sim.exact.fallbacks.mid_circuit_measure");
+    telemetry::SetEnabled(true);
+    fallbacks.Reset();
+    const Counts exact =
+        RunJob(linear, mid, runtime::SimBackend::kExact, 512, 4, 1234);
+    EXPECT_EQ(fallbacks.value(), 1u);
+    telemetry::SetEnabled(false);
+    EXPECT_EQ(exact.histogram(),
+              RunJob(linear, mid, runtime::SimBackend::kStatevector, 512, 4,
+                     1234)
+                  .histogram());
+}
+
+TEST(ExactBackend, CostTestFailureRunsTrajectories)
+{
+    const Device pough = MakePoughkeepsie();
+    // Four qubits in one register: 2^4 > 8 shots.
+    const ScheduledCircuit qaoa =
+        AsapSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
+    // Twelve qubits in one register: past the 10-qubit cap at any
+    // shot count.
+    const ScheduledCircuit wide = AsapSchedule(
+        BuildQaoaCircuit(pough, {0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11},
+                         QaoaOptions{2, 3}),
+        pough);
+    telemetry::Counter& fallbacks =
+        telemetry::GetCounter("sim.exact.fallbacks.cost");
+    telemetry::Counter& runs = telemetry::GetCounter("sim.exact.runs");
+    for (const auto& [schedule, shots] :
+         {std::pair{&qaoa, 8}, std::pair{&wide, 64}}) {
+        telemetry::SetEnabled(true);
+        fallbacks.Reset();
+        runs.Reset();
+        const Counts exact = RunJob(pough, *schedule,
+                                    runtime::SimBackend::kExact, shots, 1, 9);
+        EXPECT_EQ(fallbacks.value(), 1u);
+        EXPECT_EQ(runs.value(), 0u);
+        telemetry::SetEnabled(false);
+        EXPECT_EQ(exact.histogram(),
+                  RunJob(pough, *schedule, runtime::SimBackend::kStatevector,
+                         shots, 1, 9)
+                      .histogram());
+    }
+    // Sixteen shots pass the test for the four-qubit register.
+    telemetry::SetEnabled(true);
+    runs.Reset();
+    RunJob(pough, qaoa, runtime::SimBackend::kExact, 16, 1, 9);
+    EXPECT_EQ(runs.value(), 1u);
+    telemetry::SetEnabled(false);
+}
+
+TEST(ExactBackend, ManyRegistersDrawOncePerSamplingGroup)
+{
+    // Fourteen one-qubit registers: 2^14 joint outcomes, past one
+    // sampling group's 4,096, so a shot draws once per group. Each
+    // classical bit must still follow its exact marginal.
+    const Device pough = MakePoughkeepsie();
+    Circuit circuit(14);
+    for (int q = 0; q < 14; ++q) {
+        circuit.H(q).RY(q, 0.1 * q);
+    }
+    circuit.MeasureAll();
+    const ScheduledCircuit schedule = AsapSchedule(circuit, pough);
+    const ExactDistribution exact(BuildRunPlan(pough, {}, schedule));
+    EXPECT_EQ(exact.registers(), 14);
+    EXPECT_EQ(exact.width(), 1);
+    const std::vector<double> joint = exact.Probabilities();
+    constexpr int kShots = 4096;
+    const Counts counts =
+        RunJob(pough, schedule, runtime::SimBackend::kExact, kShots, 4, 31);
+    EXPECT_EQ(counts.shots(), kShots);
+    for (int bit = 0; bit < 14; ++bit) {
+        double p = 0.0;
+        for (size_t pattern = 0; pattern < joint.size(); ++pattern) {
+            p += (pattern >> bit) & 1 ? joint[pattern] : 0.0;
+        }
+        int ones = 0;
+        for (const auto& [bits, count] : counts.histogram()) {
+            ones += (bits >> bit) & 1 ? count : 0;
+        }
+        EXPECT_NEAR(static_cast<double>(ones) / kShots, p,
+                    5.0 * std::sqrt(p * (1.0 - p) / kShots) + 1e-9)
+            << "bit " << bit;
+    }
+    EXPECT_EQ(counts.histogram(),
+              RunJob(pough, schedule, runtime::SimBackend::kExact, kShots,
+                     4, 31, 1)
+                  .histogram());
+}
+
+TEST(ExactBackend, PinnedCountsForSeededRuns)
+{
+    // Counts hashes of exact-path jobs: the distribution, the register
+    // order of the draws and the per-chunk streams all feed them.
+    const Device pough = MakePoughkeepsie();
+    const Device linear = MakeLinearDevice(3, 3);
+    const std::map<std::string, const char*> pinned{
+        {"qaoa", "4949147103a3eeac"},
+        {"qaoa-4-chunks", "9b47d247cfd04119"},
+        {"hidden-shift-redundant", "bdc8ffe71e9ef6d5"},
+        {"srb-6couplers-len10", "9f0062938a04a452"},
+        {"decay-to-certainty", "643a086fa7e9b117"},
+    };
+    int checked = 0;
+    for (const PinnedRun& run : PinnedRuns(pough, linear)) {
+        const auto it = pinned.find(run.name);
+        if (it == pinned.end()) {
+            continue;
+        }
+        const Counts counts =
+            RunJob(*run.device, run.schedule, runtime::SimBackend::kExact,
+                   run.shots, run.max_chunks, run.noise.seed);
+        EXPECT_EQ(telemetry::FnvHex(counts.ToString()), it->second)
+            << run.name;
+        ++checked;
+    }
+    EXPECT_EQ(checked, 5);
 }
 
 }  // namespace
