@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks for the performance-critical library
  * components: state-vector gate application, noisy trajectory shots
  * against exact outcome distributions, Clifford tableau operations and
- * synthesis, SRB schedule construction, bin packing, and the SMT
- * scheduler itself.
+ * synthesis, SRB schedule construction, bin packing, the SMT
+ * scheduler itself, and a warm compile's fixed costs (QASM parse and
+ * emit, noise-aware layout).
  */
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,9 @@
 
 #include "characterization/binpack.h"
 #include "characterization/rb.h"
+#include "circuit/qasm.h"
+#include "circuit/qasm_parser.h"
+#include "experiments/experiments.h"
 #include "runtime/executor.h"
 #include "scheduler/portfolio.h"
 #include "clifford/group.h"
@@ -32,6 +36,7 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_context.h"
+#include "transpile/layout.h"
 #include "workloads/qaoa.h"
 #include "workloads/swap_circuits.h"
 
@@ -436,6 +441,58 @@ BM_TraceContextPropagation(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceContextPropagation);
+
+/** A 6-qubit, 2-layer QAOA circuit on logical qubits 0..5: the size of
+ *  the service benchmark's warm compile requests. */
+Circuit
+WarmSizedQaoa()
+{
+    QaoaOptions options;
+    options.layers = 2;
+    return BuildQaoaCircuit(MakeLinearDevice(6), {0, 1, 2, 3, 4, 5},
+                            options);
+}
+
+/** QASM in, as every service request arrives. */
+void
+BM_ParseQasm(benchmark::State& state)
+{
+    const std::string qasm = ToQasm(WarmSizedQaoa());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ParseQasm(qasm));
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(qasm.size()));
+}
+BENCHMARK(BM_ParseQasm);
+
+/** QASM out, as every compile response carries it. */
+void
+BM_ToQasm(benchmark::State& state)
+{
+    const Circuit circuit = WarmSizedQaoa();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ToQasm(circuit));
+    }
+}
+BENCHMARK(BM_ToQasm);
+
+/** Noise-aware placement of the warm-sized QAOA chain on Poughkeepsie,
+ *  with the crosstalk penalty of the service's seed-1 snapshot. */
+void
+BM_NoiseAwareLayout(benchmark::State& state)
+{
+    static const Device device = MakePoughkeepsie();
+    static const CrosstalkCharacterization snapshot = CharacterizeDevice(
+        device, BenchRbConfig(), CharacterizationPolicy::kOneHopBinPacked,
+        1);
+    const Circuit logical = WarmSizedQaoa();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            NoiseAwareLayout(device, logical, &snapshot, 0.5));
+    }
+}
+BENCHMARK(BM_NoiseAwareLayout);
 
 void
 BM_ParSchedSwapPath(benchmark::State& state)

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -36,13 +37,22 @@ Circuit::Validate(const Gate& gate) const
     XTALK_REQUIRE(static_cast<int>(gate.params.size()) ==
                       GateKindNumParams(gate.kind),
                   xtalk::ToString(gate) << ": wrong parameter count");
-    std::set<QubitId> seen;
-    for (QubitId q : gate.qubits) {
+    // Repeats: a scan of the earlier qubits for one- and two-qubit gates,
+    // a bitmap for wide barriers.
+    std::vector<char> seen;
+    if (gate.qubits.size() > 8) {
+        seen.assign(num_qubits_, 0);
+    }
+    for (auto it = gate.qubits.begin(); it != gate.qubits.end(); ++it) {
+        const QubitId q = *it;
         XTALK_REQUIRE(q >= 0 && q < num_qubits_,
                       "qubit " << q << " out of range [0, " << num_qubits_
                                << ")");
-        XTALK_REQUIRE(seen.insert(q).second,
-                      "duplicate qubit " << q << " in " << xtalk::ToString(gate));
+        const bool repeated =
+            seen.empty() ? std::find(gate.qubits.begin(), it, q) != it
+                         : std::exchange(seen[q], 1) != 0;
+        XTALK_REQUIRE(!repeated, "duplicate qubit "
+                                     << q << " in " << xtalk::ToString(gate));
     }
     if (gate.IsMeasure()) {
         XTALK_REQUIRE(gate.cbit >= 0, "measure needs a classical bit");

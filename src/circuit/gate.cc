@@ -6,7 +6,7 @@
 
 namespace xtalk {
 
-std::string
+std::string_view
 GateKindName(GateKind kind)
 {
     switch (kind) {

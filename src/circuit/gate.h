@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xtalk {
@@ -79,8 +80,9 @@ struct Gate {
     bool operator==(const Gate& rhs) const = default;
 };
 
-/** Lower-case mnemonic for a gate kind ("cx", "u3", ...). */
-std::string GateKindName(GateKind kind);
+/** Lower-case mnemonic for a gate kind ("cx", "u3", ...): its qelib1
+ *  name, except kBarrier and kMeasure, which name statements. */
+std::string_view GateKindName(GateKind kind);
 
 /** Number of required parameters for a gate kind. */
 int GateKindNumParams(GateKind kind);

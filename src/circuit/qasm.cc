@@ -1,7 +1,6 @@
 #include "circuit/qasm.h"
 
-#include <iomanip>
-#include <sstream>
+#include <charconv>
 
 #include "common/error.h"
 #include "telemetry/trace.h"
@@ -10,20 +9,45 @@ namespace xtalk {
 
 namespace {
 
-/** Render a parameter list "(a, b, c)" with enough digits to round-trip. */
-std::string
-Params(const Gate& gate)
+/** Append an integer in decimal. */
+void
+AppendInt(std::string& out, int value)
+{
+    char buffer[16];
+    const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer),
+                                         value);
+    out.append(buffer, end);
+}
+
+/** Append "q[i]". */
+void
+AppendQubit(std::string& out, QubitId q)
+{
+    out += "q[";
+    AppendInt(out, q);
+    out += ']';
+}
+
+/** Append "(a,b,c)" with enough digits to round-trip: the bytes
+ *  std::ostream writes at setprecision(17). */
+void
+AppendParams(std::string& out, const Gate& gate)
 {
     if (gate.params.empty()) {
-        return "";
+        return;
     }
-    std::ostringstream oss;
-    oss << "(" << std::setprecision(17);
+    out += '(';
     for (size_t i = 0; i < gate.params.size(); ++i) {
-        oss << (i ? "," : "") << gate.params[i];
+        if (i > 0) {
+            out += ',';
+        }
+        char buffer[32];
+        const auto [end, ec] =
+            std::to_chars(buffer, buffer + sizeof(buffer), gate.params[i],
+                          std::chars_format::general, 17);
+        out.append(buffer, end);
     }
-    oss << ")";
-    return oss.str();
+    out += ')';
 }
 
 }  // namespace
@@ -32,50 +56,50 @@ std::string
 ToQasm(const Circuit& circuit)
 {
     telemetry::ScopedSpan span("compile.qasm_emit");
-    std::ostringstream oss;
-    oss << "OPENQASM 2.0;\n"
-        << "include \"qelib1.inc\";\n"
-        << "qreg q[" << circuit.num_qubits() << "];\n";
+    std::string out;
+    // About 24 bytes a gate; one allocation for most circuits.
+    out.reserve(64 + 24 * circuit.gates().size());
+    out += "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[";
+    AppendInt(out, circuit.num_qubits());
+    out += "];\n";
     if (circuit.num_clbits() > 0) {
-        oss << "creg c[" << circuit.num_clbits() << "];\n";
+        out += "creg c[";
+        AppendInt(out, circuit.num_clbits());
+        out += "];\n";
     }
     for (const Gate& g : circuit.gates()) {
         switch (g.kind) {
-          case GateKind::kBarrier: {
-            oss << "barrier";
-            for (size_t i = 0; i < g.qubits.size(); ++i) {
-                oss << (i ? ", q[" : " q[") << g.qubits[i] << "]";
-            }
-            oss << ";\n";
-            continue;
-          }
           case GateKind::kMeasure:
-            oss << "measure q[" << g.qubits[0] << "] -> c[" << g.cbit
-                << "];\n";
+            out += "measure ";
+            AppendQubit(out, g.qubits[0]);
+            out += " -> c[";
+            AppendInt(out, g.cbit);
+            out += "];\n";
             continue;
           case GateKind::kSwap:
             // qelib1 has swap, but emit the canonical 3-CNOT expansion so
             // the output matches the hardware-level IR the paper uses.
-            oss << "cx q[" << g.qubits[0] << "], q[" << g.qubits[1]
-                << "];\n";
-            oss << "cx q[" << g.qubits[1] << "], q[" << g.qubits[0]
-                << "];\n";
-            oss << "cx q[" << g.qubits[0] << "], q[" << g.qubits[1]
-                << "];\n";
-            continue;
-          case GateKind::kI:
-            oss << "id q[" << g.qubits[0] << "];\n";
+            for (const int control : {0, 1, 0}) {
+                out += "cx ";
+                AppendQubit(out, g.qubits[control]);
+                out += ", ";
+                AppendQubit(out, g.qubits[1 - control]);
+                out += ";\n";
+            }
             continue;
           default:
             break;
         }
-        oss << GateKindName(g.kind) << Params(g);
+        // GateKindName spells kI "id" and kBarrier "barrier".
+        out += GateKindName(g.kind);
+        AppendParams(out, g);
         for (size_t i = 0; i < g.qubits.size(); ++i) {
-            oss << (i ? ", q[" : " q[") << g.qubits[i] << "]";
+            out += i > 0 ? ", " : " ";
+            AppendQubit(out, g.qubits[i]);
         }
-        oss << ";\n";
+        out += ";\n";
     }
-    return oss.str();
+    return out;
 }
 
 }  // namespace xtalk

@@ -3,8 +3,12 @@
  * Parser for the OpenQASM 2.0 subset this library emits and consumes:
  * one quantum register, one classical register, the qelib1 gates of the
  * IR (id/x/y/z/h/s/sdg/t/tdg/sx/rx/ry/rz/u1/u2/u3/cx/cz/swap), barrier,
- * and measure. Gate parameters accept decimal literals and simple
- * `pi`-expressions (pi, -pi, pi/2, 2*pi, 3*pi/4, ...).
+ * and measure. A gate parameter is a decimal literal (an optional sign,
+ * digits with an optional point, an optional exponent: 0.5, .5, -1E-5)
+ * or a `pi`-expression over such literals (pi, -pi, pi/2, 2*pi,
+ * 3*pi/4, ...); whitespace inside it is ignored. Any other spelling, a
+ * literal that overflows or underflows to zero, and an angle that is
+ * not finite are errors.
  *
  * Deliberately not a full OpenQASM implementation: no user-defined
  * gates, no if/reset, no multiple registers — enough to round-trip this

@@ -13,7 +13,8 @@ Topology::Topology(int num_qubits,
     : num_qubits_(num_qubits)
 {
     XTALK_REQUIRE(num_qubits > 0, "topology needs at least one qubit");
-    adjacency_.resize(num_qubits);
+    // (neighbor, edge) per qubit, sorted by neighbor.
+    std::vector<std::vector<std::pair<QubitId, EdgeId>>> links(num_qubits);
     std::set<std::pair<QubitId, QubitId>> seen;
     for (auto [a, b] : edge_pairs) {
         XTALK_REQUIRE(a >= 0 && a < num_qubits && b >= 0 && b < num_qubits,
@@ -24,12 +25,18 @@ Topology::Topology(int num_qubits,
         }
         XTALK_REQUIRE(seen.insert({a, b}).second,
                       "duplicate edge (" << a << ", " << b << ")");
+        links[a].push_back({b, num_edges()});
+        links[b].push_back({a, num_edges()});
         edges_.push_back({a, b});
-        adjacency_[a].push_back(b);
-        adjacency_[b].push_back(a);
     }
-    for (auto& neighbors : adjacency_) {
-        std::sort(neighbors.begin(), neighbors.end());
+    adjacency_.resize(num_qubits);
+    incident_.resize(num_qubits);
+    for (QubitId q = 0; q < num_qubits; ++q) {
+        std::sort(links[q].begin(), links[q].end());
+        for (const auto& [neighbor, e] : links[q]) {
+            adjacency_[q].push_back(neighbor);
+            incident_[q].push_back(e);
+        }
     }
 
     // All-pairs BFS; fine at NISQ scales (tens of qubits).
@@ -77,15 +84,12 @@ Topology::FindEdge(QubitId a, QubitId b) const
 {
     XTALK_REQUIRE(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_,
                   "qubit pair (" << a << ", " << b << ") out of range");
-    if (a > b) {
-        std::swap(a, b);
+    const std::vector<QubitId>& neighbors = adjacency_[a];
+    const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), b);
+    if (it == neighbors.end() || *it != b) {
+        return -1;
     }
-    for (EdgeId e = 0; e < num_edges(); ++e) {
-        if (edges_[e].a == a && edges_[e].b == b) {
-            return e;
-        }
-    }
-    return -1;
+    return incident_[a][it - neighbors.begin()];
 }
 
 int

@@ -61,7 +61,7 @@ class Topology {
     /** True if a CNOT can be driven between the two qubits. */
     bool AreConnected(QubitId a, QubitId b) const;
 
-    /** Edge id for a coupled qubit pair; -1 if not coupled. */
+    /** Edge id for a coupled qubit pair; -1 if not coupled. O(degree). */
     EdgeId FindEdge(QubitId a, QubitId b) const;
 
     /**
@@ -96,6 +96,8 @@ class Topology {
     int num_qubits_;
     std::vector<Edge> edges_;
     std::vector<std::vector<QubitId>> adjacency_;
+    /** incident_[q][i]: the edge between q and adjacency_[q][i]. */
+    std::vector<std::vector<EdgeId>> incident_;
     std::vector<std::vector<int>> distance_;  // All-pairs BFS hop counts.
 };
 

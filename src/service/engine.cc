@@ -588,12 +588,10 @@ Engine::RunCompile(const ServiceRequest& request,
     // gate order when the pipeline stopped before barrier lowering.
     {
         PhaseTimer phase_timer(phases, "emit");
-        std::optional<Circuit> emitted = state.executable;
-        if (!emitted && state.schedule) {
-            emitted = state.schedule->ToCircuit();
-        }
-        if (emitted) {
-            response.qasm = ToQasm(*emitted);
+        if (state.executable) {
+            response.qasm = ToQasm(*state.executable);
+        } else if (state.schedule) {
+            response.qasm = ToQasm(state.schedule->ToCircuit());
         }
     }
     return response;

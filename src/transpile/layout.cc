@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <numeric>
 
 #include "common/error.h"
@@ -17,34 +16,24 @@ TrivialLayout(const Circuit& logical)
     return layout;
 }
 
-namespace {
-
-/** Per-coupler placement cost: error plus optional crosstalk penalty. */
-std::vector<double>
-CouplerCosts(const Device& device,
-             const CrosstalkCharacterization* characterization,
-             double crosstalk_penalty_weight)
+void
+AddCrosstalkPenalty(const CrosstalkCharacterization& characterization,
+                    double weight, std::vector<double>* edge_cost)
 {
-    const Topology& topo = device.topology();
-    std::vector<double> cost(topo.num_edges());
-    for (EdgeId e = 0; e < topo.num_edges(); ++e) {
-        cost[e] = device.CxError(e);
-        if (!characterization || crosstalk_penalty_weight <= 0.0) {
+    const auto num_edges = static_cast<EdgeId>(edge_cost->size());
+    for (const auto& [pair, conditional] :
+         characterization.conditional_entries()) {
+        const auto [victim, aggressor] = pair;
+        if (victim == aggressor || victim < 0 || victim >= num_edges ||
+            aggressor < 0 || aggressor >= num_edges ||
+            !characterization.IsHighCrosstalk(victim, aggressor)) {
             continue;
         }
-        for (EdgeId other = 0; other < topo.num_edges(); ++other) {
-            if (other != e &&
-                characterization->IsHighCrosstalk(e, other)) {
-                cost[e] += crosstalk_penalty_weight *
-                           (characterization->ConditionalError(e, other) -
-                            characterization->IndependentError(e));
-            }
-        }
+        (*edge_cost)[victim] +=
+            weight *
+            (conditional - characterization.IndependentError(victim));
     }
-    return cost;
 }
-
-}  // namespace
 
 std::vector<QubitId>
 NoiseAwareLayout(const Device& device, const Circuit& logical,
@@ -57,20 +46,32 @@ NoiseAwareLayout(const Device& device, const Circuit& logical,
                   "circuit needs " << n_logical << " qubits, device has "
                                    << topo.num_qubits());
 
-    // Interaction weights between logical qubit pairs.
-    std::map<std::pair<int, int>, int> interactions;
+    // Interaction weights between logical qubit pairs, kept in both
+    // orders.
+    std::vector<int> interactions(static_cast<size_t>(n_logical) * n_logical,
+                                  0);
+    const auto pair_weight = [&](int a, int b) -> int& {
+        return interactions[static_cast<size_t>(a) * n_logical + b];
+    };
     std::vector<int> degree(n_logical, 0);
     for (const Gate& g : logical.gates()) {
         if (g.IsTwoQubitUnitary()) {
-            const auto key = std::minmax(g.qubits[0], g.qubits[1]);
-            ++interactions[{key.first, key.second}];
+            ++pair_weight(g.qubits[0], g.qubits[1]);
+            ++pair_weight(g.qubits[1], g.qubits[0]);
             ++degree[g.qubits[0]];
             ++degree[g.qubits[1]];
         }
     }
 
-    const std::vector<double> edge_cost =
-        CouplerCosts(device, characterization, crosstalk_penalty_weight);
+    // Per-coupler placement cost: error plus optional crosstalk penalty.
+    std::vector<double> edge_cost(topo.num_edges());
+    for (EdgeId e = 0; e < topo.num_edges(); ++e) {
+        edge_cost[e] = device.CxError(e);
+    }
+    if (characterization != nullptr && crosstalk_penalty_weight > 0.0) {
+        AddCrosstalkPenalty(*characterization, crosstalk_penalty_weight,
+                            &edge_cost);
+    }
     // Cheapest adjacent coupler per qubit, used as the per-hop SWAP scale.
     double typical_cost = 0.0;
     for (EdgeId e = 0; e < topo.num_edges(); ++e) {
@@ -84,14 +85,16 @@ NoiseAwareLayout(const Device& device, const Circuit& logical,
     std::stable_sort(order.begin(), order.end(),
                      [&](int a, int b) { return degree[a] > degree[b]; });
 
+    // Light tie-break toward central, low-error neighborhoods.
+    std::vector<double> neighborhood(topo.num_qubits(), 0.0);
+    for (QubitId phys = 0; phys < topo.num_qubits(); ++phys) {
+        for (QubitId nb : topo.Neighbors(phys)) {
+            neighborhood[phys] += edge_cost[topo.FindEdge(phys, nb)];
+        }
+    }
+
     std::vector<QubitId> layout(n_logical, -1);
     std::vector<bool> taken(topo.num_qubits(), false);
-
-    auto pair_weight = [&](int a, int b) {
-        const auto key = std::minmax(a, b);
-        const auto it = interactions.find({key.first, key.second});
-        return it == interactions.end() ? 0 : it->second;
-    };
 
     for (int logical_q : order) {
         double best_cost = std::numeric_limits<double>::infinity();
@@ -127,12 +130,7 @@ NoiseAwareLayout(const Device& device, const Circuit& logical,
                             weight * typical_cost;
                 }
             }
-            // Light tie-break toward central, low-error neighborhoods.
-            double neighborhood = 0.0;
-            for (QubitId nb : topo.Neighbors(phys)) {
-                neighborhood += edge_cost[topo.FindEdge(phys, nb)];
-            }
-            cost += 1e-3 * neighborhood;
+            cost += 1e-3 * neighborhood[phys];
             if (feasible && cost < best_cost) {
                 best_cost = cost;
                 best_phys = phys;

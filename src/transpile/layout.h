@@ -21,6 +21,18 @@
 
 namespace xtalk {
 
+/**
+ * Add each coupler's crosstalk penalty to @p edge_cost, which holds one
+ * cost per coupler of the device: @p weight times the conditional-
+ * minus-independent excess of every high-crosstalk partnership
+ * (HighCrosstalkCriteria{}) in which the coupler is the victim. One walk
+ * over the snapshot's conditional entries; their (victim, aggressor)
+ * order adds each coupler's excesses in ascending aggressor order.
+ * Entries naming a coupler the device does not have are skipped.
+ */
+void AddCrosstalkPenalty(const CrosstalkCharacterization& characterization,
+                         double weight, std::vector<double>* edge_cost);
+
 /** logical i -> physical i. */
 std::vector<QubitId> TrivialLayout(const Circuit& logical);
 

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.h"
+#include "transpile/layout.h"
 
 namespace xtalk {
 
@@ -196,22 +197,13 @@ LowestCrosstalkPath(const Device& device,
                   "endpoints out of range");
 
     // Per-coupler cost: independent error (characterized when available)
-    // plus the summed conditional-minus-independent excess over the
-    // coupler's high-crosstalk partnerships, weighted.
-    std::vector<double> edge_cost(topo.num_edges(), 0.0);
+    // plus the weighted crosstalk penalty.
+    std::vector<double> edge_cost(topo.num_edges());
     for (EdgeId e = 0; e < topo.num_edges(); ++e) {
-        double cost = characterization.IndependentOrCalibratedError(e, device);
-        for (EdgeId other = 0; other < topo.num_edges(); ++other) {
-            if (other == e ||
-                !characterization.IsHighCrosstalk(e, other)) {
-                continue;
-            }
-            cost += crosstalk_penalty_weight *
-                    (characterization.ConditionalError(e, other) -
-                     characterization.IndependentError(e));
-        }
-        edge_cost[e] = cost;
+        edge_cost[e] = characterization.IndependentOrCalibratedError(e, device);
     }
+    AddCrosstalkPenalty(characterization, crosstalk_penalty_weight,
+                        &edge_cost);
 
     // Dijkstra over qubits.
     constexpr double kInf = std::numeric_limits<double>::infinity();

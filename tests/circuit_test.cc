@@ -53,6 +53,32 @@ TEST(Circuit, RejectsInvalidGates)
     EXPECT_THROW(Circuit(0), Error);
 }
 
+TEST(Circuit, BarrierQubitsAreCheckedInOrder)
+{
+    Circuit c(12);
+    const auto first_problem = [&](std::vector<QubitId> qubits) {
+        try {
+            c.Barrier(std::move(qubits));
+        } catch (const Error& e) {
+            const std::string what = e.what();
+            return what.find("duplicate qubit") != std::string::npos
+                       ? "duplicate"
+                       : what.find("out of range") != std::string::npos
+                             ? "range"
+                             : "other";
+        }
+        return "none";
+    };
+    EXPECT_STREQ(first_problem({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}),
+                 "none");
+    EXPECT_STREQ(first_problem({1, 2, 1, 12}), "duplicate");
+    EXPECT_STREQ(first_problem({1, 2, 12, 1}), "range");
+    EXPECT_STREQ(first_problem({0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 12}),
+                 "duplicate");
+    EXPECT_STREQ(first_problem({0, 1, 2, 3, 4, 5, 6, 7, 8, -1, 3}), "range");
+    EXPECT_EQ(c.size(), 1);
+}
+
 TEST(Circuit, DepthCountsBarrierOrderingButNotBarriers)
 {
     Circuit c(2);

@@ -66,6 +66,40 @@ TEST(Topology, SimultaneousPairsExcludeSharedQubits)
     EXPECT_EQ(topo.EdgeDistance(pairs[0].first, pairs[0].second), 1);
 }
 
+TEST(Topology, FindEdgeMatchesEdgeList)
+{
+    std::vector<Topology> topologies;
+    for (const Device& device : MakePaperDevices()) {
+        topologies.push_back(device.topology());
+    }
+    topologies.push_back(MakeGridDevice(3, 4).topology());
+    // Edge ids out of neighbor order, endpoints given high first.
+    topologies.push_back(
+        Topology(5, {{3, 1}, {0, 4}, {2, 1}, {4, 3}, {0, 2}}));
+    for (const Topology& topo : topologies) {
+        const int n = topo.num_qubits();
+        for (QubitId a = 0; a < n; ++a) {
+            for (QubitId b = 0; b < n; ++b) {
+                EdgeId scanned = -1;
+                for (EdgeId e = 0; e < topo.num_edges(); ++e) {
+                    const Edge& edge = topo.edges()[e];
+                    if ((edge.a == a && edge.b == b) ||
+                        (edge.a == b && edge.b == a)) {
+                        scanned = e;
+                    }
+                }
+                EXPECT_EQ(topo.FindEdge(a, b), scanned)
+                    << n << " qubits, (" << a << ", " << b << ")";
+                EXPECT_EQ(topo.AreConnected(a, b), scanned >= 0);
+            }
+        }
+        for (const auto& [a, b] : std::vector<std::pair<QubitId, QubitId>>{
+                 {-1, 0}, {0, -1}, {n, 0}, {0, n}, {n, n}}) {
+            EXPECT_THROW(topo.FindEdge(a, b), Error) << a << ", " << b;
+        }
+    }
+}
+
 TEST(CrosstalkGroundTruth, FactorsAndHighPairs)
 {
     CrosstalkGroundTruth truth;

@@ -10,8 +10,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #ifdef __unix__
 #include <sys/wait.h>
@@ -94,6 +97,39 @@ TEST(Qasm, BarriersAndSwapsLowered)
     EXPECT_NE(qasm.find("barrier q[0], q[1];"), std::string::npos);
 }
 
+TEST(Qasm, MatchesSetprecision17Reference)
+{
+    // The emitter's bytes against a reference written with
+    // std::ostringstream << std::setprecision(17), for angles that need
+    // every digit, signed zero, the smallest denormal, non-finite
+    // values, and every statement form.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::vector<double> angles{
+        0.1,  1e-05, -0.0, 5e-324, 1e300, M_PI / 2, -M_PI / 2,
+        kInf, -kInf, std::numeric_limits<double>::quiet_NaN()};
+    Circuit c(3);
+    std::ostringstream body;
+    body << std::setprecision(17);
+    for (double angle : angles) {
+        c.RZ(angle, 0);
+        body << "rz(" << angle << ") q[0];\n";
+    }
+    c.U3(0.1, M_PI / 2, -M_PI / 2, 2).U2(1e300, 5e-324, 1);
+    body << "u3(" << 0.1 << "," << M_PI / 2 << "," << -M_PI / 2
+         << ") q[2];\n"
+         << "u2(" << 1e300 << "," << 5e-324 << ") q[1];\n";
+    c.I(1).Swap(0, 2).Barrier({2, 0, 1}).CZ(1, 2).CX(2, 1);
+    body << "id q[1];\n"
+         << "cx q[0], q[2];\ncx q[2], q[0];\ncx q[0], q[2];\n"
+         << "barrier q[2], q[0], q[1];\n"
+         << "cz q[1], q[2];\ncx q[2], q[1];\n";
+    c.Measure(2, 1).Measure(0, 0);
+    body << "measure q[2] -> c[1];\nmeasure q[0] -> c[0];\n";
+    EXPECT_EQ(ToQasm(c), "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                         "qreg q[3];\ncreg c[2];\n" +
+                             body.str());
+}
+
 TEST(QasmParser, ParsesBasicProgram)
 {
     const Circuit c = ParseQasm(
@@ -127,6 +163,70 @@ TEST(QasmParser, PiExpressions)
     EXPECT_DOUBLE_EQ(c.gate(3).params[0], 2 * M_PI);
     EXPECT_DOUBLE_EQ(c.gate(4).params[0], 3 * M_PI / 4);
     EXPECT_DOUBLE_EQ(c.gate(5).params[0], 0.5);
+}
+
+TEST(QasmParser, AcceptedSpellingsGiveTheSameGates)
+{
+    Circuit expected(2);
+    expected.H(0).CX(0, 1).U3(0.1, -M_PI / 2, M_PI, 1).Measure(0, 0).Measure(
+        1, 1);
+    const std::string header =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n";
+    const std::string u3 = "u3(0.1,-pi/2,pi) q[1];\n";
+    const std::string measures =
+        "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n";
+    for (const std::string& source : {
+             header + "h q[0];\ncx q[0],q[1];\n" + u3 + measures,
+             // Two statements on one line.
+             header + "h q[0]; cx q[0],q[1];\n" + u3 + measures,
+             header + "h q[0];\ncx q[0],q[1];\n" + u3 +
+                 "measure q[0]->c[0];\nmeasure q[1]->c[1];\n",
+             header + "h q[0];\ncx q[0] , q[1];\n" + u3 + measures,
+             // Tabs and CRLF line ends.
+             std::string("OPENQASM 2.0;\r\nqreg q[2];\r\ncreg c[2];\r\n") +
+                 "\th q[0];\r\n\tcx q[0],\tq[1];\r\n" +
+                 "u3(0.1,-pi/2,pi) q[1];\r\n" +
+                 "measure q[0] -> c[0];\r\nmeasure q[1] -> c[1];\r\n",
+             header + "h q[0]; // the first gate\ncx q[0],q[1];\n" + u3 +
+                 measures,
+             // The last statement has no ';'.
+             header + "h q[0];\ncx q[0],q[1];\n" + u3 +
+                 "measure q[0] -> c[0];\nmeasure q[1] -> c[1]",
+             std::string("OPENQASM 2.0; qreg q[2]; creg c[2]; h q[0]; ") +
+                 "cx q[0],q[1]; u3(0.1,-pi/2,pi) q[1]; measure q -> c;",
+             header + "h q[0];\ncx q[0],q[1];\n" + u3 + "measure q -> c;\n",
+             header + "h q[0];\ncx q[0],q[1];\nu3(0.1, -pi/2 ,pi) q[1];\n" +
+                 measures,
+         }) {
+        const Circuit parsed = ParseQasm(source);
+        EXPECT_EQ(parsed.num_qubits(), 2) << source;
+        EXPECT_EQ(parsed.num_clbits(), 2) << source;
+        EXPECT_EQ(parsed.gates(), expected.gates()) << source;
+    }
+    for (const char* statement : {"h q[ 0 ];", "H q[0];"}) {
+        EXPECT_THROW(ParseQasm(header + statement + "\n"), Error)
+            << statement;
+    }
+}
+
+TEST(QasmParser, DecimalSpellingsKeepTheirExactValue)
+{
+    const std::vector<std::pair<std::string, double>> spellings{
+        {".5", 0.5},           {"5.", 5.0},        {"1E-5", 1e-5},
+        {"+0.5", 0.5},         {"- pi / 2", -M_PI / 2},
+        {"-2.5e+1*pi/-4", -1.0 * 25.0 * M_PI / -4.0},
+        // The smallest denormal, as the emitter writes it.
+        {"4.9406564584124654e-324", 5e-324}};
+    for (const auto& [spelling, value] : spellings) {
+        const Circuit c = ParseQasm("OPENQASM 2.0;\nqreg q[1];\nrz(" +
+                                    spelling + ") q[0];\n");
+        EXPECT_EQ(c.gate(0).params[0], value) << spelling;
+    }
+    Circuit denormal(1);
+    denormal.RZ(5e-324, 0).RZ(-0.0, 0);
+    EXPECT_EQ(ParseQasm(ToQasm(denormal)).gates(), denormal.gates());
+    EXPECT_TRUE(std::signbit(
+        ParseQasm(ToQasm(denormal)).gate(1).params[0]));
 }
 
 TEST(QasmParser, RejectsMalformedPrograms)
@@ -197,7 +297,10 @@ TEST(QasmParser, RejectsRegistersPastTheLimit)
 
 TEST(QasmParser, UnparsableOrOverflowingPiFactorIsABadParameter)
 {
-    for (const char* param : {"x*pi", "pi/1e999", "1e999*pi"}) {
+    for (const char* param :
+         {"x*pi", "pi/1e999", "1e999*pi",
+          // Literals read only in part, or read into non-finite angles.
+          "1.5abc", "pi/2x", "2*pi/3/4", "0x10", "inf", "nan", "1e308*pi"}) {
         const std::string source = std::string("OPENQASM 2.0;\nqreg q[1];\n") +
                                    "rx(" + param + ") q[0];\n";
         try {

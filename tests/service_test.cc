@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/qasm.h"
 #include "device/device_io.h"
 #include "device/ibmq_devices.h"
 #include "faults/faults.h"
@@ -26,6 +27,8 @@
 #include "telemetry/json.h"
 #include "telemetry/ledger.h"
 #include "telemetry/telemetry.h"
+
+#include "compile_warm_shapes.h"
 
 namespace xtalk::service {
 namespace {
@@ -983,6 +986,50 @@ TEST(EngineTest, IdenticalRequestsProduceIdenticalResponses)
     ASSERT_EQ(first.code, StatusCode::kOk) << first.error;
     // Byte-identical outside the wall-clock timing object.
     EXPECT_EQ(first.ToJson(false), second.ToJson(false));
+}
+
+TEST(EngineTest, PinnedWarmCompileResponses)
+{
+    // The default engine's answers to the nine seed-1 compile_warm
+    // shapes (xtalk at omega 0.5, noise-aware layout), all but the first
+    // served warm from one characterized Poughkeepsie snapshot. Its
+    // high-crosstalk entries reach the layout's crosstalk penalty. A
+    // change meant to keep compile results must pass this unedited.
+    Engine engine;
+    const std::vector<Circuit> shapes =
+        test_shapes::CompileWarmShapes(MakePoughkeepsie(), 1);
+    const std::vector<std::string> pinned{
+        "0cac5f4b9d13033c", "33331dd8f8889167", "21d20f99b6e72b4d",
+        "1ec7694672a51ad6", "16fc5a76a2f2478c", "c6df9683f963e9d6",
+        "3f5fc93066fe952a", "39287870f772b8cb", "60fe5404cc40635a",
+    };
+    ASSERT_EQ(shapes.size(), pinned.size());
+    for (size_t k = 0; k < shapes.size(); ++k) {
+        ServiceRequest request;
+        request.id = "warm-" + std::to_string(k);
+        request.qasm = ToQasm(shapes[k]);
+        const ServiceResponse response = engine.Handle(request);
+        ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
+        EXPECT_EQ(response.cache_hit, k > 0) << k;
+        EXPECT_EQ(telemetry::FnvHex(response.ToJson(false)), pinned[k])
+            << "shape " << k << ": " << response.ToJson(false);
+    }
+}
+
+TEST(EngineTest, NanAngleWithShotsAnswersError)
+{
+    // A NaN angle must stop at the parser: past it, the simulator loses
+    // the register's trace and the request answers internal.
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.qasm = "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nrx(nan) q[0];\n"
+                   "measure q[0] -> c[0];\n";
+    request.simulate_shots = 100;
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kError) << response.error;
+    EXPECT_NE(response.error.find("line 4: bad parameter 'nan'"),
+              std::string::npos)
+        << response.error;
 }
 
 TEST(EngineTest, ExpiredDeadlineReturnsTimeout)

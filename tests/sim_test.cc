@@ -232,9 +232,10 @@ TEST(Counts, BitsToStringOrdersHighBitFirst)
     EXPECT_EQ(Counts::BitsToString(0b10, 2), "10");
 }
 
-/** Trivially schedule a circuit ASAP using device durations. */
+/** Schedule a circuit ASAP using device durations, measures in circuit
+ *  order (xtalk::AsapSchedule moves them to the end). */
 ScheduledCircuit
-AsapSchedule(const Circuit& circuit, const Device& device)
+InOrderSchedule(const Circuit& circuit, const Device& device)
 {
     ScheduledCircuit out(circuit.num_qubits());
     std::vector<double> ready(circuit.num_qubits(), 0.0);
@@ -262,7 +263,7 @@ TEST(NoisySimulator, NoiseFreeBellIsPerfect)
     options.decoherence = false;
     options.readout_noise = false;
     NoisySimulator sim(device, options);
-    const Counts counts = sim.Run(AsapSchedule(bell, device), RunSpec{2000});
+    const Counts counts = sim.Run(InOrderSchedule(bell, device), RunSpec{2000});
     const double p00 = counts.Probability(0b00);
     const double p11 = counts.Probability(0b11);
     EXPECT_NEAR(p00 + p11, 1.0, 1e-12);
@@ -279,7 +280,7 @@ TEST(NoisySimulator, ReadoutNoiseFlipsBits)
     options.decoherence = false;
     options.readout_noise = true;
     NoisySimulator sim(device, options);
-    const Counts counts = sim.Run(AsapSchedule(idle, device), RunSpec{4000});
+    const Counts counts = sim.Run(InOrderSchedule(idle, device), RunSpec{4000});
     // Expect roughly the calibrated readout error rate of flips per qubit.
     const double p_not00 = 1.0 - counts.Probability(0b00);
     const double expected =
@@ -340,7 +341,7 @@ TEST(NoisySimulator, IdealProbabilitiesMatchAnalyticBell)
     Circuit bell(2);
     bell.H(0).CX(0, 1).MeasureAll();
     NoisySimulator sim(device);
-    const auto probs = sim.IdealProbabilities(AsapSchedule(bell, device));
+    const auto probs = sim.IdealProbabilities(InOrderSchedule(bell, device));
     ASSERT_EQ(probs.size(), 4u);
     EXPECT_NEAR(probs[0], 0.5, 1e-12);
     EXPECT_NEAR(probs[3], 0.5, 1e-12);
@@ -351,7 +352,7 @@ TEST(NoisySimulator, DeterministicForFixedSeed)
     const Device device = MakeLinearDevice(3, 3);
     Circuit c(3);
     c.H(0).CX(0, 1).CX(1, 2).MeasureAll();
-    const auto schedule = AsapSchedule(c, device);
+    const auto schedule = InOrderSchedule(c, device);
     NoisySimOptions options;
     options.seed = 42;
     Counts a = NoisySimulator(device, options).Run(schedule, RunSpec{500});
@@ -400,7 +401,7 @@ TEST(NoisySimulator, NoEventShotsSkipEveryGate)
         telemetry::GetCounter("sim.statevector.ops_skipped");
     constexpr uint64_t kGates = 4, kMeasures = 3, kShots = 300;
     auto run = [&](const Circuit& gates) {
-        ScheduledCircuit schedule = AsapSchedule(gates, device);
+        ScheduledCircuit schedule = InOrderSchedule(gates, device);
         const double end = schedule.TotalDuration();
         for (int q = 0; q < 3; ++q) {
             schedule.Add(Gate{GateKind::kMeasure, {q}, {}, q}, end,
@@ -512,20 +513,20 @@ PinnedRuns(const Device& pough, const Device& linear)
         options.max_qubits = 5;
         options.intensity = 2;
         options.seed = 2020;
-        return AsapSchedule(BuildAdversarialCircuit(pough, options), pough);
+        return InOrderSchedule(BuildAdversarialCircuit(pough, options), pough);
     };
     const ScheduledCircuit qaoa =
-        AsapSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
-    const ScheduledCircuit shift =
-        AsapSchedule(BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}), pough);
+        InOrderSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
+    const ScheduledCircuit shift = InOrderSchedule(
+        BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}), pough);
     HiddenShiftOptions redundant_options;
     redundant_options.redundant_cnots = true;
-    const ScheduledCircuit shift_redundant = AsapSchedule(
+    const ScheduledCircuit shift_redundant = InOrderSchedule(
         BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}, redundant_options),
         pough);
     // Twelve qubits: a 64 KiB state, so the run needs more checkpoints
     // than a 1 MiB budget holds.
-    const ScheduledCircuit wide = AsapSchedule(
+    const ScheduledCircuit wide = InOrderSchedule(
         BuildQaoaCircuit(pough, {0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11},
                          QaoaOptions{2, 3}),
         pough);
@@ -535,7 +536,7 @@ PinnedRuns(const Device& pough, const Device& linear)
         topo.FindEdge(0, 1),  topo.FindEdge(2, 3),   topo.FindEdge(5, 6),
         topo.FindEdge(7, 8),  topo.FindEdge(10, 15), topo.FindEdge(11, 12)};
     const ScheduledCircuit mid =
-        AsapSchedule(MidCircuitMeasureCircuit(), linear);
+        InOrderSchedule(MidCircuitMeasureCircuit(), linear);
     // Idling 50 T1 makes damping certain: every shot jumps on qubit 0,
     // so the cached path must end there instead of taking the
     // zero-probability no-jump branch.
@@ -769,9 +770,9 @@ TEST(ExactBackend, CountsAreIdenticalAcrossThreadCounts)
 {
     const Device pough = MakePoughkeepsie();
     const ScheduledCircuit qaoa =
-        AsapSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
-    const ScheduledCircuit shift =
-        AsapSchedule(BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}), pough);
+        InOrderSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
+    const ScheduledCircuit shift = InOrderSchedule(
+        BuildHiddenShiftCircuit(pough, {10, 15, 11, 12}), pough);
     auto batch_at = [&](int threads) {
         runtime::ExecutorOptions options;
         options.num_threads = threads;
@@ -804,7 +805,7 @@ TEST(ExactBackend, MidCircuitMeasureRunsTrajectories)
 {
     const Device linear = MakeLinearDevice(3, 3);
     const ScheduledCircuit mid =
-        AsapSchedule(MidCircuitMeasureCircuit(), linear);
+        InOrderSchedule(MidCircuitMeasureCircuit(), linear);
     telemetry::Counter& fallbacks =
         telemetry::GetCounter("sim.exact.fallbacks.mid_circuit_measure");
     telemetry::SetEnabled(true);
@@ -824,10 +825,10 @@ TEST(ExactBackend, CostTestFailureRunsTrajectories)
     const Device pough = MakePoughkeepsie();
     // Four qubits in one register: 2^4 > 8 shots.
     const ScheduledCircuit qaoa =
-        AsapSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
+        InOrderSchedule(BuildQaoaCircuit(pough, {0, 1, 2, 3}), pough);
     // Twelve qubits in one register: past the 10-qubit cap at any
     // shot count.
-    const ScheduledCircuit wide = AsapSchedule(
+    const ScheduledCircuit wide = InOrderSchedule(
         BuildQaoaCircuit(pough, {0, 1, 2, 3, 4, 9, 8, 7, 6, 5, 10, 11},
                          QaoaOptions{2, 3}),
         pough);
@@ -868,7 +869,7 @@ TEST(ExactBackend, ManyRegistersDrawOncePerSamplingGroup)
         circuit.H(q).RY(q, 0.1 * q);
     }
     circuit.MeasureAll();
-    const ScheduledCircuit schedule = AsapSchedule(circuit, pough);
+    const ScheduledCircuit schedule = InOrderSchedule(circuit, pough);
     const ExactDistribution exact(BuildRunPlan(pough, {}, schedule));
     EXPECT_EQ(exact.registers(), 14);
     EXPECT_EQ(exact.width(), 1);
