@@ -63,10 +63,10 @@ main()
             const double t_powerset = powerset.stats().solve_seconds;
 
             const double obj_bound =
-                EstimateScheduleError(s_bound, device, &characterization)
+                EstimateScheduleError(s_bound, device, characterization)
                     .Objective(0.5);
             const double obj_powerset =
-                EstimateScheduleError(s_powerset, device, &characterization)
+                EstimateScheduleError(s_powerset, device, characterization)
                     .Objective(0.5);
             table.Row(std::to_string(a) + "," + std::to_string(b), t_bound,
                       t_powerset,

@@ -71,7 +71,7 @@ main()
         const ScheduledCircuit schedule = scheduler->Schedule(circuit);
         std::cout << schedule.ToString();
         const auto estimate =
-            EstimateScheduleError(schedule, device, &characterization);
+            EstimateScheduleError(schedule, device, characterization);
         std::cout << "duration " << schedule.TotalDuration()
                   << " ns, modeled success "
                   << estimate.success_probability

@@ -5,7 +5,7 @@
  * against exact outcome distributions, Clifford tableau operations and
  * synthesis, SRB schedule construction, bin packing, the SMT
  * scheduler itself, and a warm compile's fixed costs (QASM parse and
- * emit, noise-aware layout).
+ * emit, noise-aware layout, the schedule score).
  */
 #include <benchmark/benchmark.h>
 
@@ -18,12 +18,14 @@
 #include "characterization/rb.h"
 #include "circuit/qasm.h"
 #include "circuit/qasm_parser.h"
+#include "compiler/compiler.h"
 #include "experiments/experiments.h"
 #include "runtime/executor.h"
 #include "scheduler/portfolio.h"
 #include "clifford/group.h"
 #include "clifford/tableau.h"
 #include "device/ibmq_devices.h"
+#include "scheduler/analysis.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/xtalk_scheduler.h"
 #include "sim/exact_distribution.h"
@@ -267,28 +269,11 @@ BM_RandomizedFirstFitPack(benchmark::State& state)
 }
 BENCHMARK(BM_RandomizedFirstFitPack);
 
-/** Oracle characterization, used to drive the SMT benchmark. */
-CrosstalkCharacterization
-Oracle(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 void
 BM_XtalkSchedulerSwapPath(benchmark::State& state)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = Oracle(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const SwapBenchmark bench = BuildSwapBenchmark(device, 15, 12);
     Circuit circuit = bench.circuit;
     circuit.Measure(bench.bell_left, 0).Measure(bench.bell_right, 1);
@@ -309,7 +294,7 @@ void
 BM_XtalkOmegaSweep(benchmark::State& state)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = Oracle(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const SwapBenchmark bench = BuildSwapBenchmark(device, 15, 12);
     Circuit circuit = bench.circuit;
     circuit.Measure(bench.bell_left, 0).Measure(bench.bell_right, 1);
@@ -328,7 +313,7 @@ void
 BM_SchedulerPortfolio(benchmark::State& state)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = Oracle(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const SwapBenchmark bench = BuildSwapBenchmark(device, 15, 12);
     Circuit circuit = bench.circuit;
     circuit.Measure(bench.bell_left, 0).Measure(bench.bell_right, 1);
@@ -477,22 +462,66 @@ BM_ToQasm(benchmark::State& state)
 }
 BENCHMARK(BM_ToQasm);
 
+/** Poughkeepsie, on which the service benchmark's requests compile. */
+const Device&
+Poughkeepsie()
+{
+    static const Device device = MakePoughkeepsie();
+    return device;
+}
+
+/** The service's seed-1 snapshot of Poughkeepsie, characterized once. */
+const CrosstalkCharacterization&
+SeedOneSnapshot()
+{
+    static const CrosstalkCharacterization snapshot = CharacterizeDevice(
+        Poughkeepsie(), BenchRbConfig(),
+        CharacterizationPolicy::kOneHopBinPacked, 1);
+    return snapshot;
+}
+
 /** Noise-aware placement of the warm-sized QAOA chain on Poughkeepsie,
  *  with the crosstalk penalty of the service's seed-1 snapshot. */
 void
 BM_NoiseAwareLayout(benchmark::State& state)
 {
-    static const Device device = MakePoughkeepsie();
-    static const CrosstalkCharacterization snapshot = CharacterizeDevice(
-        device, BenchRbConfig(), CharacterizationPolicy::kOneHopBinPacked,
-        1);
     const Circuit logical = WarmSizedQaoa();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            NoiseAwareLayout(device, logical, &snapshot, 0.5));
+        benchmark::DoNotOptimize(NoiseAwareLayout(
+            Poughkeepsie(), logical, &SeedOneSnapshot(), 0.5));
     }
 }
 BENCHMARK(BM_NoiseAwareLayout);
+
+/**
+ * The schedule score the portfolio race, the estimate pass and
+ * AnnealSched compute, against the seed-1 snapshot: arg 0 scores the
+ * warm-sized QAOA chain as a warm compile schedules it, arg 1 a
+ * two-coupler SRB sequence of 30 Cliffords.
+ */
+void
+BM_EstimateScheduleError(benchmark::State& state)
+{
+    const Device& device = Poughkeepsie();
+    const CrosstalkCharacterization& snapshot = SeedOneSnapshot();
+    ScheduledCircuit schedule(device.num_qubits());
+    if (state.range(0) == 0) {
+        schedule = Compile(device, snapshot, WarmSizedQaoa()).schedule;
+    } else {
+        RbRunner runner(device, RbConfig{});
+        Rng rng(5);
+        schedule = runner.BuildSrbSchedule(
+            {device.topology().FindEdge(0, 1),
+             device.topology().FindEdge(2, 3)},
+            30, rng);
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            EstimateScheduleError(schedule, device, snapshot));
+    }
+    state.SetItemsProcessed(state.iterations() * schedule.size());
+}
+BENCHMARK(BM_EstimateScheduleError)->Arg(0)->Arg(1);
 
 void
 BM_ParSchedSwapPath(benchmark::State& state)

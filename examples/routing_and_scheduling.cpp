@@ -63,7 +63,7 @@ main()
         const ScheduledCircuit schedule =
             scheduler->Schedule(routed.circuit);
         const auto estimate =
-            EstimateScheduleError(schedule, device, &characterization);
+            EstimateScheduleError(schedule, device, characterization);
         std::cout << std::left << std::setw(14) << scheduler->name()
                   << std::setw(14) << schedule.TotalDuration()
                   << std::setw(17) << estimate.success_probability

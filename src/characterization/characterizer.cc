@@ -207,6 +207,21 @@ CrosstalkCharacterization::SnapshotId() const
     return telemetry::FnvHex(canon.str());
 }
 
+CrosstalkCharacterization
+GroundTruthCharacterization(const Device& device)
+{
+    CrosstalkCharacterization c;
+    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
+        c.SetIndependentError(e, device.CxError(e));
+    }
+    for (const auto& entry : device.ground_truth().entries()) {
+        const auto& [victim, aggressor] = entry.first;
+        c.SetConditionalError(victim, aggressor,
+                              device.ConditionalCxError(victim, aggressor));
+    }
+    return c;
+}
+
 CrosstalkCharacterizer::CrosstalkCharacterizer(const Device& device,
                                                CharacterizerConfig config)
     : device_(&device), config_(std::move(config))

@@ -15,8 +15,9 @@
  *
  * CrosstalkCharacterizer executes a plan against the noisy simulator and
  * produces a CrosstalkCharacterization: the measured independent and
- * conditional error rates the scheduler consumes. The device's hidden
- * ground truth is never copied — every number comes from RB decays.
+ * conditional error rates the scheduler consumes. The characterizer
+ * never copies the device's hidden ground truth — every number comes
+ * from RB decays; GroundTruthCharacterization copies it for oracles.
  */
 #ifndef XTALK_CHARACTERIZATION_CHARACTERIZER_H
 #define XTALK_CHARACTERIZATION_CHARACTERIZER_H
@@ -145,6 +146,16 @@ class CrosstalkCharacterization {
     std::map<EdgeId, double> independent_;
     std::map<GatePair, double> conditional_;
 };
+
+/**
+ * What a perfect characterization would measure: every coupler's
+ * calibrated CX error and the conditional rate of every ordered pair in
+ * the device's hidden ground truth, both on the device's current day.
+ * An oracle for tests, benches and the differential oracle, never for
+ * the compiler: scoring a schedule against it applies the rates the
+ * simulators run.
+ */
+CrosstalkCharacterization GroundTruthCharacterization(const Device& device);
 
 /**
  * Everything that shapes one characterizer: the RB budget and the

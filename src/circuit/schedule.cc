@@ -98,23 +98,6 @@ ScheduledCircuit::QubitLifetime(QubitId q) const
     return LastEndOn(q) - first;
 }
 
-std::vector<int>
-ScheduledCircuit::OverlappingTwoQubitGates(int index) const
-{
-    XTALK_REQUIRE(index >= 0 && index < size(), "gate index out of range");
-    std::vector<int> out;
-    const TimedGate& target = gates_[index];
-    for (int i = 0; i < size(); ++i) {
-        if (i == index || !gates_[i].gate.IsTwoQubitUnitary()) {
-            continue;
-        }
-        if (TimedGate::Overlaps(target, gates_[i])) {
-            out.push_back(i);
-        }
-    }
-    return out;
-}
-
 Circuit
 ScheduledCircuit::ToCircuit() const
 {

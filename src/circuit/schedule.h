@@ -58,12 +58,6 @@ class ScheduledCircuit {
     /** End time of the last non-barrier gate on q; -1 if unused. */
     double LastEndOn(QubitId q) const;
 
-    /**
-     * Indices of two-qubit unitary gates that strictly overlap the given
-     * gate in time (excluding itself).
-     */
-    std::vector<int> OverlappingTwoQubitGates(int index) const;
-
     /** Untimed circuit with the same gate order (by start time). */
     Circuit ToCircuit() const;
 

@@ -208,7 +208,7 @@ EstimatePass::Run(CompilationState& state)
                   "estimate requires a schedule; run a schedule pass "
                   "first");
     state.estimate = EstimateScheduleError(*state.schedule, state.device(),
-                                           &state.characterization());
+                                           state.characterization());
     std::ostringstream note;
     note << "estimate: modeled success "
          << state.estimate->success_probability << ", high-crosstalk "

@@ -19,23 +19,6 @@
 
 namespace xtalk::difftest {
 
-CrosstalkCharacterization
-SynthesizeCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    const Topology& topo = device.topology();
-    for (EdgeId e = 0; e < topo.num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 namespace {
 
 /** Seed-stream tags so every stochastic arm draws independently. */
@@ -92,8 +75,10 @@ RunCase(const Device& device, AdversarialFamily family, uint64_t case_seed,
     const Circuit circuit = BuildAdversarialCircuit(device, gen);
     result.depth = circuit.Depth();
 
+    // A perfect characterization stands in for a full SRB run, so the
+    // oracle spends its time in the backends.
     const CrosstalkCharacterization characterization =
-        SynthesizeCharacterization(device);
+        GroundTruthCharacterization(device);
     CompilerOptions copts;
     copts.scheduler = options.scheduler;
 

@@ -39,13 +39,6 @@
 
 namespace xtalk::difftest {
 
-/**
- * Perfect characterization synthesized from the device's hidden ground
- * truth — stands in for a full SRB run so the oracle spends its time in
- * the backends, not in characterization. Deterministic.
- */
-CrosstalkCharacterization SynthesizeCharacterization(const Device& device);
-
 /** Knobs for one oracle sweep. */
 struct OracleOptions {
     /** Families to generate; empty = all four. */

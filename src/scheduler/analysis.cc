@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.h"
+#include "sim/noisy_simulator.h"
 
 namespace xtalk {
 
@@ -18,99 +18,54 @@ ScheduleErrorEstimate::Objective(double omega) const
            (1.0 - omega) * (-log_decoherence_success);
 }
 
-namespace {
-
-/** Independent rate of coupler @p edge: the characterized estimate
- *  under kCharacterized when one exists, the calibration otherwise. */
-double
-IndependentRate(EdgeId edge, const Device& device,
-                const CrosstalkCharacterization* characterization,
-                ErrorDataSource source)
-{
-    if (source == ErrorDataSource::kCharacterized && characterization) {
-        return characterization->IndependentOrCalibratedError(edge, device);
-    }
-    return device.CxError(edge);
-}
-
-/**
- * Effective error rate of gate @p index in the schedule: independent
- * rate, or the max conditional rate over overlapping two-qubit gates
- * (constraint 7 semantics).
- */
-double
-ModeledGateError(const ScheduledCircuit& schedule, int index,
-                 const Device& device,
-                 const CrosstalkCharacterization* characterization,
-                 ErrorDataSource source)
-{
-    const TimedGate& tg = schedule.gates().at(index);
-    const Gate& gate = tg.gate;
-    if (gate.IsBarrier() || gate.IsMeasure()) {
-        return 0.0;
-    }
-    if (!gate.IsTwoQubitUnitary()) {
-        return device.GateError(gate);
-    }
-    const EdgeId victim =
-        device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-    XTALK_REQUIRE(victim >= 0, "two-qubit gate on uncoupled qubits");
-
-    const double independent =
-        IndependentRate(victim, device, characterization, source);
-    auto conditional = [&](EdgeId aggressor) {
-        if (source == ErrorDataSource::kGroundTruth) {
-            return device.ConditionalCxError(victim, aggressor);
-        }
-        XTALK_REQUIRE(characterization,
-                      "characterized analysis needs characterization data");
-        if (characterization->HasConditionalError(victim, aggressor)) {
-            return characterization->ConditionalError(victim, aggressor);
-        }
-        return independent;
-    };
-
-    double err = independent;
-    for (int j : schedule.OverlappingTwoQubitGates(index)) {
-        const Gate& other = schedule.gates()[j].gate;
-        const EdgeId aggressor =
-            device.topology().FindEdge(other.qubits[0], other.qubits[1]);
-        if (aggressor >= 0 && aggressor != victim) {
-            err = std::max(err, conditional(aggressor));
-        }
-    }
-    return err;
-}
-
-}  // namespace
-
 ScheduleErrorEstimate
 EstimateScheduleError(const ScheduledCircuit& schedule, const Device& device,
-                      const CrosstalkCharacterization* characterization,
-                      ErrorDataSource source)
+                      const CrosstalkCharacterization& characterization)
 {
+    const auto independent = [&](EdgeId edge) {
+        return characterization.IndependentOrCalibratedError(edge, device);
+    };
+    const std::vector<double> errors = OverlapGateErrors(
+        schedule, device, independent, [&](EdgeId victim, EdgeId aggressor) {
+            const auto& measured = characterization.conditional_entries();
+            const auto it = measured.find({victim, aggressor});
+            return it != measured.end() ? it->second : independent(victim);
+        });
+
+    // One pass: the gate terms, the doubled-error count, the makespan
+    // and each qubit's first start and last end over its non-barrier
+    // gates (paper constraint 9).
     ScheduleErrorEstimate estimate;
-    estimate.duration_ns = schedule.TotalDuration();
-    for (int i = 0; i < schedule.size(); ++i) {
-        const Gate& gate = schedule.gates()[i].gate;
-        if (gate.IsBarrier() || gate.IsMeasure()) {
+    std::vector<double> first(schedule.num_qubits(), -1.0);
+    std::vector<double> last(schedule.num_qubits(), -1.0);
+    const std::vector<TimedGate>& gates = schedule.gates();
+    for (size_t i = 0; i < gates.size(); ++i) {
+        const TimedGate& tg = gates[i];
+        estimate.duration_ns = std::max(estimate.duration_ns, tg.end_ns());
+        if (tg.gate.IsBarrier()) {
             continue;
         }
-        const double err =
-            ModeledGateError(schedule, i, device, characterization, source);
-        if (gate.IsTwoQubitUnitary()) {
-            const EdgeId e =
-                device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-            const double base =
-                IndependentRate(e, device, characterization, source);
-            if (err > base * 2.0) {
+        for (QubitId q : tg.gate.qubits) {
+            if (first[q] < 0.0 || tg.start_ns < first[q]) {
+                first[q] = tg.start_ns;
+            }
+            last[q] = std::max(last[q], tg.end_ns());
+        }
+        if (tg.gate.IsMeasure()) {
+            continue;
+        }
+        if (tg.gate.IsTwoQubitUnitary()) {
+            const EdgeId edge = device.topology().FindEdge(tg.gate.qubits[0],
+                                                           tg.gate.qubits[1]);
+            if (errors[i] > independent(edge) * 2.0) {
                 ++estimate.crosstalk_overlaps;
             }
         }
-        estimate.log_gate_success += std::log(std::max(1e-12, 1.0 - err));
+        estimate.log_gate_success +=
+            std::log(std::max(1e-12, 1.0 - errors[i]));
     }
     for (QubitId q = 0; q < schedule.num_qubits(); ++q) {
-        const double lifetime = schedule.QubitLifetime(q);
+        const double lifetime = first[q] < 0.0 ? 0.0 : last[q] - first[q];
         if (lifetime > 0.0) {
             estimate.log_decoherence_success -=
                 lifetime / device.CoherenceTimeNs(q);

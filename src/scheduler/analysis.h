@@ -3,12 +3,11 @@
  * Schedule quality analysis under the paper's error model: the product
  * of crosstalk-aware gate success rates and per-qubit decoherence
  * survival (objective function of Section 7.3, evaluated rather than
- * optimized). Two data sources are supported:
- *
- *  - kCharacterized: conditional rates from a CrosstalkCharacterization
- *    (the compiler's view — what XtalkSched optimizes);
- *  - kGroundTruth: the device's hidden crosstalk model (an oracle view
- *    for tests and for quantifying characterization error).
+ * optimized). The gate errors follow the rule the simulators run
+ * (OverlapGateErrors, sim/noisy_simulator.h) at a characterization's
+ * rates: the compiler's measured view, or the device's hidden one
+ * through GroundTruthCharacterization, at which the score's gate term
+ * equals the simulators' bit for bit.
  */
 #ifndef XTALK_SCHEDULER_ANALYSIS_H
 #define XTALK_SCHEDULER_ANALYSIS_H
@@ -18,9 +17,6 @@
 #include "device/device.h"
 
 namespace xtalk {
-
-/** Which conditional-error data to evaluate against. */
-enum class ErrorDataSource { kCharacterized, kGroundTruth };
 
 /** Decomposed schedule error estimate. */
 struct ScheduleErrorEstimate {
@@ -33,7 +29,8 @@ struct ScheduleErrorEstimate {
     /** Makespan in ns. */
     double duration_ns = 0.0;
     /** Gates whose modeled error exceeds 2x their independent rate
-     *  because of concurrent aggressors (high-crosstalk overlaps). */
+     *  because of concurrent aggressors: a count of gates, not of
+     *  pairs, and not the scheduler's high-crosstalk test. */
     int crosstalk_overlaps = 0;
 
     /**
@@ -44,13 +41,13 @@ struct ScheduleErrorEstimate {
 };
 
 /**
- * Evaluate a schedule under the model. @p characterization may be null
- * only with kGroundTruth.
+ * Evaluate a schedule under the model at @p characterization's rates. A
+ * coupler it did not measure runs at its calibrated rate, and an ordered
+ * pair it did not measure at the victim's independent rate.
  */
 ScheduleErrorEstimate EstimateScheduleError(
     const ScheduledCircuit& schedule, const Device& device,
-    const CrosstalkCharacterization* characterization,
-    ErrorDataSource source = ErrorDataSource::kCharacterized);
+    const CrosstalkCharacterization& characterization);
 
 }  // namespace xtalk
 

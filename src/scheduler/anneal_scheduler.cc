@@ -107,7 +107,7 @@ AnnealScheduler::Schedule(const Circuit& circuit)
         return schedule;
     };
     auto cost = [&](const ScheduledCircuit& schedule) {
-        return EstimateScheduleError(schedule, *device_, characterization_)
+        return EstimateScheduleError(schedule, *device_, *characterization_)
             .Objective(options_.omega);
     };
     auto expired = [&]() {

@@ -22,8 +22,7 @@ SelectOmegaByModel(const Device& device,
     bool have_best = false;
     for (OmegaSolveResult& result : solved) {
         const ScheduleErrorEstimate estimate =
-            EstimateScheduleError(result.schedule, device,
-                                  &characterization);
+            EstimateScheduleError(result.schedule, device, characterization);
         best.sweep.push_back({result.omega, estimate.success_probability});
         if (!have_best ||
             estimate.success_probability > best.estimate.success_probability) {

@@ -61,7 +61,7 @@ Scored(ScheduledCircuit schedule, const PortfolioContext& ctx,
 {
     ScheduleCandidate candidate;
     candidate.estimate =
-        EstimateScheduleError(schedule, *ctx.device, &ScoringData(ctx));
+        EstimateScheduleError(schedule, *ctx.device, ScoringData(ctx));
     candidate.schedule = std::move(schedule);
     candidate.omega = omega;
     return candidate;

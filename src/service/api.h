@@ -226,7 +226,10 @@ struct ServiceResponse {
     double duration_ns = 0.0;
     /** Modeled success probability under the characterized error model. */
     double success_probability = 0.0;
-    /** High-crosstalk overlaps remaining in the schedule. */
+    /** Gates whose modeled error is more than twice their independent
+     *  rate because a gate overlapping them raises it
+     *  (ScheduleErrorEstimate::crosstalk_overlaps): a count of gates,
+     *  not of pairs, and not the scheduler's high-crosstalk test. */
     int crosstalk_overlaps = 0;
     /** True when the pipeline produced a schedule (the three metrics
      *  above are only meaningful when set). */

@@ -50,12 +50,18 @@ ReplayScheduleDensity(const Device& device, const ScheduledCircuit& schedule,
                                "qubits; schedule touches "
                                    << width);
 
-    // The crosstalk-aware per-gate error rates come from the trajectory
-    // engine itself so both backends model the identical channel strength.
+    // The per-gate error rates follow the trajectory engine's rule at
+    // the same rates, so both backends model one channel strength.
     std::vector<double> gate_errors;
     if (options.gate_noise) {
-        gate_errors =
-            NoisySimulator(device, options).EffectiveGateErrors(schedule);
+        gate_errors = OverlapGateErrors(
+            schedule, device,
+            [&](EdgeId edge) { return device.CxError(edge); },
+            [&](EdgeId victim, EdgeId aggressor) {
+                return options.crosstalk
+                           ? device.ConditionalCxError(victim, aggressor)
+                           : device.CxError(victim);
+            });
     }
 
     std::vector<double> t1_ns(width), tphi_ns(width), clock(width);

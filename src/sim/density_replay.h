@@ -7,8 +7,9 @@
  * its exact Kraus channel on a `DensityMatrix`:
  *
  *  - gate errors become depolarizing channels at the crosstalk-aware
- *    effective rate (`NoisySimulator::EffectiveGateErrors`, i.e. the max
- *    conditional CX error over overlapping aggressors);
+ *    effective rate (`OverlapGateErrors` at the device's calibrated and
+ *    ground-truth rates, i.e. the max conditional CX error over
+ *    overlapping aggressors);
  *  - decoherence over every busy/idle interval becomes amplitude-damping
  *    and dephasing channels with the same gamma / p_z the trajectory
  *    engine draws Bernoulli jumps from;

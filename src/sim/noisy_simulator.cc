@@ -67,64 +67,6 @@ PureDephasingTimeNs(double t1_ns, double t2_ns)
     return 1.0 / inv;
 }
 
-/**
- * NoisySimulator::EffectiveGateErrors of @p schedule (0 for barriers
- * and measures), in one pass over its two-qubit unitaries.
- */
-std::vector<double>
-CrosstalkAwareGateErrors(const Device& device, bool crosstalk,
-                         const ScheduledCircuit& schedule)
-{
-    const std::vector<TimedGate>& gates = schedule.gates();
-    std::vector<double> errors(gates.size(), 0.0);
-    // The two-qubit unitaries, in start order, and their couplers.
-    std::vector<std::pair<int, EdgeId>> coupled;
-    for (size_t i = 0; i < gates.size(); ++i) {
-        const Gate& gate = gates[i].gate;
-        if (gate.IsBarrier() || gate.IsMeasure()) {
-            continue;
-        }
-        if (!gate.IsTwoQubitUnitary()) {
-            errors[i] = device.GateError(gate);
-            continue;
-        }
-        const EdgeId edge =
-            device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-        XTALK_REQUIRE(edge >= 0, "two-qubit gate on uncoupled qubits: "
-                                     << xtalk::ToString(gate));
-        errors[i] = device.CxError(edge);
-        coupled.emplace_back(static_cast<int>(i), edge);
-    }
-    if (!crosstalk) {
-        return errors;
-    }
-    // Paper's model: the error under overlap is the max conditional rate
-    // over the concurrently executing aggressors (constraint 7). Gates
-    // are sorted by start, so every gate overlapping gate a that starts
-    // after it starts before a ends: each overlapping pair is met once,
-    // from its earlier gate.
-    for (size_t a = 0; a < coupled.size(); ++a) {
-        const auto [first, first_edge] = coupled[a];
-        for (size_t b = a + 1; b < coupled.size(); ++b) {
-            const auto [second, second_edge] = coupled[b];
-            if (gates[second].start_ns >= gates[first].end_ns()) {
-                break;
-            }
-            if (first_edge == second_edge ||
-                !TimedGate::Overlaps(gates[first], gates[second])) {
-                continue;
-            }
-            errors[first] = std::max(
-                errors[first], device.ConditionalCxError(first_edge,
-                                                         second_edge));
-            errors[second] = std::max(
-                errors[second], device.ConditionalCxError(second_edge,
-                                                          first_edge));
-        }
-    }
-    return errors;
-}
-
 /** Gate kinds, for tables keyed by kind (kMeasure is the last kind). */
 constexpr size_t kNumGateKinds = static_cast<size_t>(GateKind::kMeasure) + 1;
 
@@ -658,6 +600,54 @@ PlanRegisters(const RunPlan& plan)
     return layout;
 }
 
+std::vector<double>
+OverlapGateErrors(const ScheduledCircuit& schedule, const Device& device,
+                  const std::function<double(EdgeId)>& independent,
+                  const std::function<double(EdgeId, EdgeId)>& conditional)
+{
+    const std::vector<TimedGate>& gates = schedule.gates();
+    std::vector<double> errors(gates.size(), 0.0);
+    // The two-qubit unitaries, in start order, and their couplers.
+    std::vector<std::pair<int, EdgeId>> coupled;
+    for (size_t i = 0; i < gates.size(); ++i) {
+        const Gate& gate = gates[i].gate;
+        if (gate.IsBarrier() || gate.IsMeasure()) {
+            continue;
+        }
+        if (!gate.IsTwoQubitUnitary()) {
+            errors[i] = device.GateError(gate);
+            continue;
+        }
+        const EdgeId edge =
+            device.topology().FindEdge(gate.qubits[0], gate.qubits[1]);
+        XTALK_REQUIRE(edge >= 0, "two-qubit gate on uncoupled qubits: "
+                                     << xtalk::ToString(gate));
+        errors[i] = independent(edge);
+        coupled.emplace_back(static_cast<int>(i), edge);
+    }
+    // Gates are sorted by start, so every gate overlapping gate a that
+    // starts after it starts before a ends: each overlapping pair is met
+    // once, from its earlier gate.
+    for (size_t a = 0; a < coupled.size(); ++a) {
+        const auto [first, first_edge] = coupled[a];
+        for (size_t b = a + 1; b < coupled.size(); ++b) {
+            const auto [second, second_edge] = coupled[b];
+            if (gates[second].start_ns >= gates[first].end_ns()) {
+                break;
+            }
+            if (first_edge == second_edge ||
+                !TimedGate::Overlaps(gates[first], gates[second])) {
+                continue;
+            }
+            errors[first] = std::max(errors[first],
+                                     conditional(first_edge, second_edge));
+            errors[second] = std::max(errors[second],
+                                      conditional(second_edge, first_edge));
+        }
+    }
+    return errors;
+}
+
 RunPlan
 BuildRunPlan(const Device& device, const NoisySimOptions& options,
              const ScheduledCircuit& schedule)
@@ -670,8 +660,13 @@ BuildRunPlan(const Device& device, const NoisySimOptions& options,
     plan.readout_noise = options.readout_noise;
     // Computed even with gate noise off: it also rejects a two-qubit
     // gate on uncoupled qubits.
-    const std::vector<double> errors =
-        CrosstalkAwareGateErrors(device, options.crosstalk, schedule);
+    const std::vector<double> errors = OverlapGateErrors(
+        schedule, device, [&](EdgeId edge) { return device.CxError(edge); },
+        [&](EdgeId victim, EdgeId aggressor) {
+            return options.crosstalk
+                       ? device.ConditionalCxError(victim, aggressor)
+                       : device.CxError(victim);
+        });
 
     // Per-local-qubit decoherence parameters; clocks start at each
     // qubit's first operation (0 for a qubit only barriers touch).
@@ -748,12 +743,6 @@ BuildRunPlan(const Device& device, const NoisySimOptions& options,
 NoisySimulator::NoisySimulator(const Device& device, NoisySimOptions options)
     : device_(&device), options_(options), rng_(options.seed)
 {
-}
-
-std::vector<double>
-NoisySimulator::EffectiveGateErrors(const ScheduledCircuit& schedule) const
-{
-    return CrosstalkAwareGateErrors(*device_, options_.crosstalk, schedule);
 }
 
 Counts

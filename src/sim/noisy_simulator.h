@@ -9,7 +9,9 @@
  *    with the gate's error probability; for two-qubit gates the
  *    probability is the *conditional* error rate when the gate overlaps
  *    in time with an aggressor gate in the device's crosstalk ground
- *    truth (this is how crosstalk physically manifests here);
+ *    truth (this is how crosstalk physically manifests here). The rule
+ *    is OverlapGateErrors below, the one the schedule score
+ *    (scheduler/analysis.h) applies to a characterization's rates;
  *  - decoherence: amplitude damping (T1) and dephasing (T2) trajectory
  *    steps over every busy/idle interval between a qubit's first and
  *    last scheduled operation;
@@ -31,7 +33,8 @@
  * How a run executes. BuildRunPlan() does the setup both trajectory
  * backends share, once per run and in time linear in the gates (plus
  * one step per overlapping pair of two-qubit gates): compaction, the
- * effective gate errors, every decoherence interval with its damping
+ * effective gate errors (OverlapGateErrors at the device's calibrated
+ * and ground-truth rates), every decoherence interval with its damping
  * and dephasing probabilities (the schedule fixes every shot's qubit
  * clocks, so these are the same in every shot), the readout errors and
  * the classical-bit check. The state-vector engine compiles that plan
@@ -75,6 +78,7 @@
 #ifndef XTALK_SIM_NOISY_SIMULATOR_H
 #define XTALK_SIM_NOISY_SIMULATOR_H
 
+#include <functional>
 #include <optional>
 
 #include "circuit/schedule.h"
@@ -125,6 +129,24 @@ struct RunSpec {
      */
     int max_parallel_chunks = 1;
 };
+
+/**
+ * The paper's gate error model (constraint 7), the one the simulators
+ * run and the schedule score (EstimateScheduleError) evaluates: entry i
+ * is the error of gate i of @p schedule, 0 for barriers and measures. A
+ * one-qubit gate fails at its calibrated rate. A two-qubit unitary, a
+ * SWAP included, fails at @p independent of its coupler, or at the
+ * largest @p conditional(its coupler, aggressor) over the two-qubit
+ * unitaries on other couplers that overlap it in time
+ * (TimedGate::Overlaps) when that is higher. The simulators pass the
+ * device's calibrated and ground-truth rates, the score a
+ * characterization's. Throws Error for a two-qubit gate on uncoupled
+ * qubits.
+ */
+std::vector<double> OverlapGateErrors(
+    const ScheduledCircuit& schedule, const Device& device,
+    const std::function<double(EdgeId)>& independent,
+    const std::function<double(EdgeId, EdgeId)>& conditional);
 
 /**
  * The per-run setup both trajectory backends share, with the noise
@@ -199,14 +221,6 @@ class NoisySimulator {
      */
     std::vector<double> IdealProbabilities(const ScheduledCircuit& schedule)
         const;
-
-    /**
-     * Effective error rate the trajectory engine will use for each gate
-     * of the schedule, indexed like schedule.gates() (0 for barriers and
-     * measures): the crosstalk-aware rates, computed once per schedule.
-     */
-    std::vector<double> EffectiveGateErrors(
-        const ScheduledCircuit& schedule) const;
 
     const Device& device() const { return *device_; }
 

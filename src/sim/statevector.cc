@@ -124,8 +124,7 @@ StateVector::ApplyGate(const Gate& gate)
     if (gate.kind == GateKind::kI || gate.kind == GateKind::kBarrier) {
         return;
     }
-    XTALK_REQUIRE(!gate.IsMeasure(),
-                  "measure must go through MeasureQubit");
+    XTALK_REQUIRE(!gate.IsMeasure(), "measures go through Collapse");
     const Matrix u = GateUnitary(gate);
     if (gate.qubits.size() == 1) {
         Apply1Q(gate.qubits[0], u);
@@ -170,15 +169,6 @@ StateVector::Probabilities() const
     return probs;
 }
 
-bool
-StateVector::MeasureQubit(int q, Rng& rng)
-{
-    const double p1 = ProbabilityOne(q);
-    const bool outcome = rng.Bernoulli(p1);
-    Collapse(q, outcome);
-    return outcome;
-}
-
 // The fused passes below sum squared norms in ascending index order, as
 // Norm() does. Skipping the amplitudes they have just zeroed leaves every
 // partial sum unchanged (x + 0.0 == x for x >= 0).
@@ -198,22 +188,6 @@ StateVector::Collapse(int q, bool outcome)
         }
     }
     Rescale(sum_sq);
-}
-
-void
-StateVector::AmplitudeDamp(int q, double gamma, Rng& rng)
-{
-    XTALK_REQUIRE(gamma >= 0.0 && gamma <= 1.0,
-                  "gamma " << gamma << " outside [0, 1]");
-    if (gamma <= 0.0) {
-        return;
-    }
-    const double p_jump = gamma * ProbabilityOne(q);
-    if (rng.Bernoulli(p_jump)) {
-        DampJump(q);
-    } else {
-        DampNoJump(q, std::sqrt(1.0 - gamma));
-    }
 }
 
 void
@@ -249,16 +223,6 @@ StateVector::DampNoJump(int q, double keep)
         }
     }
     Rescale(sum_sq);
-}
-
-void
-StateVector::Dephase(int q, double p_flip, Rng& rng)
-{
-    XTALK_REQUIRE(p_flip >= 0.0 && p_flip <= 0.5 + 1e-12,
-                  "dephasing probability " << p_flip << " outside [0, 0.5]");
-    if (p_flip > 0.0 && rng.Bernoulli(p_flip)) {
-        Apply1Q(q, MatZ());
-    }
 }
 
 Complex

@@ -1,9 +1,10 @@
 /**
  * @file
  * Dense state-vector simulator core with the noise-channel primitives the
- * trajectory simulator needs (amplitude-damping jumps, dephasing flips,
- * projective measurement). Little-endian: qubit 0 is the least
- * significant bit of the basis index.
+ * trajectory simulator needs (the amplitude-damping jump and no-jump
+ * operators and measurement collapse; a dephasing flip is a Z gate).
+ * Little-endian: qubit 0 is the least significant bit of the basis
+ * index.
  *
  * Every kernel visits amplitudes in a fixed order and sums norms in
  * ascending basis-index order, so a kernel's result depends only on its
@@ -19,7 +20,6 @@
 
 #include "circuit/circuit.h"
 #include "common/matrix.h"
-#include "common/rng.h"
 
 namespace xtalk {
 
@@ -73,22 +73,9 @@ class StateVector {
     /** Full probability distribution over basis states. */
     std::vector<double> Probabilities() const;
 
-    /**
-     * Projective Z measurement of qubit @p q with collapse; returns the
-     * outcome.
-     */
-    bool MeasureQubit(int q, Rng& rng);
-
     /** Project qubit @p q onto @p outcome and renormalize (one fused
      *  pass plus the rescale). */
     void Collapse(int q, bool outcome);
-
-    /**
-     * Amplitude-damping trajectory step on qubit @p q with decay
-     * probability @p gamma: stochastically applies the jump (relax to
-     * |0>) or the no-jump Kraus operator, renormalizing.
-     */
-    void AmplitudeDamp(int q, double gamma, Rng& rng);
 
     /** The damping jump K1 = |0><1| on @p q, renormalized. */
     void DampJump(int q);
@@ -96,12 +83,6 @@ class StateVector {
     /** The no-jump Kraus operator |0><0| + @p keep |1><1| on @p q
      *  (keep = sqrt(1 - gamma)), renormalized. */
     void DampNoJump(int q, double keep);
-
-    /**
-     * Dephasing trajectory step: applies Z on @p q with probability
-     * @p p_flip.
-     */
-    void Dephase(int q, double p_flip, Rng& rng);
 
     /** Inner product <this|other>. */
     Complex InnerProduct(const StateVector& other) const;

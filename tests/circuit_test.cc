@@ -202,17 +202,21 @@ TEST(ScheduledCircuit, QubitLifetimeSpansFirstToLast)
     EXPECT_LT(s.FirstStartOn(0), 0.0);
 }
 
-TEST(ScheduledCircuit, OverlappingTwoQubitGateQuery)
+TEST(TimedGate, OverlapIsStrictIntersectionInTime)
 {
-    ScheduledCircuit s(6);
-    s.Add(Gate{GateKind::kCX, {0, 1}, {}, -1}, 0.0, 100.0);
-    s.Add(Gate{GateKind::kCX, {2, 3}, {}, -1}, 50.0, 100.0);
-    s.Add(Gate{GateKind::kCX, {4, 5}, {}, -1}, 200.0, 100.0);
-    s.Add(Gate{GateKind::kH, {0}, {}, -1}, 60.0, 10.0);
-    const auto overlapping = s.OverlappingTwoQubitGates(0);
-    ASSERT_EQ(overlapping.size(), 1u);
-    EXPECT_EQ(s.gates()[overlapping[0]].gate.qubits,
-              (std::vector<QubitId>{2, 3}));
+    const TimedGate cx01{Gate{GateKind::kCX, {0, 1}, {}, -1}, 0.0, 100.0};
+    const TimedGate cx23{Gate{GateKind::kCX, {2, 3}, {}, -1}, 50.0, 100.0};
+    const TimedGate cx45{Gate{GateKind::kCX, {4, 5}, {}, -1}, 200.0, 100.0};
+    const TimedGate h0{Gate{GateKind::kH, {0}, {}, -1}, 60.0, 10.0};
+    EXPECT_TRUE(TimedGate::Overlaps(cx01, cx23));
+    EXPECT_TRUE(TimedGate::Overlaps(cx23, cx01));
+    EXPECT_TRUE(TimedGate::Overlaps(cx01, h0));  // Nested.
+    EXPECT_FALSE(TimedGate::Overlaps(cx01, cx45));
+    EXPECT_FALSE(TimedGate::Overlaps(cx23, cx45));
+    // Abutting gates share an endpoint and do not overlap.
+    const TimedGate after01{Gate{GateKind::kCX, {2, 3}, {}, -1}, 100.0, 50.0};
+    EXPECT_FALSE(TimedGate::Overlaps(cx01, after01));
+    EXPECT_FALSE(TimedGate::Overlaps(after01, cx01));
 }
 
 TEST(ScheduledCircuit, RejectsInvalidTimes)

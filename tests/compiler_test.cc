@@ -20,22 +20,6 @@
 namespace xtalk {
 namespace {
 
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 /** A 3-qubit GHZ with one long-range CNOT, measured. */
 Circuit
 LogicalWorkload()
@@ -48,7 +32,7 @@ LogicalWorkload()
 TEST(Compiler, ProducesHardwareCompliantExecutable)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const CompileResult result =
         Compile(device, characterization, LogicalWorkload());
     EXPECT_EQ(result.scheduler_name, "XtalkSched");
@@ -71,7 +55,7 @@ TEST(Compiler, SemanticsPreservedThroughPipeline)
     // modulo the final layout's classical wiring which Compile keeps on
     // logical clbits).
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit ghz(3);
     ghz.H(0).CX(0, 1).CX(0, 2).MeasureAll();
     const CompileResult result =
@@ -92,7 +76,7 @@ TEST(Compiler, SemanticsPreservedThroughPipeline)
 TEST(Compiler, PolicySelectionIsHonored)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilerOptions options;
     options.scheduler = "serial";
     EXPECT_EQ(Compile(device, characterization, LogicalWorkload(), options)
@@ -111,7 +95,7 @@ TEST(Compiler, PolicySelectionIsHonored)
 TEST(Compiler, XtalkNoWorseThanParallelOnModel)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     // Force a conflicted region with a trivial layout on the conflict
     // qubits: logical pairs map to (10,15) and (11,12).
     Circuit logical(4);
@@ -140,7 +124,7 @@ TEST(Compiler, XtalkNoWorseThanParallelOnModel)
 TEST(Compiler, AutoOmegaPicksFromCandidates)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit mapped(20);
     Circuit logical(4);
     for (int i = 0; i < 3; ++i) {
@@ -165,7 +149,7 @@ TEST(Compiler, AutoOmegaPicksFromCandidates)
 TEST(Compiler, OmegaReportedOnlyByOmegaSchedulers)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilerOptions options;
     options.scheduler = "serial";
     EXPECT_FALSE(Compile(device, characterization, LogicalWorkload(),
@@ -204,7 +188,7 @@ EarlyMeasureWorkload()
 TEST(Compiler, EarlyMeasureReadsTheFinalLocationUnderEveryPolicy)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     NoisySimOptions noiseless;
     noiseless.gate_noise = false;
     noiseless.decoherence = false;
@@ -238,7 +222,7 @@ TEST(Compiler, EarlyMeasureReadsTheFinalLocationUnderEveryPolicy)
 TEST(Compiler, GateAfterMeasureIsRejectedBeforeAnyPass)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit logical(2);
     logical.Measure(0, 0).X(0).Measure(1, 1);
     try {
@@ -259,7 +243,7 @@ TEST(Compiler, GateAfterMeasureIsRejectedBeforeAnyPass)
 TEST(Compiler, TrivialLayoutRejectsTooWideCircuit)
 {
     const Device device = MakeLinearDevice(3, 3);
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit logical(4);
     logical.CX(0, 3);
     EXPECT_THROW(Compile(device, characterization, logical), Error);
@@ -268,7 +252,7 @@ TEST(Compiler, TrivialLayoutRejectsTooWideCircuit)
 TEST(CompilerDegradation, SolverFaultFallsBackToGreedy)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1");
     CompilerOptions options;
     options.verify_passes = true;
@@ -289,7 +273,7 @@ TEST(CompilerDegradation, SolverFaultFallsBackToGreedy)
 TEST(CompilerDegradation, DoubleFaultFallsBackToParallel)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1;sched.greedy:n=1");
     CompilerOptions options;
     options.verify_passes = true;
@@ -304,7 +288,7 @@ TEST(CompilerDegradation, DoubleFaultFallsBackToParallel)
 TEST(CompilerDegradation, FallbackDisabledPropagatesTheFailure)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1");
     // A one-member portfolio has no backups to race past the failure.
     CompilerOptions options;
@@ -329,7 +313,7 @@ TEST(CompilerDegradation, InternalErrorIsNeverDegradedAround)
     // Invariant violations are bugs: the chain must not paper over
     // them, even with fallback enabled.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1,kind=internal");
     EXPECT_THROW(Compile(device, characterization, LogicalWorkload()),
                  InternalError);
@@ -340,7 +324,7 @@ TEST(CompilerDegradation, AutoOmegaPolicyAlsoDegrades)
     // Every auto-omega candidate solve hits the injected fault, so the
     // chain must engage for the auto policy too.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:p=1");
     CompilerOptions options;
     options.scheduler = "auto";

@@ -16,22 +16,6 @@
 namespace xtalk {
 namespace {
 
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 /** Clone a device with altered traits. */
 Device
 WithTraits(const Device& device, DeviceTraits traits)
@@ -98,7 +82,7 @@ TEST(DeviceTraits, XtalkSchedHonorsPerQubitReadout)
     traits.simultaneous_readout = false;
     traits.no_partial_overlap = false;
     const Device pulse = WithTraits(ibm, traits);
-    const auto characterization = OracleCharacterization(pulse);
+    const auto characterization = GroundTruthCharacterization(pulse);
 
     Circuit c(20);
     c.H(0).CX(10, 15).CX(11, 12);
@@ -106,8 +90,7 @@ TEST(DeviceTraits, XtalkSchedHonorsPerQubitReadout)
     XtalkScheduler scheduler(pulse, characterization);
     const ScheduledCircuit s = scheduler.Schedule(c);
     // Crosstalk still serialized...
-    const auto estimate =
-        EstimateScheduleError(s, pulse, &characterization);
+    const auto estimate = EstimateScheduleError(s, pulse, characterization);
     EXPECT_EQ(estimate.crosstalk_overlaps, 0);
     // ... and measures are free to start at different times (qubit 0's
     // readout does not wait for the serialized CNOT chain).
@@ -132,13 +115,13 @@ TEST(DeviceTraits, PartialOverlapRelaxationKeepsCrosstalkAvoidance)
     DeviceTraits traits;
     traits.no_partial_overlap = false;
     const Device pulse = WithTraits(ibm, traits);
-    const auto characterization = OracleCharacterization(pulse);
+    const auto characterization = GroundTruthCharacterization(pulse);
     Circuit c(20);
     c.CX(10, 15).CX(11, 12).CX(13, 14).CX(18, 19);
     c.Measure(10, 0).Measure(13, 1);
     XtalkScheduler scheduler(pulse, characterization);
     const auto estimate = EstimateScheduleError(
-        scheduler.Schedule(c), pulse, &characterization);
+        scheduler.Schedule(c), pulse, characterization);
     EXPECT_EQ(estimate.crosstalk_overlaps, 0);
 }
 

@@ -141,8 +141,7 @@ TEST(AdversarialGenerator, EveryActiveQubitMeasuredOnceTerminally)
 TEST(DensityReplay, NoiseFreeReplayMatchesIdealProbabilities)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization =
-        difftest::SynthesizeCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     AdversarialOptions gen;
     gen.family = AdversarialFamily::kParallelCxMesh;
     gen.max_qubits = 4;
@@ -173,8 +172,7 @@ TEST(DensityReplay, NoiseFreeReplayMatchesIdealProbabilities)
 TEST(DensityReplay, NoisyReplayIsTracePreservingAndNearTrajectories)
 {
     const Device device = MakeJohannesburg();
-    const auto characterization =
-        difftest::SynthesizeCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     AdversarialOptions gen;
     gen.family = AdversarialFamily::kReadoutHeavy;
     gen.max_qubits = 4;

@@ -17,22 +17,6 @@
 namespace xtalk {
 namespace {
 
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 TEST(Experiments, MeasuredQubitFlipsFollowClbitOrder)
 {
     const Device device = MakePoughkeepsie();
@@ -47,7 +31,7 @@ TEST(Experiments, MeasuredQubitFlipsFollowClbitOrder)
 TEST(Experiments, SwapExperimentIsDeterministicForSeed)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const SwapBenchmark bench = BuildSwapBenchmark(device, 15, 12);
     ParallelScheduler scheduler(device);
     const auto a = RunSwapExperiment(device, scheduler, bench, 128, 5);
@@ -114,7 +98,7 @@ TEST(Experiments, CharacterizeDeviceHighOnlyMergesDailyData)
 TEST(XtalkSchedulerRegression, EncodingsAgreeOnConflictCircuit)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit c(20);
     c.CX(10, 15).CX(11, 12).CX(13, 14).CX(18, 19);
     c.Measure(10, 0).Measure(11, 1);
@@ -122,13 +106,13 @@ TEST(XtalkSchedulerRegression, EncodingsAgreeOnConflictCircuit)
     XtalkSchedulerOptions bound_options;
     XtalkScheduler bound(device, characterization, bound_options);
     const auto est_bound = EstimateScheduleError(
-        bound.Schedule(c), device, &characterization);
+        bound.Schedule(c), device, characterization);
 
     XtalkSchedulerOptions powerset_options;
     powerset_options.use_powerset_encoding = true;
     XtalkScheduler powerset(device, characterization, powerset_options);
     const auto est_powerset = EstimateScheduleError(
-        powerset.Schedule(c), device, &characterization);
+        powerset.Schedule(c), device, characterization);
 
     EXPECT_NEAR(est_bound.Objective(0.5), est_powerset.Objective(0.5),
                 1e-3);
@@ -143,7 +127,7 @@ TEST(XtalkSchedulerRegression, LazyRefinementCatchesCrossLayerOverlaps)
     // chains past the window; refinement must still eliminate all
     // high-crosstalk overlaps.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     HiddenShiftOptions options;
     options.redundant_cnots = true;
     const Circuit circuit =
@@ -154,8 +138,8 @@ TEST(XtalkSchedulerRegression, LazyRefinementCatchesCrossLayerOverlaps)
     sched_options.max_layer_distance = 2;  // Deliberately tiny window.
     XtalkScheduler scheduler(device, characterization, sched_options);
     const ScheduledCircuit schedule = scheduler.Schedule(circuit);
-    const auto estimate = EstimateScheduleError(
-        schedule, device, nullptr, ErrorDataSource::kGroundTruth);
+    const auto estimate =
+        EstimateScheduleError(schedule, device, characterization);
     EXPECT_EQ(estimate.crosstalk_overlaps, 0);
     EXPECT_GT(scheduler.stats().refinement_rounds, 0);
 }
@@ -163,7 +147,7 @@ TEST(XtalkSchedulerRegression, LazyRefinementCatchesCrossLayerOverlaps)
 TEST(XtalkSchedulerRegression, RefinementNotNeededForShallowCircuits)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit c(20);
     c.CX(10, 15).CX(11, 12);
     c.Measure(10, 0).Measure(11, 1);

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the extension features: the exact density-matrix simulator
- * (including cross-validation of the Monte-Carlo trajectory engine),
+ * Tests for the extension features: the exact density-matrix simulator,
  * characterization persistence, interleaved RB, and crosstalk-aware
  * path selection.
  */
@@ -86,52 +85,6 @@ TEST(DensityMatrix, DephasingKillsCoherence)
     EXPECT_NEAR(std::abs(rho.matrix()(0, 1)), 0.0, 1e-10);
     // Diagonal untouched.
     EXPECT_NEAR(rho.Probabilities()[0], 0.5, 1e-10);
-}
-
-TEST(DensityMatrix, TrajectoryEngineMatchesExactChannelEvolution)
-{
-    // Cross-validation: run the trajectory simulator's building blocks
-    // many times and compare the averaged outcome distribution to the
-    // exact Kraus evolution of the same channel sequence.
-    const double gamma = 0.35, pz = 0.2, pdep = 0.15;
-    Circuit prep(2);
-    prep.H(0).CX(0, 1);
-
-    DensityMatrix exact(2);
-    for (const Gate& g : prep.gates()) {
-        exact.ApplyGate(g);
-    }
-    exact.ApplyDepolarizing({0, 1}, pdep);
-    exact.ApplyAmplitudeDamping(0, gamma);
-    exact.ApplyDephasing(1, pz);
-    const auto exact_probs = exact.Probabilities();
-
-    Rng rng(77);
-    std::vector<double> averaged(4, 0.0);
-    const int trials = 30000;
-    for (int t = 0; t < trials; ++t) {
-        StateVector sv(2);
-        sv.ApplyCircuit(prep);
-        if (rng.Bernoulli(pdep)) {
-            const int pick = static_cast<int>(rng.UniformInt(15)) + 1;
-            const Matrix paulis[4] = {MatI(), MatX(), MatY(), MatZ()};
-            if (pick & 3) {
-                sv.Apply1Q(0, paulis[pick & 3]);
-            }
-            if ((pick >> 2) & 3) {
-                sv.Apply1Q(1, paulis[(pick >> 2) & 3]);
-            }
-        }
-        sv.AmplitudeDamp(0, gamma, rng);
-        sv.Dephase(1, pz, rng);
-        const auto p = sv.Probabilities();
-        for (int i = 0; i < 4; ++i) {
-            averaged[i] += p[i] / trials;
-        }
-    }
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_NEAR(averaged[i], exact_probs[i], 0.01) << "outcome " << i;
-    }
 }
 
 TEST(CharacterizationIo, RoundTripsThroughText)

@@ -160,17 +160,9 @@ TEST(MutationFuzz, DeviceSpecParserAnswersEveryMutant)
 TEST(MutationFuzz, CharacterizationParserAnswersEveryMutant)
 {
     const Device device = MakePoughkeepsie();
-    CrosstalkCharacterization data;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        data.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        data.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    FuzzTarget(SerializeCharacterization(data, device.name()), 4,
+    FuzzTarget(SerializeCharacterization(GroundTruthCharacterization(device),
+                                         device.name()),
+               4,
                [](const std::string& text) {
                    ParseCharacterization(text);
                    return true;

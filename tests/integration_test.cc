@@ -201,9 +201,9 @@ TEST(Integration, ModeledAndMeasuredImprovementsAgreeInDirection)
     const auto tomo =
         TomographyCircuits(bench.circuit, bench.bell_left, bench.bell_right);
     const auto est_par = EstimateScheduleError(
-        parallel.Schedule(tomo[8]), device, &characterization);
+        parallel.Schedule(tomo[8]), device, characterization);
     const auto est_xtalk = EstimateScheduleError(
-        xtalk.Schedule(tomo[8]), device, &characterization);
+        xtalk.Schedule(tomo[8]), device, characterization);
     EXPECT_GT(est_xtalk.success_probability, est_par.success_probability);
 }
 

@@ -15,22 +15,6 @@
 namespace xtalk {
 namespace {
 
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 TEST(Layout, TrivialIsIdentity)
 {
     Circuit c(5);
@@ -85,7 +69,7 @@ TEST(Layout, PrefersLowErrorCouplerForDominantPair)
 TEST(Layout, CrosstalkPenaltySteersAwayFromHighPairs)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit logical(4);
     // Two heavily-used independent pairs -> the placer wants two
     // disjoint couplers; with a strong penalty they should avoid

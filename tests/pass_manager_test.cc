@@ -32,22 +32,6 @@
 namespace xtalk {
 namespace {
 
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 /** A workload whose long-range CNOT forces routing on every device. */
 Circuit
 NonAdjacentWorkload()
@@ -107,7 +91,7 @@ TEST(PassManager, DefaultPipelineHasTheFigure2Stages)
 TEST(PassManager, RouteWithoutLayoutFailsNamingThePass)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilationState state(device, characterization,
                            NonAdjacentWorkload());
     PassManager pipeline;
@@ -125,7 +109,7 @@ TEST(PassManager, RouteWithoutLayoutFailsNamingThePass)
 TEST(PassManager, LowerBarriersWithoutScheduleFailsNamingThePass)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilationState state(device, characterization,
                            NonAdjacentWorkload());
     PassManager pipeline;
@@ -146,7 +130,7 @@ TEST(PassManager, ScheduleBeforeRouteFailsNamingTheOffendingPass)
     // without routing it first must fail inside the schedule pass with
     // a diagnostic carrying the pass name and pipeline position.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilationState state(device, characterization,
                            NonAdjacentWorkload());
     state.options.scheduler = "serial";
@@ -167,7 +151,7 @@ TEST(PassManager, ScheduleBeforeRouteFailsNamingTheOffendingPass)
 TEST(PassManager, CustomPipelineWithExplicitVariantsRuns)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilationState state(device, characterization,
                            NonAdjacentWorkload());
     // Explicit variant names override the (default xtalk) options.
@@ -190,7 +174,7 @@ TEST(PassManager, CustomPipelineWithExplicitVariantsRuns)
 TEST(PassManager, VerificationSweepAcceptsTheDefaultPipeline)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     for (const char* policy : {"serial", "parallel", "greedy", "xtalk"}) {
         CompilerOptions options;
         options.scheduler = policy;
@@ -204,7 +188,7 @@ TEST(PassManager, VerificationSweepAcceptsTheDefaultPipeline)
 TEST(Verification, ConnectivityCheckRejectsUnroutedCircuit)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilationState state(device, characterization,
                            NonAdjacentWorkload());
     // Forge a "routed" product that was never actually routed.
@@ -226,7 +210,7 @@ TEST(Verification, ConnectivityCheckRejectsUnroutedCircuit)
 TEST(Verification, OrderCheckRejectsDroppedGate)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit adjacent(2);
     adjacent.H(0).CX(0, 1).T(1);
     CompilationState state(device, characterization, adjacent);
@@ -250,7 +234,7 @@ TEST(Verification, ReadoutCheckRejectsStaggeredMeasurement)
 {
     const Device device = MakePoughkeepsie();
     ASSERT_TRUE(device.traits().simultaneous_readout);
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit circuit(2);
     circuit.H(0).Measure(0, 0).Measure(1, 1);
     CompilationState state(device, characterization, circuit);
@@ -267,7 +251,7 @@ TEST(Verification, ReadoutCheckRejectsStaggeredMeasurement)
 TEST(Verification, LayoutCheckRejectsDuplicatePhysicalQubit)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilationState state(device, characterization,
                            NonAdjacentWorkload());
     state.initial_layout = {0, 1, 1, 3};  // Not injective.
@@ -290,7 +274,7 @@ TEST(PassManager, AutoVerifyWrapsFailureWithVerifierAndPassNames)
         }
     };
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilationState state(device, characterization,
                            NonAdjacentWorkload());
     PassManagerOptions options;
@@ -316,7 +300,7 @@ TEST(PassManager, PerPassTelemetryIsRecorded)
     telemetry::SetEnabled(true);
     telemetry::Registry::Global().Reset();
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilerOptions options;
     options.scheduler = "serial";
     options.verify_passes = true;
@@ -404,7 +388,7 @@ LegacyCompile(const Device& device,
         result.scheduler_name = scheduler->name();
     }
     result.estimate = EstimateScheduleError(result.schedule, device,
-                                            &characterization);
+                                            characterization);
     return result;
 }
 
@@ -434,7 +418,7 @@ class FacadeEquivalenceSweep : public ::testing::TestWithParam<RegistryRow> {
 TEST_P(FacadeEquivalenceSweep, CompileIsBitIdenticalToTheLegacyFacade)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const Circuit logical = NonAdjacentWorkload();
     CompilerOptions options;
     options.scheduler = PortfolioRegistry()[GetParam().index].key;

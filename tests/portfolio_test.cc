@@ -29,25 +29,6 @@
 namespace xtalk {
 namespace {
 
-/** Characterization oracle built directly from ground truth (tests only:
- * stands in for a perfect characterization run). */
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    const Topology& topo = device.topology();
-    for (EdgeId e = 0; e < topo.num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 /** The paper's conflict scenario on Poughkeepsie: CX10,15 || CX11,12. */
 Circuit
 ConflictCircuit()
@@ -136,7 +117,7 @@ TEST(PortfolioMembers, LineupsFollowTheRegistryRows)
 TEST(Portfolio, WinnerIsBitIdenticalAtAnyThreadCount)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const Circuit circuit = ConflictCircuit();
     PortfolioContext ctx;
     ctx.device = &device;
@@ -177,7 +158,7 @@ TEST(Portfolio, RaceOutcomesDoNotDependOnThreadTiming)
     // hair above it. Every raced member runs to completion, so the
     // verdict is the same however the pool interleaves the two.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit bell(20);
     bell.H(10).CX(10, 15).Measure(10, 0).Measure(15, 1);
     PortfolioContext ctx;
@@ -244,7 +225,7 @@ TEST(Portfolio, ExactScoreTieGoesToTheEarlierRank)
 TEST(Portfolio, RaceWinnerIsAtLeastAsGoodAsEveryStandaloneMember)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     PortfolioContext ctx;
     ctx.device = &device;
     ctx.characterization = &characterization;
@@ -280,7 +261,7 @@ TEST(Portfolio, RaceWinnerIsAtLeastAsGoodAsEveryStandaloneMember)
 TEST(Portfolio, PreferFirstDegradationReportsTheLostRace)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1");
     PortfolioContext ctx;
     ctx.device = &device;
@@ -311,7 +292,7 @@ TEST(Portfolio, PureRaceSurvivesSmtFaultWithoutDegradationStigma)
     // In a full race the SMT member failing is just a lost member; the
     // race degrades only when a member ranked BEFORE the winner failed.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:p=1");
     PortfolioContext ctx;
     ctx.device = &device;
@@ -337,7 +318,7 @@ TEST(Portfolio, PureRaceSurvivesSmtFaultWithoutDegradationStigma)
 TEST(Portfolio, AnnealFaultSiteMakesTheMemberLose)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("sched.anneal:p=1");
     PortfolioContext ctx;
     ctx.device = &device;
@@ -353,7 +334,7 @@ TEST(Portfolio, AnnealFaultSiteMakesTheMemberLose)
 TEST(Portfolio, InternalErrorIsNeverRacedAround)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1,kind=internal");
     PortfolioContext ctx;
     ctx.device = &device;
@@ -366,7 +347,7 @@ TEST(Portfolio, InternalErrorIsNeverRacedAround)
 TEST(Portfolio, AllMembersFailingRethrowsTheFirstError)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:p=1;sched.anneal:p=1");
     PortfolioContext ctx;
     ctx.device = &device;
@@ -399,7 +380,7 @@ TEST(Portfolio, MembersWithoutCharacterizationRequireNone)
 TEST(AnnealScheduler, IsDeterministicAndRespectsDependencies)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     AnnealScheduler scheduler(device, characterization);
     const Circuit circuit = ConflictCircuit();
     const ScheduledCircuit a = scheduler.Schedule(circuit);
@@ -412,7 +393,7 @@ TEST(AnnealScheduler, IsDeterministicAndRespectsDependencies)
 TEST(CompilerPortfolio, PortfolioPolicyCompilesAndReportsOutcomes)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilerOptions options;
     options.scheduler = kPortfolioPolicy;
     options.verify_passes = true;
@@ -436,7 +417,7 @@ TEST(CompilerPortfolio, PortfolioPolicyCompilesAndReportsOutcomes)
 TEST(CompilerPortfolio, ExplicitMemberListIsHonored)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilerOptions options;
     options.scheduler = kPortfolioPolicy;
     options.portfolio = {"anneal", "serial"};
@@ -450,7 +431,7 @@ TEST(CompilerPortfolio, ExplicitMemberListIsHonored)
 TEST(CompilerPortfolio, AnnealHonorsTheRequestedOmega)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilerOptions options;
     options.scheduler = "anneal";
     options.xtalk.omega = 0.2;
@@ -466,7 +447,7 @@ TEST(Portfolio, LoneMemberRunsOnTheCallingThread)
     // A one-member lineup has nothing to race: it must not queue on the
     // pool behind other work. Occupy the pool's only worker, then run.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     PortfolioContext ctx;
     ctx.device = &device;
     ctx.characterization = &characterization;

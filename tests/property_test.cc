@@ -38,31 +38,15 @@
 namespace xtalk {
 namespace {
 
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 /**
- * Oracle filtered to the scheduler's own high-crosstalk criterion: only
+ * Ground truth filtered to the scheduler's own high-crosstalk test: only
  * conditional entries the scheduler would treat as candidates are kept,
  * so the analysis model and the solver's world coincide exactly.
  */
 CrosstalkCharacterization
 SchedulerViewCharacterization(const Device& device)
 {
-    const CrosstalkCharacterization full = OracleCharacterization(device);
+    const CrosstalkCharacterization full = GroundTruthCharacterization(device);
     CrosstalkCharacterization filtered;
     for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
         filtered.SetIndependentError(e, device.CxError(e));
@@ -147,7 +131,7 @@ class SchedulerPropertySweep : public ::testing::TestWithParam<int> {};
 TEST_P(SchedulerPropertySweep, AllSchedulersSatisfyInvariants)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Rng rng(GetParam());
     const Circuit circuit = RandomDeviceCircuit(device, 25, rng);
 
@@ -179,8 +163,12 @@ TEST_P(SchedulerPropertySweep, XtalkSchedNeverOverlapsHighPairs)
             continue;
         }
         const EdgeId ei = topo.FindEdge(gi.qubits[0], gi.qubits[1]);
-        for (int j : schedule.OverlappingTwoQubitGates(i)) {
-            const Gate& gj = schedule.gates()[j].gate;
+        for (const TimedGate& other : schedule.gates()) {
+            const Gate& gj = other.gate;
+            if (!gj.IsTwoQubitUnitary() ||
+                !TimedGate::Overlaps(schedule.gates()[i], other)) {
+                continue;
+            }
             const EdgeId ej = topo.FindEdge(gj.qubits[0], gj.qubits[1]);
             if (ej < 0 || ej == ei) {
                 continue;
@@ -207,15 +195,15 @@ TEST_P(SchedulerPropertySweep, XtalkSchedDominatesBaselinesOnModel)
     const double omega = 0.5;
     const double obj_serial =
         EstimateScheduleError(serial.Schedule(circuit), device,
-                              &characterization)
+                              characterization)
             .Objective(omega);
     const double obj_parallel =
         EstimateScheduleError(parallel.Schedule(circuit), device,
-                              &characterization)
+                              characterization)
             .Objective(omega);
     const double obj_xtalk =
         EstimateScheduleError(xtalk.Schedule(circuit), device,
-                              &characterization)
+                              characterization)
             .Objective(omega);
     // Small tolerance covers the solver's 0.01 ns quantization and the
     // 1e-4 decoherence-weight floor.
@@ -329,7 +317,7 @@ class SupremacyScheduleSweep : public ::testing::TestWithParam<int> {};
 TEST_P(SupremacyScheduleSweep, LargeCircuitsScheduleCorrectly)
 {
     const Device device = MakeGridDevice(3, 4, 11);
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     SupremacyOptions options;
     options.num_qubits = 12;
     options.target_gates = 40 * GetParam();
@@ -433,8 +421,12 @@ TEST_P(BarrierRoundTripSweep, BarrieredCircuitPreservesSerializationUnderParSche
             continue;
         }
         const EdgeId ei = topo.FindEdge(gi.qubits[0], gi.qubits[1]);
-        for (int j : rescheduled.OverlappingTwoQubitGates(i)) {
-            const Gate& gj = rescheduled.gates()[j].gate;
+        for (const TimedGate& other : rescheduled.gates()) {
+            const Gate& gj = other.gate;
+            if (!gj.IsTwoQubitUnitary() ||
+                !TimedGate::Overlaps(rescheduled.gates()[i], other)) {
+                continue;
+            }
             const EdgeId ej = topo.FindEdge(gj.qubits[0], gj.qubits[1]);
             if (ej < 0 || ej == ei) {
                 continue;
@@ -478,7 +470,7 @@ TEST_P(PipelineSweep, VerifiedPipelinePreservesProgramOnEveryDevice)
     // compliant circuit routes zero SWAPs, so the check is exact).
     const auto [device_index, seed] = GetParam();
     const Device device = MakePaperDevices()[device_index];
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Rng rng(9000 + 131 * device_index + seed);
     const Circuit circuit = RandomDeviceCircuit(device, 20, rng);
 

@@ -37,22 +37,6 @@
 namespace xtalk {
 namespace {
 
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 TEST(Qasm, EmitsHeaderAndRegisters)
 {
     Circuit c(3);
@@ -399,7 +383,7 @@ TEST(CalibrationReport, GroundTruthShowsInjectedPairs)
 TEST(OmegaTuning, PicksCrosstalkAwareOmegaOnConflictedCircuit)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     HiddenShiftOptions options;
     options.redundant_cnots = true;
     const Circuit circuit =
@@ -417,7 +401,7 @@ TEST(OmegaTuning, PicksCrosstalkAwareOmegaOnConflictedCircuit)
 TEST(OmegaTuning, IndifferentOnCrosstalkFreeCircuit)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     const SwapBenchmark bench = BuildSwapBenchmark(device, 0, 3);
     Circuit circuit = bench.circuit;
     circuit.Measure(bench.bell_left, 0).Measure(bench.bell_right, 1);
@@ -927,7 +911,7 @@ TEST(XtalkcCliThreads, HelpDocumentsThePrecedence)
 TEST(OmegaTuning, RejectsEmptyCandidateList)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit c(20);
     c.CX(0, 1);
     EXPECT_THROW(

@@ -25,7 +25,6 @@
 #include "common/rng.h"
 #include "compiler/compiler.h"
 #include "device/ibmq_devices.h"
-#include "difftest/difftest.h"
 #include "faults/faults.h"
 #include "experiments/experiments.h"
 #include "runtime/executor.h"
@@ -211,8 +210,7 @@ TEST(ExactBackend, MatchesDensityReplayOnDifftestCases)
     // The distribution default-backend jobs sample must be the replay's.
     uint64_t case_index = 0;
     for (const Device& device : MakePaperDevices()) {
-        const CrosstalkCharacterization characterization =
-            difftest::SynthesizeCharacterization(device);
+        const auto characterization = GroundTruthCharacterization(device);
         for (AdversarialFamily family : AllAdversarialFamilies()) {
             AdversarialOptions options;
             options.family = family;

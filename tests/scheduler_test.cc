@@ -29,6 +29,7 @@
 #include "scheduler/scheduler.h"
 #include "scheduler/xtalk_problem.h"
 #include "scheduler/xtalk_scheduler.h"
+#include "sim/noisy_simulator.h"
 #include "telemetry/ledger.h"
 #include "telemetry/telemetry.h"
 #include "workloads/adversarial.h"
@@ -41,25 +42,6 @@ namespace xtalk {
 namespace {
 
 using test_shapes::CompileWarmShapes;
-
-/** Characterization oracle built directly from ground truth (tests only:
- * stands in for a perfect characterization run). */
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    const Topology& topo = device.topology();
-    for (EdgeId e = 0; e < topo.num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
 
 /** The paper's conflict scenario on Poughkeepsie: CX10,15 || CX11,12. */
 Circuit
@@ -183,7 +165,7 @@ TEST(ParallelScheduler, BarrierForcesSerialization)
 TEST(XtalkScheduler, SerializesHighCrosstalkPair)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkScheduler scheduler(device, characterization);
     const Circuit c = ConflictCircuit();
     const ScheduledCircuit s = scheduler.Schedule(c);
@@ -198,7 +180,7 @@ TEST(XtalkScheduler, OmegaZeroMatchesParallelBehaviour)
     // With omega = 0 only decoherence matters: the high-crosstalk pair
     // should run in parallel, like ParSched (paper Section 9.2).
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkSchedulerOptions options;
     options.omega = 0.0;
     XtalkScheduler scheduler(device, characterization, options);
@@ -210,7 +192,7 @@ TEST(XtalkScheduler, OmegaZeroMatchesParallelBehaviour)
 TEST(XtalkScheduler, OmegaOneStillSerializesCrosstalk)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkSchedulerOptions options;
     options.omega = 1.0;
     XtalkScheduler scheduler(device, characterization, options);
@@ -222,7 +204,7 @@ TEST(XtalkScheduler, OmegaOneStillSerializesCrosstalk)
 TEST(XtalkScheduler, PreservesDataDependencies)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkScheduler scheduler(device, characterization);
     Circuit c(20);
     c.H(10).CX(10, 15).CX(11, 12).CX(10, 11).Measure(11, 0);
@@ -244,7 +226,7 @@ TEST(XtalkScheduler, PreservesDataDependencies)
 TEST(XtalkScheduler, SimultaneousReadoutEnforced)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkScheduler scheduler(device, characterization);
     const ScheduledCircuit s = scheduler.Schedule(ConflictCircuit());
     double measure_start = -1.0;
@@ -261,7 +243,7 @@ TEST(XtalkScheduler, SimultaneousReadoutEnforced)
 TEST(XtalkScheduler, BeatsBothBaselinesOnModeledObjective)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     // A circuit with both a crosstalk conflict and serial-hurtful depth.
     Circuit c(20);
     c.H(10);
@@ -274,11 +256,11 @@ TEST(XtalkScheduler, BeatsBothBaselinesOnModeledObjective)
     XtalkScheduler xtalk(device, characterization);
 
     const auto est_serial = EstimateScheduleError(
-        serial.Schedule(c), device, &characterization);
+        serial.Schedule(c), device, characterization);
     const auto est_parallel = EstimateScheduleError(
-        parallel.Schedule(c), device, &characterization);
+        parallel.Schedule(c), device, characterization);
     const auto est_xtalk = EstimateScheduleError(
-        xtalk.Schedule(c), device, &characterization);
+        xtalk.Schedule(c), device, characterization);
 
     EXPECT_GE(est_xtalk.success_probability,
               est_serial.success_probability - 1e-9);
@@ -292,7 +274,7 @@ TEST(XtalkScheduler, BeatsBothBaselinesOnModeledObjective)
 TEST(XtalkScheduler, DurationOnlyModestlyLongerThanParSched)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit c(20);
     c.CX(10, 15).CX(11, 12).CX(16, 17);
     c.Measure(10, 0).Measure(15, 1).Measure(11, 2).Measure(12, 3);
@@ -308,7 +290,7 @@ TEST(XtalkScheduler, DurationOnlyModestlyLongerThanParSched)
 TEST(XtalkScheduler, RejectsBadOmega)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkSchedulerOptions options;
     options.omega = 1.5;
     EXPECT_THROW(XtalkScheduler(device, characterization, options), Error);
@@ -317,7 +299,7 @@ TEST(XtalkScheduler, RejectsBadOmega)
 TEST(XtalkScheduler, BarrieredCircuitKeepsSerializationUnderParSched)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkScheduler xtalk(device, characterization);
     const Circuit c = ConflictCircuit();
     const Circuit barriered = xtalk.ScheduleWithBarriers(c);
@@ -334,7 +316,7 @@ TEST(XtalkScheduler, BarrieredCircuitKeepsSerializationUnderParSched)
 TEST(XtalkScheduler, NoBarriersWhenNoCrosstalk)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkScheduler xtalk(device, characterization);
     Circuit c(20);
     c.CX(0, 1).CX(2, 3);  // Crosstalk-free region (paper Section 8.3).
@@ -349,7 +331,7 @@ TEST(XtalkScheduler, LowCoherenceQubitScheduledLate)
     // the solver should order SWAP 11,12 first so that low-coherence
     // qubit 10's lifetime stays short.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     ASSERT_LT(device.CoherenceTimeNs(10), device.CoherenceTimeNs(11));
 
     Circuit c(20);
@@ -380,7 +362,7 @@ TEST(XtalkScheduler, LowCoherenceQubitScheduledLate)
 TEST(GreedyScheduler, AlsoSerializesHighCrosstalkPair)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     GreedyXtalkScheduler greedy(device, characterization);
     const ScheduledCircuit s = greedy.Schedule(ConflictCircuit());
     EXPECT_FALSE(GatesOverlap(s, Gate{GateKind::kCX, {10, 15}, {}, -1},
@@ -390,16 +372,16 @@ TEST(GreedyScheduler, AlsoSerializesHighCrosstalkPair)
 TEST(GreedyScheduler, NoWorseThanParSchedOnModel)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit c(20);
     c.CX(10, 15).CX(11, 12).CX(13, 14).CX(18, 19);
     c.Measure(10, 0).Measure(15, 1);
     GreedyXtalkScheduler greedy(device, characterization);
     ParallelScheduler parallel(device);
     const auto est_greedy = EstimateScheduleError(greedy.Schedule(c), device,
-                                                  &characterization);
+                                                  characterization);
     const auto est_par = EstimateScheduleError(parallel.Schedule(c), device,
-                                               &characterization);
+                                               characterization);
     EXPECT_GE(est_greedy.success_probability,
               est_par.success_probability - 1e-9);
 }
@@ -407,10 +389,10 @@ TEST(GreedyScheduler, NoWorseThanParSchedOnModel)
 TEST(Analysis, ObjectiveMonotonicInOmega)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     ParallelScheduler parallel(device);
     const auto est = EstimateScheduleError(
-        parallel.Schedule(ConflictCircuit()), device, &characterization);
+        parallel.Schedule(ConflictCircuit()), device, characterization);
     // With crosstalk overlaps present, weighting crosstalk more should
     // increase the (penalizing) objective relative to omega = 0.
     EXPECT_GT(est.Objective(1.0), 0.0);
@@ -438,7 +420,7 @@ OversizedWorkload(const Device& device, int layers)
 TEST(XtalkSchedulerResilience, InjectedSolveFaultEscapesScheduler)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     faults::ScopedFaultPlan scoped("smt.solve:n=1");
     XtalkScheduler scheduler(device, characterization);
     EXPECT_THROW(scheduler.Schedule(ConflictCircuit()),
@@ -451,7 +433,7 @@ TEST(XtalkSchedulerResilience, BudgetExpiryWithoutModelIsSolverFailure)
     // model, and a 5 ms total budget expires within a round or two, so
     // Schedule() must surface SolverFailure (never a z3 exception).
     const Device device = MakeLinearDevice(40, 7, true);
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     XtalkSchedulerOptions options;
     options.timeout_ms = 1;
     options.total_budget_ms = 5;
@@ -470,7 +452,7 @@ TEST(XtalkSchedulerResilience, TimeoutDegradesToVerifiedSchedule)
     const uint64_t timeouts_before =
         telemetry::GetCounter("sched.xtalk.solver_timeouts").value();
     const Device device = MakeLinearDevice(40, 7, true);
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     CompilerOptions options;
     options.layout = LayoutPolicy::kTrivial;
     options.scheduler = "xtalk";
@@ -555,7 +537,7 @@ ExpectFlowMatchesZ3(const XtalkProblem& problem, const std::string& label)
 TEST(XtalkProblemOracle, FlowMatchesZ3OnCompileWarmShapes)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     for (uint64_t seed = 1; seed <= 3; ++seed) {
         const std::vector<Circuit> circuits =
             CompileWarmShapes(device, seed);
@@ -578,7 +560,7 @@ TEST(XtalkProblemOracle, FlowMatchesZ3OnPipelineSweepCircuits)
     for (int d = 0; d < static_cast<int>(devices.size()); ++d) {
         const Device& device = devices[d];
         const Topology& topo = device.topology();
-        const auto characterization = OracleCharacterization(device);
+        const auto characterization = GroundTruthCharacterization(device);
         for (int seed = 0; seed < 4; ++seed) {
             Rng rng(9000 + 131 * d + seed);
             Circuit c(topo.num_qubits());
@@ -613,7 +595,7 @@ TEST(XtalkProblemOracle, FlowMatchesZ3WithBarriersZeroDurationsAndGroups)
     // Problems no compile produces: barriers, zero-duration gates and
     // several readout groups, edited into the solver-neutral problem.
     const Device device = MakeLinearDevice(8, 5);
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     for (uint64_t seed = 1; seed <= 12; ++seed) {
         Rng rng(seed);
         Circuit c(8);
@@ -649,7 +631,7 @@ TEST(XtalkProblemOracle, OrderedReadoutGroupIsAUserErrorOnBothSolvers)
 {
     // measure q0; cx 0,1; measure q1: the readouts cannot start together.
     const Device device = MakeLinearDevice(3, 3);
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit c(3);
     c.Measure(0, 0).CX(0, 1).Measure(1, 1);
     const XtalkProblem problem = ProblemFor(device, characterization, c);
@@ -671,7 +653,7 @@ TEST(XtalkProblemOracle, OrderedReadoutGroupIsAUserErrorOnBothSolvers)
 TEST(XtalkProblemOracle, OnlyCircuitsThatEncodeAPairBuildZ3)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     telemetry::SetEnabled(true);
     const auto flow_solves = [] {
         return telemetry::GetCounter("sched.xtalk.flow_solves").value();
@@ -723,7 +705,7 @@ TEST(XtalkProblemOracle, ZeroPairCircuitKeepsFaultSemantics)
     // The fault point fires before the flow solve too, and the compiler
     // degrades down the chain.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     Circuit quiet(20);
     quiet.CX(0, 1).CX(2, 3).Measure(0, 0).Measure(1, 1);
     faults::ScopedFaultPlan scoped("smt.solve:n=1");
@@ -762,7 +744,7 @@ TEST(AnnealScheduler, PinnedSchedulesForSeededCircuits)
     // schedule pass sees them. A change meant to keep the annealer's
     // results must pass this unedited.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     std::vector<std::pair<std::string, Circuit>> circuits{
         {"fig6-swap-pair", Fig6SwapPairCircuit()},
         {"conflict", ConflictCircuit()}};
@@ -809,7 +791,7 @@ TEST(GreedyScheduler, PinnedSchedulesForSeededCircuits)
     // annealer is pinned on. A change meant to keep the greedy
     // scheduler's results must pass this unedited.
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     std::vector<std::pair<std::string, Circuit>> circuits{
         {"fig6-swap-pair", Fig6SwapPairCircuit()},
         {"conflict", ConflictCircuit()}};
@@ -847,17 +829,58 @@ TEST(GreedyScheduler, PinnedSchedulesForSeededCircuits)
     }
 }
 
-TEST(Analysis, GroundTruthAndOracleCharacterizationAgree)
+/** Sum of log(max(1e-12, 1 - e)) over the gate errors the simulators
+ *  run on @p schedule, in schedule order. */
+double
+SimulatedLogGateSuccess(const Device& device, const ScheduledCircuit& schedule)
 {
+    double sum = 0.0;
+    for (const RunPlan::Op& op : BuildRunPlan(device, {}, schedule).ops) {
+        if (!op.gate.IsMeasure()) {
+            sum += std::log(std::max(1e-12, 1.0 - op.error));
+        }
+    }
+    return sum;
+}
+
+TEST(Analysis, GroundTruthScoreMatchesSimulatedGateErrors)
+{
+    // One overlap rule at the same rates: scored against the ground
+    // truth, the gate term equals the simulators' bit for bit.
+    auto check = [](const Device& device, const ScheduledCircuit& schedule,
+                    const std::string& label) {
+        const ScheduleErrorEstimate estimate = EstimateScheduleError(
+            schedule, device, GroundTruthCharacterization(device));
+        EXPECT_EQ(estimate.log_gate_success,
+                  SimulatedLogGateSuccess(device, schedule))
+            << label;
+        return estimate.crosstalk_overlaps;
+    };
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const Topology& topo = device.topology();
     ParallelScheduler parallel(device);
-    const auto s = parallel.Schedule(ConflictCircuit());
-    const auto a = EstimateScheduleError(s, device, &characterization,
-                                         ErrorDataSource::kCharacterized);
-    const auto b = EstimateScheduleError(s, device, nullptr,
-                                         ErrorDataSource::kGroundTruth);
-    EXPECT_NEAR(a.success_probability, b.success_probability, 1e-9);
+    EXPECT_GT(check(device, parallel.Schedule(ConflictCircuit()), "conflict"),
+              0);
+    Circuit swaps(20);
+    swaps.Swap(10, 15).Swap(11, 12).Measure(10, 0).Measure(11, 1);
+    EXPECT_GT(check(device, parallel.Schedule(swaps), "swap pair"), 0);
+    RbRunner runner(device, RbConfig{});
+    Rng rng(5);
+    const ScheduledCircuit srb = runner.BuildSrbSchedule(
+        {topo.FindEdge(10, 15), topo.FindEdge(11, 12)}, 30, rng);
+    EXPECT_GT(check(device, srb, "two-coupler SRB"), 0);
+
+    for (const Device& paper : MakePaperDevices()) {
+        const auto characterization = GroundTruthCharacterization(paper);
+        const std::vector<Circuit> shapes = CompileWarmShapes(paper, 1);
+        ASSERT_EQ(shapes.size(), 9u);
+        for (size_t k = 0; k < shapes.size(); ++k) {
+            check(paper,
+                  ParallelScheduler(paper).Schedule(
+                      Routed(paper, characterization, shapes[k])),
+                  paper.name() + " shape " + std::to_string(k));
+        }
+    }
 }
 
 }  // namespace

@@ -123,81 +123,6 @@ TEST(StateVector, SwapGateExchangesQubits)
     EXPECT_NEAR(std::abs(sv.amplitude(2)), 1.0, 1e-12);  // |10>
 }
 
-TEST(StateVector, MeasureCollapsesState)
-{
-    Rng rng(5);
-    StateVector sv(1);
-    sv.Apply1Q(0, MatH());
-    const bool outcome = sv.MeasureQubit(0, rng);
-    EXPECT_NEAR(sv.ProbabilityOne(0), outcome ? 1.0 : 0.0, 1e-12);
-    EXPECT_NEAR(sv.Norm(), 1.0, 1e-12);
-}
-
-TEST(StateVector, MeasurementStatisticsMatchBorn)
-{
-    Rng rng(7);
-    int ones = 0;
-    const int trials = 4000;
-    for (int i = 0; i < trials; ++i) {
-        StateVector sv(1);
-        sv.Apply1Q(0, MatRY(2.0 * std::asin(std::sqrt(0.3))));
-        ones += sv.MeasureQubit(0, rng) ? 1 : 0;
-    }
-    EXPECT_NEAR(static_cast<double>(ones) / trials, 0.3, 0.03);
-}
-
-TEST(StateVector, AmplitudeDampFullGammaResetsToZeroState)
-{
-    Rng rng(11);
-    StateVector sv(1);
-    sv.Apply1Q(0, MatX());
-    sv.AmplitudeDamp(0, 1.0, rng);
-    EXPECT_NEAR(sv.ProbabilityOne(0), 0.0, 1e-12);
-}
-
-TEST(StateVector, AmplitudeDampZeroGammaIsNoop)
-{
-    Rng rng(11);
-    StateVector sv(1);
-    sv.Apply1Q(0, MatH());
-    StateVector ref = sv;
-    sv.AmplitudeDamp(0, 0.0, rng);
-    EXPECT_NEAR(sv.Fidelity(ref), 1.0, 1e-12);
-}
-
-TEST(StateVector, AmplitudeDampStatisticsMatchChannel)
-{
-    // After damping |1> with gamma, P(1) should average 1-gamma.
-    Rng rng(13);
-    const double gamma = 0.4;
-    double p1_sum = 0.0;
-    const int trials = 5000;
-    for (int i = 0; i < trials; ++i) {
-        StateVector sv(1);
-        sv.Apply1Q(0, MatX());
-        sv.AmplitudeDamp(0, gamma, rng);
-        p1_sum += sv.ProbabilityOne(0);
-    }
-    EXPECT_NEAR(p1_sum / trials, 1.0 - gamma, 0.02);
-}
-
-TEST(StateVector, DephasingDestroysCoherenceOnAverage)
-{
-    // |+> dephased at p=0.5 has <X> ~ 0 on average.
-    Rng rng(17);
-    double x_expect = 0.0;
-    const int trials = 4000;
-    for (int i = 0; i < trials; ++i) {
-        StateVector sv(1);
-        sv.Apply1Q(0, MatH());
-        sv.Dephase(0, 0.5, rng);
-        StateVector plus(1);
-        plus.Apply1Q(0, MatH());
-        x_expect += 2.0 * sv.Fidelity(plus) - 1.0;  // <X> = 2|<+|psi>|^2-1.
-    }
-    EXPECT_NEAR(x_expect / trials, 0.0, 0.05);
-}
-
 TEST(CircuitUnitary, HGateMatrix)
 {
     Circuit c(1);
@@ -319,20 +244,25 @@ TEST(NoisySimulator, EffectiveErrorUsesConditionalRateWhenOverlapping)
     const EdgeId aggressor = topo.FindEdge(11, 12);
     ASSERT_TRUE(device.IsHighCrosstalkPair(victim, aggressor));
 
-    ScheduledCircuit overlapped(20);
-    overlapped.Add(Gate{GateKind::kCX, {10, 15}, {}, -1}, 0.0, 400.0);
-    overlapped.Add(Gate{GateKind::kCX, {11, 12}, {}, -1}, 0.0, 400.0);
-    ScheduledCircuit serial(20);
-    serial.Add(Gate{GateKind::kCX, {10, 15}, {}, -1}, 0.0, 400.0);
-    serial.Add(Gate{GateKind::kCX, {11, 12}, {}, -1}, 500.0, 400.0);
-
-    NoisySimulator sim(device);
-    const double overlapped_err = sim.EffectiveGateErrors(overlapped)[0];
-    const double serial_err = sim.EffectiveGateErrors(serial)[0];
+    // The errors the trajectory engine runs for the pair's two gates,
+    // the victim's first, with the aggressor starting at @p start_ns.
+    auto errors = [&](double start_ns) {
+        ScheduledCircuit schedule(20);
+        schedule.Add(Gate{GateKind::kCX, {10, 15}, {}, -1}, 0.0, 400.0);
+        schedule.Add(Gate{GateKind::kCX, {11, 12}, {}, -1}, start_ns, 400.0);
+        const RunPlan plan = BuildRunPlan(device, {}, schedule);
+        return std::make_pair(plan.ops[0].error, plan.ops[1].error);
+    };
+    const double overlapped_err = errors(0.0).first;
+    const double serial_err = errors(500.0).first;
     EXPECT_GT(overlapped_err, 3.0 * serial_err);
     EXPECT_NEAR(serial_err, device.CxError(victim), 1e-12);
     EXPECT_NEAR(overlapped_err,
                 device.ConditionalCxError(victim, aggressor), 1e-12);
+    // Abutting gates do not overlap: both keep their independent rates.
+    const auto [abutting_victim, abutting_aggressor] = errors(400.0);
+    EXPECT_EQ(abutting_victim, device.CxError(victim));
+    EXPECT_EQ(abutting_aggressor, device.CxError(aggressor));
 }
 
 TEST(NoisySimulator, IdealProbabilitiesMatchAnalyticBell)

@@ -19,23 +19,6 @@
 namespace xtalk {
 namespace {
 
-/** Perfect-characterization oracle from ground truth (test helper). */
-CrosstalkCharacterization
-OracleCharacterization(const Device& device)
-{
-    CrosstalkCharacterization c;
-    for (EdgeId e = 0; e < device.topology().num_edges(); ++e) {
-        c.SetIndependentError(e, device.CxError(e));
-    }
-    for (const auto& [pair, factor] : device.ground_truth().entries()) {
-        (void)factor;
-        c.SetConditionalError(
-            pair.first, pair.second,
-            device.ConditionalCxError(pair.first, pair.second));
-    }
-    return c;
-}
-
 TEST(SwapBenchmark, ProducesBellStateNoiselessly)
 {
     const Device device = MakePoughkeepsie();
@@ -66,7 +49,7 @@ TEST(SwapBenchmark, PaperPathZeroToThirteen)
 TEST(SwapBenchmark, ConflictDetectionMatchesGroundTruth)
 {
     const Device device = MakePoughkeepsie();
-    const auto characterization = OracleCharacterization(device);
+    const auto characterization = GroundTruthCharacterization(device);
     // Path 16 -> 12 crosses the (CX10,15 | CX11,12)-adjacent pair
     // (CX15,10 runs concurrently with CX12,11).
     const SwapBenchmark conflicted = BuildSwapBenchmark(device, 15, 12);
@@ -79,7 +62,7 @@ TEST(SwapBenchmark, ConflictDetectionMatchesGroundTruth)
 TEST(SwapBenchmark, FindConflictingPairsNonEmptyOnAllPaperDevices)
 {
     for (const Device& device : MakePaperDevices()) {
-        const auto characterization = OracleCharacterization(device);
+        const auto characterization = GroundTruthCharacterization(device);
         const auto pairs =
             FindConflictingSwapPairs(device, characterization, 0);
         EXPECT_GE(pairs.size(), 5u) << device.name();
