@@ -5,6 +5,7 @@
  * admission gate, and the in-process Engine. The daemon end-to-end
  * protocol tests (real socket, real binaries) live in xtalkd_test.cc.
  */
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -511,6 +512,225 @@ TEST(ServiceResponseTest, TimingIsTheOnlyNondeterministicField)
     EXPECT_EQ(a.ToJson(false), b.ToJson(false));
     EXPECT_EQ(a.ToJson(false).find("timing"), std::string::npos);
     EXPECT_EQ(a.ToJson(false).find("wall_ms"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Wire bytes, pinned: a codec change that is meant to keep the protocol
+// must pass these unedited.
+
+/** A request with every field set, escapes and non-ASCII included. */
+ServiceRequest
+EveryFieldRequest()
+{
+    ServiceRequest request;
+    request.id = "req \"7\"\t\xc3\xa9\xe2\x82\xac";
+    request.qasm = kTinyQasm;
+    request.device = "poughkeepsie";
+    request.device_file = "/tmp/dev\\ice.txt";
+    request.layout = "noise-aware";
+    request.scheduler = "portfolio";
+    request.schedulers = {"xtalk", "greedy", "parallel"};
+    request.omega = 0.123456789012345;
+    request.passes = {"layout", "route", "schedule:xtalk", "lower"};
+    request.verify_passes = true;
+    request.characterization_text = "pair 0 1 2 3\t0.031\x01\n";
+    request.characterization_path = "charz.xtalk.txt";
+    request.save_characterization_path = "out/\x7f.txt";
+    request.simulate_shots = 8192;
+    request.want_report = true;
+    request.deadline_ms = 2500;
+    request.trace_id = "0af7651916cd43dd8448eb211c80319c";
+    request.span_id = 0xb7ad6b7169203331ull;
+    return request;
+}
+
+/** What daemon_parallel sends: a seed-1 compile_warm shape, the
+ *  parallel scheduler and the trivial layout. */
+ServiceRequest
+DaemonShapedRequest()
+{
+    ServiceRequest request;
+    request.id = "daemon_parallel-4";
+    request.qasm =
+        ToQasm(test_shapes::CompileWarmShapes(MakePoughkeepsie(), 1)[4]);
+    request.scheduler = "parallel";
+    request.layout = "trivial";
+    return request;
+}
+
+/** The engine's answer to DaemonShapedRequest() with its wall-clock
+ *  fields and service-minted trace id set by hand. */
+ServiceResponse
+DaemonShapedResponse()
+{
+    Engine engine;
+    ServiceResponse response = engine.Handle(DaemonShapedRequest());
+    response.queue_ms = 0.0123456789;
+    response.run_ms = 0.187654321;
+    for (size_t k = 0; k < response.phases.size(); ++k) {
+        response.phases[k].ms = 0.001234567 * static_cast<double>(k + 1);
+    }
+    for (ServicePortfolioOutcome& outcome : response.portfolio) {
+        outcome.wall_ms = 0.045752;
+    }
+    response.trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+    return response;
+}
+
+TEST(WireBytesTest, PinnedRequestLine)
+{
+    const std::string line = EveryFieldRequest().ToJson();
+    EXPECT_EQ(telemetry::FnvHex(line), "270cb1c91c828215") << line;
+}
+
+TEST(WireBytesTest, PinnedEveryFieldResponseLine)
+{
+    ServiceResponse response;
+    response.id = "req \"7\"\t\xc3\xa9";
+    response.code = StatusCode::kTimeout;
+    response.error = "line 3: \\ bad \x1f";
+    response.qasm = kTinyQasm;
+    response.report = "schedule:\n  h q[0] @ 0.0ns\n";
+    response.counts = "00: 1000\n11: 1048\n";
+    response.scheduler_name = "GreedySched";
+    response.degradation = "greedy";
+    response.degradation_reason = "solver budget exhausted";
+    response.omega = 0.5;
+    response.duration_ns = 1234.5678901234;
+    response.success_probability = 0.893900815123;
+    response.crosstalk_overlaps = 2;
+    response.has_estimate = true;
+    response.initial_layout = {3, 1, 2};
+    response.final_layout = {1, 3, 2};
+    response.diagnostics = {"layout: trivial", "routed: 2 swaps"};
+    response.characterization_id = "edda9edbc7368073";
+    response.cache_hit = true;
+    response.queue_ms = 1e-7;
+    response.run_ms = 31.25;
+    response.diag = {{"inflight", 0.0}, {"queued", 3.0}};
+    response.stats_json = R"({"counters":{"svc.requests":12}})";
+    response.trace_id = "0af7651916cd43dd8448eb211c80319c";
+    response.trace_client_supplied = true;
+    ServicePortfolioOutcome won;
+    won.member = "greedy";
+    won.scheduler = "GreedySched";
+    won.status = "won";
+    won.score = 0.91;
+    won.has_score = true;
+    won.wall_ms = 2.5e-5;
+    ServicePortfolioOutcome failed;
+    failed.member = "xtalk";
+    failed.scheduler = "XtalkSched";
+    failed.status = "failed";
+    failed.reason = "injected fault at smt.solve";
+    response.portfolio = {failed, won};
+    response.phases = {{"queue", 0.25, 10.0}, {"parse", 1.0 / 3.0, {}}};
+    const std::string line = response.ToJson(true);
+    EXPECT_EQ(telemetry::FnvHex(line), "0a01f2a32b720d90") << line;
+}
+
+TEST(WireBytesTest, PinnedDaemonShapedResponseLine)
+{
+    const ServiceResponse response = DaemonShapedResponse();
+    ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
+    ASSERT_FALSE(response.phases.empty());
+    const std::string line = response.ToJson(true);
+    EXPECT_EQ(telemetry::FnvHex(line), "3f9aa4bf2e511251") << line;
+}
+
+/**
+ * One seeded mutant of @p line: a truncation, a byte flip, an inserted
+ * control character, an inserted \u escape, or an inserted surrogate
+ * (a pair, a lone half, or a high half before a non-low escape).
+ */
+std::string
+Mutate(const std::string& line, Rng& rng)
+{
+    std::string m = line;
+    const size_t at = static_cast<size_t>(rng.UniformInt(m.size() + 1));
+    char escape[16];
+    switch (rng.UniformInt(5)) {
+      case 0:
+        m.resize(at);
+        break;
+      case 1:
+        m[std::min(at, m.size() - 1)] =
+            static_cast<char>(rng.UniformInt(256));
+        break;
+      case 2:
+        m.insert(at, 1, static_cast<char>(rng.UniformInt(0x20)));
+        break;
+      case 3:
+        std::snprintf(escape, sizeof(escape), "\\u%04X",
+                      static_cast<unsigned>(rng.UniformInt(0x10000)));
+        m.insert(at, escape);
+        break;
+      default: {
+        const unsigned high = 0xD800 + static_cast<unsigned>(
+                                           rng.UniformInt(0x400));
+        const unsigned low = 0xDC00 + static_cast<unsigned>(
+                                          rng.UniformInt(0x400));
+        switch (rng.UniformInt(4)) {
+          case 0:
+            std::snprintf(escape, sizeof(escape), "\\u%04x\\u%04x", high,
+                          low);
+            break;
+          case 1:
+            std::snprintf(escape, sizeof(escape), "\\u%04x", high);
+            break;
+          case 2:
+            std::snprintf(escape, sizeof(escape), "\\u%04x", low);
+            break;
+          default:
+            std::snprintf(escape, sizeof(escape), "\\u%04x\\u0041", high);
+            break;
+        }
+        m.insert(at, escape);
+        break;
+      }
+    }
+    return m;
+}
+
+TEST(WireBytesTest, PinnedVerdictsOnAMutationCorpus)
+{
+    // Each mutant's verdict, and either its error message (parse errors
+    // name the byte) or the fields it parsed to, re-encoded, all folded
+    // into one hash per line kind.
+    Rng rng(2029);
+    const std::string request_line = DaemonShapedRequest().ToJson();
+    const std::string response_line = DaemonShapedResponse().ToJson(true);
+    std::string request_log;
+    std::string response_log;
+    int accepted = 0;
+    int rejected = 0;
+    for (int k = 0; k < 600; ++k) {
+        std::string error;
+        const std::string req = Mutate(request_line, rng);
+        ServiceRequest parsed_request;
+        if (ServiceRequest::FromJson(req, &parsed_request, &error)) {
+            ++accepted;
+            request_log += "A" + parsed_request.ToJson() + "\n";
+        } else {
+            ++rejected;
+            request_log += "R" + error + "\n";
+        }
+        const std::string resp = Mutate(response_line, rng);
+        ServiceResponse parsed_response;
+        if (ServiceResponse::FromJson(resp, &parsed_response, &error)) {
+            ++accepted;
+            response_log += "A" + parsed_response.ToJson(true) + "\n";
+        } else {
+            ++rejected;
+            response_log += "R" + error + "\n";
+        }
+    }
+    EXPECT_GT(accepted, 100);
+    EXPECT_GT(rejected, 100);
+    EXPECT_NE(request_log.find(" at byte "), std::string::npos);
+    EXPECT_EQ(telemetry::FnvHex(request_log), "e95aa60e7c3a9fd5")
+        << accepted << " accepted, " << rejected << " rejected";
+    EXPECT_EQ(telemetry::FnvHex(response_log), "ae0152dcf1d5e386");
 }
 
 // ---------------------------------------------------------------------

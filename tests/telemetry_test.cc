@@ -9,13 +9,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "telemetry/json.h"
+#include "telemetry/ledger.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -296,6 +299,136 @@ TEST(JsonWriter, HandlesNestingEscapingAndNonFinite)
     EXPECT_NE(json.find("1.5,null,true,null"), std::string::npos) << json;
     EXPECT_NE(json.find("18446744073709551615"), std::string::npos);
     EXPECT_NE(json.find("\\u0001"), std::string::npos);
+}
+
+/** snprintf("%.12g"): the bytes JsonWriter::Number(double) must give. */
+std::string
+PrintfG12(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.12g", value);
+    return buf;
+}
+
+std::string
+WrittenNumber(double value)
+{
+    JsonWriter w;
+    w.Number(value);
+    return w.str();
+}
+
+TEST(JsonWriter, NumberMatchesPrintfG12)
+{
+    std::vector<double> values{
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::min() / 3.0,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::epsilon(),
+        1e21,
+        -1e21,
+        1e-7,
+        123456789012.5,
+        999999999999.5,
+        9007199254740993.0,  // 2^53 + 1 rounds to 2^53.
+        static_cast<double>(std::numeric_limits<int64_t>::max()),
+        static_cast<double>(std::numeric_limits<int64_t>::min()),
+        static_cast<double>(std::numeric_limits<uint64_t>::max()),
+    };
+    // Seeded sweep: raw bit patterns (every exponent) and short
+    // decimals (the values the service protocol carries).
+    uint64_t state = 0x9e3779b97f4a7c15ull;
+    const auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (int k = 0; k < 50000; ++k) {
+        double bits_value = 0.0;
+        const uint64_t bits = next();
+        std::memcpy(&bits_value, &bits, sizeof(bits_value));
+        values.push_back(bits_value);
+        const double decimal =
+            static_cast<double>(next() % 2000000000) /
+            std::pow(10.0, static_cast<double>(next() % 12));
+        values.push_back(k % 2 == 0 ? decimal : -decimal);
+    }
+    for (const double value : values) {
+        const std::string expected =
+            std::isfinite(value) ? PrintfG12(value) : "null";
+        ASSERT_EQ(WrittenNumber(value), expected)
+            << std::hexfloat << value;
+    }
+    for (const int64_t value :
+         {std::numeric_limits<int64_t>::min(), int64_t{-1}, int64_t{0},
+          std::numeric_limits<int64_t>::max()}) {
+        JsonWriter w;
+        w.Number(value);
+        EXPECT_EQ(w.str(), std::to_string(value));
+    }
+    for (const uint64_t value :
+         {uint64_t{0}, uint64_t{9007199254740993ull},
+          std::numeric_limits<uint64_t>::max()}) {
+        JsonWriter w;
+        w.Number(value);
+        EXPECT_EQ(w.str(), std::to_string(value));
+    }
+}
+
+TEST(JsonWriter, EscapesEveryByteValue)
+{
+    std::string all;
+    for (int b = 0; b < 256; ++b) {
+        const std::string text(1, static_cast<char>(b));
+        std::string expected;
+        switch (b) {
+          case '"':
+            expected = "\\\"";
+            break;
+          case '\\':
+            expected = "\\\\";
+            break;
+          case '\b':
+            expected = "\\b";
+            break;
+          case '\f':
+            expected = "\\f";
+            break;
+          case '\n':
+            expected = "\\n";
+            break;
+          case '\r':
+            expected = "\\r";
+            break;
+          case '\t':
+            expected = "\\t";
+            break;
+          default:
+            if (b < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", b);
+                expected = buf;
+            } else {
+                expected = text;  // Bytes >= 0x80 pass through as-is.
+            }
+        }
+        JsonWriter w;
+        w.BeginObject().Key(text).String("x" + text + "y").EndObject();
+        EXPECT_EQ(w.str(),
+                  "{\"" + expected + "\":\"x" + expected + "y\"}")
+            << "byte " << b;
+        all += text;
+    }
+    // The whole range in one string: escapes between unescaped runs.
+    JsonWriter w;
+    w.String(all);
+    EXPECT_EQ(FnvHex(w.str()), "389221f4f645161b");
 }
 
 TEST(ValidateJson, AcceptsValidDocuments)
