@@ -28,6 +28,8 @@
 #include "scheduler/analysis.h"
 #include "scheduler/scheduler.h"
 #include "scheduler/xtalk_scheduler.h"
+#include "service/api.h"
+#include "service/engine.h"
 #include "sim/exact_distribution.h"
 #include "sim/gate_matrices.h"
 #include "sim/noisy_simulator.h"
@@ -522,6 +524,67 @@ BM_EstimateScheduleError(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * schedule.size());
 }
 BENCHMARK(BM_EstimateScheduleError)->Arg(0)->Arg(1);
+
+/** What the service benchmark's daemon workload sends: the warm-sized
+ *  QAOA chain, the parallel scheduler and the trivial layout. */
+service::ServiceRequest
+DaemonShapedRequest()
+{
+    service::ServiceRequest request;
+    request.id = "daemon_parallel-0";
+    request.qasm = ToQasm(WarmSizedQaoa());
+    request.scheduler = "parallel";
+    request.layout = "trivial";
+    return request;
+}
+
+/** The response line xtalkd writes for a daemon-shaped request. */
+void
+BM_WireEncode(benchmark::State& state)
+{
+    service::Engine engine;
+    const service::ServiceResponse response =
+        engine.Handle(DaemonShapedRequest());
+    size_t bytes = 0;
+    for (auto _ : state) {
+        const std::string line = response.ToJson();
+        bytes += line.size();
+        benchmark::DoNotOptimize(line.data());
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_WireEncode);
+
+/** The request line xtalkd reads, parsed and typed. */
+void
+BM_WireDecode(benchmark::State& state)
+{
+    const std::string line = DaemonShapedRequest().ToJson();
+    for (auto _ : state) {
+        service::ServiceRequest request;
+        std::string error;
+        benchmark::DoNotOptimize(
+            service::ServiceRequest::FromJson(line, &request, &error));
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(line.size()));
+}
+BENCHMARK(BM_WireDecode);
+
+/**
+ * A repeated lookup of one metric by name, as each instrumented site
+ * makes on every request. Threads answer it from their own caches, so
+ * four cost what one does.
+ */
+void
+BM_MetricLookup(benchmark::State& state)
+{
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(&telemetry::GetHistogram("svc.request_ms"));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MetricLookup)->Threads(1)->Threads(4);
 
 void
 BM_ParSchedSwapPath(benchmark::State& state)

@@ -54,12 +54,24 @@ WriteIntArray(telemetry::JsonWriter& w, const char* key,
     w.EndArray();
 }
 
-/** Typed member extraction: absent is fine, a wrong type is an error. */
-bool
-TakeString(const telemetry::JsonValue& object, const char* key,
-           std::string* out, std::string* error)
+/** Room for a line carrying @p text_bytes of escaped free text. */
+size_t
+LineCapacity(size_t text_bytes)
 {
-    const telemetry::JsonValue* v = object.Find(key);
+    // Escaping grows QASM by about a byte per line (its "\n").
+    return text_bytes + text_bytes / 8 + 1024;
+}
+
+/**
+ * Typed member extraction: absent is fine, a wrong type is an error.
+ * A string is moved out of the parsed message, which each field is
+ * taken from once.
+ */
+bool
+TakeString(telemetry::JsonValue& object, const char* key, std::string* out,
+           std::string* error)
+{
+    telemetry::JsonValue* v = object.Find(key);
     if (v == nullptr) {
         return true;
     }
@@ -67,7 +79,7 @@ TakeString(const telemetry::JsonValue& object, const char* key,
         *error = std::string("field '") + key + "' must be a string";
         return false;
     }
-    *out = v->as_string();
+    *out = v->ReleaseString();
     return true;
 }
 
@@ -204,14 +216,17 @@ ParseEnvelope(const std::string& text, const char* schema,
         }
         return false;
     }
-    const std::string got = object->GetString("schema");
+    const telemetry::JsonValue* field = object->Find("schema");
+    const std::string_view got = field != nullptr && field->is_string()
+                                     ? std::string_view(field->as_string())
+                                     : std::string_view();
     if (got != schema) {
         if (error != nullptr) {
             *error = got.empty()
                          ? std::string("missing 'schema' field (expected ") +
                                schema + ")"
-                         : "unsupported schema '" + got + "' (expected " +
-                               schema + ")";
+                         : "unsupported schema '" + std::string(got) +
+                               "' (expected " + schema + ")";
         }
         return false;
     }
@@ -328,6 +343,7 @@ std::string
 ServiceRequest::ToJson() const
 {
     telemetry::JsonWriter w;
+    w.Reserve(LineCapacity(qasm.size() + characterization_text.size()));
     w.BeginObject();
     w.Key("schema").String(kRequestSchema);
     w.Key("id").String(id);
@@ -356,7 +372,7 @@ ServiceRequest::ToJson() const
     w.Key("want_report").Bool(want_report);
     w.Key("deadline_ms").Number(static_cast<int64_t>(deadline_ms));
     w.EndObject();
-    return w.str();
+    return std::move(w).str();
 }
 
 bool
@@ -424,6 +440,8 @@ std::string
 ServiceResponse::ToJson(bool include_timing) const
 {
     telemetry::JsonWriter w;
+    w.Reserve(LineCapacity(qasm.size() + report.size() + counts.size() +
+                           stats_json.size()));
     w.BeginObject();
     w.Key("schema").String(kResponseSchema);
     w.Key("id").String(id);
@@ -509,7 +527,7 @@ ServiceResponse::ToJson(bool include_timing) const
         w.EndObject();
     }
     w.EndObject();
-    return w.str();
+    return std::move(w).str();
 }
 
 bool

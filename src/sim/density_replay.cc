@@ -11,21 +11,6 @@
 
 namespace xtalk {
 
-namespace {
-
-/** Dephasing rate: 1/T_phi = 1/T2 - 1/(2 T1); 0 when T2-limited by T1. */
-double
-PureDephasingTimeNs(double t1_ns, double t2_ns)
-{
-    const double inv = 1.0 / t2_ns - 1.0 / (2.0 * t1_ns);
-    if (inv <= 0.0) {
-        return 0.0;
-    }
-    return 1.0 / inv;
-}
-
-}  // namespace
-
 DensityReplayResult
 ReplayScheduleDensity(const Device& device, const ScheduledCircuit& schedule,
                       const NoisySimOptions& options)

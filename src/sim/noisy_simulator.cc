@@ -56,17 +56,6 @@ LocalizeGate(const Gate& gate, const QubitCompaction& compact)
     return local;
 }
 
-/** Dephasing rate: 1/T_phi = 1/T2 - 1/(2 T1); 0 when T2-limited by T1. */
-double
-PureDephasingTimeNs(double t1_ns, double t2_ns)
-{
-    const double inv = 1.0 / t2_ns - 1.0 / (2.0 * t1_ns);
-    if (inv <= 0.0) {
-        return 0.0;  // No pure dephasing.
-    }
-    return 1.0 / inv;
-}
-
 /** Gate kinds, for tables keyed by kind (kMeasure is the last kind). */
 constexpr size_t kNumGateKinds = static_cast<size_t>(GateKind::kMeasure) + 1;
 
@@ -568,6 +557,16 @@ Trajectory::Resume(const Draw& draw, double u, Rng& rng, uint64_t* bits)
 }
 
 }  // namespace
+
+double
+PureDephasingTimeNs(double t1_ns, double t2_ns)
+{
+    const double inv = 1.0 / t2_ns - 1.0 / (2.0 * t1_ns);
+    if (inv <= 0.0) {
+        return 0.0;  // No pure dephasing.
+    }
+    return 1.0 / inv;
+}
 
 RegisterLayout
 PlanRegisters(const RunPlan& plan)

@@ -149,6 +149,13 @@ std::vector<double> OverlapGateErrors(
     const std::function<double(EdgeId, EdgeId)>& conditional);
 
 /**
+ * Pure-dephasing time T_phi in ns, from 1/T_phi = 1/T2 - 1/(2 T1); 0
+ * (no pure dephasing) when T2 is limited by T1 alone. Shared by the
+ * run plan and the density replay.
+ */
+double PureDephasingTimeNs(double t1_ns, double t2_ns);
+
+/**
  * The per-run setup both trajectory backends share, with the noise
  * toggles already applied: a disabled mechanism leaves no interval, a
  * zero gate error, or `readout_noise` false.

@@ -1,66 +1,74 @@
 #include "telemetry/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace xtalk::telemetry {
 
+void
+AppendJsonEscaped(std::string_view text, std::string* out)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    size_t run = 0;  // Start of the pending run of plain bytes.
+    for (size_t i = 0; i < text.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') {
+            continue;
+        }
+        out->append(text.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"':
+            out->append("\\\"");
+            break;
+          case '\\':
+            out->append("\\\\");
+            break;
+          case '\b':
+            out->append("\\b");
+            break;
+          case '\f':
+            out->append("\\f");
+            break;
+          case '\n':
+            out->append("\\n");
+            break;
+          case '\r':
+            out->append("\\r");
+            break;
+          case '\t':
+            out->append("\\t");
+            break;
+          default: {
+            const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                   kHex[c & 0xF]};
+            out->append(escape, sizeof(escape));
+          }
+        }
+    }
+    out->append(text.data() + run, text.size() - run);
+}
+
 std::string
-JsonEscape(const std::string& text)
+JsonEscape(std::string_view text)
 {
     std::string out;
     out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\b':
-            out += "\\b";
-            break;
-          case '\f':
-            out += "\\f";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    AppendJsonEscaped(text, &out);
     return out;
 }
 
 void
 JsonWriter::Separate()
 {
-    if (after_key_) {
-        after_key_ = false;
-        return;
-    }
-    if (!has_member_.empty()) {
-        if (has_member_.back()) {
-            out_ << ",";
-        }
-        has_member_.back() = true;
+    // A value or key opens its container or follows a key, or else it
+    // follows a sibling and takes a comma.
+    if (!out_.empty() && out_.back() != '{' && out_.back() != '[' &&
+        out_.back() != ':') {
+        out_ += ',';
     }
 }
 
@@ -68,16 +76,14 @@ JsonWriter&
 JsonWriter::BeginObject()
 {
     Separate();
-    out_ << "{";
-    has_member_.push_back(false);
+    out_ += '{';
     return *this;
 }
 
 JsonWriter&
 JsonWriter::EndObject()
 {
-    has_member_.pop_back();
-    out_ << "}";
+    out_ += '}';
     return *this;
 }
 
@@ -85,33 +91,34 @@ JsonWriter&
 JsonWriter::BeginArray()
 {
     Separate();
-    out_ << "[";
-    has_member_.push_back(false);
+    out_ += '[';
     return *this;
 }
 
 JsonWriter&
 JsonWriter::EndArray()
 {
-    has_member_.pop_back();
-    out_ << "]";
+    out_ += ']';
     return *this;
 }
 
 JsonWriter&
-JsonWriter::Key(const std::string& name)
+JsonWriter::Key(std::string_view name)
 {
     Separate();
-    out_ << "\"" << JsonEscape(name) << "\":";
-    after_key_ = true;
+    out_ += '"';
+    AppendJsonEscaped(name, &out_);
+    out_ += "\":";
     return *this;
 }
 
 JsonWriter&
-JsonWriter::String(const std::string& value)
+JsonWriter::String(std::string_view value)
 {
     Separate();
-    out_ << "\"" << JsonEscape(value) << "\"";
+    out_ += '"';
+    AppendJsonEscaped(value, &out_);
+    out_ += '"';
     return *this;
 }
 
@@ -122,9 +129,13 @@ JsonWriter::Number(double value)
         return Null();
     }
     Separate();
+    // Shortest of %e/%f at 12 significant digits, trailing zeros cut:
+    // the same bytes as snprintf("%.12g") (the C++ standard defines
+    // this overload by printf), without the format-string parse.
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    out_ << buf;
+    const std::to_chars_result written = std::to_chars(
+        buf, buf + sizeof(buf), value, std::chars_format::general, 12);
+    out_.append(buf, written.ptr);
     return *this;
 }
 
@@ -132,7 +143,8 @@ JsonWriter&
 JsonWriter::Number(uint64_t value)
 {
     Separate();
-    out_ << value;
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
     return *this;
 }
 
@@ -140,7 +152,8 @@ JsonWriter&
 JsonWriter::Number(int64_t value)
 {
     Separate();
-    out_ << value;
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
     return *this;
 }
 
@@ -148,7 +161,7 @@ JsonWriter&
 JsonWriter::Bool(bool value)
 {
     Separate();
-    out_ << (value ? "true" : "false");
+    out_ += value ? "true" : "false";
     return *this;
 }
 
@@ -156,32 +169,38 @@ JsonWriter&
 JsonWriter::Null()
 {
     Separate();
-    out_ << "null";
+    out_ += "null";
     return *this;
 }
 
 const JsonValue*
-JsonValue::Find(const std::string& key) const
+JsonValue::Find(std::string_view key) const
 {
-    const JsonValue* found = nullptr;
-    for (const auto& [name, value] : members_) {
-        if (name == key) {
-            found = &value;  // Last duplicate wins, like most parsers.
+    // Last duplicate wins, like most parsers: search from the back.
+    for (auto it = members_.rbegin(); it != members_.rend(); ++it) {
+        if (it->first == key) {
+            return &it->second;
         }
     }
-    return found;
+    return nullptr;
+}
+
+JsonValue*
+JsonValue::Find(std::string_view key)
+{
+    return const_cast<JsonValue*>(std::as_const(*this).Find(key));
 }
 
 std::string
-JsonValue::GetString(const std::string& key,
-                     const std::string& fallback) const
+JsonValue::GetString(std::string_view key, std::string_view fallback) const
 {
     const JsonValue* v = Find(key);
-    return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
+    return (v != nullptr && v->is_string()) ? v->as_string()
+                                            : std::string(fallback);
 }
 
 double
-JsonValue::GetNumber(const std::string& key, double fallback) const
+JsonValue::GetNumber(std::string_view key, double fallback) const
 {
     const JsonValue* v = Find(key);
     return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
@@ -237,7 +256,7 @@ namespace {
 /** Recursive-descent parser building the JsonValue DOM. */
 class Parser {
   public:
-    explicit Parser(const std::string& text) : text_(text) {}
+    explicit Parser(std::string_view text) : text_(text) {}
 
     bool
     Run(JsonValue* out, std::string* error)
@@ -287,13 +306,12 @@ class Parser {
     }
 
     bool
-    Literal(const char* word)
+    Literal(std::string_view word)
     {
-        const size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) != 0) {
+        if (text_.substr(pos_, word.size()) != word) {
             return Fail("bad literal");
         }
-        pos_ += len;
+        pos_ += word.size();
         return true;
     }
 
@@ -466,79 +484,83 @@ class Parser {
         return true;
     }
 
+    /** A string token into @p out (cleared first), its plain runs
+     *  appended whole; @p out is left partial on failure. */
     bool
     StringValue(std::string* out)
     {
         ++pos_;  // '"'
-        std::string s;
+        std::string& s = *out;
+        s.clear();
+        size_t run = pos_;  // Start of the pending run of plain bytes.
         while (pos_ < text_.size()) {
             const char c = text_[pos_];
             if (c == '"') {
+                s.append(text_.data() + run, pos_ - run);
                 ++pos_;
-                *out = std::move(s);
                 return true;
             }
             if (static_cast<unsigned char>(c) < 0x20) {
                 return Fail("unescaped control character in string");
             }
-            if (c == '\\') {
+            if (c != '\\') {
                 ++pos_;
-                if (pos_ >= text_.size()) {
-                    break;
+                continue;
+            }
+            s.append(text_.data() + run, pos_ - run);
+            ++pos_;
+            if (pos_ >= text_.size()) {
+                break;
+            }
+            switch (const char e = text_[pos_]) {
+              case '"':
+              case '\\':
+              case '/':
+                s += e;
+                break;
+              case 'b':
+                s += '\b';
+                break;
+              case 'f':
+                s += '\f';
+                break;
+              case 'n':
+                s += '\n';
+                break;
+              case 'r':
+                s += '\r';
+                break;
+              case 't':
+                s += '\t';
+                break;
+              case 'u': {
+                uint32_t code = 0;
+                if (!HexQuad(&code)) {
+                    return false;
                 }
-                const char e = text_[pos_];
-                switch (e) {
-                  case '"':
-                  case '\\':
-                  case '/':
-                    s += e;
-                    break;
-                  case 'b':
-                    s += '\b';
-                    break;
-                  case 'f':
-                    s += '\f';
-                    break;
-                  case 'n':
-                    s += '\n';
-                    break;
-                  case 'r':
-                    s += '\r';
-                    break;
-                  case 't':
-                    s += '\t';
-                    break;
-                  case 'u': {
-                    uint32_t code = 0;
-                    if (!HexQuad(&code)) {
+                if (code >= 0xD800 && code <= 0xDBFF &&
+                    pos_ + 2 < text_.size() && text_[pos_ + 1] == '\\' &&
+                    text_[pos_ + 2] == 'u') {
+                    pos_ += 2;
+                    uint32_t low = 0;
+                    if (!HexQuad(&low)) {
                         return false;
                     }
-                    if (code >= 0xD800 && code <= 0xDBFF &&
-                        pos_ + 2 < text_.size() &&
-                        text_[pos_ + 1] == '\\' &&
-                        text_[pos_ + 2] == 'u') {
-                        pos_ += 2;
-                        uint32_t low = 0;
-                        if (!HexQuad(&low)) {
-                            return false;
-                        }
-                        if (low >= 0xDC00 && low <= 0xDFFF) {
-                            code = 0x10000 + ((code - 0xD800) << 10) +
-                                   (low - 0xDC00);
-                        } else {
-                            return Fail("bad surrogate pair");
-                        }
+                    if (low >= 0xDC00 && low <= 0xDFFF) {
+                        code = 0x10000 + ((code - 0xD800) << 10) +
+                               (low - 0xDC00);
+                    } else {
+                        return Fail("bad surrogate pair");
                     }
-                    AppendUtf8(code, &s);
-                    break;
-                  }
-                  default:
-                    return Fail("bad escape character");
                 }
-            } else {
-                s += c;
+                AppendUtf8(code, &s);
+                break;
+              }
+              default:
+                return Fail("bad escape character");
             }
             ++pos_;
+            run = pos_;
         }
         return Fail("unterminated string");
     }
@@ -589,17 +611,23 @@ class Parser {
                 ++pos_;
             }
         }
-        // strtod, not stod: stod throws out_of_range on valid JSON like
-        // 1e400, and this parser sees untrusted network input. strtod
-        // saturates to +/-HUGE_VAL on overflow and ~0 on underflow
-        // (ERANGE), both acceptable doubles for a syntactically valid
-        // number, so the parse itself never fails here.
-        const std::string token = text_.substr(start, pos_ - start);
-        *out = JsonValue::MakeNumber(std::strtod(token.c_str(), nullptr));
+        // from_chars rounds the token exactly as strtod does. Where it
+        // reports a result out of a double's range (1e400, 1e-400),
+        // fall back to strtod itself, which saturates to +/-HUGE_VAL or
+        // goes to ~0: this parser sees untrusted network input, and a
+        // syntactically valid number never fails the parse.
+        const std::string_view token = text_.substr(start, pos_ - start);
+        double value = 0.0;
+        if (std::from_chars(token.data(), token.data() + token.size(),
+                            value)
+                .ec != std::errc()) {
+            value = std::strtod(std::string(token).c_str(), nullptr);
+        }
+        *out = JsonValue::MakeNumber(value);
         return true;
     }
 
-    const std::string& text_;
+    std::string_view text_;
     size_t pos_ = 0;
     int depth_ = 0;
     std::string message_;
@@ -608,13 +636,13 @@ class Parser {
 }  // namespace
 
 bool
-ParseJsonValue(const std::string& text, JsonValue* out, std::string* error)
+ParseJsonValue(std::string_view text, JsonValue* out, std::string* error)
 {
     return Parser(text).Run(out, error);
 }
 
 bool
-ValidateJson(const std::string& text, std::string* error)
+ValidateJson(std::string_view text, std::string* error)
 {
     JsonValue discarded;
     return ParseJsonValue(text, &discarded, error);

@@ -1,31 +1,45 @@
 /**
  * @file
  * Minimal JSON utilities for the telemetry subsystem and the service
- * wire protocol: a streaming writer (handles commas, escaping, and
- * non-finite numbers), a small read-only DOM (JsonValue /
+ * wire protocol: a writer that appends into one string (handles commas,
+ * escaping, and non-finite numbers), a small read-only DOM (JsonValue /
  * ParseJsonValue) for the newline-delimited request/response messages
  * `xtalkd` exchanges with its clients, and a syntax check built on the
  * same parser for tests. Not a general-purpose JSON library — the DOM
  * is parse-only and keeps every number as a double.
+ *
+ * Both directions sit on every daemon request, so neither goes through
+ * a stream: text is escaped and unescaped a run of plain bytes at a
+ * time, numbers are formatted and read with <charconv>, and keys are
+ * looked up as string_views.
  */
 #ifndef XTALK_TELEMETRY_JSON_H
 #define XTALK_TELEMETRY_JSON_H
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace xtalk::telemetry {
 
-/** Escape a string for embedding inside JSON double quotes. */
-std::string JsonEscape(const std::string& text);
+/**
+ * Append @p text to @p out escaped for embedding inside JSON double
+ * quotes: `"` and `\\` get a backslash, control bytes a short or
+ * \u00xx escape, and every other byte (UTF-8 included) passes as-is.
+ */
+void AppendJsonEscaped(std::string_view text, std::string* out);
+
+/** AppendJsonEscaped into a new string. */
+std::string JsonEscape(std::string_view text);
 
 /**
- * Streaming JSON writer. The caller provides structure (Begin/End
- * calls must balance); the writer tracks when commas are needed.
+ * JSON writer appending into one string. The caller provides structure
+ * (Begin/End calls must balance, one top-level value); the writer puts
+ * a comma before every value or key that does not open a container or
+ * follow a key.
  *
  *   JsonWriter w;
  *   w.BeginObject().Key("shots").Number(uint64_t{1024}).EndObject();
@@ -37,23 +51,26 @@ class JsonWriter {
     JsonWriter& EndObject();
     JsonWriter& BeginArray();
     JsonWriter& EndArray();
-    JsonWriter& Key(const std::string& name);
-    JsonWriter& String(const std::string& value);
-    JsonWriter& Number(double value);  ///< Non-finite values become null.
+    JsonWriter& Key(std::string_view name);
+    JsonWriter& String(std::string_view value);
+    /** snprintf("%.12g") bytes; non-finite values become null. */
+    JsonWriter& Number(double value);
     JsonWriter& Number(uint64_t value);
     JsonWriter& Number(int64_t value);
     JsonWriter& Bool(bool value);
     JsonWriter& Null();
 
-    std::string str() const { return out_.str(); }
+    /** Size the buffer for a document of about @p bytes. */
+    void Reserve(size_t bytes) { out_.reserve(bytes); }
+
+    const std::string& str() const& { return out_; }
+    /** The document, moved out of a writer that is done. */
+    std::string str() && { return std::move(out_); }
 
   private:
     void Separate();
 
-    std::ostringstream out_;
-    /** One entry per open container: true once it has a member. */
-    std::vector<bool> has_member_;
-    bool after_key_ = false;
+    std::string out_;
 };
 
 /**
@@ -86,12 +103,16 @@ class JsonValue {
     }
 
     /** Object member lookup; null when absent or not an object. */
-    const JsonValue* Find(const std::string& key) const;
+    const JsonValue* Find(std::string_view key) const;
+    JsonValue* Find(std::string_view key);
 
     /** Typed member accessors with defaults (objects only). */
-    std::string GetString(const std::string& key,
-                          const std::string& fallback = "") const;
-    double GetNumber(const std::string& key, double fallback = 0.0) const;
+    std::string GetString(std::string_view key,
+                          std::string_view fallback = {}) const;
+    double GetNumber(std::string_view key, double fallback = 0.0) const;
+
+    /** Move the string out of a kString value, leaving it empty. */
+    std::string ReleaseString() { return std::move(string_); }
 
     static JsonValue MakeNull() { return JsonValue(); }
     static JsonValue MakeBool(bool v);
@@ -116,11 +137,11 @@ class JsonValue {
  * (with @p error set to a message with a byte offset) on malformed
  * input; @p out is untouched on failure.
  */
-bool ParseJsonValue(const std::string& text, JsonValue* out,
+bool ParseJsonValue(std::string_view text, JsonValue* out,
                     std::string* error = nullptr);
 
 /** Syntax check: ParseJsonValue with the value discarded. */
-bool ValidateJson(const std::string& text, std::string* error = nullptr);
+bool ValidateJson(std::string_view text, std::string* error = nullptr);
 
 }  // namespace xtalk::telemetry
 

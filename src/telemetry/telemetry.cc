@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "telemetry/json.h"
 
@@ -174,13 +176,106 @@ Histogram::Reset()
                std::memory_order_relaxed);
 }
 
+namespace {
+
+/** The registry's own name -> object table (name order, for output). */
+template <typename T>
+using MetricMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
+/** Hashes a std::string key and a string_view probe alike. */
+struct NameHash {
+    using is_transparent = void;
+
+    size_t
+    operator()(std::string_view name) const noexcept
+    {
+        return std::hash<std::string_view>{}(name);
+    }
+};
+
+template <typename T>
+using NameMap =
+    std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
+/**
+ * One thread's view of the registry: every name it has looked up, to
+ * the object the registry gave it. Metric objects are never destroyed,
+ * so an entry never goes stale. Labels are the exception: a label
+ * entry holds only while the registry's label epoch (bumped by every
+ * label change and by Reset) is the one the thread saw.
+ */
+struct ThreadCache {
+    NameMap<Counter*> counters;
+    NameMap<Gauge*> gauges;
+    NameMap<Histogram*> histograms;
+    /** Span name -> its span.<name>.ms histogram. */
+    NameMap<Histogram*> spans;
+    NameMap<std::string> labels;
+    uint64_t label_epoch = 0;
+};
+
+thread_local ThreadCache* t_cache = nullptr;
+
+/** Owns a thread's cache; clears t_cache when the thread exits. */
+struct ThreadCacheOwner {
+    ThreadCache cache;
+    ThreadCacheOwner() { t_cache = &cache; }
+    ~ThreadCacheOwner() { t_cache = nullptr; }
+};
+
+/** The calling thread's cache, or null once its thread-locals have been
+ *  destroyed (a lookup at thread exit then takes the locked path). */
+ThreadCache*
+LocalCache()
+{
+    thread_local ThreadCacheOwner owner;
+    return t_cache;
+}
+
+/**
+ * @p name's object in @p registered (guarded by @p mu), created by
+ * @p make on first use: a hit in the calling thread's cache (its
+ * member @p cached) takes no lock; a miss takes the lock once and
+ * fills the cache.
+ */
+template <typename T, typename Make>
+T&
+Lookup(std::mutex& mu, MetricMap<T>& registered,
+       NameMap<T*> ThreadCache::*cached, std::string_view name, Make make)
+{
+    ThreadCache* cache = LocalCache();
+    if (cache != nullptr) {
+        const auto hit = (cache->*cached).find(name);
+        if (hit != (cache->*cached).end()) {
+            return *hit->second;
+        }
+    }
+    T* object = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = registered.find(name);
+        if (it == registered.end()) {
+            it = registered.emplace(std::string(name), make()).first;
+        }
+        object = it->second.get();
+    }
+    if (cache != nullptr) {
+        (cache->*cached).emplace(std::string(name), object);
+    }
+    return *object;
+}
+
+}  // namespace
+
 struct Registry::Impl {
     mutable std::mutex mu;
     // unique_ptr keeps addresses stable across rehash/rebalance.
-    std::map<std::string, std::unique_ptr<Counter>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms;
-    std::map<std::string, std::string> labels;
+    MetricMap<Counter> counters;
+    MetricMap<Gauge> gauges;
+    MetricMap<Histogram> histograms;
+    std::map<std::string, std::string, std::less<>> labels;
+    /** Bumped under mu by every label change and by Reset. */
+    std::atomic<uint64_t> label_epoch{0};
 };
 
 // The singletons below are leaked on purpose, like the other statics a
@@ -201,49 +296,60 @@ Registry::Global()
 }
 
 Counter&
-Registry::counter(const std::string& name)
+Registry::counter(std::string_view name)
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    auto& slot = im.counters[name];
-    if (!slot) {
-        slot = std::make_unique<Counter>();
-    }
-    return *slot;
+    return Lookup(impl().mu, impl().counters, &ThreadCache::counters, name,
+                  [] { return std::make_unique<Counter>(); });
 }
 
 Gauge&
-Registry::gauge(const std::string& name)
+Registry::gauge(std::string_view name)
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    auto& slot = im.gauges[name];
-    if (!slot) {
-        slot = std::make_unique<Gauge>();
-    }
-    return *slot;
+    return Lookup(impl().mu, impl().gauges, &ThreadCache::gauges, name,
+                  [] { return std::make_unique<Gauge>(); });
 }
 
 Histogram&
-Registry::histogram(const std::string& name,
+Registry::histogram(std::string_view name,
                     const std::vector<double>& upper_bounds)
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    auto& slot = im.histograms[name];
-    if (!slot) {
-        slot = std::make_unique<Histogram>(
-            upper_bounds.empty() ? DefaultTimeBucketsMs() : upper_bounds);
-    }
-    return *slot;
+    return Lookup(impl().mu, impl().histograms, &ThreadCache::histograms,
+                  name, [&] {
+                      return std::make_unique<Histogram>(
+                          upper_bounds.empty() ? DefaultTimeBucketsMs()
+                                               : upper_bounds);
+                  });
 }
 
 void
-Registry::SetLabel(const std::string& key, const std::string& value)
+Registry::SetLabel(std::string_view key, std::string_view value)
 {
     Impl& im = impl();
+    ThreadCache* cache = LocalCache();
+    if (cache != nullptr &&
+        cache->label_epoch == im.label_epoch.load(std::memory_order_acquire)) {
+        const auto seen = cache->labels.find(key);
+        if (seen != cache->labels.end() && seen->second == value) {
+            return;  // No label changed since this thread saw this value.
+        }
+    }
     std::lock_guard<std::mutex> lock(im.mu);
-    im.labels[key] = value;
+    const auto it = im.labels.find(key);
+    if (it == im.labels.end()) {
+        im.labels.emplace(key, value);
+        im.label_epoch.fetch_add(1, std::memory_order_release);
+    } else if (it->second != value) {
+        it->second.assign(value);
+        im.label_epoch.fetch_add(1, std::memory_order_release);
+    }
+    if (cache != nullptr) {
+        const uint64_t epoch = im.label_epoch.load(std::memory_order_relaxed);
+        if (cache->label_epoch != epoch) {
+            cache->labels.clear();
+            cache->label_epoch = epoch;
+        }
+        cache->labels.insert_or_assign(std::string(key), std::string(value));
+    }
 }
 
 std::string
@@ -359,32 +465,55 @@ Registry::Reset()
         h->Reset();
     }
     im.labels.clear();
+    im.label_epoch.fetch_add(1, std::memory_order_release);
 }
 
 Counter&
-GetCounter(const std::string& name)
+GetCounter(std::string_view name)
 {
     return Registry::Global().counter(name);
 }
 
 Gauge&
-GetGauge(const std::string& name)
+GetGauge(std::string_view name)
 {
     return Registry::Global().gauge(name);
 }
 
 Histogram&
-GetHistogram(const std::string& name,
-             const std::vector<double>& upper_bounds)
+GetHistogram(std::string_view name, const std::vector<double>& upper_bounds)
 {
     return Registry::Global().histogram(name, upper_bounds);
 }
 
 void
-SetLabel(const std::string& key, const std::string& value)
+SetLabel(std::string_view key, std::string_view value)
 {
     Registry::Global().SetLabel(key, value);
 }
+
+namespace internal {
+
+Histogram&
+SpanHistogram(std::string_view span_name)
+{
+    ThreadCache* cache = LocalCache();
+    if (cache != nullptr) {
+        if (const auto hit = cache->spans.find(span_name);
+            hit != cache->spans.end()) {
+            return *hit->second;
+        }
+    }
+    std::string name = "span.";
+    name.append(span_name).append(".ms");
+    Histogram& histogram = GetHistogram(name);
+    if (cache != nullptr) {
+        cache->spans.emplace(std::string(span_name), &histogram);
+    }
+    return histogram;
+}
+
+}  // namespace internal
 
 const std::vector<double>&
 DefaultTimeBucketsMs()

@@ -4,14 +4,18 @@
  * fixed-bucket histograms with lock-free recording and JSON snapshots.
  *
  * Design goals, in order:
- *  1. Hot-path cost. Recording is a relaxed atomic op; instrumentation
- *     sites cache the metric reference in a function-local static so
- *     the name lookup happens once. The whole subsystem is gated on
- *     Enabled() — a single relaxed atomic load — so a disabled build
- *     pays one predictable branch per site.
+ *  1. Hot-path cost. Recording is a relaxed atomic op. Sites look
+ *     metrics up by name where they record: each thread keeps its own
+ *     cache of the names it has looked up, so a repeat lookup takes no
+ *     lock and allocates nothing (a hash of the name and one probe),
+ *     and only a thread's first lookup of a name takes the registry's
+ *     mutex. SetLabel takes the mutex only when the value changes. The
+ *     whole subsystem is gated on Enabled() — a single relaxed atomic
+ *     load — so a disabled build pays one predictable branch per site.
  *  2. Stable addresses. Metric objects are never destroyed once
  *     created; Registry::Reset() zeroes values but keeps the objects,
- *     so cached references stay valid across test resets.
+ *     so cached references (the per-thread caches' and any a site
+ *     keeps itself) stay valid across resets.
  *  3. Machine-readable output. StatsJson() serializes every metric;
  *     see docs/OBSERVABILITY.md for the schema and naming conventions
  *     (`<area>.<noun>[.<unit>]`, e.g. `charz.srb.shots`,
@@ -27,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -153,26 +158,31 @@ class Histogram {
 };
 
 /**
- * The process-wide metric registry. Lookup is mutex-protected (do it
- * once per site and cache the reference); recording on the returned
- * objects is lock-free.
+ * The process-wide metric registry. A name maps to one object for the
+ * life of the process. Lookup of a name the calling thread has looked
+ * up before is lock-free and allocation-free (see the file comment);
+ * recording on the returned objects is lock-free.
  */
 class Registry {
   public:
     static Registry& Global();
 
-    Counter& counter(const std::string& name);
-    Gauge& gauge(const std::string& name);
+    Counter& counter(std::string_view name);
+    Gauge& gauge(std::string_view name);
     /**
      * Find-or-create a histogram. @p upper_bounds applies on creation
      * only (empty = DefaultTimeBucketsMs()); later callers get the
      * existing instance regardless of the bounds they pass.
      */
-    Histogram& histogram(const std::string& name,
+    Histogram& histogram(std::string_view name,
                          const std::vector<double>& upper_bounds = {});
 
-    /** Free-form string label, e.g. backend or device tags. */
-    void SetLabel(const std::string& key, const std::string& value);
+    /**
+     * Free-form string label, e.g. backend or device tags. Setting the
+     * value a label already holds is lock-free once the calling thread
+     * has seen it.
+     */
+    void SetLabel(std::string_view key, std::string_view value);
 
     /**
      * Serialize every metric:
@@ -204,11 +214,17 @@ class Registry {
 };
 
 /** Shorthands for Registry::Global(). */
-Counter& GetCounter(const std::string& name);
-Gauge& GetGauge(const std::string& name);
-Histogram& GetHistogram(const std::string& name,
+Counter& GetCounter(std::string_view name);
+Gauge& GetGauge(std::string_view name);
+Histogram& GetHistogram(std::string_view name,
                         const std::vector<double>& upper_bounds = {});
-void SetLabel(const std::string& key, const std::string& value);
+void SetLabel(std::string_view key, std::string_view value);
+
+namespace internal {
+/** The histogram `span.<span_name>.ms` (ScopedSpan), looked up without
+ *  building its name once the calling thread has looked it up. */
+Histogram& SpanHistogram(std::string_view span_name);
+}  // namespace internal
 
 /**
  * Default duration buckets in milliseconds: 1us to ~2min in roughly

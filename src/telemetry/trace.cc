@@ -208,7 +208,7 @@ ScopedSpan::~ScopedSpan()
     if (profiled_) {
         internal::ProfilerExit(dur_ms * 1000.0);
     }
-    GetHistogram("span." + std::string(name_) + ".ms").Record(dur_ms);
+    internal::SpanHistogram(name_).Record(dur_ms);
     if (TracingEnabled()) {
         TraceEvent event;
         event.name = name_;

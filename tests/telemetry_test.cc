@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -564,6 +565,122 @@ TEST_F(TelemetryTest, GaugeUpdateMaxUnderContentionKeepsGlobalPeak)
     EXPECT_DOUBLE_EQ(g.value(), 7999.0);
 }
 
+/** The registry's value for label @p key ("" when unset). */
+std::string
+LabelValue(const std::string& key)
+{
+    for (const auto& [name, value] : Registry::Global().LabelSamples()) {
+        if (name == key) {
+            return value;
+        }
+    }
+    return "";
+}
+
+TEST_F(TelemetryTest, LabelIsRewrittenAfterResetAndAfterOtherWrites)
+{
+    SetLabel("test.label.cached", "a");
+    SetLabel("test.label.cached", "a");
+    EXPECT_EQ(LabelValue("test.label.cached"), "a");
+    // Reset drops labels: the same value must be written again.
+    Registry::Global().Reset();
+    EXPECT_EQ(LabelValue("test.label.cached"), "");
+    SetLabel("test.label.cached", "a");
+    EXPECT_EQ(LabelValue("test.label.cached"), "a");
+    // Another thread's write must not leave this thread's view stale.
+    std::thread([] { SetLabel("test.label.cached", "b"); }).join();
+    EXPECT_EQ(LabelValue("test.label.cached"), "b");
+    SetLabel("test.label.cached", "a");
+    EXPECT_EQ(LabelValue("test.label.cached"), "a");
+}
+
+TEST_F(TelemetryTest, ConcurrentLookupsSnapshotsAndResetsAgree)
+{
+    // Four threads look up fixed names and names no one has used yet
+    // through every lookup path, while a fifth serializes the registry
+    // and, until the first stage ends, resets it. Every name must map
+    // to one object; the second stage, after the last reset, must
+    // count every increment.
+    constexpr int kThreads = 4;
+    constexpr int kFresh = 64;
+    constexpr int kCounted = 4000;
+    constexpr int kLate = 16;
+    std::atomic<int> raced{0};
+    std::atomic<bool> resets_over{false};
+    std::atomic<bool> done{false};
+    std::thread control([&] {
+        while (!done.load()) {
+            EXPECT_TRUE(ValidateJson(StatsJson()));
+            if (!resets_over.load()) {
+                // The last reset follows every first-stage write.
+                const bool last = raced.load() == kThreads;
+                Registry::Global().Reset();
+                resets_over.store(last);
+            }
+        }
+    });
+    std::vector<std::vector<const void*>> seen(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            const std::string own = "test.race.own." + std::to_string(t);
+            for (int i = 0; i < kFresh; ++i) {
+                const std::string shared =
+                    "test.race.shared." + std::to_string(i);
+                seen[t].push_back(&GetCounter(shared));
+                seen[t].push_back(&GetGauge(shared));
+                seen[t].push_back(&GetHistogram(shared));
+                GetCounter(own + "." + std::to_string(i)).Add(1);
+                GetCounter("test.race.fixed").Add(1);
+                GetGauge("test.race.fixed").Set(i);
+                GetHistogram("test.race.fixed").Record(0.5);
+                SetLabel("test.race.label", t % 2 == 0 ? "even" : "odd");
+                SetLabel(own, "mine");
+                ScopedSpan span("test.race.span");
+            }
+            ++raced;
+            while (!resets_over.load()) {
+                std::this_thread::yield();
+            }
+            for (int i = 0; i < kCounted; ++i) {
+                GetCounter("test.race.fixed").Add(1);
+                GetCounter("test.race.late." + std::to_string(i % kLate))
+                    .Add(1);
+                GetHistogram("test.race.fixed").Record(0.5);
+                ScopedSpan span("test.race.span");
+            }
+            SetLabel(own, "mine");
+        });
+    }
+    for (std::thread& worker : workers) {
+        worker.join();
+    }
+    done.store(true);
+    control.join();
+
+    for (int t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    }
+    for (int i = 0; i < kFresh; ++i) {
+        const std::string shared = "test.race.shared." + std::to_string(i);
+        EXPECT_EQ(seen[0][3 * i], &GetCounter(shared));
+        EXPECT_EQ(seen[0][3 * i + 1], &GetGauge(shared));
+        EXPECT_EQ(seen[0][3 * i + 2], &GetHistogram(shared));
+    }
+    const uint64_t counted = uint64_t{kThreads} * kCounted;
+    EXPECT_EQ(GetCounter("test.race.fixed").value(), counted);
+    EXPECT_EQ(GetHistogram("test.race.fixed").count(), counted);
+    EXPECT_EQ(GetHistogram("span.test.race.span.ms").count(), counted);
+    for (int i = 0; i < kLate; ++i) {
+        EXPECT_EQ(
+            GetCounter("test.race.late." + std::to_string(i)).value(),
+            counted / kLate);
+    }
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(LabelValue("test.race.own." + std::to_string(t)), "mine");
+    }
+}
+
 TEST(JsonParser, OverflowingNumbersSaturateInsteadOfThrowing)
 {
     // 1e400 and -1e400 are syntactically valid JSON numbers that do not
@@ -590,6 +707,44 @@ TEST(JsonParser, OverflowingNumbersSaturateInsteadOfThrowing)
     // Ordinary numbers are unaffected.
     ASSERT_TRUE(ParseJsonValue("-12.5e2", &value, &error)) << error;
     EXPECT_DOUBLE_EQ(value.as_number(), -1250.0);
+}
+
+TEST(JsonParser, NumbersReadBitForBitAsStrtodReadsThem)
+{
+    std::vector<std::string> tokens{
+        "0", "-0", "5e-324", "2.4703282292062328e-324", "1e-320",
+        "2.2250738585072011e-308", "1.7976931348623157e308",
+        "1.7976931348623159e308", "9007199254740993",
+        "123456789012345678901234567890", "0.1", "1E+2", "-1e-5"};
+    uint64_t state = 0x2545f4914f6cdd1dull;
+    const auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (int k = 0; k < 20000; ++k) {
+        double bits_value = 0.0;
+        const uint64_t bits = next();
+        std::memcpy(&bits_value, &bits, sizeof(bits_value));
+        if (!std::isfinite(bits_value)) {
+            continue;
+        }
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), k % 2 == 0 ? "%.17g" : "%.12g",
+                      bits_value);
+        tokens.emplace_back(buf);
+    }
+    for (const std::string& token : tokens) {
+        JsonValue value;
+        std::string error;
+        ASSERT_TRUE(ParseJsonValue(token, &value, &error))
+            << token << ": " << error;
+        const double expected = std::strtod(token.c_str(), nullptr);
+        const double parsed = value.as_number();
+        EXPECT_EQ(std::memcmp(&expected, &parsed, sizeof(double)), 0)
+            << token;
+    }
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ PrintUsage()
         "  --base-tvd X      TVD slack over sampling error (default 0.03)\n"
         "  --faults PLAN     re-run every case under this fault plan\n"
         "  --json PATH       write the machine-readable report ('-' = "
-        "stdout)\n"
+        "stdout, with the per-case lines on stderr)\n"
         "  --quiet           suppress the per-case report lines\n";
 }
 
@@ -152,7 +152,9 @@ main(int argc, char** argv)
         const OracleReport report =
             xtalk::difftest::RunDifferentialOracle(options);
         if (!quiet) {
-            std::cout << report.Summary() << "\n";
+            // With the report on stdout, stdout holds JSON alone.
+            (json_path == "-" ? std::cerr : std::cout)
+                << report.Summary() << "\n";
         }
         if (!json_path.empty()) {
             if (json_path == "-") {

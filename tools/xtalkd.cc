@@ -286,7 +286,7 @@ struct Daemon {
  * connection closes), exactly like a vanished client.
  */
 bool
-WriteLine(int fd, const std::string& line)
+WriteLine(int fd, std::string line)
 {
     try {
         faults::MaybeInject("svc.write");
@@ -295,12 +295,11 @@ WriteLine(int fd, const std::string& line)
         Warn(std::string("write fault: ") + e.what());
         return false;
     }
-    std::string framed = line;
-    framed.push_back('\n');
+    line.push_back('\n');
     size_t sent = 0;
-    while (sent < framed.size()) {
+    while (sent < line.size()) {
         const ssize_t n =
-            ::send(fd, framed.data() + sent, framed.size() - sent,
+            ::send(fd, line.data() + sent, line.size() - sent,
                    MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) {
@@ -309,12 +308,12 @@ WriteLine(int fd, const std::string& line)
             return false;  // EPIPE/ECONNRESET: peer is gone.
         }
         sent += static_cast<size_t>(n);
-        if (sent < framed.size()) {
+        if (sent < line.size()) {
             telemetry::JournalEmit(
                 "svc.write.short",
                 {{"fd", fd},
                  {"sent", static_cast<long>(sent)},
-                 {"total", static_cast<long>(framed.size())}});
+                 {"total", static_cast<long>(line.size())}});
         }
     }
     return true;
