@@ -8,6 +8,9 @@
 
 namespace xtalk::telemetry {
 
+namespace {
+
+/** Append @p text to @p out as JsonEscape would return it. */
 void
 AppendJsonEscaped(std::string_view text, std::string* out)
 {
@@ -52,6 +55,8 @@ AppendJsonEscaped(std::string_view text, std::string* out)
     out->append(text.data() + run, text.size() - run);
 }
 
+}  // namespace
+
 std::string
 JsonEscape(std::string_view text)
 {
@@ -64,8 +69,8 @@ JsonEscape(std::string_view text)
 void
 JsonWriter::Separate()
 {
-    // A value or key opens its container or follows a key, or else it
-    // follows a sibling and takes a comma.
+    // Right after '{', '[' or a key's ':' nothing separates; anything
+    // else before a value or key is a sibling, and takes a comma.
     if (!out_.empty() && out_.back() != '{' && out_.back() != '[' &&
         out_.back() != ':') {
         out_ += ',';

@@ -26,13 +26,10 @@
 namespace xtalk::telemetry {
 
 /**
- * Append @p text to @p out escaped for embedding inside JSON double
- * quotes: `"` and `\\` get a backslash, control bytes a short or
- * \u00xx escape, and every other byte (UTF-8 included) passes as-is.
+ * Escape @p text for embedding inside JSON double quotes: `"` and `\\`
+ * get a backslash, control bytes a short or \u00xx escape, and every
+ * other byte (UTF-8 included) passes as-is.
  */
-void AppendJsonEscaped(std::string_view text, std::string* out);
-
-/** AppendJsonEscaped into a new string. */
 std::string JsonEscape(std::string_view text);
 
 /**

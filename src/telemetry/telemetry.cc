@@ -327,7 +327,7 @@ Registry::SetLabel(std::string_view key, std::string_view value)
     Impl& im = impl();
     ThreadCache* cache = LocalCache();
     if (cache != nullptr &&
-        cache->label_epoch == im.label_epoch.load(std::memory_order_acquire)) {
+        cache->label_epoch == im.label_epoch.load()) {
         const auto seen = cache->labels.find(key);
         if (seen != cache->labels.end() && seen->second == value) {
             return;  // No label changed since this thread saw this value.
@@ -337,13 +337,13 @@ Registry::SetLabel(std::string_view key, std::string_view value)
     const auto it = im.labels.find(key);
     if (it == im.labels.end()) {
         im.labels.emplace(key, value);
-        im.label_epoch.fetch_add(1, std::memory_order_release);
+        ++im.label_epoch;
     } else if (it->second != value) {
         it->second.assign(value);
-        im.label_epoch.fetch_add(1, std::memory_order_release);
+        ++im.label_epoch;
     }
     if (cache != nullptr) {
-        const uint64_t epoch = im.label_epoch.load(std::memory_order_relaxed);
+        const uint64_t epoch = im.label_epoch.load();
         if (cache->label_epoch != epoch) {
             cache->labels.clear();
             cache->label_epoch = epoch;
@@ -465,7 +465,7 @@ Registry::Reset()
         h->Reset();
     }
     im.labels.clear();
-    im.label_epoch.fetch_add(1, std::memory_order_release);
+    ++im.label_epoch;
 }
 
 Counter&

@@ -302,6 +302,17 @@ TEST(JsonWriter, HandlesNestingEscapingAndNonFinite)
     EXPECT_NE(json.find("\\u0001"), std::string::npos);
 }
 
+/** The next value of a seeded xorshift64 stream: raw double bit
+ *  patterns for the number sweeps. */
+uint64_t
+XorShift(uint64_t* state)
+{
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    return *state;
+}
+
 /** snprintf("%.12g"): the bytes JsonWriter::Number(double) must give. */
 std::string
 PrintfG12(double value)
@@ -344,12 +355,7 @@ TEST(JsonWriter, NumberMatchesPrintfG12)
     // Seeded sweep: raw bit patterns (every exponent) and short
     // decimals (the values the service protocol carries).
     uint64_t state = 0x9e3779b97f4a7c15ull;
-    const auto next = [&state] {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-    };
+    const auto next = [&state] { return XorShift(&state); };
     for (int k = 0; k < 50000; ++k) {
         double bits_value = 0.0;
         const uint64_t bits = next();
@@ -717,12 +723,7 @@ TEST(JsonParser, NumbersReadBitForBitAsStrtodReadsThem)
         "1.7976931348623159e308", "9007199254740993",
         "123456789012345678901234567890", "0.1", "1E+2", "-1e-5"};
     uint64_t state = 0x2545f4914f6cdd1dull;
-    const auto next = [&state] {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-    };
+    const auto next = [&state] { return XorShift(&state); };
     for (int k = 0; k < 20000; ++k) {
         double bits_value = 0.0;
         const uint64_t bits = next();
