@@ -574,8 +574,8 @@ BENCHMARK(BM_WireDecode);
 
 /**
  * A repeated lookup of one metric by name, as each instrumented site
- * makes on every request. Threads answer it from their own caches, so
- * four cost what one does.
+ * makes on every request. Threads find it in the registry's shared
+ * index without a lock, so four cost about what one does.
  */
 void
 BM_MetricLookup(benchmark::State& state)

@@ -54,14 +54,6 @@ WriteIntArray(telemetry::JsonWriter& w, const char* key,
     w.EndArray();
 }
 
-/** Room for a line carrying @p text_bytes of escaped free text. */
-size_t
-LineCapacity(size_t text_bytes)
-{
-    // Escaping grows QASM by about a byte per line (its "\n").
-    return text_bytes + text_bytes / 8 + 1024;
-}
-
 /**
  * Typed member extraction: absent is fine, a wrong type is an error.
  * A string is moved out of the parsed message, which each field is
@@ -343,7 +335,6 @@ std::string
 ServiceRequest::ToJson() const
 {
     telemetry::JsonWriter w;
-    w.Reserve(LineCapacity(qasm.size() + characterization_text.size()));
     w.BeginObject();
     w.Key("schema").String(kRequestSchema);
     w.Key("id").String(id);
@@ -440,8 +431,6 @@ std::string
 ServiceResponse::ToJson(bool include_timing) const
 {
     telemetry::JsonWriter w;
-    w.Reserve(LineCapacity(qasm.size() + report.size() + counts.size() +
-                           stats_json.size()));
     w.BeginObject();
     w.Key("schema").String(kResponseSchema);
     w.Key("id").String(id);

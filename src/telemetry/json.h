@@ -16,7 +16,6 @@
 #ifndef XTALK_TELEMETRY_JSON_H
 #define XTALK_TELEMETRY_JSON_H
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -56,9 +55,6 @@ class JsonWriter {
     JsonWriter& Number(int64_t value);
     JsonWriter& Bool(bool value);
     JsonWriter& Null();
-
-    /** Size the buffer for a document of about @p bytes. */
-    void Reserve(size_t bytes) { out_.reserve(bytes); }
 
     const std::string& str() const& { return out_; }
     /** The document, moved out of a writer that is done. */

@@ -1,6 +1,7 @@
 #include "telemetry/telemetry.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -9,7 +10,6 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "telemetry/json.h"
 
@@ -182,87 +182,84 @@ namespace {
 template <typename T>
 using MetricMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
 
-/** Hashes a std::string key and a string_view probe alike. */
-struct NameHash {
-    using is_transparent = void;
-
-    size_t
-    operator()(std::string_view name) const noexcept
-    {
-        return std::hash<std::string_view>{}(name);
-    }
-};
-
-template <typename T>
-using NameMap =
-    std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
-
 /**
- * One thread's view of the registry: every name it has looked up, to
- * the object the registry gave it. Metric objects are never destroyed,
- * so an entry never goes stale. Labels are the exception: a label
- * entry holds only while the registry's label epoch (bumped by every
- * label change and by Reset) is the one the thread saw.
+ * A name -> object index every thread reads without a lock: a fixed
+ * array of chains that only grow. Entries are added under a mutex and
+ * never changed or removed (metric objects are never destroyed), so a
+ * reader that reaches an entry may follow it.
  */
-struct ThreadCache {
-    NameMap<Counter*> counters;
-    NameMap<Gauge*> gauges;
-    NameMap<Histogram*> histograms;
-    /** Span name -> its span.<name>.ms histogram. */
-    NameMap<Histogram*> spans;
-    NameMap<std::string> labels;
-    uint64_t label_epoch = 0;
+template <typename T>
+class NameIndex {
+  public:
+    /** The object added under @p name, whose hash is @p hash, or null. */
+    T*
+    Find(std::string_view name, size_t hash) const
+    {
+        for (const Entry* e =
+                 chains_[hash % kChains].load(std::memory_order_acquire);
+             e != nullptr; e = e->next) {
+            if (e->hash == hash && e->name == name) {
+                return e->object;
+            }
+        }
+        return nullptr;
+    }
+
+    /** Add @p name -> @p object; the caller holds the index's mutex. */
+    void
+    Add(std::string_view name, size_t hash, T* object)
+    {
+        std::atomic<const Entry*>& chain = chains_[hash % kChains];
+        chain.store(new Entry{std::string(name), hash, object,
+                              chain.load(std::memory_order_relaxed)},
+                    std::memory_order_release);
+    }
+
+  private:
+    struct Entry {
+        std::string name;
+        size_t hash;
+        T* object;
+        const Entry* next;
+    };
+
+    // A process holds a few hundred names, so chains stay short.
+    static constexpr size_t kChains = 256;
+    std::array<std::atomic<const Entry*>, kChains> chains_{};
 };
-
-thread_local ThreadCache* t_cache = nullptr;
-
-/** Owns a thread's cache; clears t_cache when the thread exits. */
-struct ThreadCacheOwner {
-    ThreadCache cache;
-    ThreadCacheOwner() { t_cache = &cache; }
-    ~ThreadCacheOwner() { t_cache = nullptr; }
-};
-
-/** The calling thread's cache, or null once its thread-locals have been
- *  destroyed (a lookup at thread exit then takes the locked path). */
-ThreadCache*
-LocalCache()
-{
-    thread_local ThreadCacheOwner owner;
-    return t_cache;
-}
 
 /**
- * @p name's object in @p registered (guarded by @p mu), created by
- * @p make on first use: a hit in the calling thread's cache (its
- * member @p cached) takes no lock; a miss takes the lock once and
- * fills the cache.
+ * @p name's object in @p index, found with no lock. The first lookup
+ * of a name in the process takes @p mu and adds the object @p make
+ * returns.
  */
 template <typename T, typename Make>
 T&
-Lookup(std::mutex& mu, MetricMap<T>& registered,
-       NameMap<T*> ThreadCache::*cached, std::string_view name, Make make)
+Lookup(std::mutex& mu, NameIndex<T>& index, std::string_view name,
+       Make make)
 {
-    ThreadCache* cache = LocalCache();
-    if (cache != nullptr) {
-        const auto hit = (cache->*cached).find(name);
-        if (hit != (cache->*cached).end()) {
-            return *hit->second;
-        }
+    const size_t hash = std::hash<std::string_view>{}(name);
+    if (T* found = index.Find(name, hash)) {
+        return *found;
     }
-    T* object = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = registered.find(name);
-        if (it == registered.end()) {
-            it = registered.emplace(std::string(name), make()).first;
-        }
-        object = it->second.get();
+    std::lock_guard<std::mutex> lock(mu);
+    if (T* found = index.Find(name, hash)) {
+        return *found;
     }
-    if (cache != nullptr) {
-        (cache->*cached).emplace(std::string(name), object);
-    }
-    return *object;
+    T& object = make();
+    index.Add(name, hash, &object);
+    return object;
+}
+
+/** Add a new @p name to @p registered; the caller holds its mutex. */
+template <typename T, typename... Args>
+T&
+Register(MetricMap<T>& registered, std::string_view name, Args&&... args)
+{
+    return *registered
+                .emplace(std::string(name),
+                         std::make_unique<T>(std::forward<Args>(args)...))
+                .first->second;
 }
 
 }  // namespace
@@ -274,8 +271,10 @@ struct Registry::Impl {
     MetricMap<Gauge> gauges;
     MetricMap<Histogram> histograms;
     std::map<std::string, std::string, std::less<>> labels;
-    /** Bumped under mu by every label change and by Reset. */
-    std::atomic<uint64_t> label_epoch{0};
+    // Every name in the maps above, for lookups that take no lock.
+    NameIndex<Counter> counter_index;
+    NameIndex<Gauge> gauge_index;
+    NameIndex<Histogram> histogram_index;
 };
 
 // The singletons below are leaked on purpose, like the other statics a
@@ -298,57 +297,41 @@ Registry::Global()
 Counter&
 Registry::counter(std::string_view name)
 {
-    return Lookup(impl().mu, impl().counters, &ThreadCache::counters, name,
-                  [] { return std::make_unique<Counter>(); });
+    Impl& im = impl();
+    return Lookup(im.mu, im.counter_index, name,
+                  [&]() -> Counter& { return Register(im.counters, name); });
 }
 
 Gauge&
 Registry::gauge(std::string_view name)
 {
-    return Lookup(impl().mu, impl().gauges, &ThreadCache::gauges, name,
-                  [] { return std::make_unique<Gauge>(); });
+    Impl& im = impl();
+    return Lookup(im.mu, im.gauge_index, name,
+                  [&]() -> Gauge& { return Register(im.gauges, name); });
 }
 
 Histogram&
 Registry::histogram(std::string_view name,
                     const std::vector<double>& upper_bounds)
 {
-    return Lookup(impl().mu, impl().histograms, &ThreadCache::histograms,
-                  name, [&] {
-                      return std::make_unique<Histogram>(
-                          upper_bounds.empty() ? DefaultTimeBucketsMs()
-                                               : upper_bounds);
-                  });
+    Impl& im = impl();
+    return Lookup(im.mu, im.histogram_index, name, [&]() -> Histogram& {
+        return Register(im.histograms, name,
+                        upper_bounds.empty() ? DefaultTimeBucketsMs()
+                                             : upper_bounds);
+    });
 }
 
 void
 Registry::SetLabel(std::string_view key, std::string_view value)
 {
     Impl& im = impl();
-    ThreadCache* cache = LocalCache();
-    if (cache != nullptr &&
-        cache->label_epoch == im.label_epoch.load()) {
-        const auto seen = cache->labels.find(key);
-        if (seen != cache->labels.end() && seen->second == value) {
-            return;  // No label changed since this thread saw this value.
-        }
-    }
     std::lock_guard<std::mutex> lock(im.mu);
     const auto it = im.labels.find(key);
     if (it == im.labels.end()) {
         im.labels.emplace(key, value);
-        ++im.label_epoch;
     } else if (it->second != value) {
         it->second.assign(value);
-        ++im.label_epoch;
-    }
-    if (cache != nullptr) {
-        const uint64_t epoch = im.label_epoch.load();
-        if (cache->label_epoch != epoch) {
-            cache->labels.clear();
-            cache->label_epoch = epoch;
-        }
-        cache->labels.insert_or_assign(std::string(key), std::string(value));
     }
 }
 
@@ -465,7 +448,6 @@ Registry::Reset()
         h->Reset();
     }
     im.labels.clear();
-    ++im.label_epoch;
 }
 
 Counter&
@@ -497,20 +479,15 @@ namespace internal {
 Histogram&
 SpanHistogram(std::string_view span_name)
 {
-    ThreadCache* cache = LocalCache();
-    if (cache != nullptr) {
-        if (const auto hit = cache->spans.find(span_name);
-            hit != cache->spans.end()) {
-            return *hit->second;
-        }
-    }
-    std::string name = "span.";
-    name.append(span_name).append(".ms");
-    Histogram& histogram = GetHistogram(name);
-    if (cache != nullptr) {
-        cache->spans.emplace(std::string(span_name), &histogram);
-    }
-    return histogram;
+    // Span name -> its histogram, leaked like the registry. Its own
+    // mutex, as a first lookup goes on to take the registry's.
+    static auto* mu = new std::mutex;
+    static auto* spans = new NameIndex<Histogram>;
+    return Lookup(*mu, *spans, span_name, [&]() -> Histogram& {
+        std::string name = "span.";
+        name.append(span_name).append(".ms");
+        return GetHistogram(name);
+    });
 }
 
 }  // namespace internal

@@ -5,17 +5,18 @@
  *
  * Design goals, in order:
  *  1. Hot-path cost. Recording is a relaxed atomic op. Sites look
- *     metrics up by name where they record: each thread keeps its own
- *     cache of the names it has looked up, so a repeat lookup takes no
- *     lock and allocates nothing (a hash of the name and one probe),
- *     and only a thread's first lookup of a name takes the registry's
- *     mutex. SetLabel takes the mutex only when the value changes. The
- *     whole subsystem is gated on Enabled() — a single relaxed atomic
- *     load — so a disabled build pays one predictable branch per site.
+ *     metrics up by name where they record: a name the process has
+ *     looked up before is found in a shared index with no lock and no
+ *     allocation (a hash of the name and a short probe), on any thread,
+ *     and only the process's first lookup of a name takes the
+ *     registry's mutex. SetLabel takes the mutex and writes only when
+ *     the value changes. The whole subsystem is gated on Enabled() — a
+ *     single relaxed atomic load — so a disabled build pays one
+ *     predictable branch per site.
  *  2. Stable addresses. Metric objects are never destroyed once
  *     created; Registry::Reset() zeroes values but keeps the objects,
- *     so cached references (the per-thread caches' and any a site
- *     keeps itself) stay valid across resets.
+ *     so the index's pointers and any reference a site keeps itself
+ *     stay valid across resets.
  *  3. Machine-readable output. StatsJson() serializes every metric;
  *     see docs/OBSERVABILITY.md for the schema and naming conventions
  *     (`<area>.<noun>[.<unit>]`, e.g. `charz.srb.shots`,
@@ -159,8 +160,8 @@ class Histogram {
 
 /**
  * The process-wide metric registry. A name maps to one object for the
- * life of the process. Lookup of a name the calling thread has looked
- * up before is lock-free and allocation-free (see the file comment);
+ * life of the process. Lookup of a name the process has looked up
+ * before is lock-free and allocation-free (see the file comment);
  * recording on the returned objects is lock-free.
  */
 class Registry {
@@ -178,9 +179,8 @@ class Registry {
                          const std::vector<double>& upper_bounds = {});
 
     /**
-     * Free-form string label, e.g. backend or device tags. Setting the
-     * value a label already holds is lock-free once the calling thread
-     * has seen it.
+     * Free-form string label, e.g. backend or device tags. Takes the
+     * mutex; setting the value a label already holds writes nothing.
      */
     void SetLabel(std::string_view key, std::string_view value);
 
@@ -221,8 +221,8 @@ Histogram& GetHistogram(std::string_view name,
 void SetLabel(std::string_view key, std::string_view value);
 
 namespace internal {
-/** The histogram `span.<span_name>.ms` (ScopedSpan), looked up without
- *  building its name once the calling thread has looked it up. */
+/** The histogram `span.<span_name>.ms` (ScopedSpan), looked up by span
+ *  name, so its name is built once per process. */
 Histogram& SpanHistogram(std::string_view span_name);
 }  // namespace internal
 

@@ -585,19 +585,20 @@ LabelValue(const std::string& key)
 
 TEST_F(TelemetryTest, LabelIsRewrittenAfterResetAndAfterOtherWrites)
 {
-    SetLabel("test.label.cached", "a");
-    SetLabel("test.label.cached", "a");
-    EXPECT_EQ(LabelValue("test.label.cached"), "a");
+    SetLabel("test.label.same", "a");
+    SetLabel("test.label.same", "a");
+    EXPECT_EQ(LabelValue("test.label.same"), "a");
     // Reset drops labels: the same value must be written again.
     Registry::Global().Reset();
-    EXPECT_EQ(LabelValue("test.label.cached"), "");
-    SetLabel("test.label.cached", "a");
-    EXPECT_EQ(LabelValue("test.label.cached"), "a");
-    // Another thread's write must not leave this thread's view stale.
-    std::thread([] { SetLabel("test.label.cached", "b"); }).join();
-    EXPECT_EQ(LabelValue("test.label.cached"), "b");
-    SetLabel("test.label.cached", "a");
-    EXPECT_EQ(LabelValue("test.label.cached"), "a");
+    EXPECT_EQ(LabelValue("test.label.same"), "");
+    SetLabel("test.label.same", "a");
+    EXPECT_EQ(LabelValue("test.label.same"), "a");
+    // After another thread's write, this thread's earlier value is a
+    // change again.
+    std::thread([] { SetLabel("test.label.same", "b"); }).join();
+    EXPECT_EQ(LabelValue("test.label.same"), "b");
+    SetLabel("test.label.same", "a");
+    EXPECT_EQ(LabelValue("test.label.same"), "a");
 }
 
 TEST_F(TelemetryTest, ConcurrentLookupsSnapshotsAndResetsAgree)
