@@ -30,6 +30,7 @@
 #include "scheduler/xtalk_scheduler.h"
 #include "service/api.h"
 #include "service/engine.h"
+#include "sim/counts.h"
 #include "sim/exact_distribution.h"
 #include "sim/gate_matrices.h"
 #include "sim/noisy_simulator.h"
@@ -192,6 +193,85 @@ BENCHMARK(BM_ExactVsTrajectory)
     ->ArgNames({"k", "shots", "exact"})
     ->ArgsProduct({{2, 4, 6, 8, 10}, {16, 128, 1024, 8192}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_ExactSample(benchmark::State& state)
+{
+    // One 512-shot chunk drawn from the exact distribution of a 6-qubit
+    // QAOA chain (ParSched): the request path's sampler and its Counts,
+    // the evolution done once outside the loop.
+    const Device device = MakePoughkeepsie();
+    const ScheduledCircuit schedule = ParallelScheduler(device).Schedule(
+        BuildQaoaCircuit(device, {0, 1, 2, 3, 4, 9}));
+    const ExactDistribution distribution(BuildRunPlan(device, {}, schedule));
+    uint64_t seed = 1;
+    for (auto _ : state) {
+        Rng rng(seed++);
+        benchmark::DoNotOptimize(distribution.Sample(512, rng));
+    }
+    state.SetItemsProcessed(state.iterations() * 512);
+}
+BENCHMARK(BM_ExactSample);
+
+/** Counts of @p shots draws over @p outcomes distinct seeded outcomes
+ *  of a 20-bit register. */
+std::vector<uint64_t>
+SeededOutcomes(uint64_t seed, int outcomes, int shots)
+{
+    Rng rng(seed);
+    std::vector<uint64_t> support(static_cast<size_t>(outcomes));
+    for (uint64_t& bits : support) {
+        bits = rng.UniformInt(uint64_t{1} << 20);
+    }
+    std::vector<uint64_t> draws(static_cast<size_t>(shots));
+    for (uint64_t& bits : draws) {
+        bits = support[rng.UniformInt(support.size())];
+    }
+    return draws;
+}
+
+void
+BM_CountsMerge(benchmark::State& state)
+{
+    // A 16-chunk job's merge: 16 chunk histograms of 64 outcomes each
+    // (512 shots apiece) added into one.
+    std::vector<Counts> chunks;
+    const std::vector<uint64_t> draws = SeededOutcomes(5, 64, 16 * 512);
+    for (int c = 0; c < 16; ++c) {
+        Counts chunk(20);
+        for (int shot = 0; shot < 512; ++shot) {
+            chunk.Record(draws[static_cast<size_t>(c * 512 + shot)]);
+        }
+        chunks.push_back(std::move(chunk));
+    }
+    for (auto _ : state) {
+        Counts merged;
+        for (const Counts& chunk : chunks) {
+            merged.Merge(chunk);
+        }
+        benchmark::DoNotOptimize(merged);
+    }
+    state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_CountsMerge);
+
+void
+BM_CountsRecordWide(benchmark::State& state)
+{
+    // 8,192 shots over 4,096 distinct outcomes, recorded per shot the
+    // way the trajectory and stabilizer engines do (one batch, sorted
+    // once), so the cost stays O(n log n) however many are distinct.
+    const std::vector<uint64_t> draws = SeededOutcomes(9, 4096, 8192);
+    std::vector<uint64_t> shots;
+    for (auto _ : state) {
+        shots = draws;
+        Counts counts(20);
+        counts.RecordShots(shots);
+        benchmark::DoNotOptimize(counts);
+    }
+    state.SetItemsProcessed(state.iterations() * 8192);
+}
+BENCHMARK(BM_CountsRecordWide);
 
 void
 BM_TableauCxApply(benchmark::State& state)

@@ -1,7 +1,6 @@
 #include "circuit/circuit.h"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -204,18 +203,23 @@ Circuit::Swap(QubitId a, QubitId b)
 }
 
 Circuit&
-Circuit::Barrier(std::vector<QubitId> qubits)
+Circuit::Barrier(const std::vector<QubitId>& qubits)
 {
-    Add({GateKind::kBarrier, std::move(qubits), {}, -1});
+    Add({GateKind::kBarrier, Gate::Qubits(qubits.begin(), qubits.end()), {},
+         -1});
     return *this;
 }
 
 Circuit&
 Circuit::BarrierAll()
 {
-    std::vector<QubitId> all(num_qubits_);
-    std::iota(all.begin(), all.end(), 0);
-    return Barrier(std::move(all));
+    Gate barrier{GateKind::kBarrier, {}, {}, -1};
+    barrier.qubits.reserve(static_cast<size_t>(num_qubits_));
+    for (QubitId q = 0; q < num_qubits_; ++q) {
+        barrier.qubits.push_back(q);
+    }
+    Add(std::move(barrier));
+    return *this;
 }
 
 Circuit&

@@ -56,7 +56,7 @@ class Circuit {
     Circuit& CX(QubitId control, QubitId target);
     Circuit& CZ(QubitId a, QubitId b);
     Circuit& Swap(QubitId a, QubitId b);
-    Circuit& Barrier(std::vector<QubitId> qubits);
+    Circuit& Barrier(const std::vector<QubitId>& qubits);
     /** Barrier across every qubit in the register. */
     Circuit& BarrierAll();
     Circuit& Measure(QubitId q, ClbitId c);

@@ -12,7 +12,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "common/inline_vector.h"
 
 namespace xtalk {
 
@@ -49,9 +50,14 @@ enum class GateKind {
 
 /** A gate instance in a circuit. */
 struct Gate {
+    /** Operands, in place up to two qubits (every kind but a barrier)
+     *  and three parameters (u3), so copying a gate allocates nothing. */
+    using Qubits = InlineVector<QubitId, 2>;
+    using Params = InlineVector<double, 3>;
+
     GateKind kind = GateKind::kI;
-    std::vector<QubitId> qubits;
-    std::vector<double> params;
+    Qubits qubits;
+    Params params;
     ClbitId cbit = -1;  ///< Valid only for kMeasure.
 
     /** Number of qubits this gate kind acts on (barriers vary). */
@@ -79,6 +85,8 @@ struct Gate {
 
     bool operator==(const Gate& rhs) const = default;
 };
+// A cold characterization holds a few hundred thousand gates at once.
+static_assert(sizeof(Gate) <= 64, "Gate grew past a cache line");
 
 /** Lower-case mnemonic for a gate kind ("cx", "u3", ...): its qelib1
  *  name, except kBarrier and kMeasure, which name statements. */

@@ -247,11 +247,19 @@ ParseQasm(const std::string& source)
                 continue;
             }
             if (stmt.starts_with("barrier")) {
-                std::vector<QubitId> qubits;
+                Gate barrier{GateKind::kBarrier, {}, {}, -1};
                 ForEachArg(stmt.substr(7), [&](std::string_view token) {
-                    qubits.push_back(ParseIndexedRef(token, "q", line_number));
+                    if (token == "q") {
+                        // Whole-register form: every qubit of q, in order.
+                        for (QubitId q = 0; q < num_qubits; ++q) {
+                            barrier.qubits.push_back(q);
+                        }
+                        return;
+                    }
+                    barrier.qubits.push_back(
+                        ParseIndexedRef(token, "q", line_number));
                 });
-                require_circuit(line_number).Barrier(std::move(qubits));
+                require_circuit(line_number).Add(std::move(barrier));
                 continue;
             }
             if (stmt.starts_with("measure")) {
@@ -294,8 +302,7 @@ ParseQasm(const std::string& source)
                                                     << ": unsupported gate '"
                                                     << name << "'");
             std::string_view rest = Trim(stmt.substr(name_end));
-            std::vector<double> params;
-            params.reserve(GateKindNumParams(*kind));
+            Gate gate{*kind, {}, {}, -1};
             if (!rest.empty() && rest[0] == '(') {
                 const size_t close = rest.find(')');
                 XTALK_REQUIRE(close != std::string_view::npos,
@@ -303,17 +310,15 @@ ParseQasm(const std::string& source)
                                       << ": unterminated parameter list");
                 ForEachArg(rest.substr(1, close - 1),
                            [&](std::string_view token) {
-                               params.push_back(ParseParam(
+                               gate.params.push_back(ParseParam(
                                    token, line_number, &compact_param));
                            });
                 rest = Trim(rest.substr(close + 1));
             }
-            std::vector<QubitId> qubits;
-            qubits.reserve(GateKindNumQubits(*kind));
             ForEachArg(rest, [&](std::string_view token) {
-                qubits.push_back(ParseIndexedRef(token, "q", line_number));
+                gate.qubits.push_back(
+                    ParseIndexedRef(token, "q", line_number));
             });
-            Gate gate{*kind, std::move(qubits), std::move(params), -1};
             try {
                 require_circuit(line_number).Add(std::move(gate));
             } catch (const Error& e) {

@@ -19,12 +19,6 @@ SplitMix64(uint64_t& x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-Rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 uint64_t
@@ -44,27 +38,6 @@ Rng::Rng(uint64_t seed)
     for (auto& word : state_) {
         word = SplitMix64(s);
     }
-}
-
-uint64_t
-Rng::Next()
-{
-    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::Uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -111,12 +84,6 @@ double
 Rng::Normal(double mean, double stddev)
 {
     return mean + stddev * Normal();
-}
-
-bool
-Rng::Bernoulli(double p)
-{
-    return Uniform() < p;
 }
 
 size_t

@@ -12,6 +12,7 @@
 #define XTALK_COMMON_RNG_H
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -36,11 +37,28 @@ class Rng {
     /** Construct from a 64-bit seed; equal seeds give equal streams. */
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-    /** Next raw 64-bit value. */
-    uint64_t Next();
+    /** Next raw 64-bit value. Inline, as are Uniform() and Bernoulli():
+     *  the samplers draw a few per shot. */
+    uint64_t
+    Next()
+    {
+        const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
-    /** Uniform double in [0, 1). */
-    double Uniform();
+    /** Uniform double in [0, 1): the 53 high bits of Next(). */
+    double
+    Uniform()
+    {
+        return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double Uniform(double lo, double hi);
@@ -55,7 +73,7 @@ class Rng {
     double Normal(double mean, double stddev);
 
     /** Bernoulli trial: true with probability p. */
-    bool Bernoulli(double p);
+    bool Bernoulli(double p) { return Uniform() < p; }
 
     /**
      * Sample an index from an unnormalized non-negative weight vector.

@@ -177,6 +177,29 @@ ApplyDeadlineBudget(Clock::time_point deadline, CompilerOptions* options)
 }
 
 /**
+ * Call @p use with the metric name "<prefix><name><suffix>", built in a
+ * stack buffer: metric lookups take a std::string_view, so a request
+ * names its metrics without a heap string (a name past 64 bytes gets
+ * one).
+ */
+template <typename F>
+void
+WithMetricName(std::string_view prefix, std::string_view name,
+               std::string_view suffix, F&& use)
+{
+    std::array<char, 64> buffer;
+    if (prefix.size() + name.size() + suffix.size() > buffer.size()) {
+        use(std::string(prefix).append(name).append(suffix));
+        return;
+    }
+    char* end = std::copy(prefix.begin(), prefix.end(), buffer.data());
+    end = std::copy(name.begin(), name.end(), end);
+    end = std::copy(suffix.begin(), suffix.end(), end);
+    use(std::string_view(buffer.data(),
+                         static_cast<size_t>(end - buffer.data())));
+}
+
+/**
  * RAII budget-attribution timer: on destruction, appends one
  * {phase, ms} entry to the list Handle owns, so a phase still open when
  * RunCompile returns early or throws is recorded too. Handle later adds
@@ -360,18 +383,21 @@ Engine::Handle(const ServiceRequest& request,
                     static_cast<double>(request.deadline_ms) * 100.0;
             }
             if (telemetry::Enabled()) {
-                telemetry::GetHistogram("svc.phase." + phase.phase +
-                                        ".ms")
-                    .Record(phase.ms);
+                WithMetricName("svc.phase.", phase.phase, ".ms",
+                               [&](std::string_view name) {
+                                   telemetry::GetHistogram(name).Record(
+                                       phase.ms);
+                               });
             }
         }
         response.phases = std::move(phases);
     }
     if (telemetry::Enabled()) {
         telemetry::GetCounter("svc.requests").Add(1);
-        telemetry::GetCounter(std::string("svc.status.") +
-                              response.status())
-            .Add(1);
+        WithMetricName("svc.status.", response.status(), "",
+                       [](std::string_view name) {
+                           telemetry::GetCounter(name).Add(1);
+                       });
         telemetry::GetHistogram("svc.request_ms").Record(response.run_ms);
     }
     telemetry::JournalEmit("svc.done",
@@ -409,8 +435,10 @@ Engine::RunCompile(const ServiceRequest& request,
         named = &FindNamedDevice(request.device);
     }
     const Device& device = loaded ? *loaded : named->device();
-    Inform("device: " + device.name() + " (" +
-           std::to_string(device.num_qubits()) + " qubits)");
+    if (GetLogLevel() >= LogLevel::kInform) {
+        Inform("device: " + device.name() + " (" +
+               std::to_string(device.num_qubits()) + " qubits)");
+    }
     telemetry::SetLabel("tool.device", device.name());
 
     // Build the pipeline before characterizing so a typo in `passes`

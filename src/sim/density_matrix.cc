@@ -161,7 +161,7 @@ DensityMatrix::ApplyGate(const Gate& gate)
 }
 
 void
-DensityMatrix::ApplyDepolarizing(const std::vector<QubitId>& qubits, double p)
+DensityMatrix::ApplyDepolarizing(const Gate::Qubits& qubits, double p)
 {
     XTALK_REQUIRE(p >= 0.0 && p <= 1.0, "bad probability " << p);
     XTALK_REQUIRE(qubits.size() == 1 || qubits.size() == 2,

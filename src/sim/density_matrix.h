@@ -46,7 +46,7 @@ class DensityMatrix {
      * the non-identity Paulis (matching the trajectory engine's uniform
      * random-Pauli injection).
      */
-    void ApplyDepolarizing(const std::vector<QubitId>& qubits, double p);
+    void ApplyDepolarizing(const Gate::Qubits& qubits, double p);
 
     /** Amplitude damping channel on @p q with decay probability gamma. */
     void ApplyAmplitudeDamping(int q, double gamma);

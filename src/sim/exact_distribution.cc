@@ -485,24 +485,26 @@ ExactDistribution::ExactDistribution(const RunPlan& plan)
         groups.back() = std::move(joint);
     }
     for (const auto& group : groups) {
-        Outcomes outcomes;
+        std::vector<double> probability;
+        std::vector<double> cdf;
+        std::vector<uint64_t> bits;
         double total = 0.0;
-        for (const auto& [p, bits] : group) {
+        for (const auto& [p, outcome_bits] : group) {
             total += p;
-            outcomes.probability.push_back(p);
-            outcomes.cdf.push_back(total);
-            outcomes.bits.push_back(bits);
+            probability.push_back(p);
+            cdf.push_back(total);
+            bits.push_back(outcome_bits);
         }
-        // guide[j]: the first outcome whose CDF exceeds j / size.
-        const size_t size = outcomes.cdf.size();
-        for (size_t j = 0, i = 0; j < size; ++j) {
-            while (i + 1 < size &&
-                   outcomes.cdf[i] <= static_cast<double>(j) / size) {
-                ++i;
-            }
-            outcomes.guide.push_back(i);
+        std::vector<uint32_t> by_bits(bits.size());
+        for (size_t i = 0; i < by_bits.size(); ++i) {
+            by_bits[i] = static_cast<uint32_t>(i);
         }
-        groups_.push_back(std::move(outcomes));
+        std::stable_sort(by_bits.begin(), by_bits.end(),
+                         [&](uint32_t a, uint32_t b) {
+                             return bits[a] < bits[b];
+                         });
+        groups_.push_back({std::move(probability), std::move(bits),
+                           std::move(by_bits), CdfBins(std::move(cdf))});
     }
     registers_ = static_cast<int>(densities.size());
     if (telemetry::Enabled()) {
@@ -510,24 +512,31 @@ ExactDistribution::ExactDistribution(const RunPlan& plan)
     }
 }
 
-size_t
-ExactDistribution::Pick(const Outcomes& outcomes, double u)
+CdfBins::CdfBins(std::vector<double> cdf)
+    : cdf_(std::move(cdf)), last_(cdf_.size() - 1)
 {
-    // The first outcome whose CDF exceeds u, as std::upper_bound finds
-    // it, from the guide's start: a step or two instead of a binary
-    // search. The last outcome also takes a draw at or past a total
-    // that rounding left just below 1.
-    const std::vector<double>& cdf = outcomes.cdf;
-    const size_t guide = outcomes.guide.size();
-    size_t i = outcomes.guide[std::min<size_t>(
-        static_cast<int64_t>(u * static_cast<double>(guide)), guide - 1)];
-    while (i > 0 && cdf[i - 1] > u) {
-        --i;
+    XTALK_REQUIRE(!cdf_.empty() && cdf_.size() <= kOutcome,
+                  "CdfBins needs 1 to 2^31 - 1 outcomes, got "
+                      << cdf_.size());
+    size_t bins = 1;
+    while (bins < 4 * cdf_.size()) {
+        bins *= 2;
     }
-    while (i + 1 < cdf.size() && cdf[i] <= u) {
-        ++i;
+    bins_.resize(bins);
+    scale_ = static_cast<double>(bins);
+    // One ascending sweep: bin j starts at the first outcome whose CDF
+    // exceeds j / bins (the last if none does), and is pure when that
+    // outcome's CDF reaches the bin's upper edge. The edges are exact
+    // (a power-of-two denominator).
+    for (size_t j = 0, i = 0; j < bins; ++j) {
+        const double lower = static_cast<double>(j) / scale_;
+        while (i < last_ && cdf_[i] <= lower) {
+            ++i;
+        }
+        const bool pure =
+            i == last_ || cdf_[i] >= static_cast<double>(j + 1) / scale_;
+        bins_[j] = static_cast<uint32_t>(i) | (pure ? kPure : 0);
     }
-    return i;
 }
 
 Counts
@@ -546,22 +555,26 @@ ExactDistribution::Sample(int shots, Rng& rng) const
         return counts;
     }
     if (groups_.size() > 1) {
-        for (int shot = 0; shot < shots; ++shot) {
-            uint64_t bits = 0;
-            for (const Outcomes& outcomes : groups_) {
-                bits |= outcomes.bits[Pick(outcomes, rng.Uniform())];
+        std::vector<uint64_t> outcomes(static_cast<size_t>(shots));
+        for (uint64_t& bits : outcomes) {
+            bits = 0;
+            for (const Outcomes& group : groups_) {
+                bits |= group.bits[group.bins.Pick(rng.Uniform())];
             }
-            counts.Record(bits);
         }
+        counts.RecordShots(outcomes);
         return counts;
     }
-    // One group, the usual case: tally its outcomes, record each once.
+    // One group, the usual case: tally its outcomes, then record each
+    // once, in ascending order of bits.
     const Outcomes& outcomes = groups_.front();
     std::vector<int> tally(outcomes.bits.size(), 0);
     for (int shot = 0; shot < shots; ++shot) {
-        ++tally[Pick(outcomes, rng.Uniform())];
+        ++tally[outcomes.bins.Pick(rng.Uniform())];
     }
-    for (size_t i = 0; i < tally.size(); ++i) {
+    counts.Reserve(tally.size() - static_cast<size_t>(std::count(
+                                      tally.begin(), tally.end(), 0)));
+    for (const uint32_t i : outcomes.by_bits) {
         if (tally[i] > 0) {
             counts.Record(outcomes.bits[i], tally[i]);
         }

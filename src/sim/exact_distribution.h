@@ -32,8 +32,9 @@
  * registers' (as in the trajectory engine, two measures into one bit
  * OR). Registers merge, in order, into sampling groups of at most 4,096
  * joint outcomes, and a shot draws one uniform per group, in group
- * order, and maps it through the group's cumulative distribution. Every
- * request circuit is one group, so it draws once per shot.
+ * order, and maps it through the group's cumulative distribution (a
+ * CdfBins table). Every request circuit is one group, so it draws once
+ * per shot.
  *
  * `ReplayScheduleDensity` (sim/density_replay.h) computes the same
  * distribution on one dense register with Kraus-branch copies; it
@@ -65,6 +66,54 @@ inline constexpr int kMaxExactRegisterQubits = 10;
  */
 std::optional<int> ExactRegisterWidth(const RunPlan& plan);
 
+/**
+ * Inverse-CDF sampling through a table of equal bins over [0, 1): a
+ * power of two of them, at least four per outcome. Bin j holds the
+ * first outcome whose CDF exceeds j / bins. A bin is pure when every u
+ * in it maps to that one outcome, which is then the answer; from any
+ * other bin the lookup walks the CDF forward. Either way it returns
+ * the outcome std::upper_bound finds.
+ */
+class CdfBins {
+  public:
+    /** @p cdf: the nondecreasing running sums of the outcomes'
+     *  probabilities; at least one. */
+    explicit CdfBins(std::vector<double> cdf);
+
+    /**
+     * For @p u in [0, 1): the first outcome whose CDF exceeds u, as
+     * std::upper_bound finds it, or the last outcome when none does
+     * (rounding can leave the total just below 1).
+     */
+    size_t
+    Pick(double u) const
+    {
+        const uint32_t entry = bins_[static_cast<size_t>(u * scale_)];
+        size_t i = entry & kOutcome;
+        if (entry & kPure) {
+            return i;
+        }
+        while (i < last_ && cdf_[i] <= u) {
+            ++i;
+        }
+        return i;
+    }
+
+    const std::vector<double>& cdf() const { return cdf_; }
+    size_t bins() const { return bins_.size(); }
+
+  private:
+    static constexpr uint32_t kPure = uint32_t{1} << 31;
+    static constexpr uint32_t kOutcome = kPure - 1;
+
+    std::vector<double> cdf_;
+    size_t last_;
+    /** Per bin: its first outcome, with kPure set when it is the only
+     *  one. */
+    std::vector<uint32_t> bins_;
+    double scale_;
+};
+
 /** The outcome distribution of one plan, and a sampler over it. */
 class ExactDistribution {
   public:
@@ -87,6 +136,10 @@ class ExactDistribution {
      *  sampling group and shot, in group order, by inverse CDF. */
     Counts Sample(int shots, Rng& rng) const;
 
+    /** Sampling groups, and the inverse-CDF table of each. */
+    size_t groups() const { return groups_.size(); }
+    const CdfBins& sampler(size_t group) const { return groups_[group].bins; }
+
     /** Probability of each of the 2^num_clbits bit patterns, laid out
      *  as Counts::ToProbabilities (num_clbits <= 24). */
     std::vector<double> Probabilities() const;
@@ -98,14 +151,11 @@ class ExactDistribution {
      *  measured qubits' bits. */
     struct Outcomes {
         std::vector<double> probability;
-        std::vector<double> cdf;
         std::vector<uint64_t> bits;
-        /** Entry j: where Pick starts for u in [j, j + 1) / size. */
-        std::vector<size_t> guide;
+        /** Outcome indices in ascending order of their bits. */
+        std::vector<uint32_t> by_bits;
+        CdfBins bins;
     };
-
-    /** The outcome whose CDF interval holds @p u. */
-    static size_t Pick(const Outcomes& outcomes, double u);
 
     int num_clbits_ = 1;
     int registers_ = 0;

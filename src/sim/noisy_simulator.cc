@@ -788,9 +788,11 @@ NoisySimulator::Run(const ScheduledCircuit& schedule, const RunSpec& spec)
     Counts counts(num_clbits);
     {
         telemetry::ScopedSpan shots_span("sim.statevector.shots");
-        for (int shot = 0; shot < shots; ++shot) {
-            counts.Record(trajectory.Shot(rng_));
+        std::vector<uint64_t> outcomes(static_cast<size_t>(shots));
+        for (uint64_t& bits : outcomes) {
+            bits = trajectory.Shot(rng_);
         }
+        counts.RecordShots(outcomes);
     }
     if (telemetry::Enabled()) {
         telemetry::GetCounter("sim.statevector.registers")

@@ -1,6 +1,7 @@
 #include "sim/stabilizer.h"
 
 #include <cmath>
+#include <vector>
 
 #include "clifford/tableau.h"
 #include "common/error.h"
@@ -61,11 +62,11 @@ StabilizerSimulator::Run(const ScheduledCircuit& schedule,
         }
     };
 
-    Counts counts(plan.num_clbits);
+    std::vector<uint64_t> outcomes(static_cast<size_t>(shots));
     Tableau state(plan.width);
-    for (int shot = 0; shot < shots; ++shot) {
+    for (uint64_t& bits : outcomes) {
         state.Reset();
-        uint64_t bits = 0;
+        bits = 0;
         for (const RunPlan::Op& op : plan.ops) {
             for (int d = op.decay_begin; d < op.busy_begin; ++d) {
                 decay(state, plan.decays[d]);
@@ -101,8 +102,9 @@ StabilizerSimulator::Run(const ScheduledCircuit& schedule,
                 decay(state, plan.decays[d]);
             }
         }
-        counts.Record(bits);
     }
+    Counts counts(plan.num_clbits);
+    counts.RecordShots(outcomes);
     return counts;
 }
 

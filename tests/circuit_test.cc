@@ -101,7 +101,7 @@ TEST(Circuit, AppendMappedRelocatesQubitsAndClbits)
     Circuit outer(5);
     outer.AppendMapped(inner, {3, 4}, 2);
     EXPECT_EQ(outer.gate(0).qubits[0], 3);
-    EXPECT_EQ(outer.gate(1).qubits, (std::vector<QubitId>{3, 4}));
+    EXPECT_EQ(outer.gate(1).qubits, (Gate::Qubits{3, 4}));
     EXPECT_EQ(outer.gate(2).cbit, 2);
     EXPECT_THROW(outer.AppendMapped(inner, {0}), Error);
 }

@@ -5,11 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/error.h"
 #include "common/fit.h"
+#include "common/inline_vector.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/statistics.h"
@@ -32,6 +35,82 @@ TEST(ErrorMacros, RequireThrowsErrorWithMessage)
 TEST(ErrorMacros, AssertThrowsInternalError)
 {
     EXPECT_THROW(XTALK_ASSERT(false, "broken"), InternalError);
+}
+
+TEST(InlineVector, StaysInPlaceUpToItsCapacityThenSpills)
+{
+    InlineVector<int, 2> v;
+    EXPECT_TRUE(v.empty());
+    EXPECT_EQ(v.capacity(), 2u);
+    v.push_back(7);
+    v.push_back(8);
+    EXPECT_FALSE(v.spilled());
+    v.push_back(9);
+    EXPECT_TRUE(v.spilled());
+    EXPECT_GE(v.capacity(), 3u);
+    for (int i = 10; i < 1000; ++i) {
+        v.push_back(i);
+    }
+    ASSERT_EQ(v.size(), 993u);
+    EXPECT_EQ(v[1], 8);
+    EXPECT_EQ(v[992], 999);
+    int expected = 7;
+    for (int x : v) {
+        EXPECT_EQ(x, expected++);
+    }
+    // An element of the vector itself, pushed across a spill.
+    InlineVector<int, 2> w{4, 5};
+    w.push_back(w[0]);
+    EXPECT_EQ(w, (InlineVector<int, 2>{4, 5, 4}));
+    w.clear();
+    EXPECT_TRUE(w.empty());
+}
+
+TEST(InlineVector, CopyMoveAndAssignKeepTheElements)
+{
+    const std::vector<double> source{0.5, -1.25, 3.0, 4.5, 6.0};
+    const InlineVector<double, 3> small{0.5, -1.25};
+    const InlineVector<double, 3> large(source.begin(), source.end());
+    ASSERT_TRUE(large.spilled());
+    EXPECT_TRUE(std::equal(large.begin(), large.end(), source.begin(),
+                           source.end()));
+
+    for (const InlineVector<double, 3>* original : {&small, &large}) {
+        InlineVector<double, 3> copy(*original);
+        EXPECT_EQ(copy, *original);
+        // Copies own their elements.
+        copy[0] = 99.0;
+        EXPECT_NE(copy, *original);
+        EXPECT_EQ((*original)[0], 0.5);
+
+        InlineVector<double, 3> donor(*original);
+        InlineVector<double, 3> moved(std::move(donor));
+        EXPECT_EQ(moved, *original);
+        EXPECT_TRUE(donor.empty());  // NOLINT(bugprone-use-after-move)
+        EXPECT_FALSE(donor.spilled());
+
+        // Every pairing of small and spilled sides.
+        for (const InlineVector<double, 3>* other : {&small, &large}) {
+            InlineVector<double, 3> assigned(*other);
+            assigned = *original;
+            EXPECT_EQ(assigned, *original);
+            InlineVector<double, 3> move_assigned(*other);
+            InlineVector<double, 3> temporary(*original);
+            move_assigned = std::move(temporary);
+            EXPECT_EQ(move_assigned, *original);
+        }
+        InlineVector<double, 3> self(*original);
+        const InlineVector<double, 3>& alias = self;
+        self = alias;
+        EXPECT_EQ(self, *original);
+    }
+
+    InlineVector<double, 3> listed(large);
+    listed = {1.0, 2.0};
+    EXPECT_EQ(listed, (InlineVector<double, 3>{1.0, 2.0}));
+    EXPECT_NE(small, large);
+    EXPECT_NE(small, (InlineVector<double, 3>{0.5}));
+    EXPECT_EQ((InlineVector<double, 3>{}), (InlineVector<double, 3>{}));
 }
 
 TEST(Rng, DeterministicForSameSeed)

@@ -129,10 +129,34 @@ TEST(QasmParser, ParsesBasicProgram)
     EXPECT_EQ(c.num_qubits(), 3);
     EXPECT_EQ(c.size(), 5);
     EXPECT_EQ(c.gate(0).kind, GateKind::kH);
-    EXPECT_EQ(c.gate(1).qubits, (std::vector<QubitId>{0, 1}));
+    EXPECT_EQ(c.gate(1).qubits, (Gate::Qubits{0, 1}));
     EXPECT_DOUBLE_EQ(c.gate(2).params[1], 0.25);
     EXPECT_EQ(c.gate(3).kind, GateKind::kBarrier);
     EXPECT_EQ(c.gate(4).cbit, 0);
+}
+
+TEST(QasmParser, WholeRegisterBarrierRoundTrips)
+{
+    // `barrier q;` spans the register: on the widest one allowed its
+    // operands spill out of the gate's inline storage.
+    const std::string program =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1024];\n"
+        "creg c[2];\nh q[1023];\nbarrier q;\ncx q[1023],q[0];\n"
+        "measure q[0] -> c[1];\n";
+    const Circuit parsed = ParseQasm(program);
+    ASSERT_EQ(parsed.size(), 4);
+    const Gate& barrier = parsed.gate(1);
+    ASSERT_TRUE(barrier.IsBarrier());
+    ASSERT_EQ(barrier.qubits.size(), 1024u);
+    for (QubitId q = 0; q < 1024; ++q) {
+        EXPECT_EQ(barrier.qubits[q], q);
+    }
+    const std::string emitted = ToQasm(parsed);
+    const Circuit reparsed = ParseQasm(emitted);
+    EXPECT_EQ(reparsed.gates(), parsed.gates());
+    EXPECT_EQ(ToQasm(reparsed), emitted);
+    EXPECT_THROW(ParseQasm("OPENQASM 2.0;\nbarrier q;\nqreg q[2];\n"),
+                 Error);
 }
 
 TEST(QasmParser, PiExpressions)

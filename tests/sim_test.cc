@@ -7,7 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <span>
+#include <sstream>
 
 #include "characterization/rb.h"
 #include "circuit/circuit.h"
@@ -155,6 +159,158 @@ TEST(Counts, BitsToStringOrdersHighBitFirst)
 {
     EXPECT_EQ(Counts::BitsToString(0b01, 2), "01");
     EXPECT_EQ(Counts::BitsToString(0b10, 2), "10");
+}
+
+TEST(Counts, ToStringBytesAreUnchanged)
+{
+    // Rows fall by count; tied counts keep ascending bit order.
+    Counts counts(3);
+    for (const auto& [bits, shots] : std::vector<std::pair<uint64_t, int>>{
+             {0b111, 2}, {0b000, 5}, {0b010, 1}, {0b101, 5}, {0b011, 2}}) {
+        counts.Record(bits, shots);
+    }
+    EXPECT_EQ(counts.ToString(),
+              "counts(15 shots)\n"
+              "  000: 5\n"
+              "  101: 5\n"
+              "  011: 2\n"
+              "  111: 2\n"
+              "  010: 1\n");
+    EXPECT_EQ(Counts(2).ToString(), "counts(0 shots)\n");
+}
+
+/** The std::map histogram Counts kept before its sorted rows: the
+ *  reference the seeded differential holds it to. */
+struct MapCounts {
+    explicit MapCounts(int clbits) : num_clbits(clbits) {}
+
+    int num_clbits;
+    int shots = 0;
+    std::map<uint64_t, int> rows;
+
+    void
+    Record(uint64_t bits, int n)
+    {
+        rows[bits] += n;
+        shots += n;
+    }
+
+    std::string
+    ToString() const
+    {
+        std::vector<std::pair<uint64_t, int>> sorted(rows.begin(),
+                                                     rows.end());
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto& a, const auto& b) {
+                      return a.second > b.second;
+                  });
+        std::ostringstream oss;
+        oss << "counts(" << shots << " shots)\n";
+        for (const auto& [bits, count] : sorted) {
+            oss << "  " << Counts::BitsToString(bits, num_clbits) << ": "
+                << count << "\n";
+        }
+        return oss.str();
+    }
+};
+
+std::vector<std::pair<uint64_t, int>>
+Rows(const Counts& counts)
+{
+    return {counts.histogram().begin(), counts.histogram().end()};
+}
+
+std::vector<std::pair<uint64_t, int>>
+Rows(const MapCounts& counts)
+{
+    return {counts.rows.begin(), counts.rows.end()};
+}
+
+TEST(Counts, MatchesAMapReferenceOnSeededStreams)
+{
+    // Per-shot, batched and bulk recording, Merge, CountOf,
+    // ToProbabilities and ToString on seeded streams, wide and narrow:
+    // few distinct outcomes (many tied counts) up to 4,096. The hash of
+    // every ToString was captured with the std::map histogram.
+    Rng rng(20261020);
+    std::string transcript;
+    for (int trial = 0; trial < 24; ++trial) {
+        const int num_clbits = 1 + static_cast<int>(rng.UniformInt(16));
+        const uint64_t patterns = uint64_t{1} << num_clbits;
+        const uint64_t distinct = std::min<uint64_t>(
+            patterns, 1 + rng.UniformInt(trial % 3 == 0 ? 4096 : 40));
+        std::vector<uint64_t> support;
+        for (uint64_t k = 0; k < distinct; ++k) {
+            support.push_back(rng.UniformInt(patterns));
+        }
+        Counts per_shot(num_clbits), bulk(num_clbits);
+        MapCounts per_shot_ref(num_clbits), bulk_ref(num_clbits);
+        const int shots = 1 + static_cast<int>(rng.UniformInt(8192));
+        std::vector<uint64_t> stream;
+        for (int shot = 0; shot < shots; ++shot) {
+            const uint64_t bits = support[rng.UniformInt(support.size())];
+            per_shot.Record(bits);
+            per_shot_ref.Record(bits, 1);
+            stream.push_back(bits);
+        }
+        // The same shots in two batches: the second merges into rows.
+        Counts batched(num_clbits);
+        const size_t half = stream.size() / 2;
+        batched.RecordShots(std::span(stream).first(half));
+        batched.RecordShots(std::span(stream).subspan(half));
+        EXPECT_EQ(Rows(batched), Rows(per_shot_ref)) << trial;
+        EXPECT_EQ(batched.shots(), shots) << trial;
+        for (int row = 0; row < 64; ++row) {
+            const uint64_t bits = support[rng.UniformInt(support.size())];
+            const int n = static_cast<int>(rng.UniformInt(50));
+            bulk.Record(bits, n);
+            bulk_ref.Record(bits, n);
+        }
+        ASSERT_EQ(Rows(per_shot), Rows(per_shot_ref)) << trial;
+        ASSERT_EQ(Rows(bulk), Rows(bulk_ref)) << trial;
+        EXPECT_EQ(per_shot.shots(), per_shot_ref.shots) << trial;
+        EXPECT_EQ(bulk.shots(), bulk_ref.shots) << trial;
+
+        Counts merged(trial % 2 == 0 ? num_clbits : 1);
+        MapCounts merged_ref(num_clbits);
+        for (const Counts* part : {&per_shot, &bulk, &per_shot}) {
+            merged.Merge(*part);
+        }
+        for (const MapCounts* part :
+             {&per_shot_ref, &bulk_ref, &per_shot_ref}) {
+            for (const auto& [bits, count] : part->rows) {
+                merged_ref.Record(bits, count);
+            }
+        }
+        ASSERT_EQ(Rows(merged), Rows(merged_ref)) << trial;
+        EXPECT_EQ(merged.shots(), merged_ref.shots) << trial;
+        EXPECT_EQ(merged.num_clbits(), num_clbits) << trial;
+        for (int probe = 0; probe < 32; ++probe) {
+            const uint64_t bits = probe % 2 == 0
+                                      ? support[rng.UniformInt(support.size())]
+                                      : rng.UniformInt(patterns);
+            const auto it = merged_ref.rows.find(bits);
+            EXPECT_EQ(merged.CountOf(bits),
+                      it == merged_ref.rows.end() ? 0 : it->second)
+                << trial;
+        }
+        const std::vector<double> probabilities = merged.ToProbabilities();
+        ASSERT_EQ(probabilities.size(), patterns);
+        for (uint64_t bits = 0; bits < patterns; ++bits) {
+            const auto it = merged_ref.rows.find(bits);
+            const int count = it == merged_ref.rows.end() ? 0 : it->second;
+            EXPECT_EQ(probabilities[bits],
+                      static_cast<double>(count) / merged_ref.shots)
+                << trial;
+        }
+        for (const Counts* counts : {&per_shot, &bulk, &merged}) {
+            transcript += counts->ToString();
+        }
+        EXPECT_EQ(per_shot.ToString(), per_shot_ref.ToString()) << trial;
+        EXPECT_EQ(bulk.ToString(), bulk_ref.ToString()) << trial;
+        EXPECT_EQ(merged.ToString(), merged_ref.ToString()) << trial;
+    }
+    EXPECT_EQ(telemetry::FnvHex(transcript), "b2257ae35f3950be");
 }
 
 /** Schedule a circuit ASAP using device durations, measures in circuit
@@ -715,7 +871,7 @@ TEST(ExactBackend, CountsAreIdenticalAcrossThreadCounts)
             job.seed = 77 + request.jobs.size();
             request.jobs.push_back(std::move(job));
         }
-        std::vector<std::map<uint64_t, int>> histograms;
+        std::vector<std::vector<Counts::Row>> histograms;
         for (const runtime::ExecutionResult& result :
              executor.Submit(request)) {
             EXPECT_EQ(result.chunks, 8);
@@ -825,6 +981,96 @@ TEST(ExactBackend, ManyRegistersDrawOncePerSamplingGroup)
               RunJob(pough, schedule, runtime::SimBackend::kExact, kShots,
                      4, 31, 1)
                   .histogram());
+}
+
+/** Probes of @p bins on which its Pick differs from std::upper_bound
+ *  over its CDF (clamped to the last outcome): every bin edge and one
+ *  ulp either side, every CDF value and its neighbours, and 10^5
+ *  seeded uniforms. */
+int
+BinTableMismatches(const CdfBins& bins, uint64_t seed)
+{
+    const std::vector<double>& cdf = bins.cdf();
+    std::vector<double> probes;
+    for (size_t j = 0; j < bins.bins(); ++j) {
+        const double edge =
+            static_cast<double>(j) / static_cast<double>(bins.bins());
+        probes.insert(probes.end(), {edge, std::nextafter(edge, 0.0),
+                                     std::nextafter(edge, 1.0)});
+    }
+    for (double c : cdf) {
+        probes.insert(probes.end(), {c, std::nextafter(c, 0.0),
+                                     std::nextafter(c, 1.0)});
+    }
+    probes.push_back(std::nextafter(1.0, 0.0));
+    Rng rng(seed);
+    for (int k = 0; k < 100000; ++k) {
+        probes.push_back(rng.Uniform());
+    }
+    int mismatches = 0;
+    for (double u : probes) {
+        if (!(u >= 0.0 && u < 1.0)) {
+            continue;
+        }
+        const size_t expected = std::min<size_t>(
+            std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin(),
+            cdf.size() - 1);
+        if (bins.Pick(u) != expected) {
+            ADD_FAILURE() << "u = " << u << ": picked " << bins.Pick(u)
+                          << ", upper_bound " << expected;
+            if (++mismatches >= 10) {
+                break;
+            }
+        }
+    }
+    return mismatches;
+}
+
+TEST(ExactBackend, BinTableMatchesUpperBound)
+{
+    const Device pough = MakePoughkeepsie();
+    const Device linear = MakeLinearDevice(3, 3);
+    int groups = 0;
+    for (const PinnedRun& run : PinnedRuns(pough, linear)) {
+        const RunPlan plan =
+            BuildRunPlan(*run.device, run.noise, run.schedule);
+        const std::optional<int> width = ExactRegisterWidth(plan);
+        if (!width || *width > kMaxExactRegisterQubits) {
+            continue;
+        }
+        const ExactDistribution exact(plan);
+        for (size_t g = 0; g < exact.groups(); ++g) {
+            const CdfBins& bins = exact.sampler(g);
+            EXPECT_GE(bins.bins(), 4 * bins.cdf().size()) << run.name;
+            EXPECT_EQ(bins.bins() & (bins.bins() - 1), 0u) << run.name;
+            EXPECT_EQ(BinTableMismatches(bins, 7 + groups), 0) << run.name;
+            ++groups;
+        }
+    }
+    EXPECT_GE(groups, 20);
+
+    // Twelve one-qubit registers: one group of 2^12 joint outcomes.
+    Circuit circuit(12);
+    for (int q = 0; q < 12; ++q) {
+        circuit.H(q).RY(q, 0.05 * q);
+    }
+    circuit.MeasureAll();
+    const ExactDistribution wide(
+        BuildRunPlan(pough, {}, InOrderSchedule(circuit, pough)));
+    ASSERT_EQ(wide.groups(), 1u);
+    ASSERT_EQ(wide.sampler(0).cdf().size(), 4096u);
+    EXPECT_EQ(BinTableMismatches(wide.sampler(0), 4096), 0);
+
+    // Edge cases: repeated CDF values, a tiny outcome inside one bin,
+    // CDF values on bin edges and a total that rounding left below 1.
+    for (const std::vector<double>& cdf : std::vector<std::vector<double>>{
+             {1.0},
+             {0.25, 0.25, 0.5, 0.75, 1.0 - 0x1p-40},
+             {1e-300, 0.125, 0.125 + 1e-17, 0.3, 0.9999999999999999},
+             {0.0625, 0.0625, 0.0625, 0.5, 1.0}}) {
+        const CdfBins bins(cdf);
+        EXPECT_EQ(BinTableMismatches(bins, cdf.size()), 0);
+    }
 }
 
 TEST(ExactBackend, PinnedCountsForSeededRuns)

@@ -197,14 +197,18 @@ ParseArgs(int argc, char** argv, Options* options)
 
 // Signal handlers may only touch async-signal-safe state: a stop flag
 // and the listening fd (close() is async-signal-safe and unblocks the
-// accept loop).
-volatile std::sig_atomic_t g_stop = 0;
+// accept loop). The flag is also written by a connection thread on a
+// `shutdown` request while the accept loop reads it, so it is an
+// atomic, and a lock-free one, which a signal handler may use.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+static_assert(std::atomic<int>::is_always_lock_free);
 std::atomic<int> g_listen_fd{-1};
 
 void
 StopListening()
 {
-    g_stop = 1;
+    g_stop.store(true);
     const int fd = g_listen_fd.exchange(-1);
     if (fd >= 0) {
         // shutdown() before close(): on Linux, close() alone does not
@@ -582,7 +586,7 @@ main(int argc, char** argv)
                ", max-queue " +
                std::to_string(options.engine.admission.max_queue) + ")");
 
-        while (!g_stop) {
+        while (!g_stop.load()) {
             const int conn = ::accept(listen_fd, nullptr, nullptr);
             if (conn < 0) {
                 if (errno == EINTR) {
